@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -257,6 +258,11 @@ class PrimeSieve:
         i = bisect_left(self.primes, lo)
         j = bisect_right(self.primes, hi)
         return self.primes[i:j]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The primes as an int64 array, built on first use and kept."""
+        return np.asarray(self.primes, dtype=np.int64)
 
     def __contains__(self, n: int) -> bool:
         i = bisect_left(self.primes, n)

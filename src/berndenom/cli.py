@@ -320,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # dd(n) passes 4300 digits near n = 4e7
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

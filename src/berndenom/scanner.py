@@ -2,10 +2,19 @@
 
 The per-index digit-sum products invert cleanly: a prime p contributes to an
 index n < p*p exactly when n = a1*p + a0 with a1 >= 1 and a0 + a1 >= p, so
-the qualifying n form, for each a1, a run of a1 consecutive integers ending
-just before the multiple (a1 + 1) * p. Scans therefore walk (prime, run)
-pairs and accumulate counter deltas instead of testing every (n, p) pair;
-one cumulative sum then yields the counts for an entire chunk.
+the qualifying n form, for each pair (p, a1) with a1 < p, the run
+[(a1+1)p - a1, (a1+1)p - 1] just before the multiple (a1 + 1) * p. Scans
+accumulate run boundaries into a difference array instead of testing every
+(n, p) pair; one cumulative sum then yields the counts for an entire chunk.
+
+The pairs meeting a chunk [lo, hi] are enumerated quotient-major, with no
+Python loop over primes: for each a1, the primes p with a1 < p whose run
+meets the chunk are the slice of the prime array between
+max(a1 + 1, ceil((lo+1)/(a1+1))) and floor((hi+a1)/(a1+1)), found for every
+a1 by one vectorised search. Since a1 < p puts the run's start above a1^2,
+a1 never exceeds sqrt(hi). The slices expand into pairs in batches of at
+most _RUN_BATCH runs, so a chunk's transient memory is O(chunk + batch)
+however many runs it holds.
 
 Chunks are embarrassingly parallel, merge deterministically, and persist to
 a line-delimited JSON checkpoint so interrupted scans resume byte-identically.
@@ -53,6 +62,8 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 CHECKPOINT_VERSION = 1
 
 _COUNTER_MAX = (1 << 16) - 1
+_RUN_BATCH = 1 << 18
+"""Most runs handed to one bincount, so transient memory is O(chunk + batch)."""
 
 
 class CheckpointError(RuntimeError):
@@ -81,6 +92,25 @@ class ScanChunk:
     checksum: str
 
 
+def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """Expand group g into the pairs (keys[g], first[g] + i) for 0 <= i < count[g].
+
+    The pairs of all groups, in order, are yielded as (key, value) arrays of
+    at most _RUN_BATCH entries each; a group may straddle two batches.
+    """
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for b0 in range(0, total, _RUN_BATCH):
+        b1 = min(b0 + _RUN_BATCH, total)
+        g0 = int(np.searchsorted(ends, b0, side="right"))
+        g1 = int(np.searchsorted(ends, b1 - 1, side="right")) + 1
+        begins = ends[g0:g1] - count[g0:g1]
+        skip = np.maximum(b0 - begins, 0)
+        take = np.minimum(b1 - begins, count[g0:g1]) - skip
+        base = first[g0:g1] + skip - (np.cumsum(take) - take)
+        yield np.repeat(keys[g0:g1], take), np.repeat(base, take) + np.arange(b1 - b0)
+
+
 def scan_omega_plus(lo: int, hi: int, sieve: PrimeSieve | None = None) -> ScanChunk:
     """Count, for every n in [lo, hi], the primes p > sqrt(n) with digit sum >= p."""
     if lo < 1 or lo > hi:
@@ -92,44 +122,24 @@ def scan_omega_plus(lo: int, hi: int, sieve: PrimeSieve | None = None) -> ScanCh
             f"sieve holds primes up to {sv.limit}, but scanning to {hi} needs {need}"
         )
 
+    # Quotient-major: for each a1, the primes p > a1 whose a1-run meets
+    # [lo, hi] form one slice of the prime array, and no pair has a1 > sqrt(hi).
+    primes = sv.array
+    quotients = np.arange(1, isqrt(hi) + 1, dtype=np.int64)
+    lower = np.maximum(quotients + 1, -(-(lo + 1) // (quotients + 1)))
+    first = np.searchsorted(primes, lower)
+    last = np.searchsorted(primes, (hi + quotients) // (quotients + 1), "right")
+
     length = hi - lo + 1
-    small_starts: list[int] = []
-    small_ends: list[int] = []
-    block_starts: list[np.ndarray] = []
-    block_ends: list[np.ndarray] = []
+    delta = np.zeros(length + 1, dtype=np.int64)
+    for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
+        top = (a1 + 1) * primes[index]
+        delta += np.bincount(np.maximum(top - a1, lo) - lo, minlength=length + 1)
+        delta -= np.bincount(np.minimum(top - 1, hi) - lo + 1, minlength=length + 1)
+    counts = np.cumsum(delta[:length], out=delta[:length])
 
-    for p in sv.primes_in(max(isqrt(lo), 2), need):
-        a1_min = max(1, -(-(lo + 1) // p) - 1)
-        a1_max = min(p - 1, (hi - p) // (p - 1))
-        if a1_min > a1_max:
-            continue
-        if a1_max - a1_min < 8:
-            for a1 in range(a1_min, a1_max + 1):
-                start = a1 * (p - 1) + p
-                end = a1 * p + p - 1
-                small_starts.append(max(start, lo) - lo)
-                small_ends.append(min(end, hi) - lo + 1)
-        else:
-            a1 = np.arange(a1_min, a1_max + 1, dtype=np.int64)
-            starts = a1 * (p - 1) + p
-            ends = a1 * p + (p - 1)
-            np.maximum(starts, lo, out=starts)
-            np.minimum(ends, hi, out=ends)
-            block_starts.append(starts - lo)
-            block_ends.append(ends - lo + 1)
-
-    if small_starts:
-        block_starts.append(np.asarray(small_starts, dtype=np.int64))
-        block_ends.append(np.asarray(small_ends, dtype=np.int64))
-
-    if block_starts:
-        delta = np.bincount(np.concatenate(block_starts), minlength=length + 1)
-        delta -= np.bincount(np.concatenate(block_ends), minlength=length + 1)
-        counts = np.cumsum(delta)[:length]
-    else:
-        counts = np.zeros(length, dtype=np.int64)
-
-    assert int(counts.max(initial=0)) <= _COUNTER_MAX, "omega counter overflow"
+    if int(counts.max(initial=0)) > _COUNTER_MAX:
+        raise OverflowError(f"omega counter overflow in [{lo}, {hi}]")
     exceptional = tuple((np.flatnonzero(counts == 0) + lo).tolist())
     return ScanChunk(
         lo=lo,

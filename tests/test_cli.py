@@ -1,4 +1,6 @@
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,6 +101,42 @@ class TestSeq:
         _, json_out, _ = run_cli(capsys, "--format", "json", "seq", "db", "0", "12")
         payload = json.loads(json_out)
         assert [(str(r["n"]), r["value"]) for r in payload["rows"]] == [tuple(r) for r in rows]
+
+
+# 10**5000 + 7, spelled out without an int-to-str conversion
+HUGE_VALUE = 10**5000 + 7
+HUGE_TEXT = "1" + "0" * 4999 + "7"
+
+
+@pytest.fixture
+def default_str_digits_limit():
+    """Restore Python's 4300-digit int-to-str limit around the test, where it exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.usefixtures("default_str_digits_limit")
+class TestValuesBeyond4300Digits:
+    @pytest.fixture(autouse=True)
+    def huge_dd(self, monkeypatch):
+        monkeypatch.setattr(denom, "dd", lambda n, sieve=None: SimpleNamespace(value=HUGE_VALUE))
+
+    def test_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "dd", "1", "1")
+        assert code == 0
+        assert out == "n,value\n1," + HUGE_TEXT + "\n"
+
+    def test_json(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "seq", "dd", "1", "1")
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"n": 1, "value": HUGE_TEXT}]
 
 
 class TestScan:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berndenom import denom, scanner
 from berndenom.arith import SieveSizeError, is_prime, sieve
@@ -68,6 +70,66 @@ class TestScanOmegaPlus:
     def test_insufficient_sieve_coverage(self):
         with pytest.raises(SieveSizeError):
             scan_omega_plus(1, 1000, sieve(100))
+
+    def test_counter_overflow_raises(self, monkeypatch):
+        monkeypatch.setattr(scanner, "_COUNTER_MAX", 2)
+        scan_omega_plus(1, 30)  # omega_+ <= 2 up to 30
+        with pytest.raises(OverflowError, match="omega counter overflow"):
+            scan_omega_plus(1, 100)
+
+
+def brute_force_counts(ns, primes: np.ndarray) -> list[int]:
+    """omega_+(n) per n: primes p with p*p > n and base-p digit sum n//p + n%p >= p."""
+    counts = []
+    for n in ns:
+        p = primes[primes * primes > n]
+        counts.append(int(np.count_nonzero(n // p + n % p >= p)))
+    return counts
+
+
+@pytest.fixture(scope="module")
+def sieve_1m():
+    return sieve(10**6)
+
+
+BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "batch-7", "batch-1"])
+
+
+def scan_with_batch(lo, hi, sv, batch):
+    """scan_omega_plus with the run budget per bincount batch set to batch
+    (None keeps the default); 1 and 7 cut batches inside a1 slices."""
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(scanner, "_RUN_BATCH", batch)
+        return scan_omega_plus(lo, hi, sv).omega_counts
+
+
+class TestAgainstBruteForce:
+    @BATCHES
+    def test_every_window_to_400(self, sieve_20k, batch):
+        expected = brute_force_counts(range(1, 401), np.asarray(sieve_20k.primes))
+        # each batch costs a pass over the window, so tiny budgets get fewer windows
+        top = {None: 400, 7: 100, 1: 40}[batch]
+        windows = [(lo, hi) for hi in range(1, top + 1) for lo in range(1, hi + 1)]
+        if top < 400:
+            windows += [(lo, 400) for lo in range(1, 401, 13)]
+        for lo, hi in windows:
+            counts = scan_with_batch(lo, hi, sieve_20k, batch)
+            assert counts.tolist() == expected[lo - 1 : hi], (lo, hi)
+
+    @BATCHES
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_windows(self, sieve_1m, batch, data):
+        max_width = 70_000 if batch is None else 300 * batch
+        hi = data.draw(st.integers(1, 2 * 10**6), label="hi")
+        width = data.draw(st.integers(1, min(max_width, hi)), label="width")
+        lo = hi - width + 1
+        picks = data.draw(st.lists(st.integers(lo, hi), max_size=12), label="picks")
+        sample = sorted({lo, hi, *picks})
+        counts = scan_with_batch(lo, hi, sieve_1m, batch)
+        got = [int(counts[n - lo]) for n in sample]
+        assert got == brute_force_counts(sample, np.asarray(sieve_1m.primes))
 
 
 class TestMergeChunks:
