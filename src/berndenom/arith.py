@@ -53,17 +53,19 @@ def digit_sum(n: int, p: int) -> int:
     return total
 
 
-def digit_sum_table(p: int, limit: int) -> np.ndarray:
-    """Base-p digit sums of every n in [0, limit], as an int64 array."""
+def digit_sum_table(p: int, limit: int, start: int = 0) -> np.ndarray:
+    """Base-p digit sums of every n in [start, limit], as an int64 array."""
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
-    remaining = np.arange(limit + 1, dtype=np.int64)
-    total = np.zeros(limit + 1, dtype=np.int64)
-    while remaining.any():
+    if not 0 <= start <= limit:
+        raise ValueError(f"need 0 <= start <= limit, got [{start}, {limit}]")
+    remaining = np.arange(start, limit + 1, dtype=np.int64)
+    total = np.zeros(limit + 1 - start, dtype=np.int64)
+    scale = 1
+    while scale <= limit:  # one pass per base-p digit of limit
         total += remaining % p
         remaining //= p
+        scale *= p
     return total
 
 
@@ -168,16 +170,6 @@ class SquarefreeProduct:
         ps = tuple(primes)
         return cls(ps, math.prod(ps))
 
-    @classmethod
-    def from_value(cls, value: int) -> "SquarefreeProduct":
-        """Factor a squarefree integer back into its prime support."""
-        if value < 1:
-            raise ValueError(f"value must be positive, got {value}")
-        kernel = radical(value)
-        if kernel.value != value:
-            raise ValueError(f"{value} is not squarefree")
-        return kernel
-
     @property
     def omega(self) -> int:
         return len(self.primes)
@@ -205,19 +197,9 @@ class SquarefreeProduct:
                 raise ValueError(f"factors share the prime {a}; product is not squarefree")
         return SquarefreeProduct(tuple(merged), self.value * other.value)
 
-    def gcd(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
-        mine = set(other.primes)
-        ps = tuple(p for p in self.primes if p in mine)
-        return SquarefreeProduct(ps, math.prod(ps))
-
     def lcm(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
         ps = tuple(sorted(set(self.primes) | set(other.primes)))
         return SquarefreeProduct(ps, math.prod(ps))
-
-    def divides(self, other: "SquarefreeProduct | int") -> bool:
-        if isinstance(other, SquarefreeProduct):
-            return set(self.primes) <= set(other.primes)
-        return all(other % p == 0 for p in self.primes)
 
 
 def radical(n: int) -> SquarefreeProduct:

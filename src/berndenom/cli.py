@@ -16,19 +16,7 @@ from . import denom, scanner, verify
 from .arith import SieveSizeError, is_prime
 from .scanner import CheckpointError
 
-SEQ_NAMES = (
-    "dd",
-    "dn",
-    "db",
-    "ds",
-    "dd_plus",
-    "dd_minus",
-    "dd_coprime",
-    "dd_shared",
-    "dd_complement",
-    "omega_plus",
-    "db_k",
-)
+SEQ_NAMES = denom.SEQUENCES
 _SEQ_MIN_INDEX = {"db": 0, "ds": 0}  # every other sequence starts at n = 1
 
 PROFILE_FIELDS = (
@@ -78,69 +66,21 @@ def _emit_json(payload) -> None:
 
 def _cmd_profile(args) -> int:
     prof = denom.profile(args.n)
-    in_rad_set = prof.dd.value == prof.rad_n1.value
+    row = [
+        prof.dd.value == prof.rad_n1.value if name == "in_rad_set" else int(getattr(prof, name))
+        for name in PROFILE_FIELDS
+    ]
     if args.format == "json":
+        # only n, omega_plus and the flag stay below 2**53; the rest go as strings
         _emit_json(
             {
-                "n": prof.n,
-                "dd": str(prof.dd.value),
-                "dd_minus": str(prof.dd_minus.value),
-                "dd_plus": str(prof.dd_plus.value),
-                "dd_shared": str(prof.dd_shared.value),
-                "dd_coprime": str(prof.dd_coprime.value),
-                "dd_complement": str(prof.dd_complement.value),
-                "dn": str(prof.dn.value),
-                "db": str(prof.db.value),
-                "ds": str(prof.ds),
-                "omega_plus": prof.omega_plus,
-                "rad_n": str(prof.rad_n.value),
-                "rad_n1": str(prof.rad_n1.value),
-                "in_rad_set": in_rad_set,
+                name: value if name in ("n", "omega_plus", "in_rad_set") else str(value)
+                for name, value in zip(PROFILE_FIELDS, row)
             }
         )
     else:
-        row = (
-            prof.n,
-            prof.dd.value,
-            prof.dd_minus.value,
-            prof.dd_plus.value,
-            prof.dd_shared.value,
-            prof.dd_coprime.value,
-            prof.dd_complement.value,
-            prof.dn.value,
-            prof.db.value,
-            prof.ds,
-            prof.omega_plus,
-            prof.rad_n.value,
-            prof.rad_n1.value,
-            in_rad_set,
-        )
         _emit_csv(PROFILE_FIELDS, [row])
     return 0
-
-
-def _seq_value(name: str, n: int, k: int | None) -> int:
-    if name == "dd":
-        return denom.dd(n).value
-    if name == "dn":
-        return denom.dn(n).value
-    if name == "db":
-        return denom.db(n).value
-    if name == "ds":
-        return denom.ds(n)
-    if name == "dd_plus":
-        return denom.dd_split_sqrt(n)[1].value
-    if name == "dd_minus":
-        return denom.dd_split_sqrt(n)[0].value
-    if name == "dd_shared":
-        return denom.dd_split_divisibility(n)[0].value
-    if name == "dd_coprime":
-        return denom.dd_split_divisibility(n)[1].value
-    if name == "dd_complement":
-        return denom.dd_split_divisibility(n)[2].value
-    if name == "omega_plus":
-        return denom.omega_dd_plus(n)
-    return denom.db_k(n, k).value
 
 
 def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
@@ -153,7 +93,8 @@ def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"{args.name} is defined from n = {min_index}, got lo = {args.lo}")
     if args.lo > args.hi:
         parser.error(f"need lo <= hi, got {args.lo} > {args.hi}")
-    rows = [(n, _seq_value(args.name, n, args.k)) for n in range(args.lo, args.hi + 1)]
+    values = denom.sequence(args.name, args.lo, args.hi, args.k)
+    rows = list(zip(range(args.lo, args.hi + 1), values))
     if args.format == "json":
         _emit_json(
             {

@@ -1,9 +1,20 @@
 """Denominator families of Bernoulli polynomials, computed purely from prime
 and digit-sum conditions; no rational arithmetic appears on this path.
 
-The central object is the squarefree product over primes p whose base-p digit
-sum of n reaches p. Splitting that product by the size of p relative to
-sqrt(n), or by whether p divides n, yields every family below:
+The central object is the support of dd(n): the primes p whose base-p digit
+sum of n reaches p. This module alone decides it, by one of two routes:
+
+* One index: qualifying_primes(n) tests the primes up to
+  lambda_prime_bound(n) one at a time, which beats any array set-up.
+* A range: supports(lo, hi) yields the support of every n in [lo, hi], a
+  block of indices at a time. Primes up to isqrt(hi) are tested with
+  vectorised digit sums. A larger prime p is heavy at n = a1*p + a0 exactly
+  when a0 + a1 >= p, that is on the run [(a1+1)p - a1, (a1+1)p - 1] for
+  each 1 <= a1 < p; heavy_runs() enumerates these runs quotient-major, and
+  the scanner counts the same runs without materialising any support.
+
+split(n, support) cuts a support by sqrt(n) and by whether p divides n, and
+every family below is read off those parts:
 
 * ``dd(n)``   denominator of B_n(x) - B_n            (cf. OEIS A195441)
 * ``dn(n)``   denominator of the number B_n           (cf. OEIS A027642)
@@ -16,16 +27,20 @@ All values except ds are squarefree and carried as SquarefreeProduct.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .arith import (
     PrimeSieve,
     SieveSizeError,
     SquarefreeProduct,
     digit_sum,
+    digit_sum_table,
     falling_factorial,
-    floor_condition,
     is_prime,
     lambda_prime_bound,
     radical,
@@ -34,6 +49,8 @@ from .arith import (
 
 __all__ = [
     "DenomProfile",
+    "Parts",
+    "SEQUENCES",
     "db",
     "db_k",
     "dd",
@@ -41,19 +58,30 @@ __all__ = [
     "dd_split_sqrt",
     "dn",
     "ds",
+    "heavy_runs",
     "omega_dd_plus",
     "profile",
     "qualifying_primes",
+    "sequence",
+    "split",
+    "supports",
 ]
 
+_RUN_BATCH = 1 << 18
+"""Most runs or (prime, index) pairs in one batch, so memory is O(window + batch)."""
 
-def _needed_sieve(n: int, sieve: PrimeSieve | None) -> PrimeSieve:
-    bound = lambda_prime_bound(n)
+_SUPPORT_BLOCK = 1 << 10
+"""Indices per block of supports(), so Python tuples exist for one block only."""
+
+_product = SquarefreeProduct.from_known_primes
+
+
+def _covering_sieve(bound: int, sieve: PrimeSieve | None, what: str) -> PrimeSieve:
     if sieve is None:
         return shared_sieve(max(bound, 2))
     if sieve.limit < bound:
         raise SieveSizeError(
-            f"sieve holds primes up to {sieve.limit}, but n={n} needs primes up to {bound}"
+            f"sieve holds primes up to {sieve.limit}, but {what} needs primes up to {bound}"
         )
     return sieve
 
@@ -66,9 +94,10 @@ def qualifying_primes(n: int, sieve: PrimeSieve | None = None) -> tuple[int, ...
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    sv = _needed_sieve(n, sieve)
+    bound = lambda_prime_bound(n)
+    sv = _covering_sieve(bound, sieve, f"n={n}")
     out = []
-    for p in sv.primes_in(2, lambda_prime_bound(n)):
+    for p in sv.primes_in(2, bound):
         if p * p > n:
             if n // p + n % p >= p:
                 out.append(p)
@@ -77,27 +106,123 @@ def qualifying_primes(n: int, sieve: PrimeSieve | None = None) -> tuple[int, ...
     return tuple(out)
 
 
+def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """Expand group g into the pairs (keys[g], first[g] + i) for 0 <= i < count[g].
+
+    The pairs of all groups, in order, are yielded as (key, value) arrays of
+    at most _RUN_BATCH entries each; a group may straddle two batches.
+    """
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for b0 in range(0, total, _RUN_BATCH):
+        b1 = min(b0 + _RUN_BATCH, total)
+        g0 = int(np.searchsorted(ends, b0, side="right"))
+        g1 = int(np.searchsorted(ends, b1 - 1, side="right")) + 1
+        begins = ends[g0:g1] - count[g0:g1]
+        skip = np.maximum(b0 - begins, 0)
+        take = np.minimum(b1 - begins, count[g0:g1]) - skip
+        base = first[g0:g1] + skip - (np.cumsum(take) - take)
+        yield np.repeat(keys[g0:g1], take), np.repeat(base, take) + np.arange(b1 - b0)
+
+
+def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
+    """Yield the runs of heavy indices of the given primes that meet [lo, hi].
+
+    The run of a prime p > a1 >= 1 is [(a1+1)p - a1, (a1+1)p - 1 - cut]: the
+    indices below (a1+1)p where p's digit sum reaches p, less the top cut of
+    them. Batches of at most _RUN_BATCH nonempty runs come as arrays
+    (index, begin, stop): primes[index] is heavy at lo + begin <= n < lo + stop,
+    its run clipped to [lo, hi]. primes must be ascending int64.
+
+    Quotient-major: for each a1 the primes whose run meets [lo, hi] form one
+    slice of primes, found for every a1 by one vectorised search. A run
+    starts above a1^2, so a1 never exceeds sqrt(hi).
+    """
+    quotients = np.arange(cut + 1, isqrt(hi) + 1, dtype=np.int64)
+    lower = np.maximum(quotients + 1, -(-(lo + 1 + cut) // (quotients + 1)))
+    first = np.searchsorted(primes, lower)
+    last = np.searchsorted(primes, (hi + quotients) // (quotients + 1), "right")
+    for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
+        # a scan's memory peaks here: work in place, and let go of each
+        # batch before building the next (callers drop theirs too)
+        stop = (a1 + 1) * primes[index]
+        begin = np.maximum(stop - a1 - lo, 0, out=a1)
+        np.minimum(stop - (lo + cut), hi - lo + 1, out=stop)
+        yield index, begin, stop
+        del a1, index, begin, stop
+
+
+def _block_supports(lo: int, hi: int, sv: PrimeSieve) -> list[tuple[int, ...]]:
+    """The support of every n in [lo, hi], from (prime, offset) pairs."""
+    root = sv.array.searchsorted(isqrt(hi), "right")
+    owners = [np.zeros(0, dtype=np.int64)]
+    offsets = [np.zeros(0, dtype=np.int64)]
+    for p in sv.primes[:root]:
+        heavy = np.flatnonzero(digit_sum_table(p, hi, lo) >= p)
+        owners.append(np.full(heavy.size, p, dtype=np.int64))
+        offsets.append(heavy)
+    large = sv.array[root:]
+    for index, begin, stop in heavy_runs(lo, hi, large):
+        for owner, offset in _ragged_batches(large[index], begin, stop - begin):
+            owners.append(owner)
+            offsets.append(offset)
+    offset = np.concatenate(offsets)
+    # every prime is below hi + 1, so one sort of this key orders by index, then prime
+    keys = np.sort(offset * (hi + 1) + np.concatenate(owners))
+    ordered = (keys % (hi + 1)).tolist()
+    ends = np.cumsum(np.bincount(offset, minlength=hi - lo + 1)).tolist()
+    return [tuple(ordered[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def supports(lo: int, hi: int, sieve: PrimeSieve | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield qualifying_primes(n) for n = lo, ..., hi, built a block at a time."""
+    if lo < 1:
+        raise ValueError(f"need lo >= 1, got {lo}")
+    sv = _covering_sieve((hi + 1) // 2, sieve, f"the range up to {hi}")
+    for b0 in range(lo, hi + 1, _SUPPORT_BLOCK):
+        yield from _block_supports(b0, min(b0 + _SUPPORT_BLOCK - 1, hi), sv)
+
+
+class Parts(NamedTuple):
+    """The support of dd(n) cut by sqrt(n) and by p | n, with the primes of n
+    it misses; each part is an ascending tuple of primes."""
+
+    minus: tuple[int, ...]
+    plus: tuple[int, ...]
+    shared: tuple[int, ...]
+    coprime: tuple[int, ...]
+    complement: tuple[int, ...]
+
+
+def split(n: int, support: Sequence[int]) -> Parts:
+    """Cut the support of dd(n) into minus/plus (p below/above sqrt(n)),
+    shared/coprime (p dividing n or not) and complement (primes of n outside it).
+
+    A prime equal to sqrt(n) never qualifies (its digit sum is 1), so minus
+    and plus multiply back to dd(n), as do shared and coprime; shared times
+    complement is the squarefree kernel of n.
+    """
+    shared = tuple(p for p in support if n % p == 0)
+    return Parts(
+        minus=tuple(p for p in support if p * p < n),
+        plus=tuple(p for p in support if p * p > n),
+        shared=shared,
+        coprime=tuple(p for p in support if n % p),
+        complement=tuple(p for p in radical(n).primes if p not in shared),
+    )
+
+
 def dd(n: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
     """Denominator of B_n(x) - B_n: the full digit-sum prime product."""
-    return SquarefreeProduct.from_known_primes(qualifying_primes(n, sieve))
+    return _product(qualifying_primes(n, sieve))
 
 
 def dd_split_sqrt(
     n: int, sieve: PrimeSieve | None = None
 ) -> tuple[SquarefreeProduct, SquarefreeProduct]:
-    """Split dd(n) into the sub-products below and above sqrt(n).
-
-    A prime exactly equal to sqrt(n) never qualifies (its digit sum is 1),
-    so the two parts multiply back to dd(n).
-    """
-    below = []
-    above = []
-    for p in qualifying_primes(n, sieve):
-        (above if p * p > n else below).append(p)
-    return (
-        SquarefreeProduct.from_known_primes(below),
-        SquarefreeProduct.from_known_primes(above),
-    )
+    """Split dd(n) into the sub-products below and above sqrt(n)."""
+    parts = split(n, qualifying_primes(n, sieve))
+    return _product(parts.minus), _product(parts.plus)
 
 
 def dd_split_divisibility(
@@ -109,17 +234,8 @@ def dd_split_divisibility(
     not dividing n, and complement the primes of n that fail the digit test;
     shared * complement is the squarefree kernel of n.
     """
-    shared = []
-    coprime = []
-    for p in qualifying_primes(n, sieve):
-        (shared if n % p == 0 else coprime).append(p)
-    shared_set = set(shared)
-    complement = tuple(p for p in radical(n).primes if p not in shared_set)
-    return (
-        SquarefreeProduct.from_known_primes(shared),
-        SquarefreeProduct.from_known_primes(coprime),
-        SquarefreeProduct.from_known_primes(complement),
-    )
+    parts = split(n, qualifying_primes(n, sieve))
+    return _product(parts.shared), _product(parts.coprime), _product(parts.complement)
 
 
 def _divisors(n: int) -> list[int]:
@@ -147,17 +263,20 @@ def dn(n: int) -> SquarefreeProduct:
     if n % 2:
         return SquarefreeProduct.one()
     ps = sorted(d + 1 for d in _divisors(n) if is_prime(d + 1))
-    return SquarefreeProduct.from_known_primes(ps)
+    return _product(ps)
+
+
+def _db(n: int, support_next: Sequence[int]) -> SquarefreeProduct:
+    """db(n) from the support of dd(n + 1): that support times the primes of
+    n + 1 outside it, i.e. its coprime part times the kernel of n + 1."""
+    return _product(support_next) * _product(split(n + 1, support_next).complement)
 
 
 def db(n: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
     """Denominator of B_n(x), via the coprime part and kernel at index n+1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return SquarefreeProduct.one()
-    _, coprime, _ = dd_split_divisibility(n + 1, sieve)
-    return coprime * radical(n + 1)
+    return _db(n, qualifying_primes(n + 1, sieve))
 
 
 def ds(n: int, sieve: PrimeSieve | None = None) -> int:
@@ -165,6 +284,14 @@ def ds(n: int, sieve: PrimeSieve | None = None) -> int:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return (n + 1) * dd(n + 1, sieve).value
+
+
+def _db_k(n: int, k: int, support: Sequence[int]) -> SquarefreeProduct:
+    """db_k(n, k) from the support of dd(n - k + 1), which n <= k ignores."""
+    if n <= k:
+        return SquarefreeProduct.one()
+    ff = falling_factorial(n, k - 1)
+    return _product(p for p in split(n - k + 1, support).coprime if ff % p)
 
 
 def db_k(n: int, k: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
@@ -177,24 +304,49 @@ def db_k(n: int, k: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got ({n}, {k})")
-    if n <= k:
-        return SquarefreeProduct.one()
-    _, coprime, _ = dd_split_divisibility(n - k + 1, sieve)
-    ff = falling_factorial(n, k - 1)
-    return SquarefreeProduct.from_known_primes(p for p in coprime.primes if ff % p)
+    return _db_k(n, k, qualifying_primes(n - k + 1, sieve) if n > k else ())
 
 
 def omega_dd_plus(n: int, sieve: PrimeSieve | None = None) -> int:
-    """Number of primes above sqrt(n) in dd(n), counted by the floor test."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    sv = _needed_sieve(n, sieve)
-    count = 0
-    for p in sv.primes_in(max(isqrt(n), 2), lambda_prime_bound(n)):
-        # p*p == n passes the floor test spuriously; rule it out first.
-        if p * p > n and floor_condition(n, p):
-            count += 1
-    return count
+    """Number of primes above sqrt(n) in dd(n)."""
+    return len(split(n, qualifying_primes(n, sieve)).plus)
+
+
+# name: (shift, value); value(n, k, support) reads the support of dd(n + shift).
+# A shift of None marks a sequence that needs no support; db_k's 1 becomes 1 - k.
+_SEQUENCES = {
+    "dd": (0, lambda n, k, s: math.prod(s)),
+    "dn": (None, lambda n, k, s: dn(n).value),
+    "db": (1, lambda n, k, s: _db(n, s).value),
+    "ds": (1, lambda n, k, s: (n + 1) * math.prod(s)),
+    "dd_plus": (0, lambda n, k, s: math.prod(split(n, s).plus)),
+    "dd_minus": (0, lambda n, k, s: math.prod(split(n, s).minus)),
+    "dd_coprime": (0, lambda n, k, s: math.prod(split(n, s).coprime)),
+    "dd_shared": (0, lambda n, k, s: math.prod(split(n, s).shared)),
+    "dd_complement": (0, lambda n, k, s: math.prod(split(n, s).complement)),
+    "omega_plus": (0, lambda n, k, s: len(split(n, s).plus)),
+    "db_k": (1, lambda n, k, s: _db_k(n, k, s).value),
+}
+SEQUENCES = tuple(_SEQUENCES)
+
+
+def sequence(
+    name: str, lo: int, hi: int, k: int | None = None, sieve: PrimeSieve | None = None
+) -> Iterator[int]:
+    """Yield one family's values for n = lo, ..., hi, from supports() over the range.
+
+    k is the derivative order of db_k, whose value at n reads the support at
+    n - k + 1; indices whose shifted support lies below 1 get the empty one.
+    """
+    shift, value = _SEQUENCES[name]
+    if shift is None:
+        yield from (value(n, k, ()) for n in range(lo, hi + 1))
+        return
+    if name == "db_k":
+        shift -= k  # db_k(n, k) reads the support of n - k + 1
+    found = supports(max(lo + shift, 1), hi + shift, sieve)
+    for n in range(lo, hi + 1):
+        yield value(n, k, next(found) if n + shift >= 1 else ())
 
 
 @dataclass(frozen=True)
@@ -231,37 +383,23 @@ class DenomProfile:
 
 def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
     """Assemble the full denominator profile for one index, validated."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    qual = qualifying_primes(n, sieve)
-    minus = [p for p in qual if p * p < n]
-    plus = [p for p in qual if p * p > n]
-    shared = [p for p in qual if n % p == 0]
-    coprime = [p for p in qual if n % p]
-    rad_n = radical(n)
-    shared_set = set(shared)
-    complement = [p for p in rad_n.primes if p not in shared_set]
-
-    qual_next = qualifying_primes(n + 1, sieve)
-    coprime_next = SquarefreeProduct.from_known_primes(
-        p for p in qual_next if (n + 1) % p
-    )
-    rad_n1 = radical(n + 1)
-
+    support = qualifying_primes(n, sieve)
+    parts = split(n, support)
+    support_next = qualifying_primes(n + 1, sieve)
     prof = DenomProfile(
         n=n,
-        dd=SquarefreeProduct.from_known_primes(qual),
-        dd_minus=SquarefreeProduct.from_known_primes(minus),
-        dd_plus=SquarefreeProduct.from_known_primes(plus),
-        dd_shared=SquarefreeProduct.from_known_primes(shared),
-        dd_coprime=SquarefreeProduct.from_known_primes(coprime),
-        dd_complement=SquarefreeProduct.from_known_primes(complement),
+        dd=_product(support),
+        dd_minus=_product(parts.minus),
+        dd_plus=_product(parts.plus),
+        dd_shared=_product(parts.shared),
+        dd_coprime=_product(parts.coprime),
+        dd_complement=_product(parts.complement),
         dn=dn(n),
-        db=coprime_next * rad_n1,
-        ds=(n + 1) * SquarefreeProduct.from_known_primes(qual_next).value,
-        rad_n=rad_n,
-        rad_n1=rad_n1,
-        omega_plus=len(plus),
+        db=_db(n, support_next),
+        ds=(n + 1) * math.prod(support_next),
+        rad_n=radical(n),
+        rad_n1=radical(n + 1),
+        omega_plus=len(parts.plus),
     )
     prof.validate()
     return prof

@@ -1,20 +1,17 @@
 """High-throughput range scans over the primes above sqrt(n).
 
-The per-index digit-sum products invert cleanly: a prime p contributes to an
-index n < p*p exactly when n = a1*p + a0 with a1 >= 1 and a0 + a1 >= p, so
-the qualifying n form, for each pair (p, a1) with a1 < p, the run
-[(a1+1)p - a1, (a1+1)p - 1] just before the multiple (a1 + 1) * p. Scans
-accumulate run boundaries into a difference array instead of testing every
-(n, p) pair; one cumulative sum then yields the counts for an entire chunk.
+omega_+(n) counts the primes p > sqrt(n) whose base-p digit sum of n
+reaches p. Such a prime is heavy at n exactly on the runs
+[(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p, so a scan adds the boundaries
+of every run meeting a chunk into a difference array and takes one
+cumulative sum. The runs come from denom.heavy_runs, the generator behind
+denom.supports, which enumerates them quotient-major with no Python loop
+over primes, in batches that keep a chunk's memory at O(chunk + batch).
 
-The pairs meeting a chunk [lo, hi] are enumerated quotient-major, with no
-Python loop over primes: for each a1, the primes p with a1 < p whose run
-meets the chunk are the slice of the prime array between
-max(a1 + 1, ceil((lo+1)/(a1+1))) and floor((hi+a1)/(a1+1)), found for every
-a1 by one vectorised search. Since a1 < p puts the run's start above a1^2,
-a1 never exceeds sqrt(hi). The slices expand into pairs in batches of at
-most _RUN_BATCH runs, so a chunk's transient memory is O(chunk + batch)
-however many runs it holds.
+The same count with every run cut short at the top by k - 1 is find_sets'
+prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
+when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
+stays in the denominator of the k-th derivative at n = m + k - 1.
 
 Chunks are embarrassingly parallel, merge deterministically, and persist to
 a line-delimited JSON checkpoint so interrupted scans resume byte-identically.
@@ -24,18 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arith import PrimeSieve, SieveSizeError, radical, shared_sieve
 from .arith import sieve as build_sieve
-from .denom import db_k, dd, falling_factorial
+from .denom import db_k, heavy_runs, supports
 
 __all__ = [
     "CheckpointError",
@@ -62,8 +59,6 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 CHECKPOINT_VERSION = 1
 
 _COUNTER_MAX = (1 << 16) - 1
-_RUN_BATCH = 1 << 18
-"""Most runs handed to one bincount, so transient memory is O(chunk + batch)."""
 
 
 class CheckpointError(RuntimeError):
@@ -92,52 +87,28 @@ class ScanChunk:
     checksum: str
 
 
-def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
-    """Expand group g into the pairs (keys[g], first[g] + i) for 0 <= i < count[g].
-
-    The pairs of all groups, in order, are yielded as (key, value) arrays of
-    at most _RUN_BATCH entries each; a group may straddle two batches.
-    """
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
-    for b0 in range(0, total, _RUN_BATCH):
-        b1 = min(b0 + _RUN_BATCH, total)
-        g0 = int(np.searchsorted(ends, b0, side="right"))
-        g1 = int(np.searchsorted(ends, b1 - 1, side="right")) + 1
-        begins = ends[g0:g1] - count[g0:g1]
-        skip = np.maximum(b0 - begins, 0)
-        take = np.minimum(b1 - begins, count[g0:g1]) - skip
-        base = first[g0:g1] + skip - (np.cumsum(take) - take)
-        yield np.repeat(keys[g0:g1], take), np.repeat(base, take) + np.arange(b1 - b0)
+def _run_counts(lo: int, hi: int, sv: PrimeSieve, cut: int = 0) -> np.ndarray:
+    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ..., cut) hold n."""
+    need = (hi + 1) // 2
+    if sv.limit < need:
+        raise SieveSizeError(
+            f"sieve holds primes up to {sv.limit}, but scanning to {hi} needs {need}"
+        )
+    length = hi - lo + 1
+    delta = np.zeros(length + 1, dtype=np.int64)
+    for _, begin, stop in heavy_runs(lo, hi, sv.array, cut):
+        delta += np.bincount(begin, minlength=length + 1)
+        delta -= np.bincount(stop, minlength=length + 1)
+        del begin, stop  # before heavy_runs builds the next batch
+    return np.cumsum(delta[:length], out=delta[:length])
 
 
 def scan_omega_plus(lo: int, hi: int, sieve: PrimeSieve | None = None) -> ScanChunk:
     """Count, for every n in [lo, hi], the primes p > sqrt(n) with digit sum >= p."""
     if lo < 1 or lo > hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    need = (hi + 1) // 2
-    sv = shared_sieve(max(need, 2)) if sieve is None else sieve
-    if sv.limit < need:
-        raise SieveSizeError(
-            f"sieve holds primes up to {sv.limit}, but scanning to {hi} needs {need}"
-        )
-
-    # Quotient-major: for each a1, the primes p > a1 whose a1-run meets
-    # [lo, hi] form one slice of the prime array, and no pair has a1 > sqrt(hi).
-    primes = sv.array
-    quotients = np.arange(1, isqrt(hi) + 1, dtype=np.int64)
-    lower = np.maximum(quotients + 1, -(-(lo + 1) // (quotients + 1)))
-    first = np.searchsorted(primes, lower)
-    last = np.searchsorted(primes, (hi + quotients) // (quotients + 1), "right")
-
-    length = hi - lo + 1
-    delta = np.zeros(length + 1, dtype=np.int64)
-    for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
-        top = (a1 + 1) * primes[index]
-        delta += np.bincount(np.maximum(top - a1, lo) - lo, minlength=length + 1)
-        delta -= np.bincount(np.minimum(top - 1, hi) - lo + 1, minlength=length + 1)
-    counts = np.cumsum(delta[:length], out=delta[:length])
-
+    sv = shared_sieve(max((hi + 1) // 2, 2)) if sieve is None else sieve
+    counts = _run_counts(lo, hi, sv)
     if int(counts.max(initial=0)) > _COUNTER_MAX:
         raise OverflowError(f"omega counter overflow in [{lo}, {hi}]")
     exceptional = tuple((np.flatnonzero(counts == 0) + lo).tolist())
@@ -171,25 +142,6 @@ def merge_chunks(chunks: Iterable[ScanChunk]) -> ScanChunk:
     )
 
 
-def _plus_prime_lists(limit: int, sieve: PrimeSieve) -> list[list[int]]:
-    """lists[n] = ascending primes p > sqrt(n) with digit_sum(n, p) >= p, n <= limit."""
-    need = (limit + 1) // 2
-    if sieve.limit < need:
-        raise SieveSizeError(
-            f"sieve holds primes up to {sieve.limit}, but limit {limit} needs {need}"
-        )
-    lists: list[list[int]] = [[] for _ in range(limit + 1)]
-    if limit < 3:
-        return lists
-    for p in sieve.primes_in(2, need):
-        a1_max = min(p - 1, (limit - p) // (p - 1))
-        for a1 in range(1, a1_max + 1):
-            end = min(a1 * p + p - 1, limit)
-            for n in range(a1 * (p - 1) + p, end + 1):
-                lists[n].append(p)
-    return lists
-
-
 @dataclass(frozen=True)
 class SetReport:
     """Members of one computed index set; k is the derivative order (0 marks
@@ -205,9 +157,10 @@ def find_sets(k: int, limit: int, sieve: PrimeSieve | None = None) -> SetReport:
 
     Indices n <= k give a constant or vanishing derivative and are members
     outright. Beyond that, membership forces every prime above sqrt(n-k+1)
-    with a heavy digit sum to divide the falling factorial (n)_{k-1}; that
-    prefilter discards almost every index, and the survivors are confirmed
-    with the full db_k product before being reported.
+    with a heavy digit sum to divide the falling factorial (n)_{k-1}. That
+    prefilter is the scan's run count with each run cut short by k - 1; it
+    discards almost every index, and the survivors are confirmed with the
+    full db_k product before being reported.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -215,12 +168,12 @@ def find_sets(k: int, limit: int, sieve: PrimeSieve | None = None) -> SetReport:
         raise ValueError(f"limit must be positive, got {limit}")
     sv = shared_sieve(max((limit + 2) // 2, 2)) if sieve is None else sieve
     members = list(range(1, min(k, limit) + 1))
-    plus_lists = _plus_prime_lists(max(limit - k + 1, 1), sv)
-    for n in range(k + 1, limit + 1):
-        ff = falling_factorial(n, k - 1)
-        if all(ff % p == 0 for p in plus_lists[n - k + 1]):
-            if db_k(n, k, sv).is_one:
-                members.append(n)
+    if limit > k:
+        # m = n - k + 1 survives when no heavy prime above sqrt(m) misses (n)_{k-1}
+        missed = _run_counts(2, limit - k + 1, sv, cut=k - 1)
+        for m in (np.flatnonzero(missed == 0) + 2).tolist():
+            if db_k(m + k - 1, k, sv).is_one:
+                members.append(m + k - 1)
     return SetReport(k=k, limit=limit, members=tuple(members))
 
 
@@ -228,36 +181,14 @@ def find_rad_set(limit: int, sieve: PrimeSieve | None = None) -> SetReport:
     """All n <= limit where dd(n) equals the squarefree kernel of n + 1."""
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    sv = shared_sieve(max(limit + 1, 2)) if sieve is None else sieve
-    if sv.limit < limit + 1:
-        raise SieveSizeError(
-            f"sieve holds primes up to {sv.limit}, but the kernel table needs {limit + 1}"
-        )
-
-    kernels = np.ones(limit + 2, dtype=np.int64)
-    for p in sv.primes_in(2, limit + 1):
-        kernels[p::p] *= p
-
-    plus_lists = _plus_prime_lists(limit, sv)
-    members = []
-    for n in range(1, limit + 1):
-        value = 1
-        for p in sv.primes_in(2, isqrt(n)):
-            if p * p < n:
-                s = 0
-                m = n
-                while m:
-                    m, digit = divmod(m, p)
-                    s += digit
-                if s >= p:
-                    value *= p
-        for p in plus_lists[n]:
-            value *= p
-        if value == int(kernels[n + 1]):
-            # candidate came from the fast table; confirm via the denom module
-            if dd(n, sv).value == radical(n + 1).value:
-                members.append(n)
-    return SetReport(k=0, limit=limit, members=tuple(members))
+    members = tuple(
+        n
+        for n, support in enumerate(supports(1, limit, sieve), 1)
+        if support
+        and (n + 1) % support[-1] == 0
+        and math.prod(support) == radical(n + 1).value
+    )
+    return SetReport(k=0, limit=limit, members=members)
 
 
 @dataclass(frozen=True)
@@ -391,6 +322,8 @@ def checkpoint_resume(path, config: ScanConfig) -> ScanState:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CheckpointError(f"malformed checkpoint record: {line!r}")
         if "complete" in payload:
             if payload.get("config_hash") != config.config_hash():
                 raise CheckpointError("completion marker carries a foreign config hash")

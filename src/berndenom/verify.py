@@ -11,34 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import denom, oracle, scanner
-from .arith import PrimeSieve, is_prime, shared_sieve
+from .arith import PrimeSieve, digit_sum_table, is_prime, shared_sieve
 
 __all__ = ["FAMILIES", "FamilyResult", "run_verification"]
-
-FAMILIES = (
-    "decomposition",
-    "triple-product",
-    "dd-odd-iff-power-of-two",
-    "composite-radical-divides",
-    "odd-index-lcm",
-    "plus-divides-coprime",
-    "rad-of-power-sum-denom",
-    "db-even",
-    "coprime-parity",
-    "coprime-one-implies-prime",
-    "derivative-small-primes",
-    "set-nesting",
-    "floor-digit-equivalence",
-    "lambda-prime-bound",
-    "oracle-equivalence",
-    "oracle-reflection",
-    "oracle-power-sums",
-)
 
 
 @dataclass(frozen=True)
@@ -51,24 +32,16 @@ class FamilyResult:
 
 @dataclass
 class _Tables:
-    """Per-index prime supports for every n up to limit + 1."""
+    """Supports, their parts and kernels for every n up to limit + 1; the
+    kernels come from a sieve, independently of denom.split."""
 
-    limit: int
-    qualifying: list[tuple[int, ...]]
-    minus: list[tuple[int, ...]]
-    plus: list[tuple[int, ...]]
-    shared: list[tuple[int, ...]]
-    coprime: list[tuple[int, ...]]
-    complement: list[tuple[int, ...]]
+    support: list[tuple[int, ...]]
+    parts: list[denom.Parts]
     rad_primes: list[tuple[int, ...]]
     rad: list[int]
     dd: list[int]
     dn: list[int]
     db: list[int]
-
-
-def _prod(primes: Iterable[int]) -> int:
-    return math.prod(primes)
 
 
 def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
@@ -77,50 +50,41 @@ def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
     for p in sieve.primes_in(2, top):
         for m in range(p, top + 1, p):
             rad_lists[m].append(p)
-
-    qualifying = [()] * (top + 1)
-    minus = [()] * (top + 1)
-    plus = [()] * (top + 1)
-    shared = [()] * (top + 1)
-    coprime = [()] * (top + 1)
-    complement = [()] * (top + 1)
-    rad_primes = [()] * (top + 1)
-    rad = [1] * (top + 1)
-    dd = [1] * (top + 1)
-    dn = [1] * (top + 1)
-    db = [1] * (top + 1)
-
-    for n in range(1, top + 1):
-        qual = denom.qualifying_primes(n, sieve)
-        qualifying[n] = qual
-        minus[n] = tuple(p for p in qual if p * p < n)
-        plus[n] = tuple(p for p in qual if p * p > n)
-        shared[n] = tuple(p for p in qual if n % p == 0)
-        coprime[n] = tuple(p for p in qual if n % p)
-        rp = tuple(rad_lists[n])
-        rad_primes[n] = rp
-        shared_set = set(shared[n])
-        complement[n] = tuple(p for p in rp if p not in shared_set)
-        rad[n] = _prod(rp)
-        dd[n] = _prod(qual)
-        if n <= limit:
-            dn[n] = denom.dn(n).value
-    for n in range(1, limit + 1):
-        db[n] = _prod(coprime[n + 1]) * rad[n + 1]
+    rad_primes = [tuple(ps) for ps in rad_lists]
+    support = [(), *denom.supports(1, top, sieve)]
+    parts = [denom.Parts((), (), (), (), ())]
+    parts += [denom.split(n, support[n]) for n in range(1, top + 1)]
+    rad = [math.prod(ps) for ps in rad_primes]
     return _Tables(
-        limit=limit,
-        qualifying=qualifying,
-        minus=minus,
-        plus=plus,
-        shared=shared,
-        coprime=coprime,
-        complement=complement,
+        support=support,
+        parts=parts,
         rad_primes=rad_primes,
         rad=rad,
-        dd=dd,
-        dn=dn,
-        db=db,
+        dd=[math.prod(s) for s in support],
+        dn=[1] + [denom.dn(n).value for n in range(1, top)] + [1],
+        db=[1] + [math.prod(parts[n + 1].coprime) * rad[n + 1] for n in range(1, top)] + [1],
     )
+
+
+class _Context:
+    """What the families read: limits, the sieve, and tables built on first use."""
+
+    def __init__(self, limit: int, oracle_limit: int, sieve: PrimeSieve):
+        self.limit = limit
+        self.oracle_limit = oracle_limit
+        self.sieve = sieve
+        self._members: dict[int, set[int]] = {}
+
+    @cached_property
+    def tables(self) -> _Tables:
+        return _build_tables(self.limit, self.sieve)
+
+    def members(self, k: int) -> set[int]:
+        """Indices up to min(limit, 1000) with an integral k-th derivative."""
+        if k not in self._members:
+            report = scanner.find_sets(k, min(self.limit, 1000), self.sieve)
+            self._members[k] = set(report.members)
+        return self._members[k]
 
 
 def _scan_indices(
@@ -140,27 +104,63 @@ def _scan_indices(
     return FamilyResult(family, True, checked, None)
 
 
-def _check_decomposition(t: _Tables, n: int) -> bool:
-    qual = set(t.qualifying[n])
-    split_sqrt = set(t.minus[n]) | set(t.plus[n])
-    split_div = set(t.shared[n]) | set(t.coprime[n])
+def _check_decomposition(c: _Context, n: int) -> bool:
+    t = c.tables
+    qual = set(t.support[n])
+    minus, plus, shared, coprime, complement = t.parts[n]
     return (
-        qual == split_sqrt
-        and not (set(t.minus[n]) & set(t.plus[n]))
-        and qual == split_div
-        and not (set(t.shared[n]) & set(t.coprime[n]))
-        and t.rad[n] == _prod(t.shared[n]) * _prod(t.complement[n])
+        qual == set(minus) | set(plus)
+        and not (set(minus) & set(plus))
+        and qual == set(shared) | set(coprime)
+        and not (set(shared) & set(coprime))
+        and t.rad[n] == math.prod(shared) * math.prod(complement)
     )
 
 
-def _check_triple_product(t: _Tables, n: int) -> bool:
+def _check_triple_product(c: _Context, n: int) -> bool:
+    t = c.tables
     m = n + 1
-    triple = _prod(t.coprime[m]) * _prod(t.shared[m]) * _prod(t.complement[m])
-    via_kernel = _prod(t.coprime[m]) * t.rad[m]
-    via_complement = t.dd[m] * _prod(t.complement[m])
+    parts = t.parts[m]
+    coprime = math.prod(parts.coprime)
+    triple = coprime * math.prod(parts.shared) * math.prod(parts.complement)
+    via_kernel = coprime * t.rad[m]
+    via_complement = t.dd[m] * math.prod(parts.complement)
     via_lcm = t.dd[m] * t.rad[m] // math.gcd(t.dd[m], t.rad[m])
     via_dn = t.dd[n] * t.dn[n] // math.gcd(t.dd[n], t.dn[n])
     return t.db[n] == triple == via_kernel == via_complement == via_lcm == via_dn
+
+
+def _check_composite_radical(c: _Context, n: int) -> bool:
+    if is_prime(n + 1):
+        return True
+    kernel = set(c.tables.rad_primes[n + 1])
+    return kernel <= set(c.tables.support[n]) and kernel <= set(c.tables.parts[n].coprime)
+
+
+def _check_odd_lcm(c: _Context, n: int) -> bool:
+    if n % 2 == 0 or n < 3:
+        return True
+    t = c.tables
+    return t.dd[n] == t.dd[n + 1] * t.rad[n + 1] // math.gcd(t.dd[n + 1], t.rad[n + 1])
+
+
+def _check_rad_of_ds(c: _Context, n: int) -> bool:
+    t = c.tables
+    support = set(t.rad_primes[n + 1]) | set(t.support[n + 1])
+    return support == set(t.parts[n + 1].coprime) | set(t.rad_primes[n + 1])
+
+
+def _check_coprime_parity(c: _Context, n: int) -> bool:
+    coprime = c.tables.parts[n].coprime
+    if n == 1:
+        return coprime == ()
+    return (2 in coprime) == (n % 2 == 1)
+
+
+def _check_small_primes(c: _Context, n: int) -> bool:
+    return all(
+        p > k for k in range(1, 51) for p in denom.db_k(n, k, c.sieve).primes
+    )
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
@@ -178,19 +178,12 @@ def _check_lambda_bound(p: int, limit: int) -> bool:
     if lo > limit:
         return True
     n = np.arange(lo, limit + 1, dtype=np.int64)
-    if p * p > limit:
-        s = n // p + n % p
-    else:
-        s = np.zeros_like(n)
-        m = n.copy()
-        while m.any():
-            s += m % p
-            m //= p
     bound = np.where(n % 2 == 1, (n + 1) // 2, (n + 1) // 3)
-    return not bool(np.any((s >= p) & (p > bound)))
+    return not bool(np.any((digit_sum_table(p, limit, lo) >= p) & (p > bound)))
 
 
-def _check_oracle_equivalence(n: int, sieve: PrimeSieve) -> bool:
+def _check_oracle_equivalence(c: _Context, n: int) -> bool:
+    sieve = c.sieve
     poly = oracle.bernoulli_polynomial(n)
     if oracle.denominator_of(poly) != denom.db(n, sieve).value:
         return False
@@ -207,7 +200,13 @@ def _check_oracle_equivalence(n: int, sieve: PrimeSieve) -> bool:
     return True
 
 
-def _check_power_sums(n: int) -> bool:
+def _check_reflection(c: _Context, n: int) -> bool:
+    poly = oracle.bernoulli_polynomial(n)
+    sign = 1 if n % 2 == 0 else -1
+    return poly.substitute_affine(1, -1) == sign * poly
+
+
+def _check_power_sums(c: _Context, n: int) -> bool:
     poly = oracle.sum_of_powers_polynomial(n)
     total = 0
     for m in range(21):
@@ -215,6 +214,52 @@ def _check_power_sums(n: int) -> bool:
             return False
         total += m**n
     return True
+
+
+def _upto_limit(c: _Context) -> range:
+    return range(1, c.limit + 1)
+
+
+def _floor_bound(c: _Context) -> int:
+    return min(c.limit, 10**4)
+
+
+# name: (indices(context), predicate(context, index)), in reporting order
+_FAMILIES = {
+    "decomposition": (_upto_limit, _check_decomposition),
+    "triple-product": (_upto_limit, _check_triple_product),
+    "dd-odd-iff-power-of-two": (
+        _upto_limit,
+        lambda c, n: (c.tables.dd[n] % 2 == 1) == (n & (n - 1) == 0),
+    ),
+    "composite-radical-divides": (_upto_limit, _check_composite_radical),
+    "odd-index-lcm": (_upto_limit, _check_odd_lcm),
+    "plus-divides-coprime": (
+        _upto_limit,
+        lambda c, n: set(c.tables.parts[n].plus) <= set(c.tables.parts[n].coprime),
+    ),
+    "rad-of-power-sum-denom": (_upto_limit, _check_rad_of_ds),
+    "db-even": (_upto_limit, lambda c, n: c.tables.db[n] % 2 == 0),
+    "coprime-parity": (_upto_limit, _check_coprime_parity),
+    "coprime-one-implies-prime": (
+        _upto_limit,
+        lambda c, n: bool(c.tables.parts[n].coprime) or is_prime(n + 1),
+    ),
+    "derivative-small-primes": (lambda c: range(1, 51), _check_small_primes),
+    "set-nesting": (lambda c: (1, 2), lambda c, k: c.members(k) <= c.members(k + 1)),
+    "floor-digit-equivalence": (
+        lambda c: c.sieve.primes_in(2, _floor_bound(c)),
+        lambda c, p: _check_floor_equivalence(p, _floor_bound(c)),
+    ),
+    "lambda-prime-bound": (
+        lambda c: c.sieve.primes_in(2, c.limit),
+        lambda c, p: _check_lambda_bound(p, c.limit),
+    ),
+    "oracle-equivalence": (lambda c: range(1, c.oracle_limit + 1), _check_oracle_equivalence),
+    "oracle-reflection": (lambda c: range(0, min(c.oracle_limit, 50) + 1), _check_reflection),
+    "oracle-power-sums": (lambda c: range(0, 11), _check_power_sums),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def run_verification(
@@ -242,135 +287,9 @@ def run_verification(
         raise ValueError(f"unknown verification family {fault[0]!r}")
 
     sv = shared_sieve(max(limit + 2, 1 << 10)) if sieve is None else sieve
-    needs_tables = any(
-        name in selected
-        for name in (
-            "decomposition",
-            "triple-product",
-            "dd-odd-iff-power-of-two",
-            "composite-radical-divides",
-            "odd-index-lcm",
-            "plus-divides-coprime",
-            "rad-of-power-sum-denom",
-            "db-even",
-            "coprime-parity",
-            "coprime-one-implies-prime",
-        )
-    )
-    t = _build_tables(limit, sv) if needs_tables else None
-
-    nesting_limit = min(limit, 1000)
-    set_members: dict[int, set[int]] = {}
-
-    def members_of(k: int) -> set[int]:
-        if k not in set_members:
-            set_members[k] = set(scanner.find_sets(k, nesting_limit, sv).members)
-        return set(set_members[k])
-
+    context = _Context(limit, oracle_limit, sv)
     results = []
     for name in selected:
-        if name == "decomposition":
-            res = _scan_indices(name, range(1, limit + 1), lambda n: _check_decomposition(t, n), fault)
-        elif name == "triple-product":
-            res = _scan_indices(name, range(1, limit + 1), lambda n: _check_triple_product(t, n), fault)
-        elif name == "dd-odd-iff-power-of-two":
-            res = _scan_indices(
-                name,
-                range(1, limit + 1),
-                lambda n: (t.dd[n] % 2 == 1) == (n & (n - 1) == 0),
-                fault,
-            )
-        elif name == "composite-radical-divides":
-            def composite_ok(n: int) -> bool:
-                if is_prime(n + 1):
-                    return True
-                kernel = set(t.rad_primes[n + 1])
-                return kernel <= set(t.qualifying[n]) and kernel <= set(t.coprime[n])
-
-            res = _scan_indices(name, range(1, limit + 1), composite_ok, fault)
-        elif name == "odd-index-lcm":
-            def odd_lcm_ok(n: int) -> bool:
-                if n % 2 == 0 or n < 3:
-                    return True
-                lcm_next = t.dd[n + 1] * t.rad[n + 1] // math.gcd(t.dd[n + 1], t.rad[n + 1])
-                return t.dd[n] == lcm_next
-
-            res = _scan_indices(name, range(1, limit + 1), odd_lcm_ok, fault)
-        elif name == "plus-divides-coprime":
-            res = _scan_indices(
-                name,
-                range(1, limit + 1),
-                lambda n: set(t.plus[n]) <= set(t.coprime[n]),
-                fault,
-            )
-        elif name == "rad-of-power-sum-denom":
-            def rad_ds_ok(n: int) -> bool:
-                support = set(t.rad_primes[n + 1]) | set(t.qualifying[n + 1])
-                db_support = set(t.coprime[n + 1]) | set(t.rad_primes[n + 1])
-                return support == db_support
-
-            res = _scan_indices(name, range(1, limit + 1), rad_ds_ok, fault)
-        elif name == "db-even":
-            res = _scan_indices(name, range(1, limit + 1), lambda n: t.db[n] % 2 == 0, fault)
-        elif name == "coprime-parity":
-            def parity_ok(n: int) -> bool:
-                even_part = 2 in t.coprime[n]
-                if n == 1:
-                    return t.coprime[n] == ()
-                if n % 2 == 0:
-                    return not even_part
-                return even_part
-
-            res = _scan_indices(name, range(1, limit + 1), parity_ok, fault)
-        elif name == "coprime-one-implies-prime":
-            res = _scan_indices(
-                name,
-                range(1, limit + 1),
-                lambda n: bool(t.coprime[n]) or is_prime(n + 1),
-                fault,
-            )
-        elif name == "derivative-small-primes":
-            def small_prime_ok(n: int) -> bool:
-                for k in range(1, 51):
-                    value = denom.db_k(n, k, sv)
-                    if any(p <= k for p in value.primes):
-                        return False
-                return True
-
-            res = _scan_indices(name, range(1, 51), small_prime_ok, fault)
-        elif name == "set-nesting":
-            res = _scan_indices(name, (1, 2), lambda k: members_of(k) <= members_of(k + 1), fault)
-        elif name == "floor-digit-equivalence":
-            bound = min(limit, 10**4)
-            res = _scan_indices(
-                name,
-                sv.primes_in(2, bound),
-                lambda p: _check_floor_equivalence(p, bound),
-                fault,
-            )
-        elif name == "lambda-prime-bound":
-            res = _scan_indices(
-                name,
-                sv.primes_in(2, limit),
-                lambda p: _check_lambda_bound(p, limit),
-                fault,
-            )
-        elif name == "oracle-equivalence":
-            res = _scan_indices(
-                name,
-                range(1, oracle_limit + 1),
-                lambda n: _check_oracle_equivalence(n, sv),
-                fault,
-            )
-        elif name == "oracle-reflection":
-            def reflection_ok(n: int) -> bool:
-                poly = oracle.bernoulli_polynomial(n)
-                reflected = poly.substitute_affine(1, -1)
-                sign = 1 if n % 2 == 0 else -1
-                return reflected == sign * poly
-
-            res = _scan_indices(name, range(0, min(oracle_limit, 50) + 1), reflection_ok, fault)
-        else:  # oracle-power-sums
-            res = _scan_indices(name, range(0, 11), _check_power_sums, fault)
-        results.append(res)
+        indices, predicate = _FAMILIES[name]
+        results.append(_scan_indices(name, indices(context), partial(predicate, context), fault))
     return results

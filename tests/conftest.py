@@ -10,6 +10,12 @@ def sieve_20k():
 
 
 @pytest.fixture(scope="session")
+def sieve_1m():
+    # covers every index up to 2 * 10**6
+    return arith.sieve(10**6)
+
+
+@pytest.fixture(scope="session")
 def scan_million():
     sv = arith.sieve((10**6 + 1) // 2 + 10)
     return scanner.scan_omega_plus(1, 10**6, sv)

@@ -1,6 +1,5 @@
 import json
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -126,7 +125,7 @@ def default_str_digits_limit():
 class TestValuesBeyond4300Digits:
     @pytest.fixture(autouse=True)
     def huge_dd(self, monkeypatch):
-        monkeypatch.setattr(denom, "dd", lambda n, sieve=None: SimpleNamespace(value=HUGE_VALUE))
+        monkeypatch.setattr(denom, "sequence", lambda *args: iter([HUGE_VALUE]))
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "dd", "1", "1")

@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berndenom import oracle
+from berndenom import denom, oracle
 from berndenom.arith import SieveSizeError, is_prime, radical, sieve
 from berndenom.denom import (
+    SEQUENCES,
     db,
     db_k,
     dd,
@@ -12,9 +16,13 @@ from berndenom.denom import (
     dd_split_sqrt,
     dn,
     ds,
+    heavy_runs,
     omega_dd_plus,
     profile,
     qualifying_primes,
+    sequence,
+    split,
+    supports,
 )
 
 # reference values for n = 1..10 (ds starts at n = 0)
@@ -238,3 +246,103 @@ def test_derivative_one_members_have_prime_successor(sieve_20k):
     for n in INTEGRAL_DERIVATIVE_SET:
         assert db_k(n, 1, sieve_20k).is_one
         assert is_prime(n + 1)
+
+
+BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "batch-7", "batch-1"])
+
+
+def supports_with_batch(lo, hi, sv, batch):
+    """list(supports(lo, hi, sv)) with at most batch runs or pairs per batch
+    (None keeps the default); 1 and 7 cut batches inside a1 slices and runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(denom, "_RUN_BATCH", batch)
+        return list(supports(lo, hi, sv))
+
+
+class TestSupports:
+    @BATCHES
+    def test_small_windows(self, sieve_20k, batch):
+        expected = [()] + [qualifying_primes(n, sieve_20k) for n in range(1, 401)]
+        # each call costs a few hundred microseconds, so not every pair (lo, hi):
+        # every hi with every lo close to it, every prefix, every suffix of [1, 400]
+        top, reach = {None: (400, 40), 7: (150, 15), 1: (60, 8)}[batch]
+        windows = {(lo, hi) for hi in range(1, top + 1) for lo in range(max(1, hi - reach), hi + 1)}
+        step = 1 if batch is None else 13
+        windows |= {(1, hi) for hi in range(1, 401, step)} | {(lo, 400) for lo in range(1, 401, step)}
+        for lo, hi in sorted(windows):
+            assert supports_with_batch(lo, hi, sieve_20k, batch) == expected[lo : hi + 1], (lo, hi)
+
+    def test_blocks_tile_the_range(self, sieve_20k, monkeypatch):
+        expected = [qualifying_primes(n, sieve_20k) for n in range(1, 2001)]
+        monkeypatch.setattr(denom, "_SUPPORT_BLOCK", 7)
+        assert list(supports(1, 2000, sieve_20k)) == expected
+        assert list(supports(995, 1300, sieve_20k)) == expected[994:1300]
+
+    @BATCHES
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_windows(self, sieve_1m, batch, data):
+        # wide enough at the default batch to span several blocks of indices
+        max_width = {None: 10_000, 7: 2_100, 1: 40}[batch]
+        hi = data.draw(st.integers(1, 2 * 10**6), label="hi")
+        width = data.draw(st.integers(1, min(max_width, hi)), label="width")
+        lo = hi - width + 1
+        picks = data.draw(st.lists(st.integers(lo, hi), max_size=4), label="picks")
+        found = supports_with_batch(lo, hi, sieve_1m, batch)
+        assert len(found) == width
+        for n in sorted({lo, hi, *picks}):
+            assert found[n - lo] == qualifying_primes(n, sieve_1m), n
+
+    def test_empty_range_and_bad_start(self):
+        assert list(supports(10, 9)) == []
+        with pytest.raises(ValueError):
+            next(supports(0, 10))
+
+    def test_insufficient_sieve(self):
+        with pytest.raises(SieveSizeError):
+            next(supports(1, 1000, sieve(100)))
+
+
+class TestHeavyRuns:
+    @pytest.mark.parametrize("cut", [0, 1, 2, 6])
+    def test_cut_runs_count_primes_missing_the_next_cut_indices(self, sieve_20k, cut):
+        primes = sieve_20k.array
+        lo, hi = 150, 1200
+        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        for _, begin, stop in heavy_runs(lo, hi, primes, cut):
+            assert np.all(begin < stop)
+            for a, b in zip(begin.tolist(), stop.tolist()):
+                counts[a:b] += 1
+        for m in range(lo, hi + 1):
+            above = split(m, qualifying_primes(m, sieve_20k)).plus
+            missing = [p for p in above if all((m + i) % p for i in range(1, cut + 1))]
+            assert counts[m - lo] == len(missing), m
+
+
+class TestSequence:
+    @pytest.mark.parametrize("lo, hi", [(1, 60), (1, 2), (700, 760)])
+    def test_matches_per_index_functions(self, sieve_20k, lo, hi):
+        per_index = {
+            "dd": lambda n: dd(n, sieve_20k).value,
+            "dn": lambda n: dn(n).value,
+            "db": lambda n: db(n, sieve_20k).value,
+            "ds": lambda n: ds(n, sieve_20k),
+            "dd_plus": lambda n: dd_split_sqrt(n, sieve_20k)[1].value,
+            "dd_minus": lambda n: dd_split_sqrt(n, sieve_20k)[0].value,
+            "dd_shared": lambda n: dd_split_divisibility(n, sieve_20k)[0].value,
+            "dd_coprime": lambda n: dd_split_divisibility(n, sieve_20k)[1].value,
+            "dd_complement": lambda n: dd_split_divisibility(n, sieve_20k)[2].value,
+            "omega_plus": lambda n: omega_dd_plus(n, sieve_20k),
+        }
+        assert set(per_index) | {"db_k"} == set(SEQUENCES)
+        for name, value in per_index.items():
+            got = list(sequence(name, lo, hi, sieve=sieve_20k))
+            assert got == [value(n) for n in range(lo, hi + 1)], name
+        for k in (1, 2, 3, 5):
+            got = list(sequence("db_k", lo, hi, k, sieve_20k))
+            assert got == [db_k(n, k, sieve_20k).value for n in range(lo, hi + 1)], k
+
+    def test_db_and_ds_start_at_zero(self, sieve_20k):
+        assert list(sequence("db", 0, 9, sieve=sieve_20k)) == [1] + DB_FIRST[:9]
+        assert list(sequence("ds", 0, 9, sieve=sieve_20k)) == DS_FIRST

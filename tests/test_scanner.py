@@ -87,11 +87,6 @@ def brute_force_counts(ns, primes: np.ndarray) -> list[int]:
     return counts
 
 
-@pytest.fixture(scope="module")
-def sieve_1m():
-    return sieve(10**6)
-
-
 BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "batch-7", "batch-1"])
 
 
@@ -100,7 +95,7 @@ def scan_with_batch(lo, hi, sv, batch):
     (None keeps the default); 1 and 7 cut batches inside a1 slices."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
-            mp.setattr(scanner, "_RUN_BATCH", batch)
+            mp.setattr(denom, "_RUN_BATCH", batch)
         return scan_omega_plus(lo, hi, sv).omega_counts
 
 
@@ -279,10 +274,10 @@ class TestCheckpointing:
         path = tmp_path / "scan.ckpt"
         run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
         text = path.read_text().splitlines()
-        text[2] = "{not json"
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(CheckpointError):
-            checkpoint_resume(path, ScanConfig(1, 2000, 512))
+        for garbled in ("{not json", "null", "5", "[]"):
+            path.write_text("\n".join(text[:2] + [garbled] + text[3:]) + "\n")
+            with pytest.raises(CheckpointError):
+                checkpoint_resume(path, ScanConfig(1, 2000, 512))
 
     def test_off_grid_record_rejected(self, tmp_path, sieve_20k):
         config = ScanConfig(1, 2000, 512)
