@@ -11,9 +11,7 @@ from .arith import (
     SquarefreeProduct,
     digit_sum,
     falling_factorial,
-    floor_condition,
     is_prime,
-    lambda_prime_bound,
     radical,
     sieve,
 )
@@ -81,10 +79,8 @@ __all__ = [
     "falling_factorial",
     "find_rad_set",
     "find_sets",
-    "floor_condition",
     "is_prime",
     "kappa_ratio",
-    "lambda_prime_bound",
     "merge_chunks",
     "omega_dd_plus",
     "profile",

@@ -1,5 +1,6 @@
-"""Shared numeric substrate: base-p digit sums, prime sieving, radicals,
-falling factorials, and squarefree prime products.
+"""Shared numeric substrate: base-p digit sums, prime sieving, primality,
+radicals, falling factorials, and squarefree prime products, with product
+trees and decimal output that stay subquadratic for million-digit values.
 
 Everything here is exact integer arithmetic. A PrimeSieve is immutable once
 built and safe to share across worker processes; the remaining functions are
@@ -8,6 +9,7 @@ pure functions of their inputs.
 
 from __future__ import annotations
 
+import decimal
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -21,12 +23,12 @@ __all__ = [
     "PrimeSieve",
     "SieveSizeError",
     "SquarefreeProduct",
+    "decimal_str",
     "digit_sum",
     "digit_sum_table",
     "falling_factorial",
-    "floor_condition",
     "is_prime",
-    "lambda_prime_bound",
+    "product",
     "radical",
     "shared_sieve",
     "sieve",
@@ -69,32 +71,6 @@ def digit_sum_table(p: int, limit: int, start: int = 0) -> np.ndarray:
     return total
 
 
-def floor_condition(n: int, p: int) -> bool:
-    """True iff floor((n-1)/(p-1)) > floor(n/p).
-
-    For p*p > n this is equivalent to digit_sum(n, p) >= p. At p*p == n it is
-    true even though the digit sum is 1, so callers that work near sqrt(n)
-    must exclude that boundary themselves.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    return (n - 1) // (p - 1) > n // p
-
-
-def lambda_prime_bound(n: int) -> int:
-    """Inclusive cutoff for primes that can satisfy digit_sum(n, p) >= p.
-
-    Equals floor((n+1)/2) for odd n and floor((n+1)/3) for even n; every
-    prime above the cutoff has digit sum below p, so product enumerations may
-    stop here.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return (n + 1) // 2 if n % 2 else (n + 1) // 3
-
-
 def falling_factorial(n: int, k: int) -> int:
     """n * (n-1) * ... * (n-k+1), with the empty product equal to 1."""
     if n < 0 or k < 0:
@@ -102,20 +78,48 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k) if k <= n else 0
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (bound, k): the first k witnesses decide every n below bound. Each bound is
+# the least composite strong pseudoprime to those k bases (OEIS A014233;
+# Jaeschke 1993, Sorenson & Webster 2017).
+_MR_PREFIXES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_BOUNDS = tuple(bound for bound, _ in _MR_PREFIXES)
+_MR_LIMIT = _MR_BOUNDS[-1]  # at and above it, is_prime refuses
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact for n < 3.317e24.
+
+    Uses the shortest prefix of the witnesses 2, 3, ..., 41 proven to decide
+    n. At or above 3,317,044,064,679,887,385,961,981, a strong pseudoprime to
+    all 13 bases, it raises ValueError rather than answer probabilistically.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 1681:  # 41 * 41: n has no prime factor up to sqrt(n)
+        return True
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    count = _MR_PREFIXES[bisect_right(_MR_BOUNDS, n)][1]
+    for a in _MR_WITNESSES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -128,6 +132,57 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def product(factors: Iterable[int]) -> int:
+    """Product of the factors, multiplied pairwise in a balanced tree.
+
+    Multiplying in sequence costs time quadratic in the size of the result;
+    pairing operands of equal size lets Karatsuba pay off once a product
+    runs to millions of bits, as dd(n) does near n = 10^12.
+    """
+    xs = list(factors)
+    xs = [math.prod(xs[i : i + 16]) for i in range(0, len(xs), 16)]  # few-bit leaves
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1 :]
+    return xs[0] if xs else 1
+
+
+_DECIMAL_LEAF_BITS = 1 << 12
+
+
+def decimal_str(n: int) -> str:
+    """str(n), in time subquadratic in the length of n.
+
+    int-to-str is quadratic before Python 3.12: 7 s for the 640,000 digits
+    of dd(10^12 + 39). Large n is split in binary halves and recombined in
+    the decimal module, whose multiplication is subquadratic.
+    """
+    if n < 0:
+        return "-" + decimal_str(-n)
+    if n.bit_length() <= _DECIMAL_LEAF_BITS:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}  # 2**half, one or two per level
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        if bits <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(m)
+        half = bits >> 1
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        high = m >> half
+        return convert(high, bits - half) * powers[half] + convert(m - (high << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # exact, or fail loudly
+        return str(convert(n, n.bit_length()))
+
+
+def _check_increasing(primes: tuple[int, ...]) -> None:
+    if any(a >= b for a, b in zip((1,) + primes, primes)):
+        raise ValueError("prime support must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class SquarefreeProduct:
     """A squarefree positive integer held as its sorted prime support plus value.
@@ -135,21 +190,25 @@ class SquarefreeProduct:
     The empty product is 1. Construct through from_primes() (checks primality)
     or from_known_primes() (trusts sieve output); the raw constructor verifies
     only that the support is strictly increasing and multiplies to the value.
+    The methods multiply each value out once, as product() of its primes or
+    of two values.
     """
 
     primes: tuple[int, ...]
     value: int
 
     def __post_init__(self):
-        prod = 1
-        last = 1
-        for p in self.primes:
-            if p <= last:
-                raise ValueError("prime support must be strictly increasing")
-            last = p
-            prod *= p
-        if prod != self.value:
+        _check_increasing(self.primes)
+        if product(self.primes) != self.value:
             raise ValueError(f"value {self.value} is not the product of {self.primes}")
+
+    @classmethod
+    def _unchecked(cls, primes: tuple[int, ...], value: int) -> "SquarefreeProduct":
+        """Skip __post_init__, for value already multiplied out of primes."""
+        made = object.__new__(cls)
+        object.__setattr__(made, "primes", primes)
+        object.__setattr__(made, "value", value)
+        return made
 
     @classmethod
     def one(cls) -> "SquarefreeProduct":
@@ -162,13 +221,14 @@ class SquarefreeProduct:
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        return cls(ps, math.prod(ps))
+        return cls.from_known_primes(ps)
 
     @classmethod
     def from_known_primes(cls, primes: Iterable[int]) -> "SquarefreeProduct":
         """Build from ascending primes that came from a sieve; not re-checked."""
         ps = tuple(primes)
-        return cls(ps, math.prod(ps))
+        _check_increasing(ps)
+        return cls._unchecked(ps, product(ps))
 
     @property
     def omega(self) -> int:
@@ -195,11 +255,22 @@ class SquarefreeProduct:
         for a, b in zip(merged, merged[1:]):
             if a == b:
                 raise ValueError(f"factors share the prime {a}; product is not squarefree")
-        return SquarefreeProduct(tuple(merged), self.value * other.value)
+        return SquarefreeProduct._unchecked(tuple(merged), self.value * other.value)
+
+    def __floordiv__(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
+        """The product of the primes of self outside other, which must divide self."""
+        if not isinstance(other, SquarefreeProduct):
+            return NotImplemented
+        theirs = set(other.primes)
+        if not theirs.issubset(self.primes):
+            missing = sorted(theirs.difference(self.primes))
+            raise ValueError(f"the primes {missing} do not divide the dividend")
+        rest = tuple(p for p in self.primes if p not in theirs)
+        return SquarefreeProduct._unchecked(rest, self.value // other.value)
 
     def lcm(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
-        ps = tuple(sorted(set(self.primes) | set(other.primes)))
-        return SquarefreeProduct(ps, math.prod(ps))
+        mine = set(self.primes)
+        return self * SquarefreeProduct.from_known_primes(p for p in other.primes if p not in mine)
 
 
 def radical(n: int) -> SquarefreeProduct:
@@ -221,7 +292,7 @@ def radical(n: int) -> SquarefreeProduct:
         d += 2
     if m > 1:
         primes.append(m)
-    return SquarefreeProduct(tuple(primes), math.prod(primes))
+    return SquarefreeProduct.from_known_primes(primes)
 
 
 @dataclass(frozen=True)
@@ -240,6 +311,25 @@ class PrimeSieve:
         i = bisect_left(self.primes, lo)
         j = bisect_right(self.primes, hi)
         return self.primes[i:j]
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Primality of lo, ..., hi as a bool array.
+
+        Read off the sieve where it reaches hi; beyond it, a segmented sieve
+        with the primes up to isqrt(hi), whose memory is the window alone.
+        """
+        if not 0 <= lo <= hi + 1:
+            raise ValueError(f"need 0 <= lo <= hi + 1, got [{lo}, {hi}]")
+        if hi <= self.limit:
+            inside = self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")]
+            flags = np.zeros(hi - lo + 1, dtype=bool)
+            flags[inside - lo] = True
+            return flags
+        flags = np.ones(hi - lo + 1, dtype=bool)
+        flags[: max(2 - lo, 0)] = False
+        for p in self.primes_in(2, math.isqrt(hi)):
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        return flags
 
     @cached_property
     def array(self) -> np.ndarray:

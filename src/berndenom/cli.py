@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import denom, scanner, verify
-from .arith import SieveSizeError, is_prime
+from .arith import SieveSizeError, decimal_str, is_prime
 from .scanner import CheckpointError
 
 SEQ_NAMES = denom.SEQUENCES
@@ -50,7 +50,7 @@ def _positive_int(text: str) -> int:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return decimal_str(value) if isinstance(value, int) else str(value)
 
 
 def _emit_csv(header, rows) -> None:
@@ -74,7 +74,7 @@ def _cmd_profile(args) -> int:
         # only n, omega_plus and the flag stay below 2**53; the rest go as strings
         _emit_json(
             {
-                name: value if name in ("n", "omega_plus", "in_rad_set") else str(value)
+                name: value if name in ("n", "omega_plus", "in_rad_set") else decimal_str(value)
                 for name, value in zip(PROFILE_FIELDS, row)
             }
         )
@@ -102,7 +102,7 @@ def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
                 "k": args.k,
                 "lo": args.lo,
                 "hi": args.hi,
-                "rows": [{"n": n, "value": str(v)} for n, v in rows],
+                "rows": [{"n": n, "value": decimal_str(v)} for n, v in rows],
             }
         )
     else:

@@ -2,16 +2,21 @@
 and digit-sum conditions; no rational arithmetic appears on this path.
 
 The central object is the support of dd(n): the primes p whose base-p digit
-sum of n reaches p. This module alone decides it, by one of two routes:
+sum of n reaches p. A prime p > sqrt(n) has the two digits a = n // p and
+n % p, so it qualifies exactly when (a+1)p - a <= n < (a+1)p: on one run of
+indices per quotient 1 <= a < p. This module alone decides the support, by
+one of two routes:
 
-* One index: qualifying_primes(n) tests the primes up to
-  lambda_prime_bound(n) one at a time, which beats any array set-up.
+* One index: qualifying_primes(n) tests the primes up to isqrt(n) by digit
+  sum, then solves the run condition for p at each a <= isqrt(n). That
+  leaves one candidate per quotient, looked up in a sieved window or
+  checked by Miller-Rabin, so a single index costs O(sqrt n) candidates
+  and a sieve to isqrt(n) only.
 * A range: supports(lo, hi) yields the support of every n in [lo, hi], a
   block of indices at a time. Primes up to isqrt(hi) are tested with
-  vectorised digit sums. A larger prime p is heavy at n = a1*p + a0 exactly
-  when a0 + a1 >= p, that is on the run [(a1+1)p - a1, (a1+1)p - 1] for
-  each 1 <= a1 < p; heavy_runs() enumerates these runs quotient-major, and
-  the scanner counts the same runs without materialising any support.
+  vectorised digit sums; heavy_runs() enumerates the runs of the larger
+  primes quotient-major, and the scanner counts the same runs without
+  materialising any support.
 
 split(n, support) cuts a support by sqrt(n) and by whether p divides n, and
 every family below is read off those parts:
@@ -28,6 +33,7 @@ All values except ds are squarefree and carried as SquarefreeProduct.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, NamedTuple, Sequence
@@ -42,7 +48,6 @@ from .arith import (
     digit_sum_table,
     falling_factorial,
     is_prime,
-    lambda_prime_bound,
     radical,
     shared_sieve,
 )
@@ -75,6 +80,17 @@ _SUPPORT_BLOCK = 1 << 10
 
 _product = SquarefreeProduct.from_known_primes
 
+_DENSE = 16
+"""Candidates above sqrt(n) lie about n / c^2 apart near c, so up to about
+_DENSE * sqrt(n) sieving a window costs less than testing them one by one."""
+
+_WINDOW = 1 << 24
+"""The largest such window, in entries: its memory bound for large n."""
+
+_PRIMORIAL = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+"""The largest primorial below 2**63; a candidate sharing a factor with it is
+composite unless it divides it."""
+
 
 def _covering_sieve(bound: int, sieve: PrimeSieve | None, what: str) -> PrimeSieve:
     if sieve is None:
@@ -87,22 +103,35 @@ def _covering_sieve(bound: int, sieve: PrimeSieve | None, what: str) -> PrimeSie
 
 
 def qualifying_primes(n: int, sieve: PrimeSieve | None = None) -> tuple[int, ...]:
-    """Ascending primes p with digit_sum(n, p) >= p.
+    """Ascending primes p with digit_sum(n, p) >= p, from a sieve to isqrt(n).
 
-    Only p <= lambda_prime_bound(n) can qualify. Above sqrt(n) the base-p
-    expansion has two digits, so the test reduces to n//p + n%p >= p.
+    Primes p <= isqrt(n) are tested by digit sum, in closed form for those
+    with three digits (p^3 > n). A prime p > sqrt(n) with a = n // p
+    qualifies exactly when n + 1 <= (a+1)p <= n + a, which pins p to
+    n // (a+1) + 1 and needs (a+1) not to divide n. Each a from isqrt(n)
+    down to 1 thus gives at most one candidate, in ascending order. The
+    candidates crowd below a few times sqrt(n): those up to _DENSE * isqrt(n)
+    are looked up in a window sieved from the primes up to isqrt(n), and
+    any larger one goes through is_prime unless it shares a factor with
+    _PRIMORIAL.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    bound = lambda_prime_bound(n)
-    sv = _covering_sieve(bound, sieve, f"n={n}")
-    out = []
-    for p in sv.primes_in(2, bound):
-        if p * p > n:
-            if n // p + n % p >= p:
-                out.append(p)
-        elif digit_sum(n, p) >= p:
-            out.append(p)
+    if not 1 <= n < 1 << 63:
+        raise ValueError(f"n must lie in [1, 2**63), got {n}")
+    root = isqrt(n)
+    sv = _covering_sieve(root, sieve, f"n={n}")
+    small = sv.primes_in(2, root)
+    k = bisect_right(small, n, key=lambda p: p * p * p)  # small[k:] have three digits
+    out = [p for p in small[:k] if digit_sum(n, p) >= p]
+    out += [p for p in small[k:] if n // (p * p) + n // p % p + n % p >= p]
+    # in int64 with no products, so nothing overflows below 2**63
+    q, r = np.divmod(n, np.arange(root + 1, 1, -1, dtype=np.int64))
+    candidates = q[(r != 0) & (q >= root)] + 1
+    top = min(n // 2 + 1, _DENSE * root, root + _WINDOW)
+    dense = candidates[candidates <= top]
+    out += dense[sv.window(root + 1, top)[dense - (root + 1)]].tolist()
+    beyond = candidates[candidates > top]
+    common = np.gcd(beyond, _PRIMORIAL)
+    out += [p for p in beyond[(common == 1) | (common == beyond)].tolist() if is_prime(p)]
     return tuple(out)
 
 
@@ -266,17 +295,17 @@ def dn(n: int) -> SquarefreeProduct:
     return _product(ps)
 
 
-def _db(n: int, support_next: Sequence[int]) -> SquarefreeProduct:
-    """db(n) from the support of dd(n + 1): that support times the primes of
-    n + 1 outside it, i.e. its coprime part times the kernel of n + 1."""
-    return _product(support_next) * _product(split(n + 1, support_next).complement)
+def _db(n: int, dd_next: SquarefreeProduct) -> SquarefreeProduct:
+    """db(n) from dd(n + 1): dd(n + 1) times the primes of n + 1 outside its
+    support, i.e. its coprime part times the kernel of n + 1."""
+    return dd_next * _product(split(n + 1, dd_next.primes).complement)
 
 
 def db(n: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
     """Denominator of B_n(x), via the coprime part and kernel at index n+1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _db(n, qualifying_primes(n + 1, sieve))
+    return _db(n, _product(qualifying_primes(n + 1, sieve)))
 
 
 def ds(n: int, sieve: PrimeSieve | None = None) -> int:
@@ -317,7 +346,7 @@ def omega_dd_plus(n: int, sieve: PrimeSieve | None = None) -> int:
 _SEQUENCES = {
     "dd": (0, lambda n, k, s: math.prod(s)),
     "dn": (None, lambda n, k, s: dn(n).value),
-    "db": (1, lambda n, k, s: _db(n, s).value),
+    "db": (1, lambda n, k, s: _db(n, _product(s)).value),
     "ds": (1, lambda n, k, s: (n + 1) * math.prod(s)),
     "dd_plus": (0, lambda n, k, s: math.prod(split(n, s).plus)),
     "dd_minus": (0, lambda n, k, s: math.prod(split(n, s).minus)),
@@ -382,21 +411,26 @@ class DenomProfile:
 
 
 def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
-    """Assemble the full denominator profile for one index, validated."""
-    support = qualifying_primes(n, sieve)
-    parts = split(n, support)
-    support_next = qualifying_primes(n + 1, sieve)
+    """Assemble the full denominator profile for one index, validated.
+
+    The large products are multiplied out once: dd from its two sqrt parts,
+    its coprime part by dividing out the shared one, db and ds from dd(n + 1).
+    """
+    parts = split(n, qualifying_primes(n, sieve))
+    dd_minus, dd_plus = _product(parts.minus), _product(parts.plus)
+    dd, dd_shared = dd_minus * dd_plus, _product(parts.shared)
+    dd_next = _product(qualifying_primes(n + 1, sieve))
     prof = DenomProfile(
         n=n,
-        dd=_product(support),
-        dd_minus=_product(parts.minus),
-        dd_plus=_product(parts.plus),
-        dd_shared=_product(parts.shared),
-        dd_coprime=_product(parts.coprime),
+        dd=dd,
+        dd_minus=dd_minus,
+        dd_plus=dd_plus,
+        dd_shared=dd_shared,
+        dd_coprime=dd // dd_shared,
         dd_complement=_product(parts.complement),
         dn=dn(n),
-        db=_db(n, support_next),
-        ds=(n + 1) * math.prod(support_next),
+        db=_db(n, dd_next),
+        ds=(n + 1) * dd_next.value,
         rad_n=radical(n),
         rad_n1=radical(n + 1),
         omega_plus=len(parts.plus),

@@ -33,7 +33,7 @@ class FamilyResult:
 @dataclass
 class _Tables:
     """Supports, their parts and kernels for every n up to limit + 1; the
-    kernels come from a sieve, independently of denom.split."""
+    kernels and dn come from sieves, independently of denom.split and denom.dn."""
 
     support: list[tuple[int, ...]]
     parts: list[denom.Parts]
@@ -55,13 +55,20 @@ def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
     parts = [denom.Parts((), (), (), (), ())]
     parts += [denom.split(n, support[n]) for n in range(1, top + 1)]
     rad = [math.prod(ps) for ps in rad_primes]
+    # von Staudt-Clausen: p divides dn(m) for even m exactly when p - 1 divides m
+    dn = [1] * (top + 1)
+    dn[1] = 2
+    for p in sieve.primes_in(2, top):
+        step = max(p - 1, 2)  # the even multiples of p - 1
+        for m in range(step, top, step):
+            dn[m] *= p
     return _Tables(
         support=support,
         parts=parts,
         rad_primes=rad_primes,
         rad=rad,
         dd=[math.prod(s) for s in support],
-        dn=[1] + [denom.dn(n).value for n in range(1, top)] + [1],
+        dn=dn,
         db=[1] + [math.prod(parts[n + 1].coprime) * rad[n + 1] for n in range(1, top)] + [1],
     )
 

@@ -16,6 +16,12 @@ def sieve_1m():
 
 
 @pytest.fixture(scope="session")
+def sieve_5m():
+    # covers every index up to 10**7
+    return arith.sieve(5 * 10**6)
+
+
+@pytest.fixture(scope="session")
 def scan_million():
     sv = arith.sieve((10**6 + 1) // 2 + 10)
     return scanner.scan_omega_plus(1, 10**6, sv)

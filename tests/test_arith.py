@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from berndenom import arith
 from berndenom.arith import (
     SieveSizeError,
     SquarefreeProduct,
+    decimal_str,
     digit_sum,
     digit_sum_table,
     falling_factorial,
-    floor_condition,
     is_prime,
-    lambda_prime_bound,
+    product,
     radical,
     sieve,
 )
@@ -70,17 +71,6 @@ class TestDigitSum:
 
 
 class TestFloorCondition:
-    def test_examples(self):
-        assert floor_condition(7, 3) is True
-        assert floor_condition(4, 3) is False
-        assert floor_condition(9, 5) is True
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            floor_condition(0, 3)
-        with pytest.raises(ValueError):
-            floor_condition(5, 1)
-
     def test_equivalent_to_digit_sum_above_sqrt(self, sieve_20k):
         # digit_sum(n, p) >= p and the floor gap pick out the same primes
         # strictly above sqrt(n); exhaustive for n <= 10^4 via verify helper
@@ -89,19 +79,8 @@ class TestFloorCondition:
         for p in sieve_20k.primes_in(2, 10**4):
             assert _check_floor_equivalence(p, 10**4)
 
-    def test_true_but_digit_light_at_exact_square_root(self):
-        # the p*p == n boundary is why the splits exclude it
-        assert floor_condition(9, 3) is True
-        assert digit_sum(9, 3) == 1
-
 
 class TestLambdaPrimeBound:
-    def test_examples(self):
-        assert lambda_prime_bound(7) == 4
-        assert lambda_prime_bound(8) == 3
-        assert lambda_prime_bound(1) == 1
-        assert lambda_prime_bound(2) == 1
-
     def test_no_heavy_prime_above_bound_to_1e5(self, sieve_20k):
         from berndenom.verify import _check_lambda_bound
 
@@ -111,8 +90,9 @@ class TestLambdaPrimeBound:
             assert _check_lambda_bound(p, limit), f"prime {p} beats the bound"
 
     def test_exhaustive_small(self):
+        # the bound the lambda-prime-bound verify family checks
         for n in range(1, 300):
-            bound = lambda_prime_bound(n)
+            bound = (n + 1) // 2 if n % 2 else (n + 1) // 3
             for p in range(bound + 1, n + 1):
                 if is_prime(p):
                     assert digit_sum(n, p) < p
@@ -181,6 +161,19 @@ class TestSieve:
             sv.primes_in(2, 101)
         assert sv.primes_in(90, 100) == (97,)
 
+    def test_window_matches_sieve(self):
+        full = np.zeros(3001, dtype=bool)
+        full[list(sieve(3000).primes)] = True
+        # read off a sieve that reaches hi, or sieved in segments past it
+        for sv in (sieve(55), sieve(400), sieve(3000)):
+            for lo in (0, 1, 2, 3, 54, 55, 56, 399, 400, 401, 2000):
+                for hi in (lo - 1, lo, lo + 1, lo + 97, 3000):
+                    assert sv.window(lo, hi).tolist() == full[lo : hi + 1].tolist(), (sv.limit, lo, hi)
+        with pytest.raises(SieveSizeError):
+            sieve(50).window(2600, 2610)  # isqrt(2610) = 51
+        with pytest.raises(ValueError):
+            sieve(50).window(10, 8)
+
     def test_membership(self):
         sv = sieve(100)
         assert 97 in sv
@@ -238,8 +231,81 @@ class TestIsPrime:
 
     def test_carmichael_and_large(self):
         assert not is_prime(561)
-        assert not is_prime(341550071728321)
+        # OEIS A014233: the least strong pseudoprime to the first k prime bases,
+        # so each ends the range of one witness prefix and starts the next
+        for n in (
+            2_047,
+            1_373_653,
+            25_326_001,
+            3_215_031_751,
+            2_152_302_898_747,
+            3_474_749_660_383,
+            341_550_071_728_321,
+            3_825_123_056_546_413_051,
+            318_665_857_834_031_151_167_461,  # 399165290221 * 798330580441
+        ):
+            assert not is_prime(n), n
+        # a strong pseudoprime to every base 2..41: refused, never guessed
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(3_317_044_064_679_887_385_961_981)
         assert is_prime(2**61 - 1)
+
+    def test_agrees_with_a_sieve_around_each_prefix_bound(self):
+        # each window straddles a bound where the next witness joins the test
+        base = sieve(1_870_000)  # up to sqrt(3474749660383 + 3000)
+        bounds = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383)
+        for bound in bounds:
+            lo, hi = bound - 2000, bound + 3000
+            assert [is_prime(m) for m in range(lo, hi + 1)] == base.window(lo, hi).tolist(), bound
+        assert is_prime(3_317_044_064_679_887_385_961_813)  # the largest prime below the limit
+
+
+class TestProduct:
+    def test_matches_math_prod(self, sieve_20k):
+        primes = sieve_20k.primes
+        for count in (0, 1, 2, 15, 16, 17, 33, 1000, len(primes)):
+            assert product(primes[:count]) == math.prod(primes[:count])
+        assert product(iter([3, 5, 7])) == 105
+
+    def test_squarefree_product_values(self, sieve_20k):
+        big = SquarefreeProduct.from_known_primes(sieve_20k.primes)
+        assert big.value == math.prod(sieve_20k.primes)
+        last = sieve_20k.primes[-1]
+        small = SquarefreeProduct.from_primes([3, 7, last])
+        assert (big // small).primes == tuple(p for p in sieve_20k.primes if p not in (3, 7, last))
+        assert (big // small) * small == big
+        assert big.lcm(SquarefreeProduct.from_primes([3, 20021])).value == big.value * 20021
+        with pytest.raises(ValueError):
+            small // SquarefreeProduct.from_primes([5])
+        with pytest.raises(ValueError):
+            SquarefreeProduct.from_known_primes([3, 2])
+
+
+@pytest.fixture
+def unlimited_str_digits():
+    """Lift Python's int-to-str digit limit around the test, where it exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestDecimalStr:
+    @pytest.mark.usefixtures("unlimited_str_digits")
+    def test_matches_str(self):
+        import random
+
+        rng = random.Random(11)
+        cases = [0, 1, 9, 10, 2**4096 - 1, 2**4096, 10**1233, 10**1234 - 1]
+        cases += [10**5000 + 7, -(10**6000)]
+        cases += [rng.getrandbits(bits) for bits in (4095, 4097, 8193, 50_000, 200_001)]
+        for n in cases:
+            assert decimal_str(n) == str(n), n.bit_length()
 
 
 def test_prime_sieve_entries_are_prime(sieve_20k):

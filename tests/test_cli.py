@@ -50,6 +50,13 @@ class TestProfile:
         assert record["db"] == "2"
         assert record["in_rad_set"] is False
 
+    def test_beyond_the_sieve_cap(self, capsys):
+        # primes up to n/2 would need a sieve past the 2**26 cap; isqrt(n) is 14142
+        code, out, _ = run_cli(capsys, "profile", "200000000")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["n"] == "200000000"
+
     def test_zero_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "0"])

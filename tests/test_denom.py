@@ -1,11 +1,12 @@
 import math
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berndenom import denom, oracle
+from berndenom import arith, denom, oracle
 from berndenom.arith import SieveSizeError, is_prime, radical, sieve
 from berndenom.denom import (
     SEQUENCES,
@@ -58,7 +59,7 @@ class TestDD:
             dd(0)
 
     def test_insufficient_sieve(self):
-        with pytest.raises(SieveSizeError):
+        with pytest.raises(SieveSizeError, match="up to 31"):  # isqrt(1000)
             dd(1000, sieve(5))
 
 
@@ -246,6 +247,50 @@ def test_derivative_one_members_have_prime_successor(sieve_20k):
     for n in INTEGRAL_DERIVATIVE_SET:
         assert db_k(n, 1, sieve_20k).is_one
         assert is_prime(n + 1)
+
+
+class TestQualifyingPrimes:
+    """The single-index route against the range route, which shares no code with it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10**7))
+    def test_matches_supports_at_random_n(self, sieve_5m, n):
+        expected = next(supports(n, n, sieve_5m))
+        assert qualifying_primes(n) == expected
+        # a sieve to isqrt(n) alone: the candidate window is sieved in segments
+        assert qualifying_primes(n, sieve(max(isqrt(n), 1))) == expected
+
+    def test_matches_supports_exhaustively(self, sieve_1m):
+        for n, expected in enumerate(supports(1, 2 * 10**5, sieve_1m), start=1):
+            assert qualifying_primes(n) == expected, n
+
+    def test_sound_where_int64_squares_overflow(self):
+        # candidates up to 5e11: squaring them in int64 would overflow
+        n = 10**12 + 39
+        found = qualifying_primes(n, sieve(10**6))
+        assert all(a < b for a, b in zip(found, found[1:]))
+        above = [p for p in found if p > 10**6]
+        assert above[-1] ** 2 > 2**63 and all(n // p + n % p >= p for p in above)
+        assert all(is_prime(p) for p in above[::50])
+
+    def test_single_index_calls_sieve_to_sqrt_only(self, monkeypatch):
+        limits = []
+        real_sieve = arith.sieve
+
+        def recording_sieve(limit, *args, **kwargs):
+            limits.append(limit)
+            return real_sieve(limit, *args, **kwargs)
+
+        monkeypatch.setattr(arith, "_SHARED", None)
+        monkeypatch.setattr(arith, "sieve", recording_sieve)
+        n = 10**9 + 7
+        profile(n)  # validate() runs inside
+        dd(n), db(n), ds(n), db_k(n, 3), omega_dd_plus(n)
+        assert limits and max(limits) <= 1 << 16, limits
+
+    def test_int64_bound_fails_loudly(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            qualifying_primes(1 << 63)
 
 
 BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "batch-7", "batch-1"])

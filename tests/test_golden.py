@@ -1,8 +1,9 @@
 """Golden CLI outputs: sha256 digests of stdout (and of stderr for scan).
 
 The digests were taken from the release before the range kernel replaced
-the per-index loops in seq, sets, radset and verify; any change to the
-bytes a command prints fails here.
+the per-index loops in seq, sets, radset and verify, and those of profile
+at 7792666 and 131231772 from the release before qualifying_primes stopped
+sieving to n/2; any change to the bytes a command prints fails here.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ def _cases() -> list[tuple[str, ...]]:
             for lo, hi in windows:
                 extra = ("--k", str(k)) if k else ()
                 commands.append(("seq", name, str(lo), str(hi), *extra))
-    for n in (1, 100, 1679, 27886, 467230):
+    for n in (1, 100, 1679, 27886, 467230, 7792666, 131231772):
         commands.append(("profile", str(n)))
     for k in (1, 2, 3):
         commands.append(("sets", "--k", str(k), "--limit", "2000"))
@@ -115,6 +116,10 @@ GOLDEN = {
     'json profile 27886': ('5d219b6ffc5b91bf6d87684a382c3922f3fa41814913efa367d65aa35b008bf8', None),
     'csv profile 467230': ('56ba174d2e3831e19a765ddf10951a21fe4be060ebd26d5c245a4396d7d4c8bd', None),
     'json profile 467230': ('3a282c85f2a535e3bae053cac6a43a256b2e84b48d572b9d5fe1ded4d7ac33de', None),
+    'csv profile 7792666': ('a0a2e153118cc89a977a0078fb3e2b780b153a032583d4f6b8b6d987d3155695', None),
+    'json profile 7792666': ('3bbec65ae56d3b205e5ec726dc9063671125f7f01e6968b86d3034e4cea73857', None),
+    'csv profile 131231772': ('fc3735a98395e4fcee16f299fd200b9d6f3763e59d41dad5d20a8c3cae93cb25', None),
+    'json profile 131231772': ('cb6af83e217edf309a093b4d37096c63698cfc0a741464c2d1b1e961643f4b6f', None),
     'csv sets --k 1 --limit 2000': ('2500315a7186255709591d1bfc1188b1b8c4176f9a80d6d788129bb01ef7d9d1', None),
     'json sets --k 1 --limit 2000': ('503e9cd517f11dce3612691b8189954e01f25980c06d42b3f778f9629d926f43', None),
     'csv sets --k 2 --limit 2000': ('054e0962197af3fec7659ac49c9204cd2c1b3075b4471de0acc9e70b76334176', None),
