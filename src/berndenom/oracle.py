@@ -1,16 +1,20 @@
 """Exact rational Bernoulli polynomials and power-sum polynomials.
 
-This is the independent ground-truth path: coefficients are exact
-fractions.Fraction values, denominators are read off the reduced
-coefficients, and nothing is shared with the product-formula modules
-this module cross-checks.
+This is the independent ground-truth path. A polynomial is held as integer
+numerators over one positive shared denominator D, reduced so that
+gcd(D, a_0, ..., a_m) = 1. Coefficient k is a_k / D, whose reduced
+denominator is D / gcd(D, a_k), and the lcm of those over k is
+D / gcd(D, a_0, ..., a_m) = D: the least common denominator of the
+coefficients is the shared denominator itself. Nothing is shared with the
+product-formula modules this module cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import gcd, lcm, perm
+from numbers import Rational
 
 __all__ = [
     "RationalPolynomial",
@@ -23,59 +27,97 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational; floats are refused."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"exact rational expected, got {type(value).__name__} {value!r}")
+    return int(value.numerator), int(value.denominator)
+
+
+@dataclass(frozen=True, init=False)
 class RationalPolynomial:
     """Polynomial with exact rational coefficients, ascending powers.
 
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial is a single zero coefficient.
+    Coefficient k is numerators[k] / denominator. Trailing zero coefficients
+    are stripped on construction, the zero polynomial is a single zero
+    coefficient, the denominator is positive and gcd(denominator,
+    *numerators) = 1, so equal polynomials have equal fields. Coefficients
+    must be exact rationals (int, Fraction); a float raises TypeError.
     """
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (Fraction(0),)
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, coefficients):
+        ratios = [_ratio(c) for c in coefficients]
+        den = lcm(*(d for _, d in ratios))
+        self._normalize([a * (den // d) for a, d in ratios], den)
+
+    def _normalize(self, numerators: list[int], denominator: int) -> None:
+        if denominator == 0:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        while len(numerators) > 1 and numerators[-1] == 0:
+            numerators.pop()
+        if not numerators:
+            numerators = [0]
+        g = gcd(denominator, *numerators)
+        if denominator < 0:
+            g = -g
+        if g != 1:
+            numerators = [a // g for a in numerators]
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator // g)
+
+    @classmethod
+    def _over(cls, numerators: list[int], denominator: int) -> "RationalPolynomial":
+        """sum(numerators[k] * x^k) / denominator, normalized; takes the list."""
+        poly = cls.__new__(cls)
+        poly._normalize(numerators, denominator)
+        return poly
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
-        return cls((Fraction(0),))
+        return cls._over([0], 1)
 
     @classmethod
     def constant(cls, c) -> "RationalPolynomial":
-        return cls((Fraction(c),))
+        return cls((c,))
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.coefficients == (Fraction(0),)
+        return self.numerators == (0,)
 
     def __call__(self, x) -> Fraction:
-        result = Fraction(0)
-        for c in reversed(self.coefficients):
-            result = result * x + c
-        return result
+        """P(p/q) = sum(a_k p^k q^(m-k)) / (D q^m), by Horner on integers."""
+        p, q = _ratio(x)
+        acc, power = 0, 1
+        for a in reversed(self.numerators):
+            acc = acc * p + a * power
+            power *= q
+        return Fraction(acc, self.denominator * (power // q))
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
+        den = lcm(self.denominator, other.denominator)
+        a = [c * (den // self.denominator) for c in self.numerators]
+        b = [c * (den // other.denominator) for c in other.numerators]
         if len(a) < len(b):
             a, b = b, a
-        summed = list(a)
         for i, c in enumerate(b):
-            summed[i] += c
-        return RationalPolynomial(tuple(summed))
+            a[i] += c
+        return RationalPolynomial._over(a, den)
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coefficients))
+        return RationalPolynomial._over([-a for a in self.numerators], self.denominator)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
@@ -84,30 +126,77 @@ class RationalPolynomial:
 
     def __mul__(self, other) -> "RationalPolynomial":
         if isinstance(other, RationalPolynomial):
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
+            out = [0] * (len(self.numerators) + len(other.numerators) - 1)
+            for i, a in enumerate(self.numerators):
                 if a:
-                    for j, b in enumerate(other.coefficients):
+                    for j, b in enumerate(other.numerators):
                         out[i + j] += a * b
-            return RationalPolynomial(tuple(out))
-        factor = Fraction(other)
-        return RationalPolynomial(tuple(c * factor for c in self.coefficients))
+            return RationalPolynomial._over(out, self.denominator * other.denominator)
+        if not isinstance(other, Rational):
+            return NotImplemented
+        p, q = _ratio(other)
+        return RationalPolynomial._over([a * p for a in self.numerators], self.denominator * q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "RationalPolynomial":
-        return self * (Fraction(1) / Fraction(scalar))
+        if not isinstance(scalar, Rational):
+            return NotImplemented
+        p, q = _ratio(scalar)
+        return RationalPolynomial._over([a * q for a in self.numerators], self.denominator * p)
 
     def substitute_affine(self, shift, scale) -> "RationalPolynomial":
-        """Coefficients of P(shift + scale * x), by Horner over polynomials."""
-        linear = RationalPolynomial((Fraction(shift), Fraction(scale)))
-        result = RationalPolynomial.zero()
-        for c in reversed(self.coefficients):
-            result = result * linear + RationalPolynomial.constant(c)
-        return result
+        """Coefficients of P(shift + scale * x), by Horner over polynomials.
+
+        With shift + scale * x = (u + v x) / w, the numerators are those of
+        sum(a_k (u + v x)^k w^(m-k)) over D w^m.
+        """
+        s, s_den = _ratio(shift)
+        t, t_den = _ratio(scale)
+        u, v, w = s * t_den, s_den * t, s_den * t_den
+        acc: list[int] = []
+        power = 1
+        for a in reversed(self.numerators):
+            acc = [u * c + v * b for c, b in zip(acc + [0], [0] + acc)]
+            acc[0] += a * power
+            power *= w
+        return RationalPolynomial._over(acc, self.denominator * (power // w))
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n), each from the one before."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
+# B_m = _NUMERATORS[m] / _DENOMINATORS[m], reduced; _LCMS[m] = lcm(D_0, ..., D_m)
+_NUMERATORS: list[int] = [1]
+_DENOMINATORS: list[int] = [1]
+_LCMS: list[int] = [1]
+
+
+def _extend_bernoulli(n: int) -> None:
+    """Solve bernoulli_numbers' recurrence on integer pairs up to m = n.
+
+    Over L = lcm(D_0..D_(m-1)), B_m = -sum(C(m+1, k) N_k (L / D_k)) / ((m+1) L),
+    reduced by one gcd.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    while len(_NUMERATORS) <= n:
+        m = len(_NUMERATORS)
+        common = _LCMS[-1]
+        acc = 0
+        for binomial, num, den in zip(_binomial_row(m + 1), _NUMERATORS, _DENOMINATORS):
+            if num:
+                acc += binomial * num * (common // den)
+        den = (m + 1) * common
+        g = gcd(acc, den)
+        _NUMERATORS.append(-acc // g)
+        _DENOMINATORS.append(den // g)
+        _LCMS.append(lcm(common, den // g))
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -117,25 +206,23 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     parity shortcuts, so vanishing odd values come out of the arithmetic
     rather than being asserted.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = Fraction(0)
-        for k, b in enumerate(_BERNOULLI):
-            if b:
-                acc += comb(m + 1, k) * b
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[: n + 1].copy()
+    _extend_bernoulli(n)
+    return [Fraction(a, d) for a, d in zip(_NUMERATORS[: n + 1], _DENOMINATORS)]
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
-    """B_n(x) = sum of C(n, k) * B_{n-k} * x^k; monic of degree n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    numbers = bernoulli_numbers(n)
-    return RationalPolynomial(
-        tuple(comb(n, k) * numbers[n - k] for k in range(n + 1))
+    """B_n(x) = sum of C(n, k) * B_{n-k} * x^k; monic of degree n.
+
+    Over L_n = lcm(D_0..D_n), numerator k is C(n, k) * N_{n-k} * (L_n / D_{n-k}).
+    """
+    _extend_bernoulli(n)
+    common = _LCMS[n]
+    return RationalPolynomial._over(
+        [
+            binomial * _NUMERATORS[n - k] * (common // _DENOMINATORS[n - k])
+            for k, binomial in enumerate(_binomial_row(n))
+        ],
+        common,
     )
 
 
@@ -145,17 +232,17 @@ def derivative(poly: RationalPolynomial, k: int = 1) -> RationalPolynomial:
         raise ValueError(f"k must be nonnegative, got {k}")
     if k == 0:
         return poly
-    coeffs = poly.coefficients
-    if k >= len(coeffs):
+    nums = poly.numerators
+    if k >= len(nums):
         return RationalPolynomial.zero()
-    return RationalPolynomial(
-        tuple(coeffs[i + k] * perm(i + k, k) for i in range(len(coeffs) - k))
+    return RationalPolynomial._over(
+        [nums[i + k] * perm(i + k, k) for i in range(len(nums) - k)], poly.denominator
     )
 
 
 def drop_constant_term(poly: RationalPolynomial) -> RationalPolynomial:
     """The polynomial with its constant coefficient zeroed."""
-    return RationalPolynomial((Fraction(0),) + poly.coefficients[1:])
+    return RationalPolynomial._over([0, *poly.numerators[1:]], poly.denominator)
 
 
 def sum_of_powers_polynomial(n: int) -> RationalPolynomial:
@@ -171,5 +258,8 @@ def sum_of_powers_polynomial(n: int) -> RationalPolynomial:
 
 
 def denominator_of(poly: RationalPolynomial) -> int:
-    """Least common multiple of the reduced coefficient denominators."""
-    return lcm(*(c.denominator for c in poly.coefficients))
+    """Least common multiple of the reduced coefficient denominators.
+
+    The normal form makes it the shared denominator (see the module docstring).
+    """
+    return poly.denominator

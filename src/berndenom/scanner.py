@@ -24,7 +24,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -404,6 +403,9 @@ def run_scan(
     if pending:
         need = max((limit + 1) // 2, 2)
         if threads > 1 and len(pending) > 1:
+            # imported here: it costs every CLI start about 19 ms otherwise
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=min(threads, len(pending)),
                 initializer=_worker_init,

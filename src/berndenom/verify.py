@@ -196,7 +196,7 @@ def _check_oracle_equivalence(c: _Context, n: int) -> bool:
         return False
     if oracle.denominator_of(oracle.drop_constant_term(poly)) != denom.dd(n, sieve).value:
         return False
-    if oracle.bernoulli_numbers(n)[n].denominator != denom.dn(n).value:
+    if poly(0).denominator != denom.dn(n).value:  # B_n(0) = B_n
         return False
     if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != denom.ds(n, sieve):
         return False

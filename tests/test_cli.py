@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import berndenom
 from berndenom import denom
 from berndenom.cli import main
 
@@ -276,3 +279,17 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_start_does_not_import_the_process_pool():
+    # only a scan on several workers needs concurrent.futures
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    probe = "import sys, berndenom.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -3,7 +3,10 @@
 The digests were taken from the release before the range kernel replaced
 the per-index loops in seq, sets, radset and verify, and those of profile
 at 7792666 and 131231772 from the release before qualifying_primes stopped
-sieving to n/2; any change to the bytes a command prints fails here.
+sieving to n/2, and those of verify with oracle limit 300 and with an
+injected oracle fault from the release before the oracle moved from one
+Fraction per coefficient to integer numerators over a shared denominator;
+any change to the bytes a command prints fails here.
 """
 
 import contextlib
@@ -32,6 +35,8 @@ def _cases() -> list[tuple[str, ...]]:
         commands.append(("sets", "--k", str(k), "--limit", "2000"))
     commands.append(("radset", "--limit", "5000"))
     commands.append(("verify", "--limit", "2000", "--oracle-limit", "60"))
+    commands.append(("verify", "--limit", "2000", "--oracle-limit", "300"))
+    commands.append(("verify", "--inject-fault", "oracle-equivalence:7"))
     commands.append(("scan", "--limit", "100000", "--chunk", "4096"))
     return [(fmt, *cmd) for cmd in commands for fmt in ("csv", "json")]
 
@@ -44,7 +49,8 @@ def run_digests(argv: tuple[str, ...]) -> tuple[str, str | None]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--format", *argv])
-    assert code == 0, (argv, err.getvalue())
+    expected = 1 if "--inject-fault" in argv else 0  # an injected fault fails verify
+    assert code == expected, (argv, err.getvalue())
     digest = lambda text: hashlib.sha256(text.encode("ascii")).hexdigest()
     return digest(out.getvalue()), digest(err.getvalue()) if argv[1] == "scan" else None
 
@@ -130,6 +136,10 @@ GOLDEN = {
     'json radset --limit 5000': ('9598e651b8e7eb168a5a28509ff117c6d4979d07eb33179b43af353d2fca7600', None),
     'csv verify --limit 2000 --oracle-limit 60': ('be2c759f44e2e34e5ff9ad51ca828e84cf70123a8e619b4eafaa563299eb8a82', None),
     'json verify --limit 2000 --oracle-limit 60': ('44c2dd03d8eb4301263fb834929d6b348457c038113e5587da8fd09b50829a5e', None),
+    'csv verify --limit 2000 --oracle-limit 300': ('95fc69a067687efd0ead59c0a4ec24be11762461ba948e1bc1d233719969c65d', None),
+    'json verify --limit 2000 --oracle-limit 300': ('717e0ba788f650bb9905c8d9c975ccf67e0ed8d50aff831048ea4589812fe50b', None),
+    'csv verify --inject-fault oracle-equivalence:7': ('b4c5b7df2c780d6c93ae26d13ca0ef0c6dc899055fba615c5ef98fd547184271', None),
+    'json verify --inject-fault oracle-equivalence:7': ('724dde9346292231a0016fe32975e86e8783a698683fefc4057f8b84266838ae', None),
     'csv scan --limit 100000 --chunk 4096': ('46daf0116c80c794fceac1e290e4c352bfec08eb552cfc3f3528abc60369efa1', '64f9da5816a0877d6ca26c758c08f27eff04e0da6487e389c2343b9b9740bc1c'),
     'json scan --limit 100000 --chunk 4096': ('56343468fd5903310ae611d5774fd47990bb218f3ae8b4968c1f2849ffee0bba', '64f9da5816a0877d6ca26c758c08f27eff04e0da6487e389c2343b9b9740bc1c'),
 }

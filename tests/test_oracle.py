@@ -1,6 +1,11 @@
+import ast
+import inspect
 from fractions import Fraction
+from math import comb, lcm, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berndenom import oracle
 from berndenom.oracle import (
@@ -28,6 +33,24 @@ def akiyama_tanigawa(n):
     if n >= 1:
         out[1] = -out[1]
     return out
+
+
+def reference_polynomials(n):
+    # Fraction per coefficient, from akiyama_tanigawa's numbers: ascending
+    # coefficient tuples of B_n(x), its derivatives k = 1..3 and S_n(x)
+    numbers = akiyama_tanigawa(n + 1)
+    bern = lambda m: [comb(m, k) * numbers[m - k] for k in range(m + 1)]
+    coeffs = bern(n)
+    derivatives = {
+        k: [coeffs[i + k] * perm(i + k, k) for i in range(n + 1 - k)] or [F(0)]
+        for k in (1, 2, 3)
+    }
+    powers = [F(0)] + [c / (n + 1) for c in bern(n + 1)[1:]]
+    return coeffs, derivatives, powers
+
+
+def reference_denominator(coeffs):
+    return lcm(*(F(c).denominator for c in coeffs))
 
 
 class TestBernoulliNumbers:
@@ -152,3 +175,104 @@ class TestDenominatorOf:
             for n in range(1, 11)
         ]
         assert got == expected
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("n", range(0, 81))
+    def test_polynomials_and_denominators(self, n):
+        coeffs, derivatives, powers = reference_polynomials(n)
+        poly = bernoulli_polynomial(n)
+        assert poly.coefficients == tuple(coeffs)
+        assert denominator_of(poly) == reference_denominator(coeffs)
+        centered = [F(0)] + coeffs[1:]
+        assert denominator_of(drop_constant_term(poly)) == reference_denominator(centered)
+        for k, expected in derivatives.items():
+            derived = derivative(poly, k)
+            while len(expected) > 1 and expected[-1] == 0:
+                expected = expected[:-1]
+            assert derived.coefficients == tuple(expected)
+            assert denominator_of(derived) == reference_denominator(expected)
+        s_n = sum_of_powers_polynomial(n)
+        assert s_n.coefficients == tuple(powers)
+        assert denominator_of(s_n) == reference_denominator(powers)
+
+
+rationals = st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30) | st.just(0)
+
+
+class TestSharedDenominator:
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(rationals, min_size=1, max_size=12))
+    def test_denominator_is_lcm_of_reduced_denominators(self, coeffs):
+        poly = RationalPolynomial(tuple(coeffs))
+        assert denominator_of(poly) == reference_denominator(coeffs)
+        assert denominator_of(poly) == poly.denominator > 0
+        stripped = list(coeffs)
+        while len(stripped) > 1 and stripped[-1] == 0:
+            stripped.pop()
+        assert poly.coefficients == tuple(F(c) for c in stripped)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coeffs=st.lists(rationals, min_size=1, max_size=8),
+        scale=st.fractions(max_denominator=1000).filter(bool),
+    )
+    def test_operations_agree_with_fractions(self, coeffs, scale):
+        poly = RationalPolynomial(tuple(coeffs))
+        ref = [F(c) for c in coeffs]
+        assert (poly * scale).coefficients == RationalPolynomial(tuple(c * scale for c in ref)).coefficients
+        assert (poly / scale) * scale == poly
+        assert poly(scale) == sum(c * scale**k for k, c in enumerate(ref))
+        shifted = poly.substitute_affine(scale, -scale)
+        for x in (F(0), F(1), F(-2, 3)):
+            assert shifted(x) == poly(scale - scale * x)
+
+    def test_equal_whatever_the_input_scaling(self):
+        half = RationalPolynomial((F(1, 2),))
+        assert RationalPolynomial((F(2, 4),)) == half
+        assert RationalPolynomial((2,)) / 4 == half
+        assert (RationalPolynomial((F(1, 2), F(1, 3))) * 6) / 6 == RationalPolynomial((F(1, 2), F(1, 3)))
+        p = RationalPolynomial((F(3, 10), F(-7, 4), 5))
+        scaled = (p * F(12, 7)) * F(7, 12)
+        assert scaled == p and hash(scaled) == hash(p)
+        assert (scaled.numerators, scaled.denominator) == (p.numerators, p.denominator)
+        assert RationalPolynomial((F(-1, 2), 0)) == -half
+        assert (p - p) == RationalPolynomial.zero() == RationalPolynomial(())
+
+    def test_negative_scalar_keeps_denominator_positive(self):
+        p = RationalPolynomial((F(1, 3), 1)) / -2
+        assert p.denominator == 6 and p.coefficients == (F(-1, 6), F(-1, 2))
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            RationalPolynomial((0.1,))
+        with pytest.raises(TypeError):
+            RationalPolynomial((F(1, 2), 0.5))
+        with pytest.raises(TypeError):
+            RationalPolynomial.constant(0.25)
+        p = RationalPolynomial((F(1, 2), 1))
+        with pytest.raises(TypeError):
+            p * 0.5
+        with pytest.raises(TypeError):
+            p / 0.5
+        with pytest.raises(TypeError):
+            p(0.5)
+        with pytest.raises(TypeError):
+            p.substitute_affine(1, -1.0)
+
+    def test_rejects_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            RationalPolynomial((F(1, 2),)) / 0
+
+
+def test_oracle_imports_nothing_from_berndenom():
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found; the walk is broken"
+    assert not any(name.split(".")[0] == "berndenom" for name in imported), imported
