@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -295,12 +294,20 @@ def radical(n: int) -> SquarefreeProduct:
     return SquarefreeProduct.from_known_primes(primes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeSieve:
-    """Immutable table of every prime up to limit, strictly increasing."""
+    """Every prime up to limit, held once as a read-only ascending int64 array;
+    the primes property copies it into a tuple on each read."""
 
     limit: int
-    primes: tuple[int, ...]
+    array: np.ndarray
+
+    def __post_init__(self):
+        self.array.flags.writeable = False
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def primes_in(self, lo: int, hi: int) -> tuple[int, ...]:
         """All sieved primes p with lo <= p <= hi."""
@@ -308,9 +315,10 @@ class PrimeSieve:
             raise SieveSizeError(
                 f"sieve holds primes up to {self.limit}, but primes up to {hi} were requested"
             )
-        i = bisect_left(self.primes, lo)
-        j = bisect_right(self.primes, hi)
-        return self.primes[i:j]
+        return tuple(self._slice(lo, hi).tolist())
+
+    def _slice(self, lo: int, hi: int) -> np.ndarray:
+        return self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")]
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Primality of lo, ..., hi as a bool array.
@@ -321,9 +329,8 @@ class PrimeSieve:
         if not 0 <= lo <= hi + 1:
             raise ValueError(f"need 0 <= lo <= hi + 1, got [{lo}, {hi}]")
         if hi <= self.limit:
-            inside = self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")]
             flags = np.zeros(hi - lo + 1, dtype=bool)
-            flags[inside - lo] = True
+            flags[self._slice(lo, hi) - lo] = True
             return flags
         flags = np.ones(hi - lo + 1, dtype=bool)
         flags[: max(2 - lo, 0)] = False
@@ -331,17 +338,11 @@ class PrimeSieve:
             flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
         return flags
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The primes as an int64 array, built on first use and kept."""
-        return np.asarray(self.primes, dtype=np.int64)
-
     def __contains__(self, n: int) -> bool:
-        i = bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
+        return 0 <= n <= self.limit and self._slice(n, n).size == 1
 
     def __len__(self) -> int:
-        return len(self.primes)
+        return self.array.size
 
 
 def sieve(limit: int, max_limit: int = DEFAULT_SIEVE_CAP) -> PrimeSieve:
@@ -362,7 +363,7 @@ def sieve(limit: int, max_limit: int = DEFAULT_SIEVE_CAP) -> PrimeSieve:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeSieve(limit=limit, primes=tuple(np.flatnonzero(flags).tolist()))
+    return PrimeSieve(limit=limit, array=np.flatnonzero(flags).astype(np.int64, copy=False))
 
 
 _SHARED: PrimeSieve | None = None

@@ -72,7 +72,7 @@ __all__ = [
     "supports",
 ]
 
-_RUN_BATCH = 1 << 18
+_RUN_BATCH = 1 << 16
 """Most runs or (prime, index) pairs in one batch, so memory is O(window + batch)."""
 
 _SUPPORT_BLOCK = 1 << 10
@@ -186,7 +186,7 @@ def _block_supports(lo: int, hi: int, sv: PrimeSieve) -> list[tuple[int, ...]]:
     root = sv.array.searchsorted(isqrt(hi), "right")
     owners = [np.zeros(0, dtype=np.int64)]
     offsets = [np.zeros(0, dtype=np.int64)]
-    for p in sv.primes[:root]:
+    for p in sv.array[:root].tolist():
         heavy = np.flatnonzero(digit_sum_table(p, hi, lo) >= p)
         owners.append(np.full(heavy.size, p, dtype=np.int64))
         offsets.append(heavy)
@@ -231,13 +231,17 @@ def split(n: int, support: Sequence[int]) -> Parts:
     and plus multiply back to dd(n), as do shared and coprime; shared times
     complement is the squarefree kernel of n.
     """
+    return _split(n, support, radical(n))
+
+
+def _split(n: int, support: Sequence[int], rad: SquarefreeProduct) -> Parts:
     shared = tuple(p for p in support if n % p == 0)
     return Parts(
         minus=tuple(p for p in support if p * p < n),
         plus=tuple(p for p in support if p * p > n),
         shared=shared,
         coprime=tuple(p for p in support if n % p),
-        complement=tuple(p for p in radical(n).primes if p not in shared),
+        complement=tuple(p for p in rad.primes if p not in shared),
     )
 
 
@@ -295,17 +299,11 @@ def dn(n: int) -> SquarefreeProduct:
     return _product(ps)
 
 
-def _db(n: int, dd_next: SquarefreeProduct) -> SquarefreeProduct:
-    """db(n) from dd(n + 1): dd(n + 1) times the primes of n + 1 outside its
-    support, i.e. its coprime part times the kernel of n + 1."""
-    return dd_next * _product(split(n + 1, dd_next.primes).complement)
-
-
 def db(n: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
-    """Denominator of B_n(x), via the coprime part and kernel at index n+1."""
+    """Denominator of B_n(x): lcm(dd(n + 1), radical(n + 1))."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _db(n, _product(qualifying_primes(n + 1, sieve)))
+    return _product(qualifying_primes(n + 1, sieve)).lcm(radical(n + 1))
 
 
 def ds(n: int, sieve: PrimeSieve | None = None) -> int:
@@ -346,7 +344,7 @@ def omega_dd_plus(n: int, sieve: PrimeSieve | None = None) -> int:
 _SEQUENCES = {
     "dd": (0, lambda n, k, s: math.prod(s)),
     "dn": (None, lambda n, k, s: dn(n).value),
-    "db": (1, lambda n, k, s: _db(n, _product(s)).value),
+    "db": (1, lambda n, k, s: _product(s).lcm(radical(n + 1)).value),
     "ds": (1, lambda n, k, s: (n + 1) * math.prod(s)),
     "dd_plus": (0, lambda n, k, s: math.prod(split(n, s).plus)),
     "dd_minus": (0, lambda n, k, s: math.prod(split(n, s).minus)),
@@ -414,9 +412,10 @@ def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
     """Assemble the full denominator profile for one index, validated.
 
     The large products are multiplied out once: dd from its two sqrt parts,
-    its coprime part by dividing out the shared one, db and ds from dd(n + 1).
-    """
-    parts = split(n, qualifying_primes(n, sieve))
+    its coprime part by dividing out the shared one, db and ds from dd(n + 1),
+    with each radical trial-divided once."""
+    rad_n, rad_n1 = radical(n), radical(n + 1)
+    parts = _split(n, qualifying_primes(n, sieve), rad_n)
     dd_minus, dd_plus = _product(parts.minus), _product(parts.plus)
     dd, dd_shared = dd_minus * dd_plus, _product(parts.shared)
     dd_next = _product(qualifying_primes(n + 1, sieve))
@@ -429,10 +428,10 @@ def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
         dd_coprime=dd // dd_shared,
         dd_complement=_product(parts.complement),
         dn=dn(n),
-        db=_db(n, dd_next),
+        db=dd_next.lcm(rad_n1),
         ds=(n + 1) * dd_next.value,
-        rad_n=radical(n),
-        rad_n1=radical(n + 1),
+        rad_n=rad_n,
+        rad_n1=rad_n1,
         omega_plus=len(parts.plus),
     )
     prof.validate()

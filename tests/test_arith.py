@@ -155,6 +155,17 @@ class TestSieve:
             sieve(1000, max_limit=100)
         assert sieve(1000, max_limit=1000).limit == 1000
 
+    def test_array_is_read_only(self):
+        sv = sieve(100)
+        assert sv.array.dtype == np.int64 and sv.array.tolist() == list(sv.primes)
+        with pytest.raises(ValueError):
+            sv.array[0] = 4
+
+    def test_sieves_compare_by_identity(self):
+        sv = sieve(100)
+        assert sv == sv and sv != sieve(100)
+        assert len({sv, sv, sieve(100)}) == 2
+
     def test_primes_in_coverage_guard(self):
         sv = sieve(100)
         with pytest.raises(SieveSizeError):

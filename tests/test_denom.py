@@ -235,6 +235,19 @@ class TestProfile:
         for n in range(1, 301):
             profile(n, sieve_20k)  # validate() runs inside
 
+    def test_trial_divides_each_radical_once(self, sieve_20k, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return radical(n)
+
+        monkeypatch.setattr(denom, "radical", counted)
+        for n in (1, 100, 1679, 27886):
+            calls.clear()
+            profile(n, sieve_20k)
+            assert sorted(calls) == [n, n + 1]
+
     def test_validate_rejects_tampering(self):
         import dataclasses
 

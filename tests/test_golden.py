@@ -5,8 +5,11 @@ the per-index loops in seq, sets, radset and verify, and those of profile
 at 7792666 and 131231772 from the release before qualifying_primes stopped
 sieving to n/2, and those of verify with oracle limit 300 and with an
 injected oracle fault from the release before the oracle moved from one
-Fraction per coefficient to integer numerators over a shared denominator;
-any change to the bytes a command prints fails here.
+Fraction per coefficient to integer numerators over a shared denominator,
+and those of sets and scan to 3000000, three chunks of 2^20, from the
+release before find_sets moved onto the scan's chunk grid and the run count
+onto an int32 difference array; any change to the bytes a command prints
+fails here.
 """
 
 import contextlib
@@ -32,12 +35,14 @@ def _cases() -> list[tuple[str, ...]]:
     for n in (1, 100, 1679, 27886, 467230, 7792666, 131231772):
         commands.append(("profile", str(n)))
     for k in (1, 2, 3):
-        commands.append(("sets", "--k", str(k), "--limit", "2000"))
+        for limit in ("2000", "3000000"):
+            commands.append(("sets", "--k", str(k), "--limit", limit))
     commands.append(("radset", "--limit", "5000"))
     commands.append(("verify", "--limit", "2000", "--oracle-limit", "60"))
     commands.append(("verify", "--limit", "2000", "--oracle-limit", "300"))
     commands.append(("verify", "--inject-fault", "oracle-equivalence:7"))
     commands.append(("scan", "--limit", "100000", "--chunk", "4096"))
+    commands.append(("scan", "--limit", "3000000"))
     return [(fmt, *cmd) for cmd in commands for fmt in ("csv", "json")]
 
 
@@ -127,11 +132,17 @@ GOLDEN = {
     'csv profile 131231772': ('fc3735a98395e4fcee16f299fd200b9d6f3763e59d41dad5d20a8c3cae93cb25', None),
     'json profile 131231772': ('cb6af83e217edf309a093b4d37096c63698cfc0a741464c2d1b1e961643f4b6f', None),
     'csv sets --k 1 --limit 2000': ('2500315a7186255709591d1bfc1188b1b8c4176f9a80d6d788129bb01ef7d9d1', None),
+    'csv sets --k 1 --limit 3000000': ('2500315a7186255709591d1bfc1188b1b8c4176f9a80d6d788129bb01ef7d9d1', None),
     'json sets --k 1 --limit 2000': ('503e9cd517f11dce3612691b8189954e01f25980c06d42b3f778f9629d926f43', None),
+    'json sets --k 1 --limit 3000000': ('c01903c42209b8e4d346a79975199326fdd3620ced1fb6d97aae8ed9994de452', None),
     'csv sets --k 2 --limit 2000': ('054e0962197af3fec7659ac49c9204cd2c1b3075b4471de0acc9e70b76334176', None),
+    'csv sets --k 2 --limit 3000000': ('054e0962197af3fec7659ac49c9204cd2c1b3075b4471de0acc9e70b76334176', None),
     'json sets --k 2 --limit 2000': ('ccd3d0cca7b5bf697f24e4bc719161ceff6a09bafadc6e1501deaa2556d048a5', None),
+    'json sets --k 2 --limit 3000000': ('f082d5e6e4df5aecc4d88baad8f1a2471158c8e4f2170dee1a0f93104248c56c', None),
     'csv sets --k 3 --limit 2000': ('2a52adc2abd6b4dc3677213080ed13205c88ddf1425ce2f37b623ebca23cd9b8', None),
+    'csv sets --k 3 --limit 3000000': ('2a52adc2abd6b4dc3677213080ed13205c88ddf1425ce2f37b623ebca23cd9b8', None),
     'json sets --k 3 --limit 2000': ('0d3adb0e5a0c62bfe10c8d64efb558bdddd0307604a064b9a343a6c721281a13', None),
+    'json sets --k 3 --limit 3000000': ('5224113a7d98297a621851591e9a23b401c01377b1da147dacc4c2a50983e3e3', None),
     'csv radset --limit 5000': ('8697e732b1313a34d5eeb3a77dfb647fa5a9d31da84ed98f2f1976b98897c32c', None),
     'json radset --limit 5000': ('9598e651b8e7eb168a5a28509ff117c6d4979d07eb33179b43af353d2fca7600', None),
     'csv verify --limit 2000 --oracle-limit 60': ('be2c759f44e2e34e5ff9ad51ca828e84cf70123a8e619b4eafaa563299eb8a82', None),
@@ -141,7 +152,9 @@ GOLDEN = {
     'csv verify --inject-fault oracle-equivalence:7': ('b4c5b7df2c780d6c93ae26d13ca0ef0c6dc899055fba615c5ef98fd547184271', None),
     'json verify --inject-fault oracle-equivalence:7': ('724dde9346292231a0016fe32975e86e8783a698683fefc4057f8b84266838ae', None),
     'csv scan --limit 100000 --chunk 4096': ('46daf0116c80c794fceac1e290e4c352bfec08eb552cfc3f3528abc60369efa1', '64f9da5816a0877d6ca26c758c08f27eff04e0da6487e389c2343b9b9740bc1c'),
+    'csv scan --limit 3000000': ('46daf0116c80c794fceac1e290e4c352bfec08eb552cfc3f3528abc60369efa1', 'ccfe1ce6263628520deac609a900826d389b6c9bf9030a190507fbad73e50b83'),
     'json scan --limit 100000 --chunk 4096': ('56343468fd5903310ae611d5774fd47990bb218f3ae8b4968c1f2849ffee0bba', '64f9da5816a0877d6ca26c758c08f27eff04e0da6487e389c2343b9b9740bc1c'),
+    'json scan --limit 3000000': ('71371ececae4aab29331586f383f13a9ee7e580db29dc57bdaf182dae1b92eb4', 'ccfe1ce6263628520deac609a900826d389b6c9bf9030a190507fbad73e50b83'),
 }
 
 

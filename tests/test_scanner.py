@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,8 +92,8 @@ BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "
 
 
 def scan_with_batch(lo, hi, sv, batch):
-    """scan_omega_plus with the run budget per bincount batch set to batch
-    (None keeps the default); 1 and 7 cut batches inside a1 slices."""
+    """scan_omega_plus with the run budget per batch set to batch (None
+    keeps the default); 1 and 7 cut batches inside a1 slices."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(denom, "_RUN_BATCH", batch)
@@ -103,7 +104,7 @@ class TestAgainstBruteForce:
     @BATCHES
     def test_every_window_to_400(self, sieve_20k, batch):
         expected = brute_force_counts(range(1, 401), np.asarray(sieve_20k.primes))
-        # each batch costs a pass over the window, so tiny budgets get fewer windows
+        # each batch costs a few numpy calls, so tiny budgets get fewer windows
         top = {None: 400, 7: 100, 1: 40}[batch]
         windows = [(lo, hi) for hi in range(1, top + 1) for lo in range(1, hi + 1)]
         if top < 400:
@@ -173,6 +174,43 @@ class TestFindSets:
 
     def test_small_indices_always_members(self, sieve_20k):
         assert find_sets(5, 3, sieve_20k).members == (1, 2, 3)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, scanner.DEFAULT_CHUNK_SIZE])
+    def test_any_chunk_grid_matches_db_k(self, integral_to_3000, sieve_20k, monkeypatch, chunk):
+        monkeypatch.setattr(scanner, "DEFAULT_CHUNK_SIZE", chunk)
+        for k, expected in integral_to_3000.items():
+            assert find_sets(k, 3000, sieve_20k).members == expected, k
+
+
+@pytest.fixture(scope="module")
+def integral_to_3000(sieve_20k):
+    """For k <= 5, the n <= 3000 whose k-th derivative db_k(n, k) is integral."""
+    return {
+        k: tuple(n for n in range(1, 3001) if denom.db_k(n, k, sieve_20k).is_one)
+        for k in range(1, 6)
+    }
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs; numpy reports its buffers to
+    tracemalloc, so arrays count as well as Python objects."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_one_chunk_costs_three_int32_arrays(self, sieve_1m):
+        chunk = scanner.DEFAULT_CHUNK_SIZE
+        assert traced_peak(scan_omega_plus, 1, chunk, sieve_1m) < 3 * 4 * chunk
+
+    def test_find_sets_peak_is_flat_in_the_limit(self, sieve_5m):
+        small = traced_peak(find_sets, 1, 1 << 21, sieve_5m)
+        large = traced_peak(find_sets, 1, 1 << 23, sieve_5m)
+        assert large <= small + (1 << 20), (small, large)
 
 
 class TestFindRadSet:
