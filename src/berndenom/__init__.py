@@ -37,14 +37,11 @@ from .oracle import (
 )
 from .scanner import (
     CheckpointError,
-    KappaStats,
     ScanChunk,
     ScanResult,
     SetReport,
     find_rad_set,
     find_sets,
-    kappa_ratio,
-    merge_chunks,
     run_scan,
     scan_omega_plus,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "CheckpointError",
     "DenomProfile",
     "FamilyResult",
-    "KappaStats",
     "PrimeSieve",
     "RationalPolynomial",
     "ScanChunk",
@@ -80,8 +76,6 @@ __all__ = [
     "find_rad_set",
     "find_sets",
     "is_prime",
-    "kappa_ratio",
-    "merge_chunks",
     "omega_dd_plus",
     "profile",
     "radical",

@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_CAP = 1 << 26
-"""Largest sieve limit accepted unless the caller raises the budget."""
+"""Largest sieve limit accepted, so a mistyped bound fails fast instead of
+allocating gigabytes."""
 
 
 class SieveSizeError(ValueError):
@@ -186,9 +187,9 @@ def _check_increasing(primes: tuple[int, ...]) -> None:
 class SquarefreeProduct:
     """A squarefree positive integer held as its sorted prime support plus value.
 
-    The empty product is 1. Construct through from_primes() (checks primality)
-    or from_known_primes() (trusts sieve output); the raw constructor verifies
-    only that the support is strictly increasing and multiplies to the value.
+    The empty product is 1. Construct through from_known_primes(), which
+    trusts sieve output; the raw constructor verifies only that the support
+    is strictly increasing and multiplies to the value.
     The methods multiply each value out once, as product() of its primes or
     of two values.
     """
@@ -212,15 +213,6 @@ class SquarefreeProduct:
     @classmethod
     def one(cls) -> "SquarefreeProduct":
         return cls((), 1)
-
-    @classmethod
-    def from_primes(cls, primes: Iterable[int]) -> "SquarefreeProduct":
-        """Build from arbitrary distinct primes; entries are primality-checked."""
-        ps = tuple(sorted(primes))
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        return cls.from_known_primes(ps)
 
     @classmethod
     def from_known_primes(cls, primes: Iterable[int]) -> "SquarefreeProduct":
@@ -338,26 +330,16 @@ class PrimeSieve:
             flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
         return flags
 
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and self._slice(n, n).size == 1
-
     def __len__(self) -> int:
         return self.array.size
 
 
-def sieve(limit: int, max_limit: int = DEFAULT_SIEVE_CAP) -> PrimeSieve:
-    """Sieve of Eratosthenes up to limit (inclusive).
-
-    Refuses limits above max_limit so a mistyped bound fails fast instead of
-    allocating gigabytes; pass a larger max_limit to override deliberately.
-    """
+def sieve(limit: int) -> PrimeSieve:
+    """Sieve of Eratosthenes up to limit (inclusive), at most DEFAULT_SIEVE_CAP."""
     if limit < 1:
         raise ValueError(f"sieve limit must be positive, got {limit}")
-    if limit > max_limit:
-        raise SieveSizeError(
-            f"sieve limit {limit} exceeds the budget {max_limit}; "
-            "pass max_limit explicitly to allow it"
-        )
+    if limit > DEFAULT_SIEVE_CAP:
+        raise SieveSizeError(f"sieve limit {limit} exceeds the cap of {DEFAULT_SIEVE_CAP}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

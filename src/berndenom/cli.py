@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import denom, scanner, verify
@@ -110,20 +109,10 @@ def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("BERNDENOM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SieveSizeError(f"BERNDENOM_THREADS must be an integer, got {raw!r}") from None
-    return max(value, 1)
-
-
 def _cmd_scan(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     result = scanner.run_scan(
         args.limit,
-        threads=threads,
+        threads=args.threads,
         chunk_size=args.chunk,
         checkpoint_path=args.checkpoint,
     )
@@ -240,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="find every n <= limit with no heavy prime above sqrt(n)")
     p_scan.add_argument("--limit", type=_positive_int, required=True)
-    p_scan.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker processes (default: BERNDENOM_THREADS or 1)")
+    p_scan.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker processes (default: 1)")
     p_scan.add_argument("--chunk", type=_positive_int, default=scanner.DEFAULT_CHUNK_SIZE)
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 

@@ -213,35 +213,28 @@ def supports(lo: int, hi: int, sieve: PrimeSieve | None = None) -> Iterator[tupl
 
 
 class Parts(NamedTuple):
-    """The support of dd(n) cut by sqrt(n) and by p | n, with the primes of n
-    it misses; each part is an ascending tuple of primes."""
+    """The support of dd(n) cut by sqrt(n) and by p | n; each part is an
+    ascending tuple of primes."""
 
     minus: tuple[int, ...]
     plus: tuple[int, ...]
     shared: tuple[int, ...]
     coprime: tuple[int, ...]
-    complement: tuple[int, ...]
 
 
 def split(n: int, support: Sequence[int]) -> Parts:
-    """Cut the support of dd(n) into minus/plus (p below/above sqrt(n)),
-    shared/coprime (p dividing n or not) and complement (primes of n outside it).
+    """Cut the support of dd(n) into minus/plus (p below/above sqrt(n)) and
+    shared/coprime (p dividing n or not).
 
     A prime equal to sqrt(n) never qualifies (its digit sum is 1), so minus
-    and plus multiply back to dd(n), as do shared and coprime; shared times
-    complement is the squarefree kernel of n.
+    and plus multiply back to dd(n), as do shared and coprime. The primes of
+    n outside the support, the complement, are radical(n) // shared.
     """
-    return _split(n, support, radical(n))
-
-
-def _split(n: int, support: Sequence[int], rad: SquarefreeProduct) -> Parts:
-    shared = tuple(p for p in support if n % p == 0)
     return Parts(
         minus=tuple(p for p in support if p * p < n),
         plus=tuple(p for p in support if p * p > n),
-        shared=shared,
+        shared=tuple(p for p in support if n % p == 0),
         coprime=tuple(p for p in support if n % p),
-        complement=tuple(p for p in rad.primes if p not in shared),
     )
 
 
@@ -268,7 +261,8 @@ def dd_split_divisibility(
     shared * complement is the squarefree kernel of n.
     """
     parts = split(n, qualifying_primes(n, sieve))
-    return _product(parts.shared), _product(parts.coprime), _product(parts.complement)
+    shared = _product(parts.shared)
+    return shared, _product(parts.coprime), radical(n) // shared
 
 
 def _divisors(n: int) -> list[int]:
@@ -350,7 +344,7 @@ _SEQUENCES = {
     "dd_minus": (0, lambda n, k, s: math.prod(split(n, s).minus)),
     "dd_coprime": (0, lambda n, k, s: math.prod(split(n, s).coprime)),
     "dd_shared": (0, lambda n, k, s: math.prod(split(n, s).shared)),
-    "dd_complement": (0, lambda n, k, s: math.prod(split(n, s).complement)),
+    "dd_complement": (0, lambda n, k, s: radical(n).value // math.prod(split(n, s).shared)),
     "omega_plus": (0, lambda n, k, s: len(split(n, s).plus)),
     "db_k": (1, lambda n, k, s: _db_k(n, k, s).value),
 }
@@ -415,7 +409,7 @@ def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
     its coprime part by dividing out the shared one, db and ds from dd(n + 1),
     with each radical trial-divided once."""
     rad_n, rad_n1 = radical(n), radical(n + 1)
-    parts = _split(n, qualifying_primes(n, sieve), rad_n)
+    parts = split(n, qualifying_primes(n, sieve))
     dd_minus, dd_plus = _product(parts.minus), _product(parts.plus)
     dd, dd_shared = dd_minus * dd_plus, _product(parts.shared)
     dd_next = _product(qualifying_primes(n + 1, sieve))
@@ -426,7 +420,7 @@ def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
         dd_plus=dd_plus,
         dd_shared=dd_shared,
         dd_coprime=dd // dd_shared,
-        dd_complement=_product(parts.complement),
+        dd_complement=rad_n // dd_shared,
         dn=dn(n),
         db=dd_next.lcm(rad_n1),
         ds=(n + 1) * dd_next.value,

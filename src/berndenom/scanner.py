@@ -13,8 +13,9 @@ prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
 when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
 stays in the denominator of the k-th derivative at n = m + k - 1.
 
-Chunks are embarrassingly parallel, merge deterministically, and persist to
-a line-delimited JSON checkpoint so interrupted scans resume byte-identically.
+Chunks are independent, so a scan may run them on worker processes, and
+they persist to a line-delimited JSON checkpoint so interrupted scans resume
+byte-identically.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "CheckpointError",
     "ChunkRecord",
     "DEFAULT_CHUNK_SIZE",
-    "KappaStats",
     "ScanChunk",
     "ScanConfig",
     "ScanResult",
@@ -48,8 +48,6 @@ __all__ = [
     "chunk_checksum",
     "find_rad_set",
     "find_sets",
-    "kappa_ratio",
-    "merge_chunks",
     "run_scan",
     "scan_omega_plus",
 ]
@@ -120,27 +118,6 @@ def scan_omega_plus(lo: int, hi: int, sieve: PrimeSieve | None = None) -> ScanCh
     )
 
 
-def merge_chunks(chunks: Iterable[ScanChunk]) -> ScanChunk:
-    """Fold adjacent chunks into one; the tiling must be contiguous."""
-    ordered = sorted(chunks, key=lambda c: c.lo)
-    if not ordered:
-        raise ValueError("nothing to merge")
-    for left, right in zip(ordered, ordered[1:]):
-        if right.lo != left.hi + 1:
-            raise ValueError(
-                f"chunks [{left.lo}, {left.hi}] and [{right.lo}, {right.hi}] do not tile"
-            )
-    lo, hi = ordered[0].lo, ordered[-1].hi
-    exceptional = tuple(n for c in ordered for n in c.exceptional)
-    return ScanChunk(
-        lo=lo,
-        hi=hi,
-        omega_counts=np.concatenate([c.omega_counts for c in ordered]),
-        exceptional=exceptional,
-        checksum=chunk_checksum(lo, hi, exceptional),
-    )
-
-
 @dataclass(frozen=True)
 class SetReport:
     """Members of one computed index set; k is the derivative order (0 marks
@@ -188,33 +165,6 @@ def find_rad_set(limit: int, sieve: PrimeSieve | None = None) -> SetReport:
         and math.prod(support) == radical(n + 1).value
     )
     return SetReport(k=0, limit=limit, members=members)
-
-
-@dataclass(frozen=True)
-class KappaStats:
-    """Summary of omega(dd_plus(n)) * ln(n) / sqrt(n) over a window."""
-
-    lo: int
-    hi: int
-    mean: float
-    minimum: float
-    maximum: float
-
-
-def kappa_ratio(lo: int, hi: int, sieve: PrimeSieve | None = None) -> KappaStats:
-    """Mean, min, and max of the normalized prime count over [lo, hi]."""
-    if lo < 2:
-        raise ValueError(f"window must start at 2 or later, got {lo}")
-    chunk = scan_omega_plus(lo, hi, sieve)
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    ratios = chunk.omega_counts.astype(np.float64) * np.log(n) / np.sqrt(n)
-    return KappaStats(
-        lo=lo,
-        hi=hi,
-        mean=float(ratios.mean()),
-        minimum=float(ratios.min()),
-        maximum=float(ratios.max()),
-    )
 
 
 @dataclass(frozen=True)
@@ -367,10 +317,28 @@ def _worker_init(prime_limit: int) -> None:
     _WORKER_SIEVE = build_sieve(prime_limit)
 
 
-def _scan_range(task: tuple[int, int]) -> ChunkRecord:
+def _scan_range(task: tuple[int, int], sieve: PrimeSieve | None = None) -> ChunkRecord:
     lo, hi = task
-    chunk = scan_omega_plus(lo, hi, _WORKER_SIEVE)
+    chunk = scan_omega_plus(lo, hi, _WORKER_SIEVE if sieve is None else sieve)
     return ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
+
+
+def _scan_chunks(pending, threads: int, need: int, sieve: PrimeSieve | None):
+    """Yield the record of each pending range, in order, from worker
+    processes or from this one; a sieve to need is built only for work."""
+    if threads > 1 and len(pending) > 1:
+        # imported here: it costs every CLI start about 19 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(threads, len(pending)),
+            initializer=_worker_init,
+            initargs=(need,),
+        ) as pool:
+            yield from pool.map(_scan_range, pending)
+    elif pending:
+        sv = shared_sieve(need) if sieve is None else sieve
+        yield from (_scan_range(task, sv) for task in pending)
 
 
 def run_scan(
@@ -400,28 +368,10 @@ def run_scan(
         state = ScanState(config=config)
 
     pending = [r for r in config.chunk_ranges() if r[0] not in state.records]
-    if pending:
-        need = max((limit + 1) // 2, 2)
-        if threads > 1 and len(pending) > 1:
-            # imported here: it costs every CLI start about 19 ms otherwise
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=min(threads, len(pending)),
-                initializer=_worker_init,
-                initargs=(need,),
-            ) as pool:
-                for rec in pool.map(_scan_range, pending):
-                    state.records[rec.lo] = rec
-                    if checkpoint_path is not None:
-                        checkpoint_save(checkpoint_path, state)
-        else:
-            sv = shared_sieve(need) if sieve is None else sieve
-            for lo, hi in pending:
-                chunk = scan_omega_plus(lo, hi, sv)
-                state.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
-                if checkpoint_path is not None:
-                    checkpoint_save(checkpoint_path, state)
+    for rec in _scan_chunks(pending, threads, max((limit + 1) // 2, 2), sieve):
+        state.records[rec.lo] = rec
+        if checkpoint_path is not None:
+            checkpoint_save(checkpoint_path, state)
 
     state.complete = True
     if checkpoint_path is not None:

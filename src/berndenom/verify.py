@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import denom, oracle, scanner
-from .arith import PrimeSieve, digit_sum_table, is_prime, shared_sieve
+from .arith import PrimeSieve, digit_sum_table, is_prime, radical, shared_sieve
 
 __all__ = ["FAMILIES", "FamilyResult", "run_verification"]
 
@@ -33,10 +33,12 @@ class FamilyResult:
 @dataclass
 class _Tables:
     """Supports, their parts and kernels for every n up to limit + 1; the
-    kernels and dn come from sieves, independently of denom.split and denom.dn."""
+    kernels and dn come from sieves, independently of arith.radical, which
+    gives the complements, and of denom.dn."""
 
     support: list[tuple[int, ...]]
     parts: list[denom.Parts]
+    complement: list[tuple[int, ...]]
     rad_primes: list[tuple[int, ...]]
     rad: list[int]
     dd: list[int]
@@ -52,8 +54,11 @@ def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
             rad_lists[m].append(p)
     rad_primes = [tuple(ps) for ps in rad_lists]
     support = [(), *denom.supports(1, top, sieve)]
-    parts = [denom.Parts((), (), (), (), ())]
+    parts = [denom.Parts((), (), (), ())]
     parts += [denom.split(n, support[n]) for n in range(1, top + 1)]
+    complement = [()] + [
+        tuple(p for p in radical(n).primes if p not in parts[n].shared) for n in range(1, top + 1)
+    ]
     rad = [math.prod(ps) for ps in rad_primes]
     # von Staudt-Clausen: p divides dn(m) for even m exactly when p - 1 divides m
     dn = [1] * (top + 1)
@@ -65,6 +70,7 @@ def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
     return _Tables(
         support=support,
         parts=parts,
+        complement=complement,
         rad_primes=rad_primes,
         rad=rad,
         dd=[math.prod(s) for s in support],
@@ -114,13 +120,13 @@ def _scan_indices(
 def _check_decomposition(c: _Context, n: int) -> bool:
     t = c.tables
     qual = set(t.support[n])
-    minus, plus, shared, coprime, complement = t.parts[n]
+    minus, plus, shared, coprime = t.parts[n]
     return (
         qual == set(minus) | set(plus)
         and not (set(minus) & set(plus))
         and qual == set(shared) | set(coprime)
         and not (set(shared) & set(coprime))
-        and t.rad[n] == math.prod(shared) * math.prod(complement)
+        and t.rad[n] == math.prod(shared) * math.prod(t.complement[n])
     )
 
 
@@ -128,10 +134,10 @@ def _check_triple_product(c: _Context, n: int) -> bool:
     t = c.tables
     m = n + 1
     parts = t.parts[m]
-    coprime = math.prod(parts.coprime)
-    triple = coprime * math.prod(parts.shared) * math.prod(parts.complement)
+    coprime, complement = math.prod(parts.coprime), math.prod(t.complement[m])
+    triple = coprime * math.prod(parts.shared) * complement
     via_kernel = coprime * t.rad[m]
-    via_complement = t.dd[m] * math.prod(parts.complement)
+    via_complement = t.dd[m] * complement
     via_lcm = t.dd[m] * t.rad[m] // math.gcd(t.dd[m], t.rad[m])
     via_dn = t.dd[n] * t.dn[n] // math.gcd(t.dd[n], t.dn[n])
     return t.db[n] == triple == via_kernel == via_complement == via_lcm == via_dn

@@ -148,12 +148,13 @@ class TestSieve:
     def test_strictly_increasing(self, sieve_20k):
         assert all(a < b for a, b in zip(sieve_20k.primes, sieve_20k.primes[1:]))
 
-    def test_budget_guard(self):
-        with pytest.raises(SieveSizeError):
+    def test_budget_guard(self, monkeypatch):
+        with pytest.raises(SieveSizeError, match="exceeds the cap of 67108864"):
             sieve(10**12)
+        monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", 1000)
         with pytest.raises(SieveSizeError):
-            sieve(1000, max_limit=100)
-        assert sieve(1000, max_limit=1000).limit == 1000
+            sieve(1001)
+        assert sieve(1000).limit == 1000
 
     def test_array_is_read_only(self):
         sv = sieve(100)
@@ -187,8 +188,8 @@ class TestSieve:
 
     def test_membership(self):
         sv = sieve(100)
-        assert 97 in sv
-        assert 91 not in sv
+        assert sv.primes_in(97, 97) == (97,)
+        assert sv.primes_in(91, 91) == ()
         assert len(sv) == 25
 
 
@@ -197,13 +198,13 @@ class TestSquarefreeProduct:
         one = SquarefreeProduct.one()
         assert one.value == 1 and one.omega == 0 and one.is_one
 
-    def test_from_primes_sorts_and_checks(self):
-        sq = SquarefreeProduct.from_primes([5, 2, 3])
+    def test_from_known_primes_checks_order(self):
+        sq = SquarefreeProduct.from_known_primes([2, 3, 5])
         assert sq.primes == (2, 3, 5) and sq.value == 30
         with pytest.raises(ValueError):
-            SquarefreeProduct.from_primes([2, 2, 3])
+            SquarefreeProduct.from_known_primes([2, 2, 3])
         with pytest.raises(ValueError):
-            SquarefreeProduct.from_primes([4])
+            SquarefreeProduct.from_known_primes([5, 2, 3])
 
     def test_raw_constructor_checks_structure(self):
         with pytest.raises(ValueError):
@@ -221,15 +222,15 @@ class TestSquarefreeProduct:
                 assert radical(sq.value) == sq
 
     def test_product_requires_coprime_supports(self):
-        a = SquarefreeProduct.from_primes([2, 3])
-        b = SquarefreeProduct.from_primes([5])
+        a = SquarefreeProduct.from_known_primes([2, 3])
+        b = SquarefreeProduct.from_known_primes([5])
         assert (a * b).value == 30
         with pytest.raises(ValueError):
-            a * SquarefreeProduct.from_primes([3, 7])
+            a * SquarefreeProduct.from_known_primes([3, 7])
 
     def test_gcd_lcm_divides(self):
-        a = SquarefreeProduct.from_primes([2, 3, 7])
-        b = SquarefreeProduct.from_primes([3, 5, 7])
+        a = SquarefreeProduct.from_known_primes([2, 3, 7])
+        b = SquarefreeProduct.from_known_primes([3, 5, 7])
         assert a.lcm(b).value == 210
         assert int(a) == 42 and str(a) == "42"
 
@@ -282,12 +283,12 @@ class TestProduct:
         big = SquarefreeProduct.from_known_primes(sieve_20k.primes)
         assert big.value == math.prod(sieve_20k.primes)
         last = sieve_20k.primes[-1]
-        small = SquarefreeProduct.from_primes([3, 7, last])
+        small = SquarefreeProduct.from_known_primes([3, 7, last])
         assert (big // small).primes == tuple(p for p in sieve_20k.primes if p not in (3, 7, last))
         assert (big // small) * small == big
-        assert big.lcm(SquarefreeProduct.from_primes([3, 20021])).value == big.value * 20021
+        assert big.lcm(SquarefreeProduct.from_known_primes([3, 20021])).value == big.value * 20021
         with pytest.raises(ValueError):
-            small // SquarefreeProduct.from_primes([5])
+            small // SquarefreeProduct.from_known_primes([5])
         with pytest.raises(ValueError):
             SquarefreeProduct.from_known_primes([3, 2])
 

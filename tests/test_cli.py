@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import berndenom
-from berndenom import denom
+from berndenom import arith, denom
 from berndenom.cli import main
 
 
@@ -103,6 +103,18 @@ class TestSeq:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "dd", "0", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("dd_plus", "1", "1000"), ("db_k", "1", "1000", "--k", "2")])
+    def test_no_trial_division_where_no_complement_is_read(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return arith.radical(n)
+
+        monkeypatch.setattr(denom, "radical", counted)
+        code, _, _ = run_cli(capsys, "seq", *argv)
+        assert code == 0 and calls == []
 
     def test_json_and_csv_carry_same_values(self, capsys):
         _, csv_out, _ = run_cli(capsys, "seq", "db", "0", "12")
@@ -201,13 +213,17 @@ class TestScan:
         assert code == 2
         assert "different scan configuration" in err
 
-    def test_env_thread_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BERNDENOM_THREADS", "2")
-        code, out, _ = run_cli(capsys, "scan", "--limit", "400")
+    def test_two_threads_match_one(self, capsys):
+        # four chunks, so two worker processes share them
+        code, out, err = run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "2")
         assert code == 0
-        monkeypatch.setenv("BERNDENOM_THREADS", "1")
-        _, again, _ = run_cli(capsys, "scan", "--limit", "400")
-        assert out == again
+        assert run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "1") == (0, out, err)
+
+    def test_refusal_states_the_sieve_cap(self, capsys):
+        # primes up to limit/2 = 10**8 would need a sieve past the 2**26 cap
+        code, out, err = run_cli(capsys, "scan", "--limit", "200000000")
+        assert code == 2 and out == ""
+        assert "67108864" in err and "max_limit" not in err
 
 
 class TestSets:

@@ -18,8 +18,6 @@ from berndenom.scanner import (
     chunk_checksum,
     find_rad_set,
     find_sets,
-    kappa_ratio,
-    merge_chunks,
     run_scan,
     scan_omega_plus,
 )
@@ -128,7 +126,7 @@ class TestAgainstBruteForce:
         assert got == brute_force_counts(sample, np.asarray(sieve_1m.primes))
 
 
-class TestMergeChunks:
+class TestChunkIndependence:
     def test_any_partition_matches_direct_scan(self, sieve_20k):
         direct = scan_omega_plus(1, 5000, sieve_20k)
         cuts = [1, 7, 1000, 1001, 4999, 5000]
@@ -137,17 +135,10 @@ class TestMergeChunks:
             for lo, hi in zip(cuts, cuts[1:] + [5001])
             if lo <= hi - 1
         ]
-        merged = merge_chunks(parts)
-        assert merged.lo == direct.lo and merged.hi == direct.hi
-        assert np.array_equal(merged.omega_counts, direct.omega_counts)
-        assert merged.exceptional == direct.exceptional
-        assert merged.checksum == direct.checksum
-
-    def test_rejects_gaps(self, sieve_20k):
-        a = scan_omega_plus(1, 10, sieve_20k)
-        b = scan_omega_plus(12, 20, sieve_20k)
-        with pytest.raises(ValueError):
-            merge_chunks([a, b])
+        exceptional = tuple(n for c in parts for n in c.exceptional)
+        assert np.array_equal(np.concatenate([c.omega_counts for c in parts]), direct.omega_counts)
+        assert exceptional == direct.exceptional
+        assert chunk_checksum(1, 5000, exceptional) == direct.checksum
 
 
 class TestFindSets:
@@ -227,18 +218,20 @@ class TestFindRadSet:
             assert not is_prime(n + 1)
 
 
+def kappa(lo, hi, sieve):
+    """omega_+(n) * ln(n) / sqrt(n) for every n in [lo, hi]."""
+    n = np.arange(lo, hi + 1, dtype=np.float64)
+    return scan_omega_plus(lo, hi, sieve).omega_counts * np.log(n) / np.sqrt(n)
+
+
 class TestKappaRatio:
     def test_deterministic(self, sieve_20k):
-        assert kappa_ratio(2, 3000, sieve_20k) == kappa_ratio(2, 3000, sieve_20k)
+        assert np.array_equal(kappa(2, 3000, sieve_20k), kappa(2, 3000, None))
 
     def test_raw_ratio_below_one(self, sieve_20k):
         chunk = scan_omega_plus(2, 3000, sieve_20k)
         n = np.arange(2, 3001, dtype=np.float64)
         assert np.all(chunk.omega_counts.astype(np.float64) / np.sqrt(n) < 1.0)
-
-    def test_rejects_degenerate_window(self):
-        with pytest.raises(ValueError):
-            kappa_ratio(1, 10)
 
 
 class TestCheckpointing:
