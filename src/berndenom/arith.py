@@ -39,7 +39,7 @@ allocating gigabytes."""
 
 
 class SieveSizeError(ValueError):
-    """A sieve or scan request exceeds its memory budget or prime coverage."""
+    """A sieve past DEFAULT_SIEVE_CAP, or primes past a PrimeSieve's limit."""
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -352,7 +352,8 @@ _SHARED: PrimeSieve | None = None
 
 
 def shared_sieve(min_limit: int) -> PrimeSieve:
-    """Process-wide sieve cache, regrown (never mutated) on larger demands."""
+    """The one source of primes: a process-wide sieve to min_limit rounded up to a
+    power of two (at least 2**16); it never shrinks, and refuses limits past DEFAULT_SIEVE_CAP."""
     global _SHARED
     if _SHARED is None or _SHARED.limit < min_limit:
         target = max(1 << 16, 1 << max(min_limit - 1, 1).bit_length())

@@ -11,7 +11,7 @@ one of two routes:
   sum, then solves the run condition for p at each a <= isqrt(n). That
   leaves one candidate per quotient, looked up in a sieved window or
   checked by Miller-Rabin, so a single index costs O(sqrt n) candidates
-  and a sieve to isqrt(n) only.
+  and primes to isqrt(n) only.
 * A range: supports(lo, hi) yields the support of every n in [lo, hi], a
   block of indices at a time. Primes up to isqrt(hi) are tested with
   vectorised digit sums; heavy_runs() enumerates the runs of the larger
@@ -27,7 +27,8 @@ every family below is read off those parts:
 * ``ds(n)``   denominator of the power-sum polynomial (cf. OEIS A064538)
 * ``db_k(n, k)``  denominator of the k-th derivative of B_n(x)
 
-All values except ds are squarefree and carried as SquarefreeProduct.
+All values except ds are squarefree and carried as SquarefreeProduct. Every
+prime comes from arith.shared_sieve, asked for the bound each route needs.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import (
-    PrimeSieve,
-    SieveSizeError,
     SquarefreeProduct,
     digit_sum,
     digit_sum_table,
@@ -92,18 +91,8 @@ _PRIMORIAL = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 composite unless it divides it."""
 
 
-def _covering_sieve(bound: int, sieve: PrimeSieve | None, what: str) -> PrimeSieve:
-    if sieve is None:
-        return shared_sieve(max(bound, 2))
-    if sieve.limit < bound:
-        raise SieveSizeError(
-            f"sieve holds primes up to {sieve.limit}, but {what} needs primes up to {bound}"
-        )
-    return sieve
-
-
-def qualifying_primes(n: int, sieve: PrimeSieve | None = None) -> tuple[int, ...]:
-    """Ascending primes p with digit_sum(n, p) >= p, from a sieve to isqrt(n).
+def qualifying_primes(n: int) -> tuple[int, ...]:
+    """Ascending primes p with digit_sum(n, p) >= p, from the primes to isqrt(n).
 
     Primes p <= isqrt(n) are tested by digit sum, in closed form for those
     with three digits (p^3 > n). A prime p > sqrt(n) with a = n // p
@@ -118,7 +107,7 @@ def qualifying_primes(n: int, sieve: PrimeSieve | None = None) -> tuple[int, ...
     if not 1 <= n < 1 << 63:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
     root = isqrt(n)
-    sv = _covering_sieve(root, sieve, f"n={n}")
+    sv = shared_sieve(root)
     small = sv.primes_in(2, root)
     k = bisect_right(small, n, key=lambda p: p * p * p)  # small[k:] have three digits
     out = [p for p in small[:k] if digit_sum(n, p) >= p]
@@ -181,16 +170,16 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
         del a1, index, begin, stop
 
 
-def _block_supports(lo: int, hi: int, sv: PrimeSieve) -> list[tuple[int, ...]]:
+def _block_supports(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, ...]]:
     """The support of every n in [lo, hi], from (prime, offset) pairs."""
-    root = sv.array.searchsorted(isqrt(hi), "right")
+    root = primes.searchsorted(isqrt(hi), "right")
     owners = [np.zeros(0, dtype=np.int64)]
     offsets = [np.zeros(0, dtype=np.int64)]
-    for p in sv.array[:root].tolist():
+    for p in primes[:root].tolist():
         heavy = np.flatnonzero(digit_sum_table(p, hi, lo) >= p)
         owners.append(np.full(heavy.size, p, dtype=np.int64))
         offsets.append(heavy)
-    large = sv.array[root:]
+    large = primes[root:]
     for index, begin, stop in heavy_runs(lo, hi, large):
         for owner, offset in _ragged_batches(large[index], begin, stop - begin):
             owners.append(owner)
@@ -203,13 +192,13 @@ def _block_supports(lo: int, hi: int, sv: PrimeSieve) -> list[tuple[int, ...]]:
     return [tuple(ordered[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def supports(lo: int, hi: int, sieve: PrimeSieve | None = None) -> Iterator[tuple[int, ...]]:
+def supports(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """Yield qualifying_primes(n) for n = lo, ..., hi, built a block at a time."""
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
-    sv = _covering_sieve((hi + 1) // 2, sieve, f"the range up to {hi}")
+    primes = shared_sieve((hi + 1) // 2).array
     for b0 in range(lo, hi + 1, _SUPPORT_BLOCK):
-        yield from _block_supports(b0, min(b0 + _SUPPORT_BLOCK - 1, hi), sv)
+        yield from _block_supports(b0, min(b0 + _SUPPORT_BLOCK - 1, hi), primes)
 
 
 class Parts(NamedTuple):
@@ -238,29 +227,25 @@ def split(n: int, support: Sequence[int]) -> Parts:
     )
 
 
-def dd(n: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
+def dd(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x) - B_n: the full digit-sum prime product."""
-    return _product(qualifying_primes(n, sieve))
+    return _product(qualifying_primes(n))
 
 
-def dd_split_sqrt(
-    n: int, sieve: PrimeSieve | None = None
-) -> tuple[SquarefreeProduct, SquarefreeProduct]:
+def dd_split_sqrt(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct]:
     """Split dd(n) into the sub-products below and above sqrt(n)."""
-    parts = split(n, qualifying_primes(n, sieve))
+    parts = split(n, qualifying_primes(n))
     return _product(parts.minus), _product(parts.plus)
 
 
-def dd_split_divisibility(
-    n: int, sieve: PrimeSieve | None = None
-) -> tuple[SquarefreeProduct, SquarefreeProduct, SquarefreeProduct]:
+def dd_split_divisibility(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct, SquarefreeProduct]:
     """Split by divisibility: (shared, coprime, complement).
 
     shared holds qualifying primes dividing n, coprime the qualifying primes
     not dividing n, and complement the primes of n that fail the digit test;
     shared * complement is the squarefree kernel of n.
     """
-    parts = split(n, qualifying_primes(n, sieve))
+    parts = split(n, qualifying_primes(n))
     shared = _product(parts.shared)
     return shared, _product(parts.coprime), radical(n) // shared
 
@@ -293,18 +278,18 @@ def dn(n: int) -> SquarefreeProduct:
     return _product(ps)
 
 
-def db(n: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
+def db(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x): lcm(dd(n + 1), radical(n + 1))."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _product(qualifying_primes(n + 1, sieve)).lcm(radical(n + 1))
+    return _product(qualifying_primes(n + 1)).lcm(radical(n + 1))
 
 
-def ds(n: int, sieve: PrimeSieve | None = None) -> int:
+def ds(n: int) -> int:
     """Denominator of the power-sum polynomial: (n+1) * dd(n+1), not squarefree."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return (n + 1) * dd(n + 1, sieve).value
+    return (n + 1) * dd(n + 1).value
 
 
 def _db_k(n: int, k: int, support: Sequence[int]) -> SquarefreeProduct:
@@ -315,7 +300,7 @@ def _db_k(n: int, k: int, support: Sequence[int]) -> SquarefreeProduct:
     return _product(p for p in split(n - k + 1, support).coprime if ff % p)
 
 
-def db_k(n: int, k: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
+def db_k(n: int, k: int) -> SquarefreeProduct:
     """Denominator of the k-th derivative of B_n(x).
 
     For n <= k the derivative is constant or zero, hence integral. Otherwise
@@ -325,12 +310,12 @@ def db_k(n: int, k: int, sieve: PrimeSieve | None = None) -> SquarefreeProduct:
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got ({n}, {k})")
-    return _db_k(n, k, qualifying_primes(n - k + 1, sieve) if n > k else ())
+    return _db_k(n, k, qualifying_primes(n - k + 1) if n > k else ())
 
 
-def omega_dd_plus(n: int, sieve: PrimeSieve | None = None) -> int:
+def omega_dd_plus(n: int) -> int:
     """Number of primes above sqrt(n) in dd(n)."""
-    return len(split(n, qualifying_primes(n, sieve)).plus)
+    return len(split(n, qualifying_primes(n)).plus)
 
 
 # name: (shift, value); value(n, k, support) reads the support of dd(n + shift).
@@ -338,7 +323,7 @@ def omega_dd_plus(n: int, sieve: PrimeSieve | None = None) -> int:
 _SEQUENCES = {
     "dd": (0, lambda n, k, s: math.prod(s)),
     "dn": (None, lambda n, k, s: dn(n).value),
-    "db": (1, lambda n, k, s: _product(s).lcm(radical(n + 1)).value),
+    "db": (1, lambda n, k, s: math.prod(split(n + 1, s).coprime) * radical(n + 1).value),
     "ds": (1, lambda n, k, s: (n + 1) * math.prod(s)),
     "dd_plus": (0, lambda n, k, s: math.prod(split(n, s).plus)),
     "dd_minus": (0, lambda n, k, s: math.prod(split(n, s).minus)),
@@ -351,9 +336,7 @@ _SEQUENCES = {
 SEQUENCES = tuple(_SEQUENCES)
 
 
-def sequence(
-    name: str, lo: int, hi: int, k: int | None = None, sieve: PrimeSieve | None = None
-) -> Iterator[int]:
+def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]:
     """Yield one family's values for n = lo, ..., hi, from supports() over the range.
 
     k is the derivative order of db_k, whose value at n reads the support at
@@ -365,7 +348,7 @@ def sequence(
         return
     if name == "db_k":
         shift -= k  # db_k(n, k) reads the support of n - k + 1
-    found = supports(max(lo + shift, 1), hi + shift, sieve)
+    found = supports(max(lo + shift, 1), hi + shift)
     for n in range(lo, hi + 1):
         yield value(n, k, next(found) if n + shift >= 1 else ())
 
@@ -402,17 +385,17 @@ class DenomProfile:
             raise ValueError(f"inconsistent denominator profile at n={self.n}")
 
 
-def profile(n: int, sieve: PrimeSieve | None = None) -> DenomProfile:
+def profile(n: int) -> DenomProfile:
     """Assemble the full denominator profile for one index, validated.
 
     The large products are multiplied out once: dd from its two sqrt parts,
     its coprime part by dividing out the shared one, db and ds from dd(n + 1),
     with each radical trial-divided once."""
     rad_n, rad_n1 = radical(n), radical(n + 1)
-    parts = split(n, qualifying_primes(n, sieve))
+    parts = split(n, qualifying_primes(n))
     dd_minus, dd_plus = _product(parts.minus), _product(parts.plus)
     dd, dd_shared = dd_minus * dd_plus, _product(parts.shared)
-    dd_next = _product(qualifying_primes(n + 1, sieve))
+    dd_next = _product(qualifying_primes(n + 1))
     prof = DenomProfile(
         n=n,
         dd=dd,

@@ -15,7 +15,8 @@ stays in the denominator of the k-th derivative at n = m + k - 1.
 
 Chunks are independent, so a scan may run them on worker processes, and
 they persist to a line-delimited JSON checkpoint so interrupted scans resume
-byte-identically.
+byte-identically. A sweep sizes arith.shared_sieve for its whole range before
+its first chunk, in each process, so no chunk makes the cache grow again.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import PrimeSieve, SieveSizeError, radical, shared_sieve
-from .arith import sieve as build_sieve
+from .arith import radical, shared_sieve
 from .denom import db_k, heavy_runs, supports
 
 __all__ = [
@@ -84,28 +84,22 @@ class ScanChunk:
     checksum: str
 
 
-def _run_counts(lo: int, hi: int, sv: PrimeSieve, cut: int = 0) -> np.ndarray:
+def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
     """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ..., cut) hold n."""
-    need = (hi + 1) // 2
-    if sv.limit < need:
-        raise SieveSizeError(
-            f"sieve holds primes up to {sv.limit}, but scanning to {hi} needs {need}"
-        )
     length = hi - lo + 1
     delta = np.zeros(length + 1, dtype=np.int32)
-    for _, begin, stop in heavy_runs(lo, hi, sv.array, cut):
+    for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array, cut):
         np.add.at(delta, begin, np.int32(1))  # a Python 1 takes a path 20x slower
         np.subtract.at(delta, stop, np.int32(1))
         del begin, stop  # before heavy_runs builds the next batch
     return np.cumsum(delta[:length], dtype=np.int32, out=delta[:length])
 
 
-def scan_omega_plus(lo: int, hi: int, sieve: PrimeSieve | None = None) -> ScanChunk:
+def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
     """Count, for every n in [lo, hi], the primes p > sqrt(n) with digit sum >= p."""
     if lo < 1 or lo > hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    sv = shared_sieve(max((hi + 1) // 2, 2)) if sieve is None else sieve
-    counts = _run_counts(lo, hi, sv)
+    counts = _run_counts(lo, hi)
     if int(counts.max(initial=0)) > _COUNTER_MAX:
         raise OverflowError(f"omega counter overflow in [{lo}, {hi}]")
     exceptional = tuple((np.flatnonzero(counts == 0) + lo).tolist())
@@ -128,7 +122,7 @@ class SetReport:
     members: tuple[int, ...]
 
 
-def find_sets(k: int, limit: int, sieve: PrimeSieve | None = None) -> SetReport:
+def find_sets(k: int, limit: int) -> SetReport:
     """All n <= limit whose k-th Bernoulli-polynomial derivative is integral.
 
     Indices n <= k give a constant or vanishing derivative and are members
@@ -142,24 +136,24 @@ def find_sets(k: int, limit: int, sieve: PrimeSieve | None = None) -> SetReport:
         raise ValueError(f"k must be positive, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    sv = shared_sieve(max((limit + 2) // 2, 2)) if sieve is None else sieve
+    shared_sieve((limit + 2) // 2)  # once for every chunk below
     members = list(range(1, min(k, limit) + 1))
     # m = n - k + 1 survives when no heavy prime above sqrt(m) misses (n)_{k-1}
     for lo, hi in ScanConfig(2, limit - k + 1, DEFAULT_CHUNK_SIZE).chunk_ranges():
-        missed = _run_counts(lo, hi, sv, cut=k - 1)
+        missed = _run_counts(lo, hi, cut=k - 1)
         for m in (np.flatnonzero(missed == 0) + lo).tolist():
-            if db_k(m + k - 1, k, sv).is_one:
+            if db_k(m + k - 1, k).is_one:
                 members.append(m + k - 1)
     return SetReport(k=k, limit=limit, members=tuple(members))
 
 
-def find_rad_set(limit: int, sieve: PrimeSieve | None = None) -> SetReport:
+def find_rad_set(limit: int) -> SetReport:
     """All n <= limit where dd(n) equals the squarefree kernel of n + 1."""
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     members = tuple(
         n
-        for n, support in enumerate(supports(1, limit, sieve), 1)
+        for n, support in enumerate(supports(1, limit), 1)
         if support
         and (n + 1) % support[-1] == 0
         and math.prod(support) == radical(n + 1).value
@@ -309,23 +303,19 @@ class ScanResult:
     chunks: int
 
 
-_WORKER_SIEVE: PrimeSieve | None = None
+def _worker_init(need: int) -> None:
+    """Pool initializer: the worker's cache reaches need before its first chunk."""
+    shared_sieve(need)
 
 
-def _worker_init(prime_limit: int) -> None:
-    global _WORKER_SIEVE
-    _WORKER_SIEVE = build_sieve(prime_limit)
+def _scan_range(task: tuple[int, int]) -> ChunkRecord:
+    chunk = scan_omega_plus(*task)
+    return ChunkRecord(chunk.lo, chunk.hi, chunk.exceptional, chunk.checksum)
 
 
-def _scan_range(task: tuple[int, int], sieve: PrimeSieve | None = None) -> ChunkRecord:
-    lo, hi = task
-    chunk = scan_omega_plus(lo, hi, _WORKER_SIEVE if sieve is None else sieve)
-    return ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
-
-
-def _scan_chunks(pending, threads: int, need: int, sieve: PrimeSieve | None):
+def _scan_chunks(pending, threads: int, need: int):
     """Yield the record of each pending range, in order, from worker
-    processes or from this one; a sieve to need is built only for work."""
+    processes or from this one, each with the cache sized to need first."""
     if threads > 1 and len(pending) > 1:
         # imported here: it costs every CLI start about 19 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
@@ -337,8 +327,8 @@ def _scan_chunks(pending, threads: int, need: int, sieve: PrimeSieve | None):
         ) as pool:
             yield from pool.map(_scan_range, pending)
     elif pending:
-        sv = shared_sieve(need) if sieve is None else sieve
-        yield from (_scan_range(task, sv) for task in pending)
+        shared_sieve(need)  # once for every chunk below
+        yield from map(_scan_range, pending)
 
 
 def run_scan(
@@ -347,7 +337,6 @@ def run_scan(
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_path=None,
-    sieve: PrimeSieve | None = None,
 ) -> ScanResult:
     """Scan [1, limit] in chunks, optionally in parallel and checkpointed.
 
@@ -368,7 +357,7 @@ def run_scan(
         state = ScanState(config=config)
 
     pending = [r for r in config.chunk_ranges() if r[0] not in state.records]
-    for rec in _scan_chunks(pending, threads, max((limit + 1) // 2, 2), sieve):
+    for rec in _scan_chunks(pending, threads, (limit + 1) // 2):
         state.records[rec.lo] = rec
         if checkpoint_path is not None:
             checkpoint_save(checkpoint_path, state)

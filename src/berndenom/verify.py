@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import denom, oracle, scanner
-from .arith import PrimeSieve, digit_sum_table, is_prime, radical, shared_sieve
+from .arith import digit_sum_table, is_prime, radical, shared_sieve
 
 __all__ = ["FAMILIES", "FamilyResult", "run_verification"]
 
@@ -46,14 +46,15 @@ class _Tables:
     db: list[int]
 
 
-def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
+def _build_tables(limit: int) -> _Tables:
     top = limit + 1
+    primes = shared_sieve(top).primes_in(2, top)
     rad_lists: list[list[int]] = [[] for _ in range(top + 1)]
-    for p in sieve.primes_in(2, top):
+    for p in primes:
         for m in range(p, top + 1, p):
             rad_lists[m].append(p)
     rad_primes = [tuple(ps) for ps in rad_lists]
-    support = [(), *denom.supports(1, top, sieve)]
+    support = [(), *denom.supports(1, top)]
     parts = [denom.Parts((), (), (), ())]
     parts += [denom.split(n, support[n]) for n in range(1, top + 1)]
     complement = [()] + [
@@ -63,7 +64,7 @@ def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
     # von Staudt-Clausen: p divides dn(m) for even m exactly when p - 1 divides m
     dn = [1] * (top + 1)
     dn[1] = 2
-    for p in sieve.primes_in(2, top):
+    for p in primes:
         step = max(p - 1, 2)  # the even multiples of p - 1
         for m in range(step, top, step):
             dn[m] *= p
@@ -80,22 +81,21 @@ def _build_tables(limit: int, sieve: PrimeSieve) -> _Tables:
 
 
 class _Context:
-    """What the families read: limits, the sieve, and tables built on first use."""
+    """What the families read: limits, and tables built on first use."""
 
-    def __init__(self, limit: int, oracle_limit: int, sieve: PrimeSieve):
+    def __init__(self, limit: int, oracle_limit: int):
         self.limit = limit
         self.oracle_limit = oracle_limit
-        self.sieve = sieve
         self._members: dict[int, set[int]] = {}
 
     @cached_property
     def tables(self) -> _Tables:
-        return _build_tables(self.limit, self.sieve)
+        return _build_tables(self.limit)
 
     def members(self, k: int) -> set[int]:
         """Indices up to min(limit, 1000) with an integral k-th derivative."""
         if k not in self._members:
-            report = scanner.find_sets(k, min(self.limit, 1000), self.sieve)
+            report = scanner.find_sets(k, min(self.limit, 1000))
             self._members[k] = set(report.members)
         return self._members[k]
 
@@ -171,9 +171,7 @@ def _check_coprime_parity(c: _Context, n: int) -> bool:
 
 
 def _check_small_primes(c: _Context, n: int) -> bool:
-    return all(
-        p > k for k in range(1, 51) for p in denom.db_k(n, k, c.sieve).primes
-    )
+    return all(p > k for k in range(1, 51) for p in denom.db_k(n, k).primes)
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
@@ -196,19 +194,18 @@ def _check_lambda_bound(p: int, limit: int) -> bool:
 
 
 def _check_oracle_equivalence(c: _Context, n: int) -> bool:
-    sieve = c.sieve
     poly = oracle.bernoulli_polynomial(n)
-    if oracle.denominator_of(poly) != denom.db(n, sieve).value:
+    if oracle.denominator_of(poly) != denom.db(n).value:
         return False
-    if oracle.denominator_of(oracle.drop_constant_term(poly)) != denom.dd(n, sieve).value:
+    if oracle.denominator_of(oracle.drop_constant_term(poly)) != denom.dd(n).value:
         return False
     if poly(0).denominator != denom.dn(n).value:  # B_n(0) = B_n
         return False
-    if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != denom.ds(n, sieve):
+    if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != denom.ds(n):
         return False
     for k in (1, 2, 3):
         derived = oracle.derivative(poly, k)
-        if oracle.denominator_of(derived) != denom.db_k(n, k, sieve).value:
+        if oracle.denominator_of(derived) != denom.db_k(n, k).value:
             return False
     return True
 
@@ -261,11 +258,11 @@ _FAMILIES = {
     "derivative-small-primes": (lambda c: range(1, 51), _check_small_primes),
     "set-nesting": (lambda c: (1, 2), lambda c, k: c.members(k) <= c.members(k + 1)),
     "floor-digit-equivalence": (
-        lambda c: c.sieve.primes_in(2, _floor_bound(c)),
+        lambda c: shared_sieve(c.limit).primes_in(2, _floor_bound(c)),
         lambda c, p: _check_floor_equivalence(p, _floor_bound(c)),
     ),
     "lambda-prime-bound": (
-        lambda c: c.sieve.primes_in(2, c.limit),
+        lambda c: shared_sieve(c.limit).primes_in(2, c.limit),
         lambda c, p: _check_lambda_bound(p, c.limit),
     ),
     "oracle-equivalence": (lambda c: range(1, c.oracle_limit + 1), _check_oracle_equivalence),
@@ -278,7 +275,6 @@ FAMILIES = tuple(_FAMILIES)
 def run_verification(
     limit: int = 1000,
     oracle_limit: int = 100,
-    sieve: PrimeSieve | None = None,
     families: Sequence[str] | None = None,
     fault: tuple[str, int] | None = None,
 ) -> list[FamilyResult]:
@@ -299,8 +295,8 @@ def run_verification(
     if fault is not None and fault[0] not in FAMILIES:
         raise ValueError(f"unknown verification family {fault[0]!r}")
 
-    sv = shared_sieve(max(limit + 2, 1 << 10)) if sieve is None else sieve
-    context = _Context(limit, oracle_limit, sv)
+    shared_sieve(limit + 2)  # once for every family below
+    context = _Context(limit, oracle_limit)
     results = []
     for name in selected:
         indices, predicate = _FAMILIES[name]

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from berndenom import arith, denom, scanner, verify
+from berndenom import denom, scanner, verify
 
 EXTENDED = bool(os.environ.get("BERNDENOM_EXTENDED"))
 
@@ -65,11 +65,11 @@ def test_criterion_1_golden_sequences():
     report(1, ok, "golden sequences dd/dn/db/ds match the reference lists")
 
 
-def test_criterion_2_set_reproduction(sieve_20k):
-    got1 = scanner.find_sets(1, 10_000, sieve_20k).members
-    got2 = scanner.find_sets(2, 10_000, sieve_20k).members
-    got3 = scanner.find_sets(3, 10_000, sieve_20k).members
-    got_rad = scanner.find_rad_set(10_000, sieve_20k).members
+def test_criterion_2_set_reproduction():
+    got1 = scanner.find_sets(1, 10_000).members
+    got2 = scanner.find_sets(2, 10_000).members
+    got3 = scanner.find_sets(3, 10_000).members
+    got_rad = scanner.find_rad_set(10_000).members
     ok = got1 == S1 and got2 == S2 and got3 == S3 and got_rad == RAD_SET
     report(
         2,
@@ -79,11 +79,10 @@ def test_criterion_2_set_reproduction(sieve_20k):
     )
 
 
-def test_criterion_3_oracle_equivalence(sieve_20k):
+def test_criterion_3_oracle_equivalence():
     results = verify.run_verification(
         limit=300,
         oracle_limit=300,
-        sieve=sieve_20k,
         families=("oracle-equivalence",),
     )
     res = results[0]
@@ -107,8 +106,7 @@ def test_criterion_4_conjecture_evidence_scan(scan_million):
 
 @pytest.mark.skipif(not EXTENDED, reason="set BERNDENOM_EXTENDED=1 for the 10^7 rescan")
 def test_criterion_4_extended_scan():
-    sv = arith.sieve((10**7 + 1) // 2 + 10)
-    chunk = scanner.scan_omega_plus(1, 10**7, sv)
+    chunk = scanner.scan_omega_plus(1, 10**7)
     beyond = [n for n in chunk.exceptional if n > 192]
     report(4, not beyond, "extended mode: no exceptional n in (192, 10^7]")
 
@@ -119,10 +117,8 @@ def test_criterion_5_omega_bound(scan_million):
     report(5, violations == 0, "omega(dd_plus(n)) < sqrt(n) for every n <= 10^6")
 
 
-def test_criterion_6_lemma_suite(sieve_20k):
-    results = verify.run_verification(
-        limit=10_000, sieve=sieve_20k, families=LEMMA_FAMILIES
-    )
+def test_criterion_6_lemma_suite():
+    results = verify.run_verification(limit=10_000, families=LEMMA_FAMILIES)
     failed = [r for r in results if not r.passed]
     for r in results:
         marker = "ok" if r.passed else f"FAILED at {r.witness}"
@@ -130,17 +126,17 @@ def test_criterion_6_lemma_suite(sieve_20k):
     report(6, not failed, "lemma and corollary families hold exhaustively to 10^4")
 
 
-def test_criterion_7_scanner_self_consistency(tmp_path, sieve_20k, capsys):
-    chunk = scanner.scan_omega_plus(1, 10_000, sieve_20k)
+def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
+    chunk = scanner.scan_omega_plus(1, 10_000)
     mismatch = None
     for n in range(1, 10_001):
-        _, above = denom.dd_split_sqrt(n, sieve_20k)
+        _, above = denom.dd_split_sqrt(n)
         if int(chunk.omega_counts[n - 1]) != above.omega:
             mismatch = n
             break
 
     parts = [
-        scanner.scan_omega_plus(lo, min(lo + 2047, 10_000), sieve_20k)
+        scanner.scan_omega_plus(lo, min(lo + 2047, 10_000))
         for lo in range(1, 10_001, 2048)
     ]
     exceptional = tuple(n for part in parts for n in part.exceptional)
@@ -157,7 +153,7 @@ def test_criterion_7_scanner_self_consistency(tmp_path, sieve_20k, capsys):
     config = scanner.ScanConfig(1, 10_000, 2048)
     partial = scanner.ScanState(config=config)
     for lo, hi in config.chunk_ranges()[:2]:
-        piece = scanner.scan_omega_plus(lo, hi, sieve_20k)
+        piece = scanner.scan_omega_plus(lo, hi)
         partial.records[lo] = scanner.ChunkRecord(lo, hi, piece.exceptional, piece.checksum)
     path = tmp_path / "acceptance.ckpt"
     scanner.checkpoint_save(path, partial)
@@ -174,12 +170,12 @@ def test_criterion_7_scanner_self_consistency(tmp_path, sieve_20k, capsys):
         )
 
 
-def test_criterion_8_kappa_ratio_sanity(scan_million, sieve_20k):
+def test_criterion_8_kappa_ratio_sanity(scan_million):
     # kappa(n) = omega_+(n) * ln(n) / sqrt(n); calibration window, brute force per index through the split route
     lo, hi = 10**4 - 10**3, 10**4
     ratios = []
     for n in range(lo, hi + 1):
-        _, above = denom.dd_split_sqrt(n, sieve_20k)
+        _, above = denom.dd_split_sqrt(n)
         ratios.append(above.omega * math.log(n) / math.sqrt(n))
     brute_mean = sum(ratios) / len(ratios)
 

@@ -19,6 +19,13 @@ from berndenom.arith import (
 )
 
 
+@pytest.fixture(scope="module")
+def sieve_20k():
+    """The primes to 20,002, sieved directly: these tests are of PrimeSieve
+    and of products over many primes, not of the shared cache."""
+    return sieve(20_002)
+
+
 def brute_radical_primes(n):
     # independent route: scan every candidate divisor, no early factor removal
     return tuple(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))

@@ -161,13 +161,13 @@ class TestValuesBeyond4300Digits:
 
 
 class TestScan:
-    def test_limit_1000(self, capsys, sieve_20k):
+    def test_limit_1000(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--limit", "1000")
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["n"]
         got = [int(r[0]) for r in rows]
-        expected = [n for n in range(1, 1001) if denom.omega_dd_plus(n, sieve_20k) == 0]
+        expected = [n for n in range(1, 1001) if denom.omega_dd_plus(n) == 0]
         assert got == expected
         assert max(got) == 192
         assert "192" in err
@@ -186,7 +186,7 @@ class TestScan:
         _, second, _ = run_cli(capsys, "scan", "--limit", "800")
         assert first == second
 
-    def test_interrupted_resume_is_byte_identical(self, capsys, tmp_path, sieve_20k):
+    def test_interrupted_resume_is_byte_identical(self, capsys, tmp_path):
         from berndenom.scanner import ChunkRecord, ScanConfig, ScanState, checkpoint_save, scan_omega_plus
 
         _, fresh, _ = run_cli(capsys, "scan", "--limit", "2000", "--chunk", "512")
@@ -194,7 +194,7 @@ class TestScan:
         config = ScanConfig(1, 2000, 512)
         partial = ScanState(config=config)
         for lo, hi in config.chunk_ranges()[:2]:
-            chunk = scan_omega_plus(lo, hi, sieve_20k)
+            chunk = scan_omega_plus(lo, hi)
             partial.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
         path = tmp_path / "scan.ckpt"
         checkpoint_save(path, partial)

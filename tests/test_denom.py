@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berndenom import arith, denom, oracle
-from berndenom.arith import SieveSizeError, is_prime, radical, sieve
+from berndenom.arith import is_prime, radical, sieve
 from berndenom.denom import (
     SEQUENCES,
     db,
@@ -42,25 +42,21 @@ class TestDD:
     def test_n_twelve(self):
         assert dd(12).value == 2
 
-    def test_odd_exactly_at_powers_of_two(self, sieve_20k):
+    def test_odd_exactly_at_powers_of_two(self):
         for n in range(1, 4097):
-            odd = dd(n, sieve_20k).value % 2 == 1
+            odd = dd(n).value % 2 == 1
             assert odd == (n & (n - 1) == 0)
 
-    def test_matches_oracle_for_small_n(self, sieve_20k):
+    def test_matches_oracle_for_small_n(self):
         for n in range(1, 41):
             expected = oracle.denominator_of(
                 oracle.drop_constant_term(oracle.bernoulli_polynomial(n))
             )
-            assert dd(n, sieve_20k).value == expected
+            assert dd(n).value == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             dd(0)
-
-    def test_insufficient_sieve(self):
-        with pytest.raises(SieveSizeError, match="up to 31"):  # isqrt(1000)
-            dd(1000, sieve(5))
 
 
 class TestSplits:
@@ -74,11 +70,11 @@ class TestSplits:
         assert tuple(p.value for p in dd_split_divisibility(12)) == (2, 1, 3)
         assert tuple(p.value for p in dd_split_divisibility(7)) == (1, 6, 7)
 
-    def test_splits_recombine(self, sieve_20k):
+    def test_splits_recombine(self):
         for n in range(1, 801):
-            whole = dd(n, sieve_20k)
-            below, above = dd_split_sqrt(n, sieve_20k)
-            shared, coprime, complement = dd_split_divisibility(n, sieve_20k)
+            whole = dd(n)
+            below, above = dd_split_sqrt(n)
+            shared, coprime, complement = dd_split_divisibility(n)
             assert (below * above).value == whole.value
             assert (shared * coprime).value == whole.value
             assert (shared * complement).value == radical(n).value
@@ -107,20 +103,20 @@ class TestDB:
         assert db(0).value == 1
         assert db(9).value == 10
 
-    def test_equivalent_forms(self, sieve_20k):
+    def test_equivalent_forms(self):
         for n in range(1, 801):
-            value = db(n, sieve_20k).value
-            whole_next = dd(n + 1, sieve_20k)
-            _, _, complement_next = dd_split_divisibility(n + 1, sieve_20k)
+            value = db(n).value
+            whole_next = dd(n + 1)
+            _, _, complement_next = dd_split_divisibility(n + 1)
             kernel_next = radical(n + 1)
             assert value == whole_next.value * complement_next.value
             assert value == whole_next.lcm(kernel_next).value
-            assert value == dd(n, sieve_20k).lcm(dn(n)).value
+            assert value == dd(n).lcm(dn(n)).value
 
-    def test_matches_oracle_for_small_n(self, sieve_20k):
+    def test_matches_oracle_for_small_n(self):
         for n in range(0, 41):
             expected = oracle.denominator_of(oracle.bernoulli_polynomial(n))
-            assert db(n, sieve_20k).value == expected
+            assert db(n).value == expected
 
 
 class TestDS:
@@ -128,9 +124,9 @@ class TestDS:
         assert [ds(n) for n in range(0, 10)] == DS_FIRST
         assert ds(3) == 4
 
-    def test_kernel_of_ds_is_db(self, sieve_20k):
+    def test_kernel_of_ds_is_db(self):
         for n in range(1, 301):
-            assert radical(ds(n, sieve_20k)).value == db(n, sieve_20k).value
+            assert radical(ds(n)).value == db(n).value
 
     def test_matches_oracle_for_small_n(self):
         for n in range(0, 41):
@@ -144,44 +140,44 @@ class TestDBK:
         assert db_k(2, 3).value == 1
         assert db_k(5, 5).value == 1
 
-    def test_first_derivative_is_coprime_part(self, sieve_20k):
+    def test_first_derivative_is_coprime_part(self):
         ones = []
         for n in range(1, 301):
-            _, coprime, _ = dd_split_divisibility(n, sieve_20k)
-            value = db_k(n, 1, sieve_20k)
+            _, coprime, _ = dd_split_divisibility(n)
+            value = db_k(n, 1)
             assert value.value == coprime.value
             if value.is_one:
                 ones.append(n)
         assert tuple(ones) == INTEGRAL_DERIVATIVE_SET
 
-    def test_all_three_forms_agree(self, sieve_20k):
+    def test_all_three_forms_agree(self):
         from berndenom.arith import falling_factorial
 
         for n in range(1, 41):
             for k in range(1, 41):
-                value = db_k(n, k, sieve_20k).value
+                value = db_k(n, k).value
                 if n <= k:
                     assert value == 1
                     continue
-                db_prev = db(n - k, sieve_20k).value
+                db_prev = db(n - k).value
                 assert value == db_prev // math.gcd(db_prev, falling_factorial(n, k))
                 ff = falling_factorial(n, k)
                 explicit = math.prod(
-                    p for p in qualifying_primes(n - k + 1, sieve_20k) if ff % p
+                    p for p in qualifying_primes(n - k + 1) if ff % p
                 )
                 assert value == explicit
 
-    def test_small_primes_never_divide(self, sieve_20k):
+    def test_small_primes_never_divide(self):
         for n in range(1, 51):
             for k in range(1, 51):
-                assert all(p > k for p in db_k(n, k, sieve_20k).primes)
+                assert all(p > k for p in db_k(n, k).primes)
 
-    def test_matches_oracle_derivatives(self, sieve_20k):
+    def test_matches_oracle_derivatives(self):
         for n in range(1, 31):
             poly = oracle.bernoulli_polynomial(n)
             for k in range(1, 5):
                 expected = oracle.denominator_of(oracle.derivative(poly, k))
-                assert db_k(n, k, sieve_20k).value == expected
+                assert db_k(n, k).value == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -196,10 +192,10 @@ class TestOmegaPlus:
         assert omega_dd_plus(4) == 0
         assert omega_dd_plus(9) == 1
 
-    def test_counts_the_sqrt_split(self, sieve_20k):
+    def test_counts_the_sqrt_split(self):
         for n in range(1, 2001):
-            _, above = dd_split_sqrt(n, sieve_20k)
-            assert omega_dd_plus(n, sieve_20k) == above.omega
+            _, above = dd_split_sqrt(n)
+            assert omega_dd_plus(n) == above.omega
 
 
 class TestProfile:
@@ -231,11 +227,11 @@ class TestProfile:
         assert prof.db.value == 2
         assert prof.omega_plus == 0
 
-    def test_validate_holds_over_range(self, sieve_20k):
+    def test_validate_holds_over_range(self):
         for n in range(1, 301):
-            profile(n, sieve_20k)  # validate() runs inside
+            profile(n)  # validate() runs inside
 
-    def test_trial_divides_each_radical_once(self, sieve_20k, monkeypatch):
+    def test_trial_divides_each_radical_once(self, monkeypatch):
         calls = []
 
         def counted(n):
@@ -245,7 +241,7 @@ class TestProfile:
         monkeypatch.setattr(denom, "radical", counted)
         for n in (1, 100, 1679, 27886):
             calls.clear()
-            profile(n, sieve_20k)
+            profile(n)
             assert sorted(calls) == [n, n + 1]
 
     def test_validate_rejects_tampering(self):
@@ -256,9 +252,9 @@ class TestProfile:
             broken.validate()
 
 
-def test_derivative_one_members_have_prime_successor(sieve_20k):
+def test_derivative_one_members_have_prime_successor():
     for n in INTEGRAL_DERIVATIVE_SET:
-        assert db_k(n, 1, sieve_20k).is_one
+        assert db_k(n, 1).is_one
         assert is_prime(n + 1)
 
 
@@ -267,20 +263,22 @@ class TestQualifyingPrimes:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 10**7))
-    def test_matches_supports_at_random_n(self, sieve_5m, n):
-        expected = next(supports(n, n, sieve_5m))
+    def test_matches_supports_at_random_n(self, n):
+        expected = next(supports(n, n))
         assert qualifying_primes(n) == expected
-        # a sieve to isqrt(n) alone: the candidate window is sieved in segments
-        assert qualifying_primes(n, sieve(max(isqrt(n), 1))) == expected
+        # a cache of the primes to isqrt(n) alone: the candidate window is sieved in segments
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_SHARED", sieve(max(isqrt(n), 1)))
+            assert qualifying_primes(n) == expected
 
-    def test_matches_supports_exhaustively(self, sieve_1m):
-        for n, expected in enumerate(supports(1, 2 * 10**5, sieve_1m), start=1):
+    def test_matches_supports_exhaustively(self):
+        for n, expected in enumerate(supports(1, 2 * 10**5), start=1):
             assert qualifying_primes(n) == expected, n
 
     def test_sound_where_int64_squares_overflow(self):
         # candidates up to 5e11: squaring them in int64 would overflow
         n = 10**12 + 39
-        found = qualifying_primes(n, sieve(10**6))
+        found = qualifying_primes(n)
         assert all(a < b for a, b in zip(found, found[1:]))
         above = [p for p in found if p > 10**6]
         assert above[-1] ** 2 > 2**63 and all(n // p + n % p >= p for p in above)
@@ -309,19 +307,19 @@ class TestQualifyingPrimes:
 BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "batch-7", "batch-1"])
 
 
-def supports_with_batch(lo, hi, sv, batch):
-    """list(supports(lo, hi, sv)) with at most batch runs or pairs per batch
+def supports_with_batch(lo, hi, batch):
+    """list(supports(lo, hi)) with at most batch runs or pairs per batch
     (None keeps the default); 1 and 7 cut batches inside a1 slices and runs."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(denom, "_RUN_BATCH", batch)
-        return list(supports(lo, hi, sv))
+        return list(supports(lo, hi))
 
 
 class TestSupports:
     @BATCHES
-    def test_small_windows(self, sieve_20k, batch):
-        expected = [()] + [qualifying_primes(n, sieve_20k) for n in range(1, 401)]
+    def test_small_windows(self, batch):
+        expected = [()] + [qualifying_primes(n) for n in range(1, 401)]
         # each call costs a few hundred microseconds, so not every pair (lo, hi):
         # every hi with every lo close to it, every prefix, every suffix of [1, 400]
         top, reach = {None: (400, 40), 7: (150, 15), 1: (60, 8)}[batch]
@@ -329,78 +327,74 @@ class TestSupports:
         step = 1 if batch is None else 13
         windows |= {(1, hi) for hi in range(1, 401, step)} | {(lo, 400) for lo in range(1, 401, step)}
         for lo, hi in sorted(windows):
-            assert supports_with_batch(lo, hi, sieve_20k, batch) == expected[lo : hi + 1], (lo, hi)
+            assert supports_with_batch(lo, hi, batch) == expected[lo : hi + 1], (lo, hi)
 
-    def test_blocks_tile_the_range(self, sieve_20k, monkeypatch):
-        expected = [qualifying_primes(n, sieve_20k) for n in range(1, 2001)]
+    def test_blocks_tile_the_range(self, monkeypatch):
+        expected = [qualifying_primes(n) for n in range(1, 2001)]
         monkeypatch.setattr(denom, "_SUPPORT_BLOCK", 7)
-        assert list(supports(1, 2000, sieve_20k)) == expected
-        assert list(supports(995, 1300, sieve_20k)) == expected[994:1300]
+        assert list(supports(1, 2000)) == expected
+        assert list(supports(995, 1300)) == expected[994:1300]
 
     @BATCHES
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_random_windows(self, sieve_1m, batch, data):
+    def test_random_windows(self, batch, data):
         # wide enough at the default batch to span several blocks of indices
         max_width = {None: 10_000, 7: 2_100, 1: 40}[batch]
         hi = data.draw(st.integers(1, 2 * 10**6), label="hi")
         width = data.draw(st.integers(1, min(max_width, hi)), label="width")
         lo = hi - width + 1
         picks = data.draw(st.lists(st.integers(lo, hi), max_size=4), label="picks")
-        found = supports_with_batch(lo, hi, sieve_1m, batch)
+        found = supports_with_batch(lo, hi, batch)
         assert len(found) == width
         for n in sorted({lo, hi, *picks}):
-            assert found[n - lo] == qualifying_primes(n, sieve_1m), n
+            assert found[n - lo] == qualifying_primes(n), n
 
     def test_empty_range_and_bad_start(self):
         assert list(supports(10, 9)) == []
         with pytest.raises(ValueError):
             next(supports(0, 10))
 
-    def test_insufficient_sieve(self):
-        with pytest.raises(SieveSizeError):
-            next(supports(1, 1000, sieve(100)))
-
 
 class TestHeavyRuns:
     @pytest.mark.parametrize("cut", [0, 1, 2, 6])
-    def test_cut_runs_count_primes_missing_the_next_cut_indices(self, sieve_20k, cut):
-        primes = sieve_20k.array
+    def test_cut_runs_count_primes_missing_the_next_cut_indices(self, cut):
         lo, hi = 150, 1200
+        primes = sieve(hi).array
         counts = np.zeros(hi - lo + 1, dtype=np.int64)
         for _, begin, stop in heavy_runs(lo, hi, primes, cut):
             assert np.all(begin < stop)
             for a, b in zip(begin.tolist(), stop.tolist()):
                 counts[a:b] += 1
         for m in range(lo, hi + 1):
-            above = split(m, qualifying_primes(m, sieve_20k)).plus
+            above = split(m, qualifying_primes(m)).plus
             missing = [p for p in above if all((m + i) % p for i in range(1, cut + 1))]
             assert counts[m - lo] == len(missing), m
 
 
 class TestSequence:
     @pytest.mark.parametrize("lo, hi", [(1, 60), (1, 2), (700, 760)])
-    def test_matches_per_index_functions(self, sieve_20k, lo, hi):
+    def test_matches_per_index_functions(self, lo, hi):
         per_index = {
-            "dd": lambda n: dd(n, sieve_20k).value,
+            "dd": lambda n: dd(n).value,
             "dn": lambda n: dn(n).value,
-            "db": lambda n: db(n, sieve_20k).value,
-            "ds": lambda n: ds(n, sieve_20k),
-            "dd_plus": lambda n: dd_split_sqrt(n, sieve_20k)[1].value,
-            "dd_minus": lambda n: dd_split_sqrt(n, sieve_20k)[0].value,
-            "dd_shared": lambda n: dd_split_divisibility(n, sieve_20k)[0].value,
-            "dd_coprime": lambda n: dd_split_divisibility(n, sieve_20k)[1].value,
-            "dd_complement": lambda n: dd_split_divisibility(n, sieve_20k)[2].value,
-            "omega_plus": lambda n: omega_dd_plus(n, sieve_20k),
+            "db": lambda n: db(n).value,
+            "ds": lambda n: ds(n),
+            "dd_plus": lambda n: dd_split_sqrt(n)[1].value,
+            "dd_minus": lambda n: dd_split_sqrt(n)[0].value,
+            "dd_shared": lambda n: dd_split_divisibility(n)[0].value,
+            "dd_coprime": lambda n: dd_split_divisibility(n)[1].value,
+            "dd_complement": lambda n: dd_split_divisibility(n)[2].value,
+            "omega_plus": lambda n: omega_dd_plus(n),
         }
         assert set(per_index) | {"db_k"} == set(SEQUENCES)
         for name, value in per_index.items():
-            got = list(sequence(name, lo, hi, sieve=sieve_20k))
+            got = list(sequence(name, lo, hi))
             assert got == [value(n) for n in range(lo, hi + 1)], name
         for k in (1, 2, 3, 5):
-            got = list(sequence("db_k", lo, hi, k, sieve_20k))
-            assert got == [db_k(n, k, sieve_20k).value for n in range(lo, hi + 1)], k
+            got = list(sequence("db_k", lo, hi, k))
+            assert got == [db_k(n, k).value for n in range(lo, hi + 1)], k
 
-    def test_db_and_ds_start_at_zero(self, sieve_20k):
-        assert list(sequence("db", 0, 9, sieve=sieve_20k)) == [1] + DB_FIRST[:9]
-        assert list(sequence("ds", 0, 9, sieve=sieve_20k)) == DS_FIRST
+    def test_db_and_ds_start_at_zero(self):
+        assert list(sequence("db", 0, 9)) == [1] + DB_FIRST[:9]
+        assert list(sequence("ds", 0, 9)) == DS_FIRST

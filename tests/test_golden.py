@@ -8,8 +8,9 @@ injected oracle fault from the release before the oracle moved from one
 Fraction per coefficient to integer numerators over a shared denominator,
 and those of sets and scan to 3000000, three chunks of 2^20, from the
 release before find_sets moved onto the scan's chunk grid and the run count
-onto an int32 difference array; any change to the bytes a command prints
-fails here.
+onto an int32 difference array. The scan to 3000000 on two worker
+processes carries the digests of the same scan on one; any change to the
+bytes a command prints fails here.
 """
 
 import contextlib
@@ -43,6 +44,7 @@ def _cases() -> list[tuple[str, ...]]:
     commands.append(("verify", "--inject-fault", "oracle-equivalence:7"))
     commands.append(("scan", "--limit", "100000", "--chunk", "4096"))
     commands.append(("scan", "--limit", "3000000"))
+    commands.append(("scan", "--limit", "3000000", "--threads", "2"))
     return [(fmt, *cmd) for cmd in commands for fmt in ("csv", "json")]
 
 
@@ -155,6 +157,8 @@ GOLDEN = {
     'csv scan --limit 3000000': ('46daf0116c80c794fceac1e290e4c352bfec08eb552cfc3f3528abc60369efa1', 'ccfe1ce6263628520deac609a900826d389b6c9bf9030a190507fbad73e50b83'),
     'json scan --limit 100000 --chunk 4096': ('56343468fd5903310ae611d5774fd47990bb218f3ae8b4968c1f2849ffee0bba', '64f9da5816a0877d6ca26c758c08f27eff04e0da6487e389c2343b9b9740bc1c'),
     'json scan --limit 3000000': ('71371ececae4aab29331586f383f13a9ee7e580db29dc57bdaf182dae1b92eb4', 'ccfe1ce6263628520deac609a900826d389b6c9bf9030a190507fbad73e50b83'),
+    'csv scan --limit 3000000 --threads 2': ('46daf0116c80c794fceac1e290e4c352bfec08eb552cfc3f3528abc60369efa1', 'ccfe1ce6263628520deac609a900826d389b6c9bf9030a190507fbad73e50b83'),
+    'json scan --limit 3000000 --threads 2': ('71371ececae4aab29331586f383f13a9ee7e580db29dc57bdaf182dae1b92eb4', 'ccfe1ce6263628520deac609a900826d389b6c9bf9030a190507fbad73e50b83'),
 }
 
 

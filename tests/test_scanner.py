@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berndenom import denom, scanner
-from berndenom.arith import SieveSizeError, is_prime, sieve
+from berndenom import arith, denom, scanner
+from berndenom.arith import is_prime, sieve
 from berndenom.scanner import (
     CheckpointError,
     ChunkRecord,
@@ -41,22 +42,22 @@ class TestScanOmegaPlus:
         assert chunk.omega_counts.tolist() == [0, 0, 1, 0, 1, 0, 1, 1, 1, 0]
         assert chunk.exceptional == (1, 2, 4, 6, 10)
 
-    def test_matches_per_index_route(self, sieve_20k):
-        chunk = scan_omega_plus(1, 2000, sieve_20k)
+    def test_matches_per_index_route(self):
+        chunk = scan_omega_plus(1, 2000)
         for n in range(1, 2001):
-            _, above = denom.dd_split_sqrt(n, sieve_20k)
+            _, above = denom.dd_split_sqrt(n)
             assert int(chunk.omega_counts[n - 1]) == above.omega
 
-    def test_window_shift_preserves_values(self, sieve_20k):
-        wide = scan_omega_plus(1, 600, sieve_20k)
-        window = scan_omega_plus(101, 400, sieve_20k)
+    def test_window_shift_preserves_values(self):
+        wide = scan_omega_plus(1, 600)
+        window = scan_omega_plus(101, 400)
         assert np.array_equal(window.omega_counts, wide.omega_counts[100:400])
 
     def test_counts_are_uint16(self):
         assert scan_omega_plus(1, 100).omega_counts.dtype == np.uint16
 
-    def test_bound_below_sqrt(self, sieve_20k):
-        chunk = scan_omega_plus(1, 5000, sieve_20k)
+    def test_bound_below_sqrt(self):
+        chunk = scan_omega_plus(1, 5000)
         n = np.arange(1, 5001, dtype=np.int64)
         assert not np.any(chunk.omega_counts.astype(np.int64) ** 2 >= n)
 
@@ -66,15 +67,17 @@ class TestScanOmegaPlus:
         with pytest.raises(ValueError):
             scan_omega_plus(10, 5)
 
-    def test_insufficient_sieve_coverage(self):
-        with pytest.raises(SieveSizeError):
-            scan_omega_plus(1, 1000, sieve(100))
-
     def test_counter_overflow_raises(self, monkeypatch):
         monkeypatch.setattr(scanner, "_COUNTER_MAX", 2)
         scan_omega_plus(1, 30)  # omega_+ <= 2 up to 30
         with pytest.raises(OverflowError, match="omega counter overflow"):
             scan_omega_plus(1, 100)
+
+
+@functools.cache
+def primes_to(limit: int) -> np.ndarray:
+    """The primes up to limit, sieved directly for the brute force."""
+    return sieve(limit).array
 
 
 def brute_force_counts(ns, primes: np.ndarray) -> list[int]:
@@ -89,49 +92,49 @@ def brute_force_counts(ns, primes: np.ndarray) -> list[int]:
 BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "batch-7", "batch-1"])
 
 
-def scan_with_batch(lo, hi, sv, batch):
+def scan_with_batch(lo, hi, batch):
     """scan_omega_plus with the run budget per batch set to batch (None
     keeps the default); 1 and 7 cut batches inside a1 slices."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(denom, "_RUN_BATCH", batch)
-        return scan_omega_plus(lo, hi, sv).omega_counts
+        return scan_omega_plus(lo, hi).omega_counts
 
 
 class TestAgainstBruteForce:
     @BATCHES
-    def test_every_window_to_400(self, sieve_20k, batch):
-        expected = brute_force_counts(range(1, 401), np.asarray(sieve_20k.primes))
+    def test_every_window_to_400(self, batch):
+        expected = brute_force_counts(range(1, 401), primes_to(20_002))
         # each batch costs a few numpy calls, so tiny budgets get fewer windows
         top = {None: 400, 7: 100, 1: 40}[batch]
         windows = [(lo, hi) for hi in range(1, top + 1) for lo in range(1, hi + 1)]
         if top < 400:
             windows += [(lo, 400) for lo in range(1, 401, 13)]
         for lo, hi in windows:
-            counts = scan_with_batch(lo, hi, sieve_20k, batch)
+            counts = scan_with_batch(lo, hi, batch)
             assert counts.tolist() == expected[lo - 1 : hi], (lo, hi)
 
     @BATCHES
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_random_windows(self, sieve_1m, batch, data):
+    def test_random_windows(self, batch, data):
         max_width = 70_000 if batch is None else 300 * batch
         hi = data.draw(st.integers(1, 2 * 10**6), label="hi")
         width = data.draw(st.integers(1, min(max_width, hi)), label="width")
         lo = hi - width + 1
         picks = data.draw(st.lists(st.integers(lo, hi), max_size=12), label="picks")
         sample = sorted({lo, hi, *picks})
-        counts = scan_with_batch(lo, hi, sieve_1m, batch)
+        counts = scan_with_batch(lo, hi, batch)
         got = [int(counts[n - lo]) for n in sample]
-        assert got == brute_force_counts(sample, np.asarray(sieve_1m.primes))
+        assert got == brute_force_counts(sample, primes_to(10**6))
 
 
 class TestChunkIndependence:
-    def test_any_partition_matches_direct_scan(self, sieve_20k):
-        direct = scan_omega_plus(1, 5000, sieve_20k)
+    def test_any_partition_matches_direct_scan(self):
+        direct = scan_omega_plus(1, 5000)
         cuts = [1, 7, 1000, 1001, 4999, 5000]
         parts = [
-            scan_omega_plus(lo, hi - 1, sieve_20k)
+            scan_omega_plus(lo, hi - 1)
             for lo, hi in zip(cuts, cuts[1:] + [5001])
             if lo <= hi - 1
         ]
@@ -142,42 +145,42 @@ class TestChunkIndependence:
 
 
 class TestFindSets:
-    def test_first_derivative_set(self, sieve_20k):
-        assert find_sets(1, 500, sieve_20k).members == S1
+    def test_first_derivative_set(self):
+        assert find_sets(1, 500).members == S1
 
-    def test_second_derivative_set(self, sieve_20k):
-        assert find_sets(2, 500, sieve_20k).members == S2
+    def test_second_derivative_set(self):
+        assert find_sets(2, 500).members == S2
 
-    def test_third_derivative_set(self, sieve_20k):
-        assert find_sets(3, 500, sieve_20k).members == S3
+    def test_third_derivative_set(self):
+        assert find_sets(3, 500).members == S3
 
-    def test_members_verified_by_full_product(self, sieve_20k):
+    def test_members_verified_by_full_product(self):
         for k in (1, 2, 3):
-            report = find_sets(k, 500, sieve_20k)
+            report = find_sets(k, 500)
             for n in report.members:
-                assert denom.db_k(n, k, sieve_20k).is_one
+                assert denom.db_k(n, k).is_one
             for n in set(range(1, 501)) - set(report.members):
-                assert not denom.db_k(n, k, sieve_20k).is_one
+                assert not denom.db_k(n, k).is_one
 
-    def test_successors_of_first_set_are_prime(self, sieve_20k):
-        for n in find_sets(1, 500, sieve_20k).members:
+    def test_successors_of_first_set_are_prime(self):
+        for n in find_sets(1, 500).members:
             assert is_prime(n + 1)
 
-    def test_small_indices_always_members(self, sieve_20k):
-        assert find_sets(5, 3, sieve_20k).members == (1, 2, 3)
+    def test_small_indices_always_members(self):
+        assert find_sets(5, 3).members == (1, 2, 3)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, scanner.DEFAULT_CHUNK_SIZE])
-    def test_any_chunk_grid_matches_db_k(self, integral_to_3000, sieve_20k, monkeypatch, chunk):
+    def test_any_chunk_grid_matches_db_k(self, integral_to_3000, monkeypatch, chunk):
         monkeypatch.setattr(scanner, "DEFAULT_CHUNK_SIZE", chunk)
         for k, expected in integral_to_3000.items():
-            assert find_sets(k, 3000, sieve_20k).members == expected, k
+            assert find_sets(k, 3000).members == expected, k
 
 
 @pytest.fixture(scope="module")
-def integral_to_3000(sieve_20k):
+def integral_to_3000():
     """For k <= 5, the n <= 3000 whose k-th derivative db_k(n, k) is integral."""
     return {
-        k: tuple(n for n in range(1, 3001) if denom.db_k(n, k, sieve_20k).is_one)
+        k: tuple(n for n in range(1, 3001) if denom.db_k(n, k).is_one)
         for k in range(1, 6)
     }
 
@@ -194,52 +197,56 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestMemory:
-    def test_one_chunk_costs_three_int32_arrays(self, sieve_1m):
+    def test_one_chunk_costs_three_int32_arrays(self):
         chunk = scanner.DEFAULT_CHUNK_SIZE
-        assert traced_peak(scan_omega_plus, 1, chunk, sieve_1m) < 3 * 4 * chunk
+        arith.shared_sieve((chunk + 1) // 2)  # built before tracing: the chunk alone is measured
+        assert traced_peak(scan_omega_plus, 1, chunk) < 3 * 4 * chunk
 
-    def test_find_sets_peak_is_flat_in_the_limit(self, sieve_5m):
-        small = traced_peak(find_sets, 1, 1 << 21, sieve_5m)
-        large = traced_peak(find_sets, 1, 1 << 23, sieve_5m)
+    def test_find_sets_peak_is_flat_in_the_limit(self):
+        arith.shared_sieve(((1 << 23) + 2) // 2)  # both runs read this cache, built untraced
+        small = traced_peak(find_sets, 1, 1 << 21)
+        large = traced_peak(find_sets, 1, 1 << 23)
         assert large <= small + (1 << 20), (small, large)
 
 
 class TestFindRadSet:
-    def test_members(self, sieve_20k):
-        assert find_rad_set(100, sieve_20k).members == RAD_SET
+    def test_members(self):
+        assert find_rad_set(100).members == RAD_SET
 
-    def test_even_members_are_powers_of_two(self, sieve_20k):
-        for n in find_rad_set(100, sieve_20k).members:
+    def test_even_members_are_powers_of_two(self):
+        for n in find_rad_set(100).members:
             if n % 2 == 0:
                 assert n & (n - 1) == 0
 
-    def test_successors_composite(self, sieve_20k):
-        for n in find_rad_set(100, sieve_20k).members:
+    def test_successors_composite(self):
+        for n in find_rad_set(100).members:
             assert not is_prime(n + 1)
 
 
-def kappa(lo, hi, sieve):
+def kappa(lo, hi):
     """omega_+(n) * ln(n) / sqrt(n) for every n in [lo, hi]."""
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    return scan_omega_plus(lo, hi, sieve).omega_counts * np.log(n) / np.sqrt(n)
+    return scan_omega_plus(lo, hi).omega_counts * np.log(n) / np.sqrt(n)
 
 
 class TestKappaRatio:
-    def test_deterministic(self, sieve_20k):
-        assert np.array_equal(kappa(2, 3000, sieve_20k), kappa(2, 3000, None))
+    def test_deterministic(self, monkeypatch):
+        first = kappa(2, 3000)
+        monkeypatch.setattr(arith, "_SHARED", None)  # the same from a freshly built cache
+        assert np.array_equal(kappa(2, 3000), first)
 
-    def test_raw_ratio_below_one(self, sieve_20k):
-        chunk = scan_omega_plus(2, 3000, sieve_20k)
+    def test_raw_ratio_below_one(self):
+        chunk = scan_omega_plus(2, 3000)
         n = np.arange(2, 3001, dtype=np.float64)
         assert np.all(chunk.omega_counts.astype(np.float64) / np.sqrt(n) < 1.0)
 
 
 class TestCheckpointing:
-    def test_save_resume_roundtrip(self, tmp_path, sieve_20k):
+    def test_save_resume_roundtrip(self, tmp_path):
         config = ScanConfig(1, 3000, 1000)
         state = ScanState(config=config)
         for lo, hi in config.chunk_ranges():
-            chunk = scan_omega_plus(lo, hi, sieve_20k)
+            chunk = scan_omega_plus(lo, hi)
             state.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
         path = tmp_path / "scan.ckpt"
         checkpoint_save(path, state)
@@ -247,52 +254,52 @@ class TestCheckpointing:
         assert loaded.records == state.records
         assert not loaded.complete
 
-    def test_interrupted_resume_matches_uninterrupted(self, tmp_path, sieve_20k):
-        fresh = run_scan(3000, chunk_size=1000, sieve=sieve_20k)
+    def test_interrupted_resume_matches_uninterrupted(self, tmp_path):
+        fresh = run_scan(3000, chunk_size=1000)
 
         config = ScanConfig(1, 3000, 1000)
         partial = ScanState(config=config)
         lo, hi = config.chunk_ranges()[0]
-        chunk = scan_omega_plus(lo, hi, sieve_20k)
+        chunk = scan_omega_plus(lo, hi)
         partial.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
         path = tmp_path / "scan.ckpt"
         checkpoint_save(path, partial)
 
-        resumed = run_scan(3000, chunk_size=1000, checkpoint_path=path, sieve=sieve_20k)
+        resumed = run_scan(3000, chunk_size=1000, checkpoint_path=path)
         assert resumed == fresh
 
         completed = checkpoint_resume(path, config)
         assert completed.complete and len(completed.records) == 3
 
-    def test_completed_checkpoint_skips_rescanning(self, tmp_path, sieve_20k, monkeypatch):
+    def test_completed_checkpoint_skips_rescanning(self, tmp_path, monkeypatch):
         path = tmp_path / "scan.ckpt"
-        first = run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
+        first = run_scan(2000, chunk_size=512, checkpoint_path=path)
 
         def explode(*args, **kwargs):
             raise AssertionError("resume of a complete scan must not rescan")
 
         monkeypatch.setattr(scanner, "scan_omega_plus", explode)
-        again = run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
+        again = run_scan(2000, chunk_size=512, checkpoint_path=path)
         assert again == first
 
-    def test_mismatched_config_rejected(self, tmp_path, sieve_20k):
+    def test_mismatched_config_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
-        run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
+        run_scan(2000, chunk_size=512, checkpoint_path=path)
         with pytest.raises(CheckpointError):
-            run_scan(3000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
+            run_scan(3000, chunk_size=512, checkpoint_path=path)
         with pytest.raises(CheckpointError):
-            run_scan(2000, chunk_size=256, checkpoint_path=path, sieve=sieve_20k)
+            run_scan(2000, chunk_size=256, checkpoint_path=path)
 
-    def test_empty_checkpoint_warns_and_starts_fresh(self, tmp_path, sieve_20k):
+    def test_empty_checkpoint_warns_and_starts_fresh(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         path.write_text("")
         with pytest.warns(UserWarning):
-            result = run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
-        assert result == run_scan(2000, chunk_size=512, sieve=sieve_20k)
+            result = run_scan(2000, chunk_size=512, checkpoint_path=path)
+        assert result == run_scan(2000, chunk_size=512)
 
-    def test_corrupt_record_checksum_rejected(self, tmp_path, sieve_20k):
+    def test_corrupt_record_checksum_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
-        run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
+        run_scan(2000, chunk_size=512, checkpoint_path=path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record["exceptional"] = record["exceptional"][:-1]  # results no longer match digest
@@ -301,16 +308,16 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             checkpoint_resume(path, ScanConfig(1, 2000, 512))
 
-    def test_garbled_record_rejected(self, tmp_path, sieve_20k):
+    def test_garbled_record_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
-        run_scan(2000, chunk_size=512, checkpoint_path=path, sieve=sieve_20k)
+        run_scan(2000, chunk_size=512, checkpoint_path=path)
         text = path.read_text().splitlines()
         for garbled in ("{not json", "null", "5", "[]"):
             path.write_text("\n".join(text[:2] + [garbled] + text[3:]) + "\n")
             with pytest.raises(CheckpointError):
                 checkpoint_resume(path, ScanConfig(1, 2000, 512))
 
-    def test_off_grid_record_rejected(self, tmp_path, sieve_20k):
+    def test_off_grid_record_rejected(self, tmp_path):
         config = ScanConfig(1, 2000, 512)
         state = ScanState(config=config)
         exceptional = (7,)
@@ -322,16 +329,33 @@ class TestCheckpointing:
 
 
 class TestRunScan:
-    def test_chunked_equals_single_chunk(self, sieve_20k):
-        small = run_scan(3000, chunk_size=700, sieve=sieve_20k)
-        single = run_scan(3000, chunk_size=3000, sieve=sieve_20k)
+    def test_chunked_equals_single_chunk(self):
+        small = run_scan(3000, chunk_size=700)
+        single = run_scan(3000, chunk_size=3000)
         assert small.exceptional == single.exceptional
         # digests cover the chunk tiling, so they differ across chunk sizes
         assert small.chunks == 5 and single.chunks == 1
 
-    def test_exceptional_matches_scan(self, sieve_20k):
-        result = run_scan(3000, chunk_size=700, sieve=sieve_20k)
-        assert result.exceptional == scan_omega_plus(1, 3000, sieve_20k).exceptional
+    def test_exceptional_matches_scan(self):
+        result = run_scan(3000, chunk_size=700)
+        assert result.exceptional == scan_omega_plus(1, 3000).exceptional
+
+    @pytest.mark.parametrize(
+        "sweep", [lambda: run_scan(3 << 20), lambda: find_sets(1, 3 << 20)], ids=["run_scan", "find_sets"]
+    )
+    def test_sweep_builds_one_sieve(self, monkeypatch, sweep):
+        # three chunks of 2^20: growing the cache chunk by chunk would build three
+        built = []
+        real_sieve = arith.sieve
+
+        def recording_sieve(limit):
+            built.append(limit)
+            return real_sieve(limit)
+
+        monkeypatch.setattr(arith, "_SHARED", None)
+        monkeypatch.setattr(arith, "sieve", recording_sieve)
+        sweep()
+        assert len(built) == 1, built
 
     def test_parallel_equals_serial(self):
         serial = run_scan(6000, chunk_size=1500, threads=1)
