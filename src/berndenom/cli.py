@@ -3,6 +3,8 @@
 Subcommands: profile, seq, scan, sets, radset, verify. Exit codes: 0 on
 success, 1 when verification finds a counterexample, 2 on usage errors.
 Values that may exceed 2**53 are emitted as decimal strings in JSON.
+scanner and verify are imported by the commands that run them, so profile
+and seq start without loading either.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ import argparse
 import json
 import sys
 
-from . import denom, scanner, verify
+from . import denom
 from .arith import SieveSizeError, decimal_str, is_prime
-from .scanner import CheckpointError
 
 SEQ_NAMES = denom.SEQUENCES
 _SEQ_MIN_INDEX = {"db": 0, "ds": 0}  # every other sequence starts at n = 1
@@ -63,6 +64,11 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _usage_failure(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_profile(args) -> int:
     prof = denom.profile(args.n)
     row = [
@@ -110,12 +116,17 @@ def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_scan(args) -> int:
-    result = scanner.run_scan(
-        args.limit,
-        threads=args.threads,
-        chunk_size=args.chunk,
-        checkpoint_path=args.checkpoint,
-    )
+    from . import scanner
+
+    try:
+        result = scanner.run_scan(
+            args.limit,
+            threads=args.threads,
+            chunk_size=args.chunk or scanner.DEFAULT_CHUNK_SIZE,
+            checkpoint_path=args.checkpoint,
+        )
+    except scanner.CheckpointError as exc:
+        return _usage_failure(exc)
     top = max(result.exceptional) if result.exceptional else None
     if args.format == "json":
         _emit_json(
@@ -139,6 +150,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sets(args) -> int:
+    from . import scanner
+
     report = scanner.find_sets(args.k, args.limit)
     flags = [is_prime(n + 1) for n in report.members] if args.k == 1 else None
     if args.format == "json":
@@ -154,6 +167,8 @@ def _cmd_sets(args) -> int:
 
 
 def _cmd_radset(args) -> int:
+    from . import scanner
+
     report = scanner.find_rad_set(args.limit)
     if args.format == "json":
         _emit_json({"limit": report.limit, "members": list(report.members)})
@@ -163,6 +178,8 @@ def _cmd_radset(args) -> int:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    from . import verify
+
     if args.oracle_limit > 1000:
         parser.error("--oracle-limit is capped at 1000")
     fault = None
@@ -231,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--limit", type=_positive_int, required=True)
     p_scan.add_argument("--threads", type=_positive_int, default=1,
                         help="worker processes (default: 1)")
-    p_scan.add_argument("--chunk", type=_positive_int, default=scanner.DEFAULT_CHUNK_SIZE)
+    # None stands for scanner.DEFAULT_CHUNK_SIZE, so parsing need not import the scanner
+    p_scan.add_argument("--chunk", type=_positive_int, default=None)
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 
     p_sets = sub.add_parser("sets", help="indices whose k-th derivative is integral")
@@ -266,9 +284,8 @@ def main(argv=None) -> int:
         if args.command == "radset":
             return _cmd_radset(args)
         return _cmd_verify(args, parser)
-    except (SieveSizeError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SieveSizeError as exc:
+        return _usage_failure(exc)
 
 
 if __name__ == "__main__":

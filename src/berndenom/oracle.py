@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, perm
 from numbers import Rational
 
@@ -171,32 +172,42 @@ def _binomial_row(n: int) -> list[int]:
     return row
 
 
-# B_m = _NUMERATORS[m] / _DENOMINATORS[m], reduced; _LCMS[m] = lcm(D_0, ..., D_m)
+# B_m = _NUMERATORS[m] / _DENOMINATORS[m], reduced, and also _SCALED[m] / _COMMON,
+# where _COMMON is the lcm of every denominator computed so far
 _NUMERATORS: list[int] = [1]
 _DENOMINATORS: list[int] = [1]
-_LCMS: list[int] = [1]
+_SCALED: list[int] = [1]
+_COMMON = 1
 
 
 def _extend_bernoulli(n: int) -> None:
     """Solve bernoulli_numbers' recurrence on integer pairs up to m = n.
 
-    Over L = lcm(D_0..D_(m-1)), B_m = -sum(C(m+1, k) N_k (L / D_k)) / ((m+1) L),
-    reduced by one gcd.
+    Over L = lcm(D_0..D_(m-1)), B_m = -sum(C(m+1, k) S_k) / ((m+1) L) with
+    S_k = N_k (L / D_k), reduced by one gcd. The S_k are kept over the
+    running L and multiplied up only when L grows, which happens about
+    once per prime up to n + 1 (von Staudt-Clausen), not at every m.
     """
+    global _COMMON
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     while len(_NUMERATORS) <= n:
         m = len(_NUMERATORS)
-        common = _LCMS[-1]
         acc = 0
-        for binomial, num, den in zip(_binomial_row(m + 1), _NUMERATORS, _DENOMINATORS):
-            if num:
-                acc += binomial * num * (common // den)
-        den = (m + 1) * common
+        for binomial, scaled in zip(_binomial_row(m + 1), _SCALED):
+            if scaled:
+                acc += binomial * scaled
+        den = (m + 1) * _COMMON
         g = gcd(acc, den)
-        _NUMERATORS.append(-acc // g)
-        _DENOMINATORS.append(den // g)
-        _LCMS.append(lcm(common, den // g))
+        num, den = -acc // g, den // g
+        grown = lcm(_COMMON, den)
+        if grown != _COMMON:
+            factor = grown // _COMMON
+            _SCALED[:] = [scaled * factor for scaled in _SCALED]
+            _COMMON = grown
+        _NUMERATORS.append(num)
+        _DENOMINATORS.append(den)
+        _SCALED.append(num * (grown // den))
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -213,17 +224,27 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """B_n(x) = sum of C(n, k) * B_{n-k} * x^k; monic of degree n.
 
-    Over L_n = lcm(D_0..D_n), numerator k is C(n, k) * N_{n-k} * (L_n / D_{n-k}).
+    Coefficient k is C(n, k) N_{n-k} / D_{n-k} with gcd(C(n, k), D_{n-k})
+    cancelled first, and the shared denominator is the lcm of what is left:
+    a multiple of the reduced one found from small numbers, where
+    lcm(D_0..D_n) would leave a gcd of over a thousand bits to divide out.
+    The last two polynomials built are kept: sum_of_powers_polynomial(n)
+    builds B_(n+1)(x), which a caller walking n upward asks for next.
     """
+    return _bernoulli_polynomial(n)
+
+
+# cached apart from bernoulli_polynomial, which stays a plain function
+@lru_cache(maxsize=2)
+def _bernoulli_polynomial(n: int) -> RationalPolynomial:
     _extend_bernoulli(n)
-    common = _LCMS[n]
-    return RationalPolynomial._over(
-        [
-            binomial * _NUMERATORS[n - k] * (common // _DENOMINATORS[n - k])
-            for k, binomial in enumerate(_binomial_row(n))
-        ],
-        common,
-    )
+    terms = []
+    for k, binomial in enumerate(_binomial_row(n)):
+        den = _DENOMINATORS[n - k]
+        g = gcd(binomial, den)
+        terms.append((binomial // g * _NUMERATORS[n - k], den // g))
+    common = lcm(*(den for _, den in terms))
+    return RationalPolynomial._over([num * (common // den) for num, den in terms], common)
 
 
 def derivative(poly: RationalPolynomial, k: int = 1) -> RationalPolynomial:

@@ -297,15 +297,46 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_cli_start_does_not_import_the_process_pool():
-    # only a scan on several workers needs concurrent.futures
+def loaded_modules(code):
+    """sys.modules after running code in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
-    probe = "import sys, berndenom.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    probe = code + "\nprint(' '.join(sys.modules), file=sys.stderr)"
+    err = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + probe],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
-    ).stdout
-    assert out.strip() == "False"
+    ).stderr
+    return set(err.splitlines()[-1].split())
+
+
+def test_cli_start_does_not_import_the_process_pool():
+    # only a scan on several workers needs concurrent.futures
+    assert "concurrent.futures" not in loaded_modules("import berndenom.cli")
+
+
+def test_bare_package_import_loads_no_numpy():
+    loaded = loaded_modules("import berndenom")
+    assert "numpy" not in loaded
+    assert not {m for m in loaded if m.startswith("berndenom.")}
+
+
+# each command, and the modules it must not load; none needs the process pool
+_HEAVY = {"berndenom.scanner", "berndenom.verify", "berndenom.oracle", "fractions"}
+IMPORT_SURFACE = {
+    "profile": (["profile", "8"], _HEAVY),
+    "seq": (["seq", "db_k", "1", "30", "--k", "2"], _HEAVY),
+    "scan": (["scan", "--limit", "1000"], {"berndenom.verify", "berndenom.oracle"}),
+    "sets": (["sets", "--k", "2", "--limit", "200"], {"berndenom.verify", "berndenom.oracle"}),
+    "radset": (["radset", "--limit", "200"], {"berndenom.verify", "berndenom.oracle"}),
+    "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_SURFACE))
+def test_command_loads_only_its_modules(command):
+    argv, unused = IMPORT_SURFACE[command]
+    loaded = loaded_modules(f"from berndenom.cli import main\nassert main({argv!r}) == 0")
+    assert "berndenom.denom" in loaded  # the probe ran the command
+    assert loaded & (unused | {"concurrent.futures"}) == set()

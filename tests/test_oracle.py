@@ -68,6 +68,13 @@ class TestBernoulliNumbers:
     def test_against_akiyama_tanigawa(self):
         assert bernoulli_numbers(60) == akiyama_tanigawa(60)
 
+    def test_against_fraction_recurrence_to_400(self):
+        # sum(C(m+1, k) B_k, k = 0..m) = 0, one Fraction at a time
+        expected = [F(1)]
+        for m in range(1, 401):
+            expected.append(-sum(comb(m + 1, k) * b for k, b in enumerate(expected)) / (m + 1))
+        assert bernoulli_numbers(400) == expected
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bernoulli_numbers(-1)
@@ -160,6 +167,18 @@ class TestSumOfPowers:
     def test_zero_constant_term(self):
         for n in range(0, 40):
             assert sum_of_powers_polynomial(n).coefficients[0] == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64])
+    def test_independent_of_call_order(self, n):
+        # bernoulli_polynomial keeps the last polynomials it built
+        oracle._bernoulli_polynomial.cache_clear()
+        alone = sum_of_powers_polynomial(n)
+        oracle._bernoulli_polynomial.cache_clear()
+        first = bernoulli_polynomial(n + 1)
+        assert sum_of_powers_polynomial(n) == alone
+        assert bernoulli_polynomial(n + 1) == first
+        oracle._bernoulli_polynomial.cache_clear()
+        assert bernoulli_polynomial(n + 1) == first
 
 
 class TestDenominatorOf:
