@@ -69,7 +69,9 @@ def _usage_failure(exc: Exception) -> int:
     return 2
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
+    if args.n >= (1 << 63) - 1:
+        parser.error(f"profile needs n + 1 < 2**63, got n = {args.n}")
     prof = denom.profile(args.n)
     row = [
         prof.dd.value == prof.rad_n1.value if name == "in_rad_set" else int(getattr(prof, name))
@@ -125,7 +127,7 @@ def _cmd_scan(args) -> int:
             chunk_size=args.chunk or scanner.DEFAULT_CHUNK_SIZE,
             checkpoint_path=args.checkpoint,
         )
-    except scanner.CheckpointError as exc:
+    except (scanner.CheckpointError, OSError) as exc:
         return _usage_failure(exc)
     top = max(result.exceptional) if result.exceptional else None
     if args.format == "json":
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "profile":
-            return _cmd_profile(args)
+            return _cmd_profile(args, parser)
         if args.command == "seq":
             return _cmd_seq(args, parser)
         if args.command == "scan":

@@ -390,12 +390,14 @@ def profile(n: int) -> DenomProfile:
 
     The large products are multiplied out once: dd from its two sqrt parts,
     its coprime part by dividing out the shared one, db and ds from dd(n + 1),
-    with each radical trial-divided once."""
+    with each radical trial-divided once, after both supports, so an n past
+    the sieve cap is refused before any trial division."""
+    support, support_next = qualifying_primes(n), qualifying_primes(n + 1)
     rad_n, rad_n1 = radical(n), radical(n + 1)
-    parts = split(n, qualifying_primes(n))
+    parts = split(n, support)
     dd_minus, dd_plus = _product(parts.minus), _product(parts.plus)
     dd, dd_shared = dd_minus * dd_plus, _product(parts.shared)
-    dd_next = _product(qualifying_primes(n + 1))
+    dd_next = _product(support_next)
     prof = DenomProfile(
         n=n,
         dd=dd,

@@ -13,10 +13,13 @@ prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
 when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
 stays in the denominator of the k-th derivative at n = m + k - 1.
 
-Chunks are independent, so a scan may run them on worker processes, and
-they persist to a line-delimited JSON checkpoint so interrupted scans resume
-byte-identically. A sweep sizes arith.shared_sieve for its whole range before
-its first chunk, in each process, so no chunk makes the cache grow again.
+Chunks are independent, so a scan may run them on worker processes. A
+chunk's result, a ScanChunk, is what a checkpoint persists: one JSON line
+appended per chunk after a header naming the scan, so an interrupted scan
+resumes from the chunks it finished and ends byte-identical, file and all, to
+one that never stopped. A sweep sizes arith.shared_sieve for its whole range
+before its first chunk, in each process, so no chunk makes the cache grow
+again.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +39,10 @@ from .denom import db_k, heavy_runs, supports
 
 __all__ = [
     "CheckpointError",
-    "ChunkRecord",
     "DEFAULT_CHUNK_SIZE",
     "ScanChunk",
     "ScanConfig",
     "ScanResult",
-    "ScanState",
     "SetReport",
     "checkpoint_resume",
     "checkpoint_save",
@@ -53,9 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 20
-CHECKPOINT_VERSION = 1
-
-_COUNTER_MAX = (1 << 16) - 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -68,18 +67,14 @@ def chunk_checksum(lo: int, hi: int, exceptional: Sequence[int]) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScanChunk:
-    """Scan results for the inclusive index range [lo, hi].
-
-    omega_counts[i] is the number of primes above sqrt(lo + i) whose base-p
-    digit sum of lo + i reaches p; exceptional lists the indices where that
-    count is zero.
-    """
+    """Scan results for the inclusive index range [lo, hi], as a checkpoint
+    records them: exceptional lists the indices n with no prime above sqrt(n)
+    whose base-p digit sum of n reaches p, and checksum digests both."""
 
     lo: int
     hi: int
-    omega_counts: np.ndarray
     exceptional: tuple[int, ...]
     checksum: str
 
@@ -96,20 +91,11 @@ def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
-    """Count, for every n in [lo, hi], the primes p > sqrt(n) with digit sum >= p."""
+    """The n in [lo, hi] with no prime p > sqrt(n) of digit sum >= p."""
     if lo < 1 or lo > hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    counts = _run_counts(lo, hi)
-    if int(counts.max(initial=0)) > _COUNTER_MAX:
-        raise OverflowError(f"omega counter overflow in [{lo}, {hi}]")
-    exceptional = tuple((np.flatnonzero(counts == 0) + lo).tolist())
-    return ScanChunk(
-        lo=lo,
-        hi=hi,
-        omega_counts=counts.astype(np.uint16),
-        exceptional=exceptional,
-        checksum=chunk_checksum(lo, hi, exceptional),
-    )
+    exceptional = tuple((np.flatnonzero(_run_counts(lo, hi) == 0) + lo).tolist())
+    return ScanChunk(lo, hi, exceptional, chunk_checksum(lo, hi, exceptional))
 
 
 @dataclass(frozen=True)
@@ -163,7 +149,7 @@ def find_rad_set(limit: int) -> SetReport:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Identity of one scan: range plus chunking; hashed into checkpoints."""
+    """Identity of one scan: range plus chunking, the checkpoint's header."""
 
     lo: int
     hi: int
@@ -178,10 +164,6 @@ class ScanConfig:
             "chunk_size": self.chunk_size,
         }
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.header(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
     def chunk_ranges(self) -> list[tuple[int, int]]:
         return [
             (lo, min(lo + self.chunk_size - 1, self.hi))
@@ -189,75 +171,47 @@ class ScanConfig:
         ]
 
 
-@dataclass(frozen=True)
-class ChunkRecord:
-    """The persisted results of one completed chunk."""
-
-    lo: int
-    hi: int
-    exceptional: tuple[int, ...]
-    checksum: str
-
-
-@dataclass
-class ScanState:
-    """A scan in progress: configuration plus completed chunk records."""
-
-    config: ScanConfig
-    records: dict[int, ChunkRecord] = field(default_factory=dict)
-    complete: bool = False
-
-
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def checkpoint_save(path, state: ScanState) -> None:
-    """Write the whole checkpoint atomically (temp file plus rename)."""
-    path = os.fspath(path)
-    lines = [_dump(state.config.header())]
-    for rec in sorted(state.records.values(), key=lambda r: r.lo):
-        lines.append(
-            _dump(
-                {
-                    "lo": rec.lo,
-                    "hi": rec.hi,
-                    "exceptional": list(rec.exceptional),
-                    "checksum": rec.checksum,
-                }
-            )
-        )
-    if state.complete:
-        lines.append(_dump({"complete": True, "config_hash": state.config.config_hash()}))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+def checkpoint_save(path, chunk: ScanChunk) -> None:
+    """Append chunk's record to the checkpoint, as one line in one write."""
+    with open(path, "ab", buffering=0) as fh:
+        fh.write((_dump(asdict(chunk)) + "\n").encode("ascii"))
 
 
-def checkpoint_resume(path, config: ScanConfig) -> ScanState:
-    """Load and validate a checkpoint; a missing or empty file starts fresh."""
-    state = ScanState(config=config)
+def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
+    """The validated chunks of a checkpoint, by lo. A missing or empty file
+    is given config's header and holds none; an empty one also warns."""
     path = os.fspath(path)
-    if not os.path.exists(path):
-        return state
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
+    raw = ""
+    if os.path.exists(path):
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read()
+        if not raw.strip():
+            warnings.warn(f"checkpoint {path} is empty; starting fresh", stacklevel=2)
     if not raw.strip():
-        warnings.warn(f"checkpoint {path} is empty; starting fresh", stacklevel=2)
-        return state
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(_dump(config.header()) + "\n")
+        return {}
 
     lines = raw.splitlines()
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("berndenom_checkpoint") != CHECKPOINT_VERSION:
-        raise CheckpointError("unsupported checkpoint version")
+    version = header.get("berndenom_checkpoint") if isinstance(header, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {version} is not supported; "
+            f"berndenom reads version {CHECKPOINT_VERSION} only"
+        )
     if header != config.header():
         raise CheckpointError("checkpoint was written for a different scan configuration")
 
     grid = dict(config.chunk_ranges())
+    chunks: dict[int, ScanChunk] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -265,13 +219,6 @@ def checkpoint_resume(path, config: ScanConfig) -> ScanState:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(f"malformed checkpoint record: {line!r}")
-        if "complete" in payload:
-            if payload.get("config_hash") != config.config_hash():
-                raise CheckpointError("completion marker carries a foreign config hash")
-            state.complete = True
-            continue
         try:
             lo = int(payload["lo"])
             hi = int(payload["hi"])
@@ -281,15 +228,12 @@ def checkpoint_resume(path, config: ScanConfig) -> ScanState:
             raise CheckpointError(f"malformed checkpoint record: {line!r}") from exc
         if grid.get(lo) != hi:
             raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid")
-        if lo in state.records:
+        if lo in chunks:
             raise CheckpointError(f"duplicate record for the chunk starting at {lo}")
         if chunk_checksum(lo, hi, exceptional) != checksum:
             raise CheckpointError(f"checksum mismatch in chunk [{lo}, {hi}]")
-        state.records[lo] = ChunkRecord(lo, hi, exceptional, checksum)
-
-    if state.complete and len(state.records) != len(grid):
-        raise CheckpointError("checkpoint marked complete but chunks are missing")
-    return state
+        chunks[lo] = ScanChunk(lo, hi, exceptional, checksum)
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -308,14 +252,12 @@ def _worker_init(need: int) -> None:
     shared_sieve(need)
 
 
-def _scan_range(task: tuple[int, int]) -> ChunkRecord:
-    chunk = scan_omega_plus(*task)
-    return ChunkRecord(chunk.lo, chunk.hi, chunk.exceptional, chunk.checksum)
-
-
 def _scan_chunks(pending, threads: int, need: int):
-    """Yield the record of each pending range, in order, from worker
-    processes or from this one, each with the cache sized to need first."""
+    """Scan each pending range, in order, on worker processes or in this
+    one, each with the cache sized to need first."""
+    if not pending:
+        return
+    los, his = zip(*pending)
     if threads > 1 and len(pending) > 1:
         # imported here: it costs every CLI start about 19 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
@@ -325,10 +267,10 @@ def _scan_chunks(pending, threads: int, need: int):
             initializer=_worker_init,
             initargs=(need,),
         ) as pool:
-            yield from pool.map(_scan_range, pending)
-    elif pending:
+            yield from pool.map(scan_omega_plus, los, his)
+    else:
         shared_sieve(need)  # once for every chunk below
-        yield from map(_scan_range, pending)
+        yield from map(scan_omega_plus, los, his)
 
 
 def run_scan(
@@ -351,24 +293,16 @@ def run_scan(
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
     config = ScanConfig(lo=1, hi=limit, chunk_size=chunk_size)
-    if checkpoint_path is not None:
-        state = checkpoint_resume(checkpoint_path, config)
-    else:
-        state = ScanState(config=config)
-
-    pending = [r for r in config.chunk_ranges() if r[0] not in state.records]
-    for rec in _scan_chunks(pending, threads, (limit + 1) // 2):
-        state.records[rec.lo] = rec
+    chunks = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
+    pending = [r for r in config.chunk_ranges() if r[0] not in chunks]
+    for chunk in _scan_chunks(pending, threads, (limit + 1) // 2):
+        chunks[chunk.lo] = chunk
         if checkpoint_path is not None:
-            checkpoint_save(checkpoint_path, state)
+            checkpoint_save(checkpoint_path, chunk)
 
-    state.complete = True
-    if checkpoint_path is not None:
-        checkpoint_save(checkpoint_path, state)
-
-    ordered = sorted(state.records.values(), key=lambda r: r.lo)
-    exceptional = tuple(n for rec in ordered for n in rec.exceptional)
-    digest = hashlib.sha256("|".join(r.checksum for r in ordered).encode("ascii")).hexdigest()
+    ordered = sorted(chunks.values(), key=lambda c: c.lo)
+    exceptional = tuple(n for c in ordered for n in c.exceptional)
+    digest = hashlib.sha256("|".join(c.checksum for c in ordered).encode("ascii")).hexdigest()
     return ScanResult(
         limit=limit,
         chunk_size=chunk_size,

@@ -111,9 +111,9 @@ def test_criterion_4_extended_scan():
     report(4, not beyond, "extended mode: no exceptional n in (192, 10^7]")
 
 
-def test_criterion_5_omega_bound(scan_million):
+def test_criterion_5_omega_bound(counts_million):
     n = np.arange(1, 10**6 + 1, dtype=np.int64)
-    violations = int(np.count_nonzero(scan_million.omega_counts.astype(np.int64) ** 2 >= n))
+    violations = int(np.count_nonzero(counts_million.astype(np.int64) ** 2 >= n))
     report(5, violations == 0, "omega(dd_plus(n)) < sqrt(n) for every n <= 10^6")
 
 
@@ -128,20 +128,19 @@ def test_criterion_6_lemma_suite():
 
 def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
     chunk = scanner.scan_omega_plus(1, 10_000)
+    counts = scanner._run_counts(1, 10_000)
     mismatch = None
     for n in range(1, 10_001):
         _, above = denom.dd_split_sqrt(n)
-        if int(chunk.omega_counts[n - 1]) != above.omega:
+        if int(counts[n - 1]) != above.omega:
             mismatch = n
             break
 
-    parts = [
-        scanner.scan_omega_plus(lo, min(lo + 2047, 10_000))
-        for lo in range(1, 10_001, 2048)
-    ]
+    ranges = [(lo, min(lo + 2047, 10_000)) for lo in range(1, 10_001, 2048)]
+    parts = [scanner.scan_omega_plus(lo, hi) for lo, hi in ranges]
     exceptional = tuple(n for part in parts for n in part.exceptional)
     chunked_ok = (
-        np.array_equal(np.concatenate([part.omega_counts for part in parts]), chunk.omega_counts)
+        np.array_equal(np.concatenate([scanner._run_counts(lo, hi) for lo, hi in ranges]), counts)
         and exceptional == chunk.exceptional
         and scanner.chunk_checksum(1, 10_000, exceptional) == chunk.checksum
     )
@@ -151,12 +150,10 @@ def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
     main(["scan", "--limit", "10000", "--chunk", "2048"])
     fresh_out = capsys.readouterr().out
     config = scanner.ScanConfig(1, 10_000, 2048)
-    partial = scanner.ScanState(config=config)
-    for lo, hi in config.chunk_ranges()[:2]:
-        piece = scanner.scan_omega_plus(lo, hi)
-        partial.records[lo] = scanner.ChunkRecord(lo, hi, piece.exceptional, piece.checksum)
     path = tmp_path / "acceptance.ckpt"
-    scanner.checkpoint_save(path, partial)
+    scanner.checkpoint_resume(path, config)  # writes the header
+    for part in parts[:2]:  # the first two chunks of config's grid
+        scanner.checkpoint_save(path, part)
     main(["scan", "--limit", "10000", "--chunk", "2048", "--checkpoint", str(path)])
     resumed_out = capsys.readouterr().out
 
@@ -170,7 +167,7 @@ def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
         )
 
 
-def test_criterion_8_kappa_ratio_sanity(scan_million):
+def test_criterion_8_kappa_ratio_sanity(counts_million):
     # kappa(n) = omega_+(n) * ln(n) / sqrt(n); calibration window, brute force per index through the split route
     lo, hi = 10**4 - 10**3, 10**4
     ratios = []
@@ -180,14 +177,14 @@ def test_criterion_8_kappa_ratio_sanity(scan_million):
     brute_mean = sum(ratios) / len(ratios)
 
     scan_lo, scan_hi = 10**6 - 10**3, 10**6
-    counts = scan_million.omega_counts[scan_lo - 1 : scan_hi]
+    counts = counts_million[scan_lo - 1 : scan_hi]
     n = np.arange(scan_lo, scan_hi + 1, dtype=np.float64)
     scan_mean = float((counts.astype(np.float64) * np.log(n) / np.sqrt(n)).mean())
-    window = scanner.scan_omega_plus(scan_lo, scan_hi)  # the same counts, scanned alone
+    window = scanner._run_counts(scan_lo, scan_hi)  # the same counts, scanned alone
     ok = (
         0.5 < brute_mean < 4.0
         and 0.5 < scan_mean < 4.0
-        and np.array_equal(window.omega_counts, counts)
+        and np.array_equal(window, counts)
     )
     report(
         8,

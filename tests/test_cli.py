@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +66,24 @@ class TestProfile:
         with pytest.raises(SystemExit) as exc:
             main(["profile", "0"])
         assert exc.value.code == 2
+
+    def test_past_the_sieve_cap_refused_at_once(self, capsys):
+        # isqrt(n) is past the 2**26 sieve cap: refused before radical(n)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "profile", "100000000000000003")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "67108864" in err
+
+    @pytest.mark.parametrize("n", [2**63 - 1, 2**63])
+    def test_past_the_int64_range_refused_at_once(self, capsys, n):
+        # n + 1 must stay below 2**63 for the support of dd(n + 1)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", str(n)])
+        assert time.perf_counter() - start < 2
+        assert exc.value.code == 2
+        assert "error: profile needs n + 1 < 2**63" in capsys.readouterr().err
 
 
 class TestSeq:
@@ -187,17 +207,15 @@ class TestScan:
         assert first == second
 
     def test_interrupted_resume_is_byte_identical(self, capsys, tmp_path):
-        from berndenom.scanner import ChunkRecord, ScanConfig, ScanState, checkpoint_save, scan_omega_plus
+        from berndenom.scanner import ScanConfig, checkpoint_resume, checkpoint_save, scan_omega_plus
 
         _, fresh, _ = run_cli(capsys, "scan", "--limit", "2000", "--chunk", "512")
 
         config = ScanConfig(1, 2000, 512)
-        partial = ScanState(config=config)
-        for lo, hi in config.chunk_ranges()[:2]:
-            chunk = scan_omega_plus(lo, hi)
-            partial.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
         path = tmp_path / "scan.ckpt"
-        checkpoint_save(path, partial)
+        checkpoint_resume(path, config)  # writes the header
+        for lo, hi in config.chunk_ranges()[:2]:
+            checkpoint_save(path, scan_omega_plus(lo, hi))
 
         code, resumed, _ = run_cli(
             capsys, "scan", "--limit", "2000", "--chunk", "512", "--checkpoint", str(path)
@@ -213,6 +231,19 @@ class TestScan:
         assert code == 2
         assert "different scan configuration" in err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_checkpoint_fails_before_scanning(self, capsys, tmp_path, monkeypatch, where):
+        from berndenom import scanner
+
+        def explode(*args, **kwargs):
+            raise AssertionError("an unwritable checkpoint must fail before any chunk")
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        path = tmp_path / "missing" / "scan.ckpt" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, "scan", "--limit", "5000", "--checkpoint", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
     def test_two_threads_match_one(self, capsys):
         # four chunks, so two worker processes share them
         code, out, err = run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "2")
@@ -224,6 +255,56 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--limit", "200000000")
         assert code == 2 and out == ""
         assert "67108864" in err and "max_limit" not in err
+
+
+KILL_SCAN = ["scan", "--limit", "100000", "--chunk", "128"]  # 782 chunks
+KILL_POINTS = 10
+
+
+def records_in(path) -> int:
+    """Records in a checkpoint: -1 before its header exists."""
+    try:
+        return path.read_bytes().count(b"\n") - 1
+    except FileNotFoundError:
+        return -1
+
+
+def scan_process(path, **kwargs):
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    argv = [sys.executable, "-m", "berndenom", *KILL_SCAN, "--checkpoint", str(path)]
+    return subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+def killed_after(path, records: int) -> int:
+    """SIGKILL a checkpointed scan once path holds records records (-1: at
+    once, before the header); return how many it held then."""
+    child = scan_process(path, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        while records >= 0 and child.poll() is None and records_in(path) < records:
+            time.sleep(0.0005)
+    finally:
+        child.kill()  # SIGKILL, to this child alone; a no-op once it has exited
+        child.wait()
+    return records_in(path)
+
+
+def test_sigkilled_scan_resumes_byte_identically(tmp_path):
+    fresh_path = tmp_path / "fresh.ckpt"
+    fresh = scan_process(fresh_path, stdout=subprocess.PIPE).communicate()[0]
+    total = records_in(fresh_path)
+    assert total == 782
+    rng = random.Random(782)
+    # before the header, seeded points among the records, and after the last
+    targets = [-1, *sorted(rng.sample(range(total), KILL_POINTS - 2)), total]
+    held = []
+    for point, target in enumerate(targets):
+        path = tmp_path / f"killed{point}.ckpt"
+        held.append(killed_after(path, target))
+        resumed = scan_process(path, stdout=subprocess.PIPE).communicate()[0]
+        assert resumed == fresh, (target, held[-1])
+        assert path.read_bytes() == fresh_path.read_bytes(), (target, held[-1])
+    assert held[0] == -1 and held[-1] == total
+    assert any(0 < h < total for h in held), held
 
 
 class TestSets:

@@ -11,9 +11,8 @@ from berndenom import arith, denom, scanner
 from berndenom.arith import is_prime, sieve
 from berndenom.scanner import (
     CheckpointError,
-    ChunkRecord,
+    ScanChunk,
     ScanConfig,
-    ScanState,
     checkpoint_resume,
     checkpoint_save,
     chunk_checksum,
@@ -38,40 +37,30 @@ RAD_SET = (3, 5, 8, 9, 11, 27, 29, 35, 59)
 
 class TestScanOmegaPlus:
     def test_first_ten(self):
-        chunk = scan_omega_plus(1, 10)
-        assert chunk.omega_counts.tolist() == [0, 0, 1, 0, 1, 0, 1, 1, 1, 0]
-        assert chunk.exceptional == (1, 2, 4, 6, 10)
+        assert scanner._run_counts(1, 10).tolist() == [0, 0, 1, 0, 1, 0, 1, 1, 1, 0]
+        assert scan_omega_plus(1, 10).exceptional == (1, 2, 4, 6, 10)
 
     def test_matches_per_index_route(self):
-        chunk = scan_omega_plus(1, 2000)
+        counts = scanner._run_counts(1, 2000)
         for n in range(1, 2001):
             _, above = denom.dd_split_sqrt(n)
-            assert int(chunk.omega_counts[n - 1]) == above.omega
+            assert int(counts[n - 1]) == above.omega
 
     def test_window_shift_preserves_values(self):
-        wide = scan_omega_plus(1, 600)
-        window = scan_omega_plus(101, 400)
-        assert np.array_equal(window.omega_counts, wide.omega_counts[100:400])
-
-    def test_counts_are_uint16(self):
-        assert scan_omega_plus(1, 100).omega_counts.dtype == np.uint16
+        wide = scanner._run_counts(1, 600)
+        window = scanner._run_counts(101, 400)
+        assert np.array_equal(window, wide[100:400])
 
     def test_bound_below_sqrt(self):
-        chunk = scan_omega_plus(1, 5000)
+        counts = scanner._run_counts(1, 5000)
         n = np.arange(1, 5001, dtype=np.int64)
-        assert not np.any(chunk.omega_counts.astype(np.int64) ** 2 >= n)
+        assert not np.any(counts.astype(np.int64) ** 2 >= n)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scan_omega_plus(0, 10)
         with pytest.raises(ValueError):
             scan_omega_plus(10, 5)
-
-    def test_counter_overflow_raises(self, monkeypatch):
-        monkeypatch.setattr(scanner, "_COUNTER_MAX", 2)
-        scan_omega_plus(1, 30)  # omega_+ <= 2 up to 30
-        with pytest.raises(OverflowError, match="omega counter overflow"):
-            scan_omega_plus(1, 100)
 
 
 @functools.cache
@@ -93,12 +82,12 @@ BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "
 
 
 def scan_with_batch(lo, hi, batch):
-    """scan_omega_plus with the run budget per batch set to batch (None
+    """The scan's counts with the run budget per batch set to batch (None
     keeps the default); 1 and 7 cut batches inside a1 slices."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(denom, "_RUN_BATCH", batch)
-        return scan_omega_plus(lo, hi).omega_counts
+        return scanner._run_counts(lo, hi)
 
 
 class TestAgainstBruteForce:
@@ -133,13 +122,11 @@ class TestChunkIndependence:
     def test_any_partition_matches_direct_scan(self):
         direct = scan_omega_plus(1, 5000)
         cuts = [1, 7, 1000, 1001, 4999, 5000]
-        parts = [
-            scan_omega_plus(lo, hi - 1)
-            for lo, hi in zip(cuts, cuts[1:] + [5001])
-            if lo <= hi - 1
-        ]
+        ranges = [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:] + [5001]) if lo <= hi - 1]
+        parts = [scan_omega_plus(lo, hi) for lo, hi in ranges]
         exceptional = tuple(n for c in parts for n in c.exceptional)
-        assert np.array_equal(np.concatenate([c.omega_counts for c in parts]), direct.omega_counts)
+        counts = np.concatenate([scanner._run_counts(lo, hi) for lo, hi in ranges])
+        assert np.array_equal(counts, scanner._run_counts(1, 5000))
         assert exceptional == direct.exceptional
         assert chunk_checksum(1, 5000, exceptional) == direct.checksum
 
@@ -226,7 +213,7 @@ class TestFindRadSet:
 def kappa(lo, hi):
     """omega_+(n) * ln(n) / sqrt(n) for every n in [lo, hi]."""
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    return scan_omega_plus(lo, hi).omega_counts * np.log(n) / np.sqrt(n)
+    return scanner._run_counts(lo, hi) * np.log(n) / np.sqrt(n)
 
 
 class TestKappaRatio:
@@ -236,44 +223,38 @@ class TestKappaRatio:
         assert np.array_equal(kappa(2, 3000), first)
 
     def test_raw_ratio_below_one(self):
-        chunk = scan_omega_plus(2, 3000)
+        counts = scanner._run_counts(2, 3000)
         n = np.arange(2, 3001, dtype=np.float64)
-        assert np.all(chunk.omega_counts.astype(np.float64) / np.sqrt(n) < 1.0)
+        assert np.all(counts.astype(np.float64) / np.sqrt(n) < 1.0)
 
 
 class TestCheckpointing:
     def test_save_resume_roundtrip(self, tmp_path):
         config = ScanConfig(1, 3000, 1000)
-        state = ScanState(config=config)
-        for lo, hi in config.chunk_ranges():
-            chunk = scan_omega_plus(lo, hi)
-            state.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
         path = tmp_path / "scan.ckpt"
-        checkpoint_save(path, state)
-        loaded = checkpoint_resume(path, config)
-        assert loaded.records == state.records
-        assert not loaded.complete
+        assert checkpoint_resume(path, config) == {}  # writes the header
+        chunks = {lo: scan_omega_plus(lo, hi) for lo, hi in config.chunk_ranges()}
+        for chunk in chunks.values():
+            checkpoint_save(path, chunk)
+        assert checkpoint_resume(path, config) == chunks
 
     def test_interrupted_resume_matches_uninterrupted(self, tmp_path):
-        fresh = run_scan(3000, chunk_size=1000)
-
-        config = ScanConfig(1, 3000, 1000)
-        partial = ScanState(config=config)
-        lo, hi = config.chunk_ranges()[0]
-        chunk = scan_omega_plus(lo, hi)
-        partial.records[lo] = ChunkRecord(lo, hi, chunk.exceptional, chunk.checksum)
-        path = tmp_path / "scan.ckpt"
-        checkpoint_save(path, partial)
-
-        resumed = run_scan(3000, chunk_size=1000, checkpoint_path=path)
-        assert resumed == fresh
-
-        completed = checkpoint_resume(path, config)
-        assert completed.complete and len(completed.records) == 3
+        # an interrupted scan leaves some prefix of the lines of a finished one
+        path = tmp_path / "fresh.ckpt"
+        fresh = run_scan(3000, chunk_size=400, threads=2, checkpoint_path=path)
+        assert fresh == run_scan(3000, chunk_size=400)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + 8  # the header, then one record per chunk
+        for kept in range(1, len(lines) + 1):
+            cut = tmp_path / f"cut{kept}.ckpt"
+            cut.write_bytes(b"".join(lines[:kept]))
+            assert run_scan(3000, chunk_size=400, checkpoint_path=cut) == fresh
+            assert cut.read_bytes() == path.read_bytes(), kept
 
     def test_completed_checkpoint_skips_rescanning(self, tmp_path, monkeypatch):
         path = tmp_path / "scan.ckpt"
         first = run_scan(2000, chunk_size=512, checkpoint_path=path)
+        written = path.read_bytes()
 
         def explode(*args, **kwargs):
             raise AssertionError("resume of a complete scan must not rescan")
@@ -281,6 +262,7 @@ class TestCheckpointing:
         monkeypatch.setattr(scanner, "scan_omega_plus", explode)
         again = run_scan(2000, chunk_size=512, checkpoint_path=path)
         assert again == first
+        assert path.read_bytes() == written
 
     def test_mismatched_config_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
@@ -289,6 +271,13 @@ class TestCheckpointing:
             run_scan(3000, chunk_size=512, checkpoint_path=path)
         with pytest.raises(CheckpointError):
             run_scan(2000, chunk_size=256, checkpoint_path=path)
+
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        header = {**ScanConfig(1, 2000, 512).header(), "berndenom_checkpoint": 1}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(CheckpointError, match="version 1 .*version 2"):
+            run_scan(2000, chunk_size=512, checkpoint_path=path)
 
     def test_empty_checkpoint_warns_and_starts_fresh(self, tmp_path):
         path = tmp_path / "scan.ckpt"
@@ -312,18 +301,24 @@ class TestCheckpointing:
         path = tmp_path / "scan.ckpt"
         run_scan(2000, chunk_size=512, checkpoint_path=path)
         text = path.read_text().splitlines()
-        for garbled in ("{not json", "null", "5", "[]"):
+        for garbled in ("{not json", "null", "5", "[]", '{"complete":true}'):
             path.write_text("\n".join(text[:2] + [garbled] + text[3:]) + "\n")
             with pytest.raises(CheckpointError):
                 checkpoint_resume(path, ScanConfig(1, 2000, 512))
 
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        run_scan(2000, chunk_size=512, checkpoint_path=path)
+        checkpoint_save(path, scan_omega_plus(513, 1024))
+        with pytest.raises(CheckpointError, match="duplicate"):
+            checkpoint_resume(path, ScanConfig(1, 2000, 512))
+
     def test_off_grid_record_rejected(self, tmp_path):
         config = ScanConfig(1, 2000, 512)
-        state = ScanState(config=config)
-        exceptional = (7,)
-        state.records[7] = ChunkRecord(7, 600, exceptional, chunk_checksum(7, 600, exceptional))
         path = tmp_path / "scan.ckpt"
-        checkpoint_save(path, state)
+        checkpoint_resume(path, config)
+        exceptional = (7,)
+        checkpoint_save(path, ScanChunk(7, 600, exceptional, chunk_checksum(7, 600, exceptional)))
         with pytest.raises(CheckpointError, match="chunk grid"):
             checkpoint_resume(path, config)
 
