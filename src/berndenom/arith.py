@@ -283,7 +283,7 @@ def radical(n: int) -> SquarefreeProduct:
         d += 2
     if m > 1:
         primes.append(m)
-    return SquarefreeProduct.from_known_primes(primes)
+    return SquarefreeProduct._unchecked(tuple(primes), math.prod(primes))  # ascending as found
 
 
 @dataclass(frozen=True, eq=False)

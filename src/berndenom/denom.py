@@ -12,14 +12,16 @@ one of two routes:
   leaves one candidate per quotient, looked up in a sieved window or
   checked by Miller-Rabin, so a single index costs O(sqrt n) candidates
   and primes to isqrt(n) only.
-* A range: supports(lo, hi) yields the support of every n in [lo, hi], a
-  block of indices at a time. Primes up to isqrt(hi) are tested with
-  vectorised digit sums; heavy_runs() enumerates the runs of the larger
-  primes quotient-major, and the scanner counts the same runs without
-  materialising any support.
+* A range: support_blocks(lo, hi) yields the supports of every n in
+  [lo, hi] a block of indices at a time, as PrimePairs: the pairs (n, p) in
+  sorted int64 arrays. Primes up to isqrt(hi) are tested with vectorised
+  digit sums; heavy_runs() enumerates the runs of the larger primes
+  quotient-major, and _run_counts() counts the same runs without
+  materialising any support: that count is omega_+(n).
 
-split(n, support) cuts a support by sqrt(n) and by whether p divides n, and
-every family below is read off those parts:
+split(n, support) cuts one support by sqrt(n) and by whether p divides n,
+and a block is cut by two masks over its pairs, p * p < n and n % p == 0.
+Every family below is read off those parts:
 
 * ``dd(n)``   denominator of B_n(x) - B_n            (cf. OEIS A195441)
 * ``dn(n)``   denominator of the number B_n           (cf. OEIS A027642)
@@ -54,6 +56,7 @@ from .arith import (
 __all__ = [
     "DenomProfile",
     "Parts",
+    "PrimePairs",
     "SEQUENCES",
     "db",
     "db_k",
@@ -68,14 +71,15 @@ __all__ = [
     "qualifying_primes",
     "sequence",
     "split",
-    "supports",
+    "support_block",
+    "support_blocks",
 ]
 
 _RUN_BATCH = 1 << 16
 """Most runs or (prime, index) pairs in one batch, so memory is O(window + batch)."""
 
 _SUPPORT_BLOCK = 1 << 10
-"""Indices per block of supports(), so Python tuples exist for one block only."""
+"""Indices per block of support_blocks(), so memory is O(block * support size)."""
 
 _product = SquarefreeProduct.from_known_primes
 
@@ -170,8 +174,63 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
         del a1, index, begin, stop
 
 
-def _block_supports(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, ...]]:
-    """The support of every n in [lo, hi], from (prime, offset) pairs."""
+def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
+    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ..., cut) hold n.
+
+    With cut = 0 that is omega_+(n), the number of heavy primes above
+    sqrt(n): a run holds only n < (a1+1)p <= p^2.
+    """
+    length = hi - lo + 1
+    delta = np.zeros(length + 1, dtype=np.int32)
+    for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array, cut):
+        np.add.at(delta, begin, np.int32(1))  # a Python 1 takes a path 20x slower
+        np.subtract.at(delta, stop, np.int32(1))
+        del begin, stop  # before heavy_runs builds the next batch
+    return np.cumsum(delta[:length], dtype=np.int32, out=delta[:length])
+
+
+class PrimePairs(NamedTuple):
+    """Primes attached to each n in [lo, hi], as int64 pair arrays (n, p)
+    ascending in n, then in p. The range route gives the supports of dd(n)
+    this way, and split() is two masks over them: minus (p below sqrt(n),
+    plus above) and shared (p divides n, coprime does not)."""
+
+    lo: int
+    hi: int
+    n: np.ndarray
+    p: np.ndarray
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.p * self.p < self.n
+
+    @property
+    def shared(self) -> np.ndarray:
+        return self.n % self.p == 0
+
+    def window(self, lo: int, hi: int) -> "PrimePairs":
+        """The pairs of lo <= n <= hi, a subrange of [self.lo, self.hi]."""
+        a, b = self.n.searchsorted((lo, hi + 1))
+        return PrimePairs(lo, hi, self.n[a:b], self.p[a:b])
+
+    def tuples(self, mask: np.ndarray | None = None) -> list[tuple[int, ...]]:
+        """For each n in [lo, hi], the ascending primes of its pairs that mask keeps."""
+        n, p = (self.n, self.p) if mask is None else (self.n[mask], self.p[mask])
+        ends = np.cumsum(np.bincount(n - self.lo, minlength=self.hi - self.lo + 1)).tolist()
+        primes = p.tolist()
+        return [tuple(primes[a:b]) for a, b in zip([0, *ends], ends)]
+
+    def products(self, mask: np.ndarray | None = None) -> list[int]:
+        """For each n in [lo, hi], the product of the primes that mask keeps."""
+        return [math.prod(ps) for ps in self.tuples(mask)]
+
+
+def support_block(lo: int, hi: int) -> PrimePairs:
+    """The supports of every n in [lo, hi]: digit sums for the primes up to
+    isqrt(hi), heavy_runs() for the larger ones."""
+    if lo < 1:
+        raise ValueError(f"need lo >= 1, got {lo}")
+    primes = shared_sieve((hi + 1) // 2).array
     root = primes.searchsorted(isqrt(hi), "right")
     owners = [np.zeros(0, dtype=np.int64)]
     offsets = [np.zeros(0, dtype=np.int64)]
@@ -184,21 +243,16 @@ def _block_supports(lo: int, hi: int, primes: np.ndarray) -> list[tuple[int, ...
         for owner, offset in _ragged_batches(large[index], begin, stop - begin):
             owners.append(owner)
             offsets.append(offset)
-    offset = np.concatenate(offsets)
     # every prime is below hi + 1, so one sort of this key orders by index, then prime
-    keys = np.sort(offset * (hi + 1) + np.concatenate(owners))
-    ordered = (keys % (hi + 1)).tolist()
-    ends = np.cumsum(np.bincount(offset, minlength=hi - lo + 1)).tolist()
-    return [tuple(ordered[a:b]) for a, b in zip([0] + ends, ends)]
+    keys = np.sort(np.concatenate(offsets) * (hi + 1) + np.concatenate(owners))
+    n, p = np.divmod(keys, hi + 1)
+    return PrimePairs(lo, hi, n + lo, p)
 
 
-def supports(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Yield qualifying_primes(n) for n = lo, ..., hi, built a block at a time."""
-    if lo < 1:
-        raise ValueError(f"need lo >= 1, got {lo}")
-    primes = shared_sieve((hi + 1) // 2).array
+def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
+    """The supports of n = lo, ..., hi, one block of _SUPPORT_BLOCK indices at a time."""
     for b0 in range(lo, hi + 1, _SUPPORT_BLOCK):
-        yield from _block_supports(b0, min(b0 + _SUPPORT_BLOCK - 1, hi), primes)
+        yield support_block(b0, min(b0 + _SUPPORT_BLOCK - 1, hi))
 
 
 class Parts(NamedTuple):
@@ -318,39 +372,60 @@ def omega_dd_plus(n: int) -> int:
     return len(split(n, qualifying_primes(n)).plus)
 
 
-# name: (shift, value); value(n, k, support) reads the support of dd(n + shift).
-# A shift of None marks a sequence that needs no support; db_k's 1 becomes 1 - k.
+# name: (shift, values); values(block, k) gives the family at n = m - shift for
+# each m of a support block. db_k's shift of 1 becomes 1 - k; None marks the
+# two families that read no support.
 _SEQUENCES = {
-    "dd": (0, lambda n, k, s: math.prod(s)),
-    "dn": (None, lambda n, k, s: dn(n).value),
-    "db": (1, lambda n, k, s: math.prod(split(n + 1, s).coprime) * radical(n + 1).value),
-    "ds": (1, lambda n, k, s: (n + 1) * math.prod(s)),
-    "dd_plus": (0, lambda n, k, s: math.prod(split(n, s).plus)),
-    "dd_minus": (0, lambda n, k, s: math.prod(split(n, s).minus)),
-    "dd_coprime": (0, lambda n, k, s: math.prod(split(n, s).coprime)),
-    "dd_shared": (0, lambda n, k, s: math.prod(split(n, s).shared)),
-    "dd_complement": (0, lambda n, k, s: radical(n).value // math.prod(split(n, s).shared)),
-    "omega_plus": (0, lambda n, k, s: len(split(n, s).plus)),
-    "db_k": (1, lambda n, k, s: _db_k(n, k, s).value),
+    "dd": (0, lambda b, k: b.products()),
+    "dn": None,
+    "db": (1, lambda b, k: [r * c for r, c in zip(_radicals(b), b.products(~b.shared))]),
+    "ds": (1, lambda b, k: [m * d for m, d in enumerate(b.products(), b.lo)]),
+    "dd_plus": (0, lambda b, k: b.products(~b.minus)),
+    "dd_minus": (0, lambda b, k: b.products(b.minus)),
+    "dd_coprime": (0, lambda b, k: b.products(~b.shared)),
+    "dd_shared": (0, lambda b, k: b.products(b.shared)),
+    "dd_complement": (0, lambda b, k: [r // s for r, s in zip(_radicals(b), b.products(b.shared))]),
+    "omega_plus": None,
+    "db_k": (
+        1, lambda b, k: [_db_k(n, k, s).value for n, s in enumerate(b.tuples(), b.lo + k - 1)]
+    ),
 }
 SEQUENCES = tuple(_SEQUENCES)
 
 
+def _radicals(block: PrimePairs) -> list[int]:
+    """radical(m) for each m of the block: with every power of the primes up
+    to isqrt(hi) divided out of m, what is left is 1 or its one prime above."""
+    lo, hi = block.lo, block.hi
+    rest, rad = np.arange(lo, hi + 1, dtype=np.int64), np.ones(hi - lo + 1, dtype=np.int64)
+    for p in shared_sieve(isqrt(hi)).primes_in(2, isqrt(hi)):
+        rad[-lo % p :: p] *= p
+        power = p
+        while power <= hi:
+            rest[-lo % power :: power] //= p
+            power *= p
+    return (rad * rest).tolist()
+
+
 def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]:
-    """Yield one family's values for n = lo, ..., hi, from supports() over the range.
+    """Yield one family's values for n = lo, ..., hi, read off support_blocks()
+    over the range; omega_plus is the run count, and dn needs no support.
 
     k is the derivative order of db_k, whose value at n reads the support at
-    n - k + 1; indices whose shifted support lies below 1 get the empty one.
+    n - k + 1; it is 1 wherever that index lies below 1, as n <= k there.
     """
-    shift, value = _SEQUENCES[name]
-    if shift is None:
-        yield from (value(n, k, ()) for n in range(lo, hi + 1))
+    if name == "dn":
+        yield from (dn(n).value for n in range(lo, hi + 1))
         return
+    if name == "omega_plus":
+        yield from _run_counts(lo, hi).tolist()
+        return
+    shift, values = _SEQUENCES[name]
     if name == "db_k":
-        shift -= k  # db_k(n, k) reads the support of n - k + 1
-    found = supports(max(lo + shift, 1), hi + shift)
-    for n in range(lo, hi + 1):
-        yield value(n, k, next(found) if n + shift >= 1 else ())
+        shift -= k
+    yield from [1] * (min(hi, -shift) - lo + 1)
+    for block in support_blocks(max(lo + shift, 1), hi + shift):
+        yield from values(block, k)
 
 
 @dataclass(frozen=True)

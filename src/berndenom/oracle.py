@@ -164,11 +164,17 @@ class RationalPolynomial:
         return RationalPolynomial._over(acc, self.denominator * (power // w))
 
 
+_LAST_ROW = (0, [1])
+
+
 def _binomial_row(n: int) -> list[int]:
-    """C(n, 0), ..., C(n, n), each from the one before."""
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
+    """C(n, 0), ..., C(n, n) by Pascal's rule, from the row built last when
+    that lies at or below n: a walk upward in n builds each row once."""
+    global _LAST_ROW
+    m, row = _LAST_ROW if _LAST_ROW[0] <= n else (0, [1])
+    for _ in range(m, n):
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+    _LAST_ROW = (n, row)
     return row
 
 
@@ -237,9 +243,10 @@ def bernoulli_polynomial(n: int) -> RationalPolynomial:
 # cached apart from bernoulli_polynomial, which stays a plain function
 @lru_cache(maxsize=2)
 def _bernoulli_polynomial(n: int) -> RationalPolynomial:
+    row = _binomial_row(n)  # before the recurrence moves on to row n + 1
     _extend_bernoulli(n)
     terms = []
-    for k, binomial in enumerate(_binomial_row(n)):
+    for k, binomial in enumerate(row):
         den = _DENOMINATORS[n - k]
         g = gcd(binomial, den)
         terms.append((binomial // g * _NUMERATORS[n - k], den // g))

@@ -5,7 +5,7 @@ reaches p. Such a prime is heavy at n exactly on the runs
 [(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p, so a scan scatters the run
 boundaries into an int32 difference array and takes one cumulative sum per
 chunk. The runs come from denom.heavy_runs, the generator behind
-denom.supports, quotient-major with no Python loop over primes, in batches
+denom.support_blocks, quotient-major with no Python loop over primes, in batches
 that keep a chunk's memory at O(chunk + batch) and its time at O(chunk + runs).
 
 The same count with every run cut short at the top by k - 1 is find_sets'
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import radical, shared_sieve
-from .denom import db_k, heavy_runs, supports
+from .denom import _run_counts, db_k, support_blocks
 
 __all__ = [
     "CheckpointError",
@@ -77,17 +77,6 @@ class ScanChunk:
     hi: int
     exceptional: tuple[int, ...]
     checksum: str
-
-
-def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
-    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ..., cut) hold n."""
-    length = hi - lo + 1
-    delta = np.zeros(length + 1, dtype=np.int32)
-    for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array, cut):
-        np.add.at(delta, begin, np.int32(1))  # a Python 1 takes a path 20x slower
-        np.subtract.at(delta, stop, np.int32(1))
-        del begin, stop  # before heavy_runs builds the next batch
-    return np.cumsum(delta[:length], dtype=np.int32, out=delta[:length])
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
@@ -134,17 +123,21 @@ def find_sets(k: int, limit: int) -> SetReport:
 
 
 def find_rad_set(limit: int) -> SetReport:
-    """All n <= limit where dd(n) equals the squarefree kernel of n + 1."""
+    """All n <= limit where dd(n) equals the squarefree kernel of n + 1.
+
+    Only an n whose every support prime divides n + 1 can qualify; their
+    product is compared with radical(n + 1) at those alone.
+    """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    members = tuple(
-        n
-        for n, support in enumerate(supports(1, limit), 1)
-        if support
-        and (n + 1) % support[-1] == 0
-        and math.prod(support) == radical(n + 1).value
-    )
-    return SetReport(k=0, limit=limit, members=members)
+    members = []
+    for block in support_blocks(1, limit):
+        offset = block.n[(block.n + 1) % block.p != 0] - block.lo
+        strays = np.bincount(offset, minlength=block.hi - block.lo + 1)
+        for n in (np.flatnonzero(strays == 0) + block.lo).tolist():
+            if math.prod(block.window(n, n).p.tolist()) == radical(n + 1).value:
+                members.append(n)
+    return SetReport(k=0, limit=limit, members=tuple(members))
 
 
 @dataclass(frozen=True)

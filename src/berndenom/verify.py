@@ -2,9 +2,13 @@
 independent routes: the rational-polynomial oracle, divisibility and parity
 facts, and vectorized digit-sum recomputation.
 
-Each family scans its index range in order and reports the first
-counterexample. A fault hook can flip the verdict of one (family, index)
-pair so that callers can exercise their failure paths honestly.
+Each family checks its indices in order and reports the first
+counterexample. The families over n = 1..limit are array predicates on one
+block of indices at a time: the supports come from denom's range route as
+(n, p) pairs, and a product of primes is compared as the sorted keys
+n << _SHIFT | p of its pairs. A fault hook can flip the verdict of one
+(family, index) pair so that callers can exercise their failure paths
+honestly.
 """
 
 from __future__ import annotations
@@ -12,14 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import denom, oracle, scanner
-from .arith import digit_sum_table, is_prime, radical, shared_sieve
+from .arith import radical, shared_sieve
 
 __all__ = ["FAMILIES", "FamilyResult", "run_verification"]
+
+_SHIFT = 32
+_PRIME = (1 << _SHIFT) - 1
+"""Pairs are compared as keys n << _SHIFT | p: every prime the tables hold
+is at most _PRIME, and every index below 2**31."""
 
 
 @dataclass(frozen=True)
@@ -30,54 +39,121 @@ class FamilyResult:
     witness: int | None
 
 
-@dataclass
-class _Tables:
-    """Supports, their parts and kernels for every n up to limit + 1; the
-    kernels and dn come from sieves, independently of arith.radical, which
-    gives the complements, and of denom.dn."""
-
-    support: list[tuple[int, ...]]
-    parts: list[denom.Parts]
-    complement: list[tuple[int, ...]]
-    rad_primes: list[tuple[int, ...]]
-    rad: list[int]
-    dd: list[int]
-    dn: list[int]
-    db: list[int]
+def _primes(hi: int) -> np.ndarray:
+    primes = shared_sieve(hi).array
+    return primes[: primes.searchsorted(hi, "right")]
 
 
-def _build_tables(limit: int) -> _Tables:
-    top = limit + 1
-    primes = shared_sieve(top).primes_in(2, top)
-    rad_lists: list[list[int]] = [[] for _ in range(top + 1)]
-    for p in primes:
-        for m in range(p, top + 1, p):
-            rad_lists[m].append(p)
-    rad_primes = [tuple(ps) for ps in rad_lists]
-    support = [(), *denom.supports(1, top)]
-    parts = [denom.Parts((), (), (), ())]
-    parts += [denom.split(n, support[n]) for n in range(1, top + 1)]
-    complement = [()] + [
-        tuple(p for p in radical(n).primes if p not in parts[n].shared) for n in range(1, top + 1)
-    ]
-    rad = [math.prod(ps) for ps in rad_primes]
-    # von Staudt-Clausen: p divides dn(m) for even m exactly when p - 1 divides m
-    dn = [1] * (top + 1)
-    dn[1] = 2
-    for p in primes:
-        step = max(p - 1, 2)  # the even multiples of p - 1
-        for m in range(step, top, step):
-            dn[m] *= p
-    return _Tables(
-        support=support,
-        parts=parts,
-        complement=complement,
-        rad_primes=rad_primes,
-        rad=rad,
-        dd=[math.prod(s) for s in support],
-        dn=dn,
-        db=[1] + [math.prod(parts[n + 1].coprime) * rad[n + 1] for n in range(1, top)] + [1],
-    )
+def _keys(pairs: denom.PrimePairs, mask: np.ndarray | None = None, shift: int = 0) -> np.ndarray:
+    """The ascending keys of the pairs that mask keeps, moved to n - shift."""
+    n, p = (pairs.n, pairs.p) if mask is None else (pairs.n[mask], pairs.p[mask])
+    return (n - shift) << _SHIFT | p
+
+
+def _window(keys: np.ndarray, lo: int, hi: int, shift: int = 0) -> np.ndarray:
+    """The ascending keys at lo <= n <= hi, moved to n - shift."""
+    a, b = keys.searchsorted((lo << _SHIFT, (hi + 1) << _SHIFT))
+    return keys[a:b] - (shift << _SHIFT)
+
+
+def _multiples(lo: int, hi: int, primes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The ascending keys of (m, primes[i]) for each multiple m of steps[i] in [lo, hi]."""
+    first = -(-lo // steps)
+    count = np.maximum(hi // steps - first + 1, 0)
+    which = np.repeat(np.arange(primes.size), count)
+    rank = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count)
+    keys = (first[which] + rank) * steps[which] << _SHIFT | primes[which]
+    keys.sort()
+    return keys
+
+
+def _isin(keys: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    if not ascending.size:
+        return np.zeros(keys.size, dtype=bool)
+    return ascending[np.minimum(ascending.searchsorted(keys), ascending.size - 1)] == keys
+
+
+def _product(*keys: np.ndarray) -> np.ndarray:
+    """The keys of the product of the given products, repeated primes kept."""
+    merged = np.concatenate(keys)
+    merged.sort(kind="stable")
+    return merged
+
+
+def _lcm(*keys: np.ndarray) -> np.ndarray:
+    merged = _product(*keys)
+    return merged[np.append(True, merged[1:] != merged[:-1])] if merged.size else merged
+
+
+def _differ(lo: int, size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each n in [lo, lo + size), whether a and b differ at n, repeated
+    keys counted: whether the products they stand for differ."""
+    bad = np.zeros(size, dtype=bool)
+    if not np.array_equal(a, b):  # only where some comparison fails
+        keys, where = np.unique(np.concatenate((a, b)), return_inverse=True)
+        surplus = np.bincount(where.ravel(), np.repeat((1, -1), (a.size, b.size)), keys.size)
+        bad[(keys[surplus != 0] >> _SHIFT) - lo] = True
+    return bad
+
+
+def _block_verdicts(lo: int, hi: int) -> dict[str, np.ndarray]:
+    """Every block family's verdicts at n = lo, ..., hi - 1.
+
+    Products at n and at n + 1 (names ending in _next) are keyed at n. The
+    supports come from denom's range route, the kernels from a sieve, the
+    complements (the primes of n outside the support) from arith.radical,
+    and dn(n) from von Staudt-Clausen, independently of denom.dn.
+    """
+    size, n = hi - lo, np.arange(lo, hi, dtype=np.int64)
+    block = denom.support_block(lo, hi)
+    s, m = block.window(lo, hi - 1), block.window(lo + 1, hi)
+    factors = [radical(i).primes for i in range(lo, hi + 1)]
+    owner = np.repeat(np.arange(lo, hi + 1), [len(f) for f in factors])
+    found = owner << _SHIFT | np.fromiter((q for f in factors for q in f), np.int64, owner.size)
+    complement = found[~_isin(found, _keys(block, block.shared))]
+    primes = _primes(hi)
+    kernel = _multiples(lo, hi, primes, primes)
+    # p divides dn(n) for even n exactly when p - 1 divides n; dn(1) = 2
+    dn = _multiples(lo, hi - 1, primes, np.maximum(primes - 1, 2))
+    dn = np.sort(np.append(dn, 1 << _SHIFT | 2)) if lo == 1 else dn
+
+    shared = s.shared
+    support, coprime = _keys(s), _keys(s, ~shared)
+    support_next, coprime_next = _keys(m, shift=1), _keys(m, ~m.shared, 1)
+    kernel_next = _window(kernel, lo + 1, hi, 1)
+    complement_next = _window(complement, lo + 1, hi, 1)
+    db = _product(coprime_next, kernel_next)  # db(n): the kernel of n + 1 times its coprime part
+    lcm_next = _lcm(support_next, kernel_next)  # also db(n): lcm(dd(n + 1), rad(n + 1))
+    next_is_prime = shared_sieve(hi).window(lo + 1, hi)
+    hits = lambda keys: np.bincount((keys >> _SHIFT) - lo, minlength=size) > 0
+    differ = partial(_differ, lo, size)
+    odd = lambda keys: keys[keys >> _SHIFT & 1 == 1]
+    stray = ~_isin(kernel_next, support) | ~_isin(kernel_next, coprime)
+    decomposed = _product(_keys(s, shared), _window(complement, lo, hi - 1))
+    triple = _product(coprime_next, _keys(m, m.shared, 1), complement_next)
+    return {
+        "decomposition": ~hits(_keys(s, s.p * s.p == s.n))
+        & ~differ(_window(kernel, lo, hi - 1), decomposed),
+        "triple-product": ~differ(db, triple) & ~differ(db, _product(support_next, complement_next))
+        & ~differ(db, lcm_next) & ~differ(db, _lcm(support, dn)),
+        "dd-odd-iff-power-of-two": ~hits(_keys(s, s.p == 2)) == (n & (n - 1) == 0),
+        "composite-radical-divides": next_is_prime | ~hits(kernel_next[stray]),
+        "odd-index-lcm": (n % 2 == 0) | (n < 3) | ~differ(odd(support), odd(lcm_next)),
+        "plus-divides-coprime": ~hits(_keys(s, (s.p * s.p > s.n) & shared)),
+        "rad-of-power-sum-denom": ~differ(lcm_next, _lcm(coprime_next, kernel_next)),
+        "db-even": hits(db[db & _PRIME == 2]),
+        "coprime-parity": np.where(
+            n == 1, ~hits(coprime), hits(coprime[coprime & _PRIME == 2]) == (n % 2 == 1)
+        ),
+        "coprime-one-implies-prime": hits(coprime) | next_is_prime,
+    }
+
+
+_BLOCK_FAMILIES = (
+    "decomposition", "triple-product", "dd-odd-iff-power-of-two", "composite-radical-divides",
+    "odd-index-lcm", "plus-divides-coprime", "rad-of-power-sum-denom", "db-even",
+    "coprime-parity", "coprime-one-implies-prime",
+)
 
 
 class _Context:
@@ -89,8 +165,17 @@ class _Context:
         self._members: dict[int, set[int]] = {}
 
     @cached_property
-    def tables(self) -> _Tables:
-        return _build_tables(self.limit)
+    def verdicts(self) -> dict[str, np.ndarray]:
+        """Every block family's verdicts at n = 1..limit, one block at a time."""
+        step, top = denom._SUPPORT_BLOCK, self.limit + 1
+        blocks = [_block_verdicts(lo, min(lo + step, top)) for lo in range(1, top, step)]
+        return {name: np.concatenate([b[name] for b in blocks]) for name in _BLOCK_FAMILIES}
+
+    @cached_property
+    def tables(self) -> list[tuple[int, ...]]:
+        """The support of every n up to max(oracle_limit, 50) + 1, indexed by n,
+        for the families that read single indices."""
+        return [(), *denom.support_block(1, max(self.oracle_limit, 50) + 1).tuples()]
 
     def members(self, k: int) -> set[int]:
         """Indices up to min(limit, 1000) with an integral k-th derivative."""
@@ -100,78 +185,31 @@ class _Context:
         return self._members[k]
 
 
-def _scan_indices(
-    family: str,
-    indices: Iterable[int],
-    predicate: Callable[[int], bool],
-    fault: tuple[str, int] | None,
-) -> FamilyResult:
-    checked = 0
-    for n in indices:
-        checked += 1
-        ok = predicate(n)
-        if fault is not None and fault == (family, n):
-            ok = not ok
-        if not ok:
-            return FamilyResult(family, False, checked, n)
-    return FamilyResult(family, True, checked, None)
+def _report(family: str, indices, verdicts, fault: tuple[str, int] | None) -> FamilyResult:
+    """The first failing index, counting the one fault flips, and its position."""
+    indices = np.asarray(indices, dtype=np.int64)
+    failed = ~np.asarray(verdicts, dtype=bool)
+    if fault is not None and fault[0] == family:
+        failed ^= indices == fault[1]
+    where = np.flatnonzero(failed)
+    if where.size:
+        return FamilyResult(family, False, int(where[0]) + 1, int(indices[where[0]]))
+    return FamilyResult(family, True, indices.size, None)
 
 
-def _check_decomposition(c: _Context, n: int) -> bool:
-    t = c.tables
-    qual = set(t.support[n])
-    minus, plus, shared, coprime = t.parts[n]
-    return (
-        qual == set(minus) | set(plus)
-        and not (set(minus) & set(plus))
-        and qual == set(shared) | set(coprime)
-        and not (set(shared) & set(coprime))
-        and t.rad[n] == math.prod(shared) * math.prod(t.complement[n])
-    )
+def _support_matches(c: _Context, n: int) -> bool:
+    """The single-index route agrees with the tables' range route at n."""
+    return denom.qualifying_primes(n) == c.tables[n]
 
 
-def _check_triple_product(c: _Context, n: int) -> bool:
-    t = c.tables
-    m = n + 1
-    parts = t.parts[m]
-    coprime, complement = math.prod(parts.coprime), math.prod(t.complement[m])
-    triple = coprime * math.prod(parts.shared) * complement
-    via_kernel = coprime * t.rad[m]
-    via_complement = t.dd[m] * complement
-    via_lcm = t.dd[m] * t.rad[m] // math.gcd(t.dd[m], t.rad[m])
-    via_dn = t.dd[n] * t.dn[n] // math.gcd(t.dd[n], t.dn[n])
-    return t.db[n] == triple == via_kernel == via_complement == via_lcm == via_dn
-
-
-def _check_composite_radical(c: _Context, n: int) -> bool:
-    if is_prime(n + 1):
-        return True
-    kernel = set(c.tables.rad_primes[n + 1])
-    return kernel <= set(c.tables.support[n]) and kernel <= set(c.tables.parts[n].coprime)
-
-
-def _check_odd_lcm(c: _Context, n: int) -> bool:
-    if n % 2 == 0 or n < 3:
-        return True
-    t = c.tables
-    return t.dd[n] == t.dd[n + 1] * t.rad[n + 1] // math.gcd(t.dd[n + 1], t.rad[n + 1])
-
-
-def _check_rad_of_ds(c: _Context, n: int) -> bool:
-    t = c.tables
-    support = set(t.rad_primes[n + 1]) | set(t.support[n + 1])
-    return support == set(t.parts[n + 1].coprime) | set(t.rad_primes[n + 1])
-
-
-def _check_coprime_parity(c: _Context, n: int) -> bool:
-    coprime = c.tables.parts[n].coprime
-    if n == 1:
-        return coprime == ()
-    return (2 in coprime) == (n % 2 == 1)
+def _db_k(c: _Context, n: int, k: int):
+    return denom._db_k(n, k, c.tables[max(n - k + 1, 0)])
 
 
 def _check_small_primes(c: _Context, n: int) -> bool:
-    return all(p > k for k in range(1, 51) for p in denom.db_k(n, k).primes)
+    return _support_matches(c, n) and all(
+        p > k for k in range(1, 51) for p in _db_k(c, n, k).primes
+    )
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
@@ -184,28 +222,43 @@ def _check_floor_equivalence(p: int, limit: int) -> bool:
     return bool(np.array_equal(digit_heavy, floor_gap))
 
 
-def _check_lambda_bound(p: int, limit: int) -> bool:
-    lo = 2 * p - 1
-    if lo > limit:
-        return True
-    n = np.arange(lo, limit + 1, dtype=np.int64)
-    bound = np.where(n % 2 == 1, (n + 1) // 2, (n + 1) // 3)
-    return not bool(np.any((digit_sum_table(p, limit, lo) >= p) & (p > bound)))
+def _check_lambda_bound(primes: np.ndarray, limit: int) -> np.ndarray:
+    """For each prime p, whether no n in [2p - 1, limit] has digit_sum(n, p) >= p
+    and p above the bound (n + 1) // 2 for odd n, (n + 1) // 3 for even n.
+
+    Only even n in [2p - 1, 3p - 2] can fail: for odd n >= 2p - 1 the bound
+    (n + 1) // 2 is at least p, and for n >= 3p - 1 so is (n + 1) // 3. Those
+    n = 2h with p <= h <= (3p - 2) // 2 are checked for every prime at once,
+    in batches.
+    """
+    count = np.maximum(np.minimum((3 * primes - 2) // 2, limit // 2) - primes + 1, 0)
+    failed = [np.zeros(0, dtype=np.int64)]
+    for p, h in denom._ragged_batches(primes, primes, count):
+        p, n = p.astype(np.int32), (2 * h).astype(np.int32)  # int32 divides 4x faster
+        total, rest = np.zeros_like(n), n
+        while rest.any():  # base-p digit sums, digit by digit
+            rest, digit = np.divmod(rest, p)
+            total += digit
+        failed.append(p[(total >= p) & (3 * p > n + 1)])  # p > (n + 1) // 3
+    return ~np.isin(primes, np.concatenate(failed))
 
 
 def _check_oracle_equivalence(c: _Context, n: int) -> bool:
-    poly = oracle.bernoulli_polynomial(n)
-    if oracle.denominator_of(poly) != denom.db(n).value:
+    if not _support_matches(c, n):
         return False
-    if oracle.denominator_of(oracle.drop_constant_term(poly)) != denom.dd(n).value:
+    dd, dd_next = math.prod(c.tables[n]), math.prod(c.tables[n + 1])
+    poly = oracle.bernoulli_polynomial(n)
+    if oracle.denominator_of(poly) != math.lcm(dd_next, radical(n + 1).value):  # db(n)
+        return False
+    if oracle.denominator_of(oracle.drop_constant_term(poly)) != dd:
         return False
     if poly(0).denominator != denom.dn(n).value:  # B_n(0) = B_n
         return False
-    if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != denom.ds(n):
+    if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != (n + 1) * dd_next:  # ds(n)
         return False
     for k in (1, 2, 3):
         derived = oracle.derivative(poly, k)
-        if oracle.denominator_of(derived) != denom.db_k(n, k).value:
+        if oracle.denominator_of(derived) != _db_k(c, n, k).value:
             return False
     return True
 
@@ -226,6 +279,15 @@ def _check_power_sums(c: _Context, n: int) -> bool:
     return True
 
 
+def _each(predicate: Callable[[_Context, int], bool]):
+    """The verdicts of a predicate of one index, index by index."""
+    return lambda c, indices: [predicate(c, n) for n in indices]
+
+
+def _from_blocks(name: str, c: _Context, indices) -> np.ndarray:
+    return c.verdicts[name]
+
+
 def _upto_limit(c: _Context) -> range:
     return range(1, c.limit + 1)
 
@@ -234,40 +296,28 @@ def _floor_bound(c: _Context) -> int:
     return min(c.limit, 10**4)
 
 
-# name: (indices(context), predicate(context, index)), in reporting order
+# name: (indices(context), verdicts(context, indices)), in reporting order
 _FAMILIES = {
-    "decomposition": (_upto_limit, _check_decomposition),
-    "triple-product": (_upto_limit, _check_triple_product),
-    "dd-odd-iff-power-of-two": (
-        _upto_limit,
-        lambda c, n: (c.tables.dd[n] % 2 == 1) == (n & (n - 1) == 0),
-    ),
-    "composite-radical-divides": (_upto_limit, _check_composite_radical),
-    "odd-index-lcm": (_upto_limit, _check_odd_lcm),
-    "plus-divides-coprime": (
-        _upto_limit,
-        lambda c, n: set(c.tables.parts[n].plus) <= set(c.tables.parts[n].coprime),
-    ),
-    "rad-of-power-sum-denom": (_upto_limit, _check_rad_of_ds),
-    "db-even": (_upto_limit, lambda c, n: c.tables.db[n] % 2 == 0),
-    "coprime-parity": (_upto_limit, _check_coprime_parity),
-    "coprime-one-implies-prime": (
-        _upto_limit,
-        lambda c, n: bool(c.tables.parts[n].coprime) or is_prime(n + 1),
-    ),
-    "derivative-small-primes": (lambda c: range(1, 51), _check_small_primes),
-    "set-nesting": (lambda c: (1, 2), lambda c, k: c.members(k) <= c.members(k + 1)),
+    **{name: (_upto_limit, partial(_from_blocks, name)) for name in _BLOCK_FAMILIES},
+    "derivative-small-primes": (lambda c: range(1, 51), _each(_check_small_primes)),
+    "set-nesting": (lambda c: (1, 2), _each(lambda c, k: c.members(k) <= c.members(k + 1))),
     "floor-digit-equivalence": (
         lambda c: shared_sieve(c.limit).primes_in(2, _floor_bound(c)),
-        lambda c, p: _check_floor_equivalence(p, _floor_bound(c)),
+        _each(lambda c, p: _check_floor_equivalence(p, _floor_bound(c))),
     ),
     "lambda-prime-bound": (
-        lambda c: shared_sieve(c.limit).primes_in(2, c.limit),
-        lambda c, p: _check_lambda_bound(p, c.limit),
+        lambda c: _primes(c.limit),
+        lambda c, primes: _check_lambda_bound(primes, c.limit),
     ),
-    "oracle-equivalence": (lambda c: range(1, c.oracle_limit + 1), _check_oracle_equivalence),
-    "oracle-reflection": (lambda c: range(0, min(c.oracle_limit, 50) + 1), _check_reflection),
-    "oracle-power-sums": (lambda c: range(0, 11), _check_power_sums),
+    "oracle-equivalence": (
+        lambda c: range(1, c.oracle_limit + 1),
+        _each(_check_oracle_equivalence),
+    ),
+    "oracle-reflection": (
+        lambda c: range(0, min(c.oracle_limit, 50) + 1),
+        _each(_check_reflection),
+    ),
+    "oracle-power-sums": (lambda c: range(0, 11), _each(_check_power_sums)),
 }
 FAMILIES = tuple(_FAMILIES)
 
@@ -299,6 +349,7 @@ def run_verification(
     context = _Context(limit, oracle_limit)
     results = []
     for name in selected:
-        indices, predicate = _FAMILIES[name]
-        results.append(_scan_indices(name, indices(context), partial(predicate, context), fault))
+        indices, verdicts = _FAMILIES[name]
+        chosen = indices(context)
+        results.append(_report(name, chosen, verdicts(context, chosen), fault))
     return results

@@ -23,7 +23,8 @@ from berndenom.denom import (
     qualifying_primes,
     sequence,
     split,
-    supports,
+    support_block,
+    support_blocks,
 )
 
 # reference values for n = 1..10 (ds starts at n = 0)
@@ -33,6 +34,11 @@ DB_FIRST = [2, 6, 2, 30, 6, 42, 6, 30, 10, 66]
 DS_FIRST = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20]
 
 INTEGRAL_DERIVATIVE_SET = (1, 2, 4, 6, 10, 12, 28, 30, 36, 60)
+
+
+def supports(lo, hi):
+    """The range route's support of every n in [lo, hi], one tuple per index."""
+    return [support for block in support_blocks(lo, hi) for support in block.tuples()]
 
 
 class TestDD:
@@ -264,7 +270,7 @@ class TestQualifyingPrimes:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 10**7))
     def test_matches_supports_at_random_n(self, n):
-        expected = next(supports(n, n))
+        [expected] = supports(n, n)
         assert qualifying_primes(n) == expected
         # a cache of the primes to isqrt(n) alone: the candidate window is sieved in segments
         with pytest.MonkeyPatch.context() as mp:
@@ -308,12 +314,12 @@ BATCHES = pytest.mark.parametrize("batch", [None, 7, 1], ids=["batch-default", "
 
 
 def supports_with_batch(lo, hi, batch):
-    """list(supports(lo, hi)) with at most batch runs or pairs per batch
+    """supports(lo, hi) with at most batch runs or pairs per batch
     (None keeps the default); 1 and 7 cut batches inside a1 slices and runs."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(denom, "_RUN_BATCH", batch)
-        return list(supports(lo, hi))
+        return supports(lo, hi)
 
 
 class TestSupports:
@@ -332,8 +338,8 @@ class TestSupports:
     def test_blocks_tile_the_range(self, monkeypatch):
         expected = [qualifying_primes(n) for n in range(1, 2001)]
         monkeypatch.setattr(denom, "_SUPPORT_BLOCK", 7)
-        assert list(supports(1, 2000)) == expected
-        assert list(supports(995, 1300)) == expected[994:1300]
+        assert supports(1, 2000) == expected
+        assert supports(995, 1300) == expected[994:1300]
 
     @BATCHES
     @settings(max_examples=25, deadline=None)
@@ -351,9 +357,59 @@ class TestSupports:
             assert found[n - lo] == qualifying_primes(n), n
 
     def test_empty_range_and_bad_start(self):
-        assert list(supports(10, 9)) == []
+        assert supports(10, 9) == []
         with pytest.raises(ValueError):
-            next(supports(0, 10))
+            supports(0, 10)
+
+
+def pairs(lo, hi):
+    """The (n, p) arrays of support_blocks(lo, hi), concatenated."""
+    blocks = list(support_blocks(lo, hi))
+    return np.concatenate([b.n for b in blocks]), np.concatenate([b.p for b in blocks])
+
+
+class TestPrimePairs:
+    """The range route's blocks as (n, p) arrays, read without the tuple view."""
+
+    def test_pairs_are_qualifying_primes_to_5000(self):
+        n, p = pairs(1, 5000)
+        expected = [(m, q) for m in range(1, 5001) for q in qualifying_primes(m)]
+        assert list(zip(n.tolist(), p.tolist())) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_windows_to_1e7(self, data):
+        block = denom._SUPPORT_BLOCK
+        hi = data.draw(st.integers(1, 10**7), label="hi")
+        # widths around one and two blocks put a boundary inside the window
+        width = data.draw(
+            st.sampled_from([1, 2, block - 1, block, block + 1, 2 * block + 1]) | st.integers(1, 3 * block),
+            label="width",
+        )
+        lo = max(hi - width + 1, 1)
+        n, p = pairs(lo, hi)
+        keys = n * (hi + 1) + p
+        assert np.all(keys[1:] > keys[:-1]) and n.min(initial=lo) >= lo and n.max(initial=hi) <= hi
+        picks = data.draw(st.lists(st.integers(lo, hi), max_size=3), label="picks")
+        for m in sorted({lo, hi, min(lo + block - 1, hi), min(lo + block, hi), *picks}):
+            assert tuple(p[n == m].tolist()) == qualifying_primes(m), m
+        mid = (lo + hi) // 2
+        window = support_block(lo, hi).window(mid, hi)
+        assert (window.lo, window.hi) == (mid, hi)
+        assert np.array_equal(window.p, support_block(mid, hi).p)
+
+    def test_masks_are_the_split(self):
+        for block in support_blocks(1, 3000):
+            supports = block.tuples()
+            for name, mask in [
+                ("minus", block.minus),
+                ("plus", ~block.minus),
+                ("shared", block.shared),
+                ("coprime", ~block.shared),
+            ]:
+                parts = [getattr(split(m, s), name) for m, s in enumerate(supports, block.lo)]
+                assert block.tuples(mask) == parts, name
+                assert block.products(mask) == [math.prod(part) for part in parts], name
 
 
 class TestHeavyRuns:
