@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": (
         "PrimeSieve", "SieveSizeError", "SquarefreeProduct", "digit_sum",
-        "falling_factorial", "is_prime", "radical", "sieve",
+        "is_prime", "radical", "sieve",
     ),
     "denom": (
         "DenomProfile", "db", "db_k", "dd", "dd_split_divisibility",

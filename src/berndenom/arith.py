@@ -1,6 +1,6 @@
 """Shared numeric substrate: base-p digit sums, prime sieving, primality,
-radicals, falling factorials, and squarefree prime products, with product
-trees and decimal output that stay subquadratic for million-digit values.
+radicals, and squarefree prime products, with product trees and decimal
+output that stay subquadratic for million-digit values.
 
 Everything here is exact integer arithmetic. A PrimeSieve is immutable once
 built and safe to share across worker processes; the remaining functions are
@@ -25,7 +25,6 @@ __all__ = [
     "decimal_str",
     "digit_sum",
     "digit_sum_table",
-    "falling_factorial",
     "is_prime",
     "product",
     "radical",
@@ -69,13 +68,6 @@ def digit_sum_table(p: int, limit: int, start: int = 0) -> np.ndarray:
         remaining //= p
         scale *= p
     return total
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n * (n-1) * ... * (n-k+1), with the empty product equal to 1."""
-    if n < 0 or k < 0:
-        raise ValueError(f"arguments must be nonnegative, got ({n}, {k})")
-    return math.perm(n, k) if k <= n else 0
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

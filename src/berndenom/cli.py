@@ -17,7 +17,6 @@ from . import denom
 from .arith import SieveSizeError, decimal_str, is_prime
 
 SEQ_NAMES = denom.SEQUENCES
-_SEQ_MIN_INDEX = {"db": 0, "ds": 0}  # every other sequence starts at n = 1
 
 PROFILE_FIELDS = (
     "n",
@@ -91,16 +90,12 @@ def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
-    if args.name == "db_k" and args.k is None:
-        parser.error("seq db_k requires --k")
-    if args.name != "db_k" and args.k is not None:
-        parser.error(f"--k applies only to db_k, not {args.name}")
-    min_index = _SEQ_MIN_INDEX.get(args.name, 1)
-    if args.lo < min_index:
-        parser.error(f"{args.name} is defined from n = {min_index}, got lo = {args.lo}")
+    try:
+        values = denom.sequence(args.name, args.lo, args.hi, args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.lo > args.hi:
         parser.error(f"need lo <= hi, got {args.lo} > {args.hi}")
-    values = denom.sequence(args.name, args.lo, args.hi, args.k)
     rows = list(zip(range(args.lo, args.hi + 1), values))
     if args.format == "json":
         _emit_json(

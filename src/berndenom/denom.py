@@ -11,7 +11,8 @@ one of two routes:
   sum, then solves the run condition for p at each a <= isqrt(n). That
   leaves one candidate per quotient, looked up in a sieved window or
   checked by Miller-Rabin, so a single index costs O(sqrt n) candidates
-  and primes to isqrt(n) only.
+  and primes to isqrt(n) only. support_at(n) holds them as a one-index
+  PrimePairs.
 * A range: support_blocks(lo, hi) yields the supports of every n in
   [lo, hi] a block of indices at a time, as PrimePairs: the pairs (n, p) in
   sorted int64 arrays. Primes up to isqrt(hi) are tested with vectorised
@@ -19,9 +20,9 @@ one of two routes:
   quotient-major, and _run_counts() counts the same runs without
   materialising any support: that count is omega_+(n).
 
-split(n, support) cuts one support by sqrt(n) and by whether p divides n,
-and a block is cut by two masks over its pairs, p * p < n and n % p == 0.
-Every family below is read off those parts:
+Either way a support is cut by the masks of PrimePairs: minus (p below
+sqrt(n)), shared (p divides n) and kept(k) (p divides none of n, ...,
+n + k - 1). Every family below is read off those parts:
 
 * ``dd(n)``   denominator of B_n(x) - B_n            (cf. OEIS A195441)
 * ``dn(n)``   denominator of the number B_n           (cf. OEIS A027642)
@@ -39,7 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .arith import (
     SquarefreeProduct,
     digit_sum,
     digit_sum_table,
-    falling_factorial,
     is_prime,
     radical,
     shared_sieve,
@@ -55,7 +55,6 @@ from .arith import (
 
 __all__ = [
     "DenomProfile",
-    "Parts",
     "PrimePairs",
     "SEQUENCES",
     "db",
@@ -70,7 +69,7 @@ __all__ = [
     "profile",
     "qualifying_primes",
     "sequence",
-    "split",
+    "support_at",
     "support_block",
     "support_blocks",
 ]
@@ -191,9 +190,11 @@ def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
 
 class PrimePairs(NamedTuple):
     """Primes attached to each n in [lo, hi], as int64 pair arrays (n, p)
-    ascending in n, then in p. The range route gives the supports of dd(n)
-    this way, and split() is two masks over them: minus (p below sqrt(n),
-    plus above) and shared (p divides n, coprime does not)."""
+    ascending in n, then in p. Both routes give the supports of dd(n) this
+    way, and every part of a support is one mask over its pairs: minus (p
+    below sqrt(n), plus above; p = sqrt(n) never qualifies), shared (p
+    divides n, coprime does not; radical(n) // shared is the complement)
+    and kept(k)."""
 
     lo: int
     hi: int
@@ -202,11 +203,16 @@ class PrimePairs(NamedTuple):
 
     @property
     def minus(self) -> np.ndarray:
-        return self.p * self.p < self.n
+        # p * p < n without the square, which wraps in int64 past p = 3.04e9
+        return self.p <= (self.n - 1) // self.p
 
     @property
     def shared(self) -> np.ndarray:
         return self.n % self.p == 0
+
+    def kept(self, k: int | np.ndarray) -> np.ndarray:
+        """p divides none of n, ..., n + k - 1: the primes of db_k(n + k - 1, k), k >= 1."""
+        return (self.n + k - 1) % self.p >= k
 
     def window(self, lo: int, hi: int) -> "PrimePairs":
         """The pairs of lo <= n <= hi, a subrange of [self.lo, self.hi]."""
@@ -223,6 +229,17 @@ class PrimePairs(NamedTuple):
     def products(self, mask: np.ndarray | None = None) -> list[int]:
         """For each n in [lo, hi], the product of the primes that mask keeps."""
         return [math.prod(ps) for ps in self.tuples(mask)]
+
+
+def support_at(n: int) -> PrimePairs:
+    """qualifying_primes(n) as the pairs of the one index n."""
+    p = np.array(qualifying_primes(n), dtype=np.int64)
+    return PrimePairs(n, n, np.full(p.size, n, dtype=np.int64), p)
+
+
+def _part(support: PrimePairs, mask: np.ndarray) -> SquarefreeProduct:
+    """The product of the primes of a one-index support that mask keeps."""
+    return _product(support.p[mask].tolist())
 
 
 def support_block(lo: int, hi: int) -> PrimePairs:
@@ -255,32 +272,6 @@ def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
         yield support_block(b0, min(b0 + _SUPPORT_BLOCK - 1, hi))
 
 
-class Parts(NamedTuple):
-    """The support of dd(n) cut by sqrt(n) and by p | n; each part is an
-    ascending tuple of primes."""
-
-    minus: tuple[int, ...]
-    plus: tuple[int, ...]
-    shared: tuple[int, ...]
-    coprime: tuple[int, ...]
-
-
-def split(n: int, support: Sequence[int]) -> Parts:
-    """Cut the support of dd(n) into minus/plus (p below/above sqrt(n)) and
-    shared/coprime (p dividing n or not).
-
-    A prime equal to sqrt(n) never qualifies (its digit sum is 1), so minus
-    and plus multiply back to dd(n), as do shared and coprime. The primes of
-    n outside the support, the complement, are radical(n) // shared.
-    """
-    return Parts(
-        minus=tuple(p for p in support if p * p < n),
-        plus=tuple(p for p in support if p * p > n),
-        shared=tuple(p for p in support if n % p == 0),
-        coprime=tuple(p for p in support if n % p),
-    )
-
-
 def dd(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x) - B_n: the full digit-sum prime product."""
     return _product(qualifying_primes(n))
@@ -288,8 +279,8 @@ def dd(n: int) -> SquarefreeProduct:
 
 def dd_split_sqrt(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct]:
     """Split dd(n) into the sub-products below and above sqrt(n)."""
-    parts = split(n, qualifying_primes(n))
-    return _product(parts.minus), _product(parts.plus)
+    support = support_at(n)
+    return _part(support, support.minus), _part(support, ~support.minus)
 
 
 def dd_split_divisibility(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct, SquarefreeProduct]:
@@ -299,9 +290,9 @@ def dd_split_divisibility(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct,
     not dividing n, and complement the primes of n that fail the digit test;
     shared * complement is the squarefree kernel of n.
     """
-    parts = split(n, qualifying_primes(n))
-    shared = _product(parts.shared)
-    return shared, _product(parts.coprime), radical(n) // shared
+    support = support_at(n)
+    shared = _part(support, support.shared)
+    return shared, _part(support, ~support.shared), radical(n) // shared
 
 
 def _divisors(n: int) -> list[int]:
@@ -346,30 +337,23 @@ def ds(n: int) -> int:
     return (n + 1) * dd(n + 1).value
 
 
-def _db_k(n: int, k: int, support: Sequence[int]) -> SquarefreeProduct:
-    """db_k(n, k) from the support of dd(n - k + 1), which n <= k ignores."""
-    if n <= k:
-        return SquarefreeProduct.one()
-    ff = falling_factorial(n, k - 1)
-    return _product(p for p in split(n - k + 1, support).coprime if ff % p)
-
-
 def db_k(n: int, k: int) -> SquarefreeProduct:
     """Denominator of the k-th derivative of B_n(x).
 
     For n <= k the derivative is constant or zero, hence integral. Otherwise
     it equals (n)_k * B_{n-k}(x) up to lower derivatives, and the surviving
-    denominator is the part of the coprime product at n-k+1 whose primes do
-    not divide the falling factorial (n)_{k-1}.
+    denominator is the part of the support at n-k+1 whose primes divide
+    none of n-k+1, ..., n: the mask kept(k) of support_at(n - k + 1).
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got ({n}, {k})")
-    return _db_k(n, k, qualifying_primes(n - k + 1) if n > k else ())
+    support = support_at(max(n - k + 1, 1))  # dd(1) = 1, so db_k(n, k) = 1 for n <= k
+    return _part(support, support.kept(k))
 
 
 def omega_dd_plus(n: int) -> int:
     """Number of primes above sqrt(n) in dd(n)."""
-    return len(split(n, qualifying_primes(n)).plus)
+    return int(np.count_nonzero(~support_at(n).minus))
 
 
 # name: (shift, values); values(block, k) gives the family at n = m - shift for
@@ -386,9 +370,7 @@ _SEQUENCES = {
     "dd_shared": (0, lambda b, k: b.products(b.shared)),
     "dd_complement": (0, lambda b, k: [r // s for r, s in zip(_radicals(b), b.products(b.shared))]),
     "omega_plus": None,
-    "db_k": (
-        1, lambda b, k: [_db_k(n, k, s).value for n, s in enumerate(b.tuples(), b.lo + k - 1)]
-    ),
+    "db_k": (1, lambda b, k: b.products(b.kept(k))),
 }
 SEQUENCES = tuple(_SEQUENCES)
 
@@ -408,12 +390,26 @@ def _radicals(block: PrimePairs) -> list[int]:
 
 
 def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]:
-    """Yield one family's values for n = lo, ..., hi, read off support_blocks()
+    """One family's values for n = lo, ..., hi, read off support_blocks()
     over the range; omega_plus is the run count, and dn needs no support.
 
     k is the derivative order of db_k, whose value at n reads the support at
     n - k + 1; it is 1 wherever that index lies below 1, as n <= k there.
+    Bad arguments raise ValueError at the call, worded for the seq command.
     """
+    if name not in _SEQUENCES:
+        raise ValueError(f"unknown sequence {name!r}")
+    if name == "db_k" and (k is None or k < 1):
+        raise ValueError("seq db_k requires --k" if k is None else f"db_k needs k >= 1, got {k}")
+    if name != "db_k" and k is not None:
+        raise ValueError(f"--k applies only to db_k, not {name}")
+    first = 0 if name in ("db", "ds") else 1
+    if lo < first:
+        raise ValueError(f"{name} is defined from n = {first}, got lo = {lo}")
+    return _values(name, lo, hi, k)
+
+
+def _values(name: str, lo: int, hi: int, k: int | None) -> Iterator[int]:
     if name == "dn":
         yield from (dn(n).value for n in range(lo, hi + 1))
         return
@@ -467,11 +463,10 @@ def profile(n: int) -> DenomProfile:
     its coprime part by dividing out the shared one, db and ds from dd(n + 1),
     with each radical trial-divided once, after both supports, so an n past
     the sieve cap is refused before any trial division."""
-    support, support_next = qualifying_primes(n), qualifying_primes(n + 1)
+    support, support_next = support_at(n), qualifying_primes(n + 1)
     rad_n, rad_n1 = radical(n), radical(n + 1)
-    parts = split(n, support)
-    dd_minus, dd_plus = _product(parts.minus), _product(parts.plus)
-    dd, dd_shared = dd_minus * dd_plus, _product(parts.shared)
+    dd_minus, dd_plus = _part(support, support.minus), _part(support, ~support.minus)
+    dd, dd_shared = dd_minus * dd_plus, _part(support, support.shared)
     dd_next = _product(support_next)
     prof = DenomProfile(
         n=n,
@@ -486,7 +481,7 @@ def profile(n: int) -> DenomProfile:
         ds=(n + 1) * dd_next.value,
         rad_n=rad_n,
         rad_n1=rad_n1,
-        omega_plus=len(parts.plus),
+        omega_plus=dd_plus.omega,
     )
     prof.validate()
     return prof

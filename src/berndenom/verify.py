@@ -172,10 +172,11 @@ class _Context:
         return {name: np.concatenate([b[name] for b in blocks]) for name in _BLOCK_FAMILIES}
 
     @cached_property
-    def tables(self) -> list[tuple[int, ...]]:
-        """The support of every n up to max(oracle_limit, 50) + 1, indexed by n,
-        for the families that read single indices."""
-        return [(), *denom.support_block(1, max(self.oracle_limit, 50) + 1).tuples()]
+    def tables(self) -> denom.PrimePairs:
+        """The supports of n = 1, ..., max(oracle_limit, 50) + 1, from the
+        range route, for the families that read single indices: each reads
+        one window of it per index."""
+        return denom.support_block(1, max(self.oracle_limit, 50) + 1)
 
     def members(self, k: int) -> set[int]:
         """Indices up to min(limit, 1000) with an integral k-th derivative."""
@@ -199,17 +200,14 @@ def _report(family: str, indices, verdicts, fault: tuple[str, int] | None) -> Fa
 
 def _support_matches(c: _Context, n: int) -> bool:
     """The single-index route agrees with the tables' range route at n."""
-    return denom.qualifying_primes(n) == c.tables[n]
-
-
-def _db_k(c: _Context, n: int, k: int):
-    return denom._db_k(n, k, c.tables[max(n - k + 1, 0)])
+    return denom.qualifying_primes(n) == tuple(c.tables.window(n, n).p.tolist())
 
 
 def _check_small_primes(c: _Context, n: int) -> bool:
-    return _support_matches(c, n) and all(
-        p > k for k in range(1, 51) for p in _db_k(c, n, k).primes
-    )
+    window = c.tables.window(max(n - 49, 1), n)
+    k = n + 1 - window.n  # db_k(n, k) for k <= 50 is the mask kept(k) at n - k + 1
+    kept = window.kept(k)
+    return _support_matches(c, n) and bool(np.all(window.p[kept] > k[kept]))
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
@@ -246,7 +244,7 @@ def _check_lambda_bound(primes: np.ndarray, limit: int) -> np.ndarray:
 def _check_oracle_equivalence(c: _Context, n: int) -> bool:
     if not _support_matches(c, n):
         return False
-    dd, dd_next = math.prod(c.tables[n]), math.prod(c.tables[n + 1])
+    dd, dd_next = c.tables.window(n, n + 1).products()
     poly = oracle.bernoulli_polynomial(n)
     if oracle.denominator_of(poly) != math.lcm(dd_next, radical(n + 1).value):  # db(n)
         return False
@@ -256,9 +254,9 @@ def _check_oracle_equivalence(c: _Context, n: int) -> bool:
         return False
     if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != (n + 1) * dd_next:  # ds(n)
         return False
-    for k in (1, 2, 3):
-        derived = oracle.derivative(poly, k)
-        if oracle.denominator_of(derived) != _db_k(c, n, k).value:
+    window = c.tables.window(max(n - 2, 1), n)  # db_k(n, k) for k <= 3, as above; 1 for n <= k
+    for k, db_k in zip((1, 2, 3), window.products(window.kept(n + 1 - window.n))[::-1] + [1, 1]):
+        if oracle.denominator_of(oracle.derivative(poly, k)) != db_k:
             return False
     return True
 

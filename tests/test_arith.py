@@ -11,7 +11,6 @@ from berndenom.arith import (
     decimal_str,
     digit_sum,
     digit_sum_table,
-    falling_factorial,
     is_prime,
     product,
     radical,
@@ -136,25 +135,6 @@ class TestRadical:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             radical(0)
-
-
-class TestFallingFactorial:
-    def test_examples(self):
-        assert falling_factorial(5, 2) == 20
-        assert falling_factorial(3, 5) == 0
-        for n in (0, 1, 7, 100):
-            assert falling_factorial(n, 0) == 1
-
-    def test_factorial_ratio(self):
-        for n in range(0, 13):
-            for k in range(0, n + 1):
-                assert falling_factorial(n, k) == math.factorial(n) // math.factorial(n - k)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            falling_factorial(-1, 2)
-        with pytest.raises(ValueError):
-            falling_factorial(2, -1)
 
 
 class TestSieve:

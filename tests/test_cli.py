@@ -124,6 +124,22 @@ class TestSeq:
             main(["seq", "dd", "0", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("db_k", "8", "8"), "seq db_k requires --k"),
+            (("dd", "--k", "2", "1", "10"), "--k applies only to db_k, not dd"),
+            (("db", "-1", "2"), "db is defined from n = 0, got lo = -1"),
+            (("dd", "0", "3"), "dd is defined from n = 1, got lo = 0"),
+            (("dd", "5", "3"), "need lo <= hi, got 5 > 3"),
+        ],
+    )
+    def test_usage_error_messages(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["seq", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+
     @pytest.mark.parametrize("argv", [("dd_plus", "1", "1000"), ("db_k", "1", "1000", "--k", "2")])
     def test_no_trial_division_where_no_complement_is_read(self, capsys, monkeypatch, argv):
         calls = []

@@ -22,7 +22,7 @@ from berndenom.denom import (
     profile,
     qualifying_primes,
     sequence,
-    split,
+    support_at,
     support_block,
     support_blocks,
 )
@@ -39,6 +39,23 @@ INTEGRAL_DERIVATIVE_SET = (1, 2, 4, 6, 10, 12, 28, 30, 36, 60)
 def supports(lo, hi):
     """The range route's support of every n in [lo, hi], one tuple per index."""
     return [support for block in support_blocks(lo, hi) for support in block.tuples()]
+
+
+# the parts of one support as plain predicates on (n, p), independent of PrimePairs
+PARTS = {
+    "minus": lambda n, p: p * p < n,
+    "plus": lambda n, p: p * p > n,
+    "shared": lambda n, p: n % p == 0,
+    "coprime": lambda n, p: n % p != 0,
+}
+
+
+def db_k_formula(n, k):
+    """db_k(n, k) as db(n - k) with the primes of (n)_k divided out; 1 for n <= k."""
+    if n <= k:
+        return 1
+    db_prev = db(n - k).value
+    return db_prev // math.gcd(db_prev, math.perm(n, k))
 
 
 class TestDD:
@@ -157,8 +174,6 @@ class TestDBK:
         assert tuple(ones) == INTEGRAL_DERIVATIVE_SET
 
     def test_all_three_forms_agree(self):
-        from berndenom.arith import falling_factorial
-
         for n in range(1, 41):
             for k in range(1, 41):
                 value = db_k(n, k).value
@@ -166,12 +181,22 @@ class TestDBK:
                     assert value == 1
                     continue
                 db_prev = db(n - k).value
-                assert value == db_prev // math.gcd(db_prev, falling_factorial(n, k))
-                ff = falling_factorial(n, k)
+                assert value == db_prev // math.gcd(db_prev, math.perm(n, k))
+                ff = math.perm(n, k)
                 explicit = math.prod(
                     p for p in qualifying_primes(n - k + 1) if ff % p
                 )
                 assert value == explicit
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sequence_and_db_k_match_the_formula_to_5000(self, data):
+        k = data.draw(st.integers(1, 64), label="k")
+        hi = data.draw(st.integers(1, 5000), label="hi")
+        lo = data.draw(st.integers(max(hi - 300, 1), hi), label="lo")
+        expected = [db_k_formula(n, k) for n in range(lo, hi + 1)]
+        assert list(sequence("db_k", lo, hi, k)) == expected
+        assert [db_k(n, k).value for n in range(lo, hi + 1)] == expected
 
     def test_small_primes_never_divide(self):
         for n in range(1, 51):
@@ -407,9 +432,31 @@ class TestPrimePairs:
                 ("shared", block.shared),
                 ("coprime", ~block.shared),
             ]:
-                parts = [getattr(split(m, s), name) for m, s in enumerate(supports, block.lo)]
+                keep = PARTS[name]
+                parts = [tuple(p for p in s if keep(m, p)) for m, s in enumerate(supports, block.lo)]
                 assert block.tuples(mask) == parts, name
                 assert block.products(mask) == [math.prod(part) for part in parts], name
+
+    def test_kept_is_the_db_k_support(self):
+        for block in support_blocks(1, 3000):
+            supports = block.tuples()
+            for k in (1, 2, 3, 7, 40):
+                # at index m the primes dividing none of m, ..., m + k - 1
+                parts = [
+                    tuple(p for p in s if all((m + i) % p for i in range(k)))
+                    for m, s in enumerate(supports, block.lo)
+                ]
+                assert block.tuples(block.kept(k)) == parts, k
+
+    @pytest.mark.parametrize("n", [10**11 + 3, 10**12 + 39])
+    def test_minus_where_int64_squares_overflow(self, n):
+        support = support_at(n)
+        assert (support.lo, support.hi) == (n, n) and np.all(support.n == n)
+        assert tuple(support.p.tolist()) == qualifying_primes(n)
+        expected = [p * p < n for p in support.p.tolist()]
+        assert support.minus.tolist() == expected
+        # the square itself wraps in int64 and misplaces some primes
+        assert (support.p * support.p < support.n).tolist() != expected
 
 
 class TestHeavyRuns:
@@ -423,7 +470,7 @@ class TestHeavyRuns:
             for a, b in zip(begin.tolist(), stop.tolist()):
                 counts[a:b] += 1
         for m in range(lo, hi + 1):
-            above = split(m, qualifying_primes(m)).plus
+            above = [p for p in qualifying_primes(m) if PARTS["plus"](m, p)]
             missing = [p for p in above if all((m + i) % p for i in range(1, cut + 1))]
             assert counts[m - lo] == len(missing), m
 
@@ -454,3 +501,26 @@ class TestSequence:
     def test_db_and_ds_start_at_zero(self):
         assert list(sequence("db", 0, 9)) == [1] + DB_FIRST[:9]
         assert list(sequence("ds", 0, 9)) == DS_FIRST
+
+    # each raises at the call, before any value is asked for
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("nope", 1, 10), "unknown sequence 'nope'"),
+            (("db_k", 1, 10), "seq db_k requires --k"),
+            (("db_k", 1, 10, 0), "db_k needs k >= 1, got 0"),
+            (("db_k", 1, 10, -2), "db_k needs k >= 1, got -2"),
+            (("dd", 1, 10, 2), "--k applies only to db_k, not dd"),
+            (("db", 1, 10, 1), "--k applies only to db_k, not db"),
+            (("db", -1, 2), "db is defined from n = 0, got lo = -1"),
+            (("ds", -1, 2), "ds is defined from n = 0, got lo = -1"),
+            (("dd", 0, 3), "dd is defined from n = 1, got lo = 0"),
+            (("dn", 0, 3), "dn is defined from n = 1, got lo = 0"),
+            (("omega_plus", 0, 3), "omega_plus is defined from n = 1, got lo = 0"),
+            (("db_k", 0, 3, 2), "db_k is defined from n = 1, got lo = 0"),
+        ],
+    )
+    def test_bad_arguments_raise_at_the_call(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            sequence(*args)
+        assert str(exc.value) == message

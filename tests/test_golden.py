@@ -8,9 +8,11 @@ injected oracle fault from the release before the oracle moved from one
 Fraction per coefficient to integer numerators over a shared denominator,
 and those of sets and scan to 3000000, three chunks of 2^20, from the
 release before find_sets moved onto the scan's chunk grid and the run count
-onto an int32 difference array. The scan to 3000000 on two worker
-processes carries the digests of the same scan on one; any change to the
-bytes a command prints fails here.
+onto an int32 difference array, and those of profile at 100000000003 from
+the release before the single-index route cut its support with the masks of
+PrimePairs: there some support primes pass 3.04e9, whose squares wrap in
+int64. The scan to 3000000 on two worker processes carries the digests of
+the same scan on one; any change to the bytes a command prints fails here.
 """
 
 import contextlib
@@ -33,7 +35,7 @@ def _cases() -> list[tuple[str, ...]]:
             for lo, hi in windows:
                 extra = ("--k", str(k)) if k else ()
                 commands.append(("seq", name, str(lo), str(hi), *extra))
-    for n in (1, 100, 1679, 27886, 467230, 7792666, 131231772):
+    for n in (1, 100, 1679, 27886, 467230, 7792666, 131231772, 100000000003):
         commands.append(("profile", str(n)))
     for k in (1, 2, 3):
         for limit in ("2000", "3000000"):
@@ -133,6 +135,8 @@ GOLDEN = {
     'json profile 7792666': ('3bbec65ae56d3b205e5ec726dc9063671125f7f01e6968b86d3034e4cea73857', None),
     'csv profile 131231772': ('fc3735a98395e4fcee16f299fd200b9d6f3763e59d41dad5d20a8c3cae93cb25', None),
     'json profile 131231772': ('cb6af83e217edf309a093b4d37096c63698cfc0a741464c2d1b1e961643f4b6f', None),
+    'csv profile 100000000003': ('0cf20fe51a953642b381ed1f5206d33c711d7cda6000125be81ec4f0b0efa3f8', None),
+    'json profile 100000000003': ('90d071f5cbfc333ad73f9d7f6040e76e7b94944ff82a35f1a307aa135f579e52', None),
     'csv sets --k 1 --limit 2000': ('2500315a7186255709591d1bfc1188b1b8c4176f9a80d6d788129bb01ef7d9d1', None),
     'csv sets --k 1 --limit 3000000': ('2500315a7186255709591d1bfc1188b1b8c4176f9a80d6d788129bb01ef7d9d1', None),
     'json sets --k 1 --limit 2000': ('503e9cd517f11dce3612691b8189954e01f25980c06d42b3f778f9629d926f43', None),
