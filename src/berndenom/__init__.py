@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "arith": (
-        "PrimeSieve", "SieveSizeError", "SquarefreeProduct", "digit_sum",
-        "is_prime", "radical", "sieve",
+        "PrimeSieve", "SieveSizeError", "digit_sum", "is_prime", "radical",
+        "sieve",
     ),
     "denom": (
         "DenomProfile", "db", "db_k", "dd", "dd_split_divisibility",

@@ -1,6 +1,7 @@
-"""Shared numeric substrate: base-p digit sums, prime sieving, primality,
-radicals, and squarefree prime products, with product trees and decimal
-output that stay subquadratic for million-digit values.
+"""Shared numeric substrate: base-p digit sums, prime sieving, primality
+and radicals, with product trees and decimal output that stay subquadratic
+for million-digit values. A squarefree value is a plain int: the product of
+its primes, multiplied out once.
 
 Everything here is exact integer arithmetic. A PrimeSieve is immutable once
 built and safe to share across worker processes; the remaining functions are
@@ -21,11 +22,11 @@ __all__ = [
     "DEFAULT_SIEVE_CAP",
     "PrimeSieve",
     "SieveSizeError",
-    "SquarefreeProduct",
     "decimal_str",
     "digit_sum",
     "digit_sum_table",
     "is_prime",
+    "prime_divisors",
     "product",
     "radical",
     "shared_sieve",
@@ -170,94 +171,8 @@ def decimal_str(n: int) -> str:
         return str(convert(n, n.bit_length()))
 
 
-def _check_increasing(primes: tuple[int, ...]) -> None:
-    if any(a >= b for a, b in zip((1,) + primes, primes)):
-        raise ValueError("prime support must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SquarefreeProduct:
-    """A squarefree positive integer held as its sorted prime support plus value.
-
-    The empty product is 1. Construct through from_known_primes(), which
-    trusts sieve output; the raw constructor verifies only that the support
-    is strictly increasing and multiplies to the value.
-    The methods multiply each value out once, as product() of its primes or
-    of two values.
-    """
-
-    primes: tuple[int, ...]
-    value: int
-
-    def __post_init__(self):
-        _check_increasing(self.primes)
-        if product(self.primes) != self.value:
-            raise ValueError(f"value {self.value} is not the product of {self.primes}")
-
-    @classmethod
-    def _unchecked(cls, primes: tuple[int, ...], value: int) -> "SquarefreeProduct":
-        """Skip __post_init__, for value already multiplied out of primes."""
-        made = object.__new__(cls)
-        object.__setattr__(made, "primes", primes)
-        object.__setattr__(made, "value", value)
-        return made
-
-    @classmethod
-    def one(cls) -> "SquarefreeProduct":
-        return cls((), 1)
-
-    @classmethod
-    def from_known_primes(cls, primes: Iterable[int]) -> "SquarefreeProduct":
-        """Build from ascending primes that came from a sieve; not re-checked."""
-        ps = tuple(primes)
-        _check_increasing(ps)
-        return cls._unchecked(ps, product(ps))
-
-    @property
-    def omega(self) -> int:
-        return len(self.primes)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.primes
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __mul__(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
-        if not isinstance(other, SquarefreeProduct):
-            return NotImplemented
-        if self.is_one:
-            return other
-        if other.is_one:
-            return self
-        merged = sorted(self.primes + other.primes)
-        for a, b in zip(merged, merged[1:]):
-            if a == b:
-                raise ValueError(f"factors share the prime {a}; product is not squarefree")
-        return SquarefreeProduct._unchecked(tuple(merged), self.value * other.value)
-
-    def __floordiv__(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
-        """The product of the primes of self outside other, which must divide self."""
-        if not isinstance(other, SquarefreeProduct):
-            return NotImplemented
-        theirs = set(other.primes)
-        if not theirs.issubset(self.primes):
-            missing = sorted(theirs.difference(self.primes))
-            raise ValueError(f"the primes {missing} do not divide the dividend")
-        rest = tuple(p for p in self.primes if p not in theirs)
-        return SquarefreeProduct._unchecked(rest, self.value // other.value)
-
-    def lcm(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
-        mine = set(self.primes)
-        return self * SquarefreeProduct.from_known_primes(p for p in other.primes if p not in mine)
-
-
-def radical(n: int) -> SquarefreeProduct:
-    """Squarefree kernel: the product of the distinct primes dividing n."""
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending, by trial division."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     primes = []
@@ -275,7 +190,12 @@ def radical(n: int) -> SquarefreeProduct:
         d += 2
     if m > 1:
         primes.append(m)
-    return SquarefreeProduct._unchecked(tuple(primes), math.prod(primes))  # ascending as found
+    return tuple(primes)
+
+
+def radical(n: int) -> int:
+    """Squarefree kernel: the product of the distinct primes dividing n."""
+    return math.prod(prime_divisors(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,9 +241,6 @@ class PrimeSieve:
         for p in self.primes_in(2, math.isqrt(hi)):
             flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
         return flags
-
-    def __len__(self) -> int:
-        return self.array.size
 
 
 def sieve(limit: int) -> PrimeSieve:

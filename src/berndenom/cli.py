@@ -73,7 +73,7 @@ def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"profile needs n + 1 < 2**63, got n = {args.n}")
     prof = denom.profile(args.n)
     row = [
-        prof.dd.value == prof.rad_n1.value if name == "in_rad_set" else int(getattr(prof, name))
+        prof.dd == prof.rad_n1 if name == "in_rad_set" else getattr(prof, name)
         for name in PROFILE_FIELDS
     ]
     if args.format == "json":

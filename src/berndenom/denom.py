@@ -30,8 +30,10 @@ n + k - 1). Every family below is read off those parts:
 * ``ds(n)``   denominator of the power-sum polynomial (cf. OEIS A064538)
 * ``db_k(n, k)``  denominator of the k-th derivative of B_n(x)
 
-All values except ds are squarefree and carried as SquarefreeProduct. Every
-prime comes from arith.shared_sieve, asked for the bound each route needs.
+Each family returns a plain int, and all but ds are squarefree: the product
+of the primes one mask keeps. The primes themselves are read from
+qualifying_primes(n), support_at(n) and the masks. Every prime comes from
+arith.shared_sieve, asked for the bound each route needs.
 """
 
 from __future__ import annotations
@@ -44,14 +46,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import (
-    SquarefreeProduct,
-    digit_sum,
-    digit_sum_table,
-    is_prime,
-    radical,
-    shared_sieve,
-)
+from .arith import digit_sum, digit_sum_table, is_prime, product, radical, shared_sieve
 
 __all__ = [
     "DenomProfile",
@@ -79,8 +74,6 @@ _RUN_BATCH = 1 << 16
 
 _SUPPORT_BLOCK = 1 << 10
 """Indices per block of support_blocks(), so memory is O(block * support size)."""
-
-_product = SquarefreeProduct.from_known_primes
 
 _DENSE = 16
 """Candidates above sqrt(n) lie about n / c^2 apart near c, so up to about
@@ -194,7 +187,8 @@ class PrimePairs(NamedTuple):
     way, and every part of a support is one mask over its pairs: minus (p
     below sqrt(n), plus above; p = sqrt(n) never qualifies), shared (p
     divides n, coprime does not; radical(n) // shared is the complement)
-    and kept(k)."""
+    and kept(k). A family's value at n is the int product of the primes
+    its mask keeps there: tuples() lists them, products() multiplies them."""
 
     lo: int
     hi: int
@@ -237,9 +231,9 @@ def support_at(n: int) -> PrimePairs:
     return PrimePairs(n, n, np.full(p.size, n, dtype=np.int64), p)
 
 
-def _part(support: PrimePairs, mask: np.ndarray) -> SquarefreeProduct:
+def _part(support: PrimePairs, mask: np.ndarray) -> int:
     """The product of the primes of a one-index support that mask keeps."""
-    return _product(support.p[mask].tolist())
+    return product(support.p[mask].tolist())
 
 
 def support_block(lo: int, hi: int) -> PrimePairs:
@@ -272,18 +266,18 @@ def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
         yield support_block(b0, min(b0 + _SUPPORT_BLOCK - 1, hi))
 
 
-def dd(n: int) -> SquarefreeProduct:
+def dd(n: int) -> int:
     """Denominator of B_n(x) - B_n: the full digit-sum prime product."""
-    return _product(qualifying_primes(n))
+    return product(qualifying_primes(n))
 
 
-def dd_split_sqrt(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct]:
+def dd_split_sqrt(n: int) -> tuple[int, int]:
     """Split dd(n) into the sub-products below and above sqrt(n)."""
     support = support_at(n)
     return _part(support, support.minus), _part(support, ~support.minus)
 
 
-def dd_split_divisibility(n: int) -> tuple[SquarefreeProduct, SquarefreeProduct, SquarefreeProduct]:
+def dd_split_divisibility(n: int) -> tuple[int, int, int]:
     """Split by divisibility: (shared, coprime, complement).
 
     shared holds qualifying primes dividing n, coprime the qualifying primes
@@ -306,7 +300,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def dn(n: int) -> SquarefreeProduct:
+def dn(n: int) -> int:
     """Denominator of the Bernoulli number B_n.
 
     Even n follows von Staudt-Clausen: the product of primes p with p-1
@@ -316,28 +310,27 @@ def dn(n: int) -> SquarefreeProduct:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
-        return SquarefreeProduct((2,), 2)
+        return 2
     if n % 2:
-        return SquarefreeProduct.one()
-    ps = sorted(d + 1 for d in _divisors(n) if is_prime(d + 1))
-    return _product(ps)
+        return 1
+    return product(d + 1 for d in _divisors(n) if is_prime(d + 1))
 
 
-def db(n: int) -> SquarefreeProduct:
+def db(n: int) -> int:
     """Denominator of B_n(x): lcm(dd(n + 1), radical(n + 1))."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _product(qualifying_primes(n + 1)).lcm(radical(n + 1))
+    return math.lcm(dd(n + 1), radical(n + 1))
 
 
 def ds(n: int) -> int:
     """Denominator of the power-sum polynomial: (n+1) * dd(n+1), not squarefree."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return (n + 1) * dd(n + 1).value
+    return (n + 1) * dd(n + 1)
 
 
-def db_k(n: int, k: int) -> SquarefreeProduct:
+def db_k(n: int, k: int) -> int:
     """Denominator of the k-th derivative of B_n(x).
 
     For n <= k the derivative is constant or zero, hence integral. Otherwise
@@ -411,7 +404,7 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
 
 def _values(name: str, lo: int, hi: int, k: int | None) -> Iterator[int]:
     if name == "dn":
-        yield from (dn(n).value for n in range(lo, hi + 1))
+        yield from map(dn, range(lo, hi + 1))
         return
     if name == "omega_plus":
         yield from _run_counts(lo, hi).tolist()
@@ -429,28 +422,29 @@ class DenomProfile:
     """Every denominator quantity attached to one index n."""
 
     n: int
-    dd: SquarefreeProduct
-    dd_minus: SquarefreeProduct
-    dd_plus: SquarefreeProduct
-    dd_shared: SquarefreeProduct
-    dd_coprime: SquarefreeProduct
-    dd_complement: SquarefreeProduct
-    dn: SquarefreeProduct
-    db: SquarefreeProduct
+    dd: int
+    dd_minus: int
+    dd_plus: int
+    dd_shared: int
+    dd_coprime: int
+    dd_complement: int
+    dn: int
+    db: int
     ds: int
-    rad_n: SquarefreeProduct
-    rad_n1: SquarefreeProduct
+    rad_n: int
+    rad_n1: int
     omega_plus: int
 
-    def validate(self) -> None:
-        """Check the decomposition identities tying the fields together."""
+    def validate(self, support: PrimePairs) -> None:
+        """Check the decomposition identities tying the fields together, and
+        omega_plus against support, the support of n."""
         ok = (
-            self.dd.value == self.dd_minus.value * self.dd_plus.value
-            and self.dd.value == self.dd_shared.value * self.dd_coprime.value
-            and self.rad_n.value == self.dd_shared.value * self.dd_complement.value
-            and self.omega_plus == self.dd_plus.omega
+            self.dd == self.dd_minus * self.dd_plus
+            and self.dd == self.dd_shared * self.dd_coprime
+            and self.rad_n == self.dd_shared * self.dd_complement
+            and self.omega_plus == np.count_nonzero(~support.minus)
             and self.omega_plus * self.omega_plus < self.n
-            and self.db.value == self.dd.lcm(self.dn).value
+            and self.db == math.lcm(self.dd, self.dn)
         )
         if not ok:
             raise ValueError(f"inconsistent denominator profile at n={self.n}")
@@ -467,7 +461,7 @@ def profile(n: int) -> DenomProfile:
     rad_n, rad_n1 = radical(n), radical(n + 1)
     dd_minus, dd_plus = _part(support, support.minus), _part(support, ~support.minus)
     dd, dd_shared = dd_minus * dd_plus, _part(support, support.shared)
-    dd_next = _product(support_next)
+    dd_next = product(support_next)
     prof = DenomProfile(
         n=n,
         dd=dd,
@@ -477,11 +471,11 @@ def profile(n: int) -> DenomProfile:
         dd_coprime=dd // dd_shared,
         dd_complement=rad_n // dd_shared,
         dn=dn(n),
-        db=dd_next.lcm(rad_n1),
-        ds=(n + 1) * dd_next.value,
+        db=math.lcm(dd_next, rad_n1),
+        ds=(n + 1) * dd_next,
         rad_n=rad_n,
         rad_n1=rad_n1,
-        omega_plus=dd_plus.omega,
+        omega_plus=int(np.count_nonzero(~support.minus)),
     )
-    prof.validate()
+    prof.validate(support)
     return prof

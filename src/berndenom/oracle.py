@@ -80,21 +80,9 @@ class RationalPolynomial:
     def zero(cls) -> "RationalPolynomial":
         return cls._over([0], 1)
 
-    @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls((c,))
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self.denominator) for a in self.numerators)
-
-    @property
-    def degree(self) -> int:
-        return len(self.numerators) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerators == (0,)
 
     def __call__(self, x) -> Fraction:
         """P(p/q) = sum(a_k p^k q^(m-k)) / (D q^m), by Horner on integers."""
@@ -105,37 +93,10 @@ class RationalPolynomial:
             power *= q
         return Fraction(acc, self.denominator * (power // q))
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
+    def __mul__(self, scalar) -> "RationalPolynomial":
+        if not isinstance(scalar, Rational):
             return NotImplemented
-        den = lcm(self.denominator, other.denominator)
-        a = [c * (den // self.denominator) for c in self.numerators]
-        b = [c * (den // other.denominator) for c in other.numerators]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return RationalPolynomial._over(a, den)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial._over([-a for a in self.numerators], self.denominator)
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            out = [0] * (len(self.numerators) + len(other.numerators) - 1)
-            for i, a in enumerate(self.numerators):
-                if a:
-                    for j, b in enumerate(other.numerators):
-                        out[i + j] += a * b
-            return RationalPolynomial._over(out, self.denominator * other.denominator)
-        if not isinstance(other, Rational):
-            return NotImplemented
-        p, q = _ratio(other)
+        p, q = _ratio(scalar)
         return RationalPolynomial._over([a * p for a in self.numerators], self.denominator * q)
 
     __rmul__ = __mul__

@@ -117,7 +117,7 @@ def find_sets(k: int, limit: int) -> SetReport:
     for lo, hi in ScanConfig(2, limit - k + 1, DEFAULT_CHUNK_SIZE).chunk_ranges():
         missed = _run_counts(lo, hi, cut=k - 1)
         for m in (np.flatnonzero(missed == 0) + lo).tolist():
-            if db_k(m + k - 1, k).is_one:
+            if db_k(m + k - 1, k) == 1:
                 members.append(m + k - 1)
     return SetReport(k=k, limit=limit, members=tuple(members))
 
@@ -135,7 +135,7 @@ def find_rad_set(limit: int) -> SetReport:
         offset = block.n[(block.n + 1) % block.p != 0] - block.lo
         strays = np.bincount(offset, minlength=block.hi - block.lo + 1)
         for n in (np.flatnonzero(strays == 0) + block.lo).tolist():
-            if math.prod(block.window(n, n).p.tolist()) == radical(n + 1).value:
+            if math.prod(block.window(n, n).p.tolist()) == radical(n + 1):
                 members.append(n)
     return SetReport(k=0, limit=limit, members=tuple(members))
 
@@ -240,11 +240,6 @@ class ScanResult:
     chunks: int
 
 
-def _worker_init(need: int) -> None:
-    """Pool initializer: the worker's cache reaches need before its first chunk."""
-    shared_sieve(need)
-
-
 def _scan_chunks(pending, threads: int, need: int):
     """Scan each pending range, in order, on worker processes or in this
     one, each with the cache sized to need first."""
@@ -257,7 +252,7 @@ def _scan_chunks(pending, threads: int, need: int):
 
         with ProcessPoolExecutor(
             max_workers=min(threads, len(pending)),
-            initializer=_worker_init,
+            initializer=shared_sieve,
             initargs=(need,),
         ) as pool:
             yield from pool.map(scan_omega_plus, los, his)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import denom, oracle, scanner
-from .arith import radical, shared_sieve
+from .arith import prime_divisors, radical, shared_sieve
 
 __all__ = ["FAMILIES", "FamilyResult", "run_verification"]
 
@@ -101,13 +101,14 @@ def _block_verdicts(lo: int, hi: int) -> dict[str, np.ndarray]:
 
     Products at n and at n + 1 (names ending in _next) are keyed at n. The
     supports come from denom's range route, the kernels from a sieve, the
-    complements (the primes of n outside the support) from arith.radical,
-    and dn(n) from von Staudt-Clausen, independently of denom.dn.
+    complements (the primes of n outside the support) from
+    arith.prime_divisors, and dn(n) from von Staudt-Clausen, independently
+    of denom.dn.
     """
     size, n = hi - lo, np.arange(lo, hi, dtype=np.int64)
     block = denom.support_block(lo, hi)
     s, m = block.window(lo, hi - 1), block.window(lo + 1, hi)
-    factors = [radical(i).primes for i in range(lo, hi + 1)]
+    factors = [prime_divisors(i) for i in range(lo, hi + 1)]
     owner = np.repeat(np.arange(lo, hi + 1), [len(f) for f in factors])
     found = owner << _SHIFT | np.fromiter((q for f in factors for q in f), np.int64, owner.size)
     complement = found[~_isin(found, _keys(block, block.shared))]
@@ -204,10 +205,20 @@ def _support_matches(c: _Context, n: int) -> bool:
 
 
 def _check_small_primes(c: _Context, n: int) -> bool:
+    """db_k(n, k) for k <= 50 is the mask kept(k) at m = n - k + 1. The
+    primes of m's support that divide no factor of the falling factorial
+    n (n - 1) ... m are the same primes, found apart from the mask, and
+    each of them exceeds k."""
     window = c.tables.window(max(n - 49, 1), n)
-    k = n + 1 - window.n  # db_k(n, k) for k <= 50 is the mask kept(k) at n - k + 1
-    kept = window.kept(k)
-    return _support_matches(c, n) and bool(np.all(window.p[kept] > k[kept]))
+    k = n + 1 - window.n
+    falling = np.array(
+        [math.perm(n, j) % p != 0 for j, p in zip(k.tolist(), window.p.tolist())], dtype=bool
+    )
+    return (
+        _support_matches(c, n)
+        and np.array_equal(window.kept(k), falling)
+        and bool(np.all(window.p[falling] > k[falling]))
+    )
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
@@ -246,11 +257,11 @@ def _check_oracle_equivalence(c: _Context, n: int) -> bool:
         return False
     dd, dd_next = c.tables.window(n, n + 1).products()
     poly = oracle.bernoulli_polynomial(n)
-    if oracle.denominator_of(poly) != math.lcm(dd_next, radical(n + 1).value):  # db(n)
+    if oracle.denominator_of(poly) != math.lcm(dd_next, radical(n + 1)):  # db(n)
         return False
     if oracle.denominator_of(oracle.drop_constant_term(poly)) != dd:
         return False
-    if poly(0).denominator != denom.dn(n).value:  # B_n(0) = B_n
+    if poly(0).denominator != denom.dn(n):  # B_n(0) = B_n
         return False
     if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != (n + 1) * dd_next:  # ds(n)
         return False

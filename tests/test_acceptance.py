@@ -57,9 +57,9 @@ LEMMA_FAMILIES = (
 
 def test_criterion_1_golden_sequences():
     ok = (
-        [denom.dd(n).value for n in range(1, 11)] == DD_FIRST
-        and [denom.dn(n).value for n in range(1, 11)] == DN_FIRST
-        and [denom.db(n).value for n in range(1, 11)] == DB_FIRST
+        [denom.dd(n) for n in range(1, 11)] == DD_FIRST
+        and [denom.dn(n) for n in range(1, 11)] == DN_FIRST
+        and [denom.db(n) for n in range(1, 11)] == DB_FIRST
         and [denom.ds(n) for n in range(0, 10)] == DS_FIRST
     )
     report(1, ok, "golden sequences dd/dn/db/ds match the reference lists")
@@ -131,8 +131,7 @@ def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
     counts = scanner._run_counts(1, 10_000)
     mismatch = None
     for n in range(1, 10_001):
-        _, above = denom.dd_split_sqrt(n)
-        if int(counts[n - 1]) != above.omega:
+        if int(counts[n - 1]) != denom.omega_dd_plus(n):
             mismatch = n
             break
 
@@ -168,12 +167,11 @@ def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
 
 
 def test_criterion_8_kappa_ratio_sanity(counts_million):
-    # kappa(n) = omega_+(n) * ln(n) / sqrt(n); calibration window, brute force per index through the split route
+    # kappa(n) = omega_+(n) * ln(n) / sqrt(n); calibration window, brute force per index through the single-index route
     lo, hi = 10**4 - 10**3, 10**4
     ratios = []
     for n in range(lo, hi + 1):
-        _, above = denom.dd_split_sqrt(n)
-        ratios.append(above.omega * math.log(n) / math.sqrt(n))
+        ratios.append(denom.omega_dd_plus(n) * math.log(n) / math.sqrt(n))
     brute_mean = sum(ratios) / len(ratios)
 
     scan_lo, scan_hi = 10**6 - 10**3, 10**6

@@ -7,11 +7,11 @@ import pytest
 from berndenom import arith
 from berndenom.arith import (
     SieveSizeError,
-    SquarefreeProduct,
     decimal_str,
     digit_sum,
     digit_sum_table,
     is_prime,
+    prime_divisors,
     product,
     radical,
     sieve,
@@ -123,18 +123,30 @@ class TestLambdaPrimeBound:
 
 class TestRadical:
     def test_examples(self):
-        assert radical(12).value == 6
-        assert radical(1).value == 1
-        assert radical(10).value == 10
-        assert radical(1024).primes == (2,)
+        assert radical(12) == 6
+        assert radical(1) == 1
+        assert radical(10) == 10
+        assert prime_divisors(1024) == (2,)
 
     def test_against_divisor_scan(self):
         for n in range(1, 2000):
-            assert radical(n).primes == brute_radical_primes(n)
+            assert prime_divisors(n) == brute_radical_primes(n)
+            assert radical(n) == math.prod(brute_radical_primes(n))
+
+    def test_fixes_squarefree_values(self, sieve_20k):
+        import itertools
+
+        base = sieve_20k.primes_in(2, 40)
+        for r in range(0, 4):
+            for combo in itertools.combinations(base, r):
+                assert prime_divisors(product(combo)) == combo
+                assert radical(product(combo)) == product(combo)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             radical(0)
+        with pytest.raises(ValueError):
+            prime_divisors(0)
 
 
 class TestSieve:
@@ -194,49 +206,7 @@ class TestSieve:
         sv = sieve(100)
         assert sv.primes_in(97, 97) == (97,)
         assert sv.primes_in(91, 91) == ()
-        assert len(sv) == 25
-
-
-class TestSquarefreeProduct:
-    def test_empty_product_is_one(self):
-        one = SquarefreeProduct.one()
-        assert one.value == 1 and one.omega == 0 and one.is_one
-
-    def test_from_known_primes_checks_order(self):
-        sq = SquarefreeProduct.from_known_primes([2, 3, 5])
-        assert sq.primes == (2, 3, 5) and sq.value == 30
-        with pytest.raises(ValueError):
-            SquarefreeProduct.from_known_primes([2, 2, 3])
-        with pytest.raises(ValueError):
-            SquarefreeProduct.from_known_primes([5, 2, 3])
-
-    def test_raw_constructor_checks_structure(self):
-        with pytest.raises(ValueError):
-            SquarefreeProduct((3, 2), 6)
-        with pytest.raises(ValueError):
-            SquarefreeProduct((2, 3), 5)
-
-    def test_value_roundtrip_is_bijective(self, sieve_20k):
-        import itertools
-
-        base = sieve_20k.primes_in(2, 40)
-        for r in range(0, 4):
-            for combo in itertools.combinations(base, r):
-                sq = SquarefreeProduct.from_known_primes(combo)
-                assert radical(sq.value) == sq
-
-    def test_product_requires_coprime_supports(self):
-        a = SquarefreeProduct.from_known_primes([2, 3])
-        b = SquarefreeProduct.from_known_primes([5])
-        assert (a * b).value == 30
-        with pytest.raises(ValueError):
-            a * SquarefreeProduct.from_known_primes([3, 7])
-
-    def test_gcd_lcm_divides(self):
-        a = SquarefreeProduct.from_known_primes([2, 3, 7])
-        b = SquarefreeProduct.from_known_primes([3, 5, 7])
-        assert a.lcm(b).value == 210
-        assert int(a) == 42 and str(a) == "42"
+        assert sv.array.size == 25
 
 
 class TestIsPrime:
@@ -282,19 +252,6 @@ class TestProduct:
         for count in (0, 1, 2, 15, 16, 17, 33, 1000, len(primes)):
             assert product(primes[:count]) == math.prod(primes[:count])
         assert product(iter([3, 5, 7])) == 105
-
-    def test_squarefree_product_values(self, sieve_20k):
-        big = SquarefreeProduct.from_known_primes(sieve_20k.primes)
-        assert big.value == math.prod(sieve_20k.primes)
-        last = sieve_20k.primes[-1]
-        small = SquarefreeProduct.from_known_primes([3, 7, last])
-        assert (big // small).primes == tuple(p for p in sieve_20k.primes if p not in (3, 7, last))
-        assert (big // small) * small == big
-        assert big.lcm(SquarefreeProduct.from_known_primes([3, 20021])).value == big.value * 20021
-        with pytest.raises(ValueError):
-            small // SquarefreeProduct.from_known_primes([5])
-        with pytest.raises(ValueError):
-            SquarefreeProduct.from_known_primes([3, 2])
 
 
 @pytest.fixture

@@ -43,8 +43,7 @@ class TestScanOmegaPlus:
     def test_matches_per_index_route(self):
         counts = scanner._run_counts(1, 2000)
         for n in range(1, 2001):
-            _, above = denom.dd_split_sqrt(n)
-            assert int(counts[n - 1]) == above.omega
+            assert int(counts[n - 1]) == denom.omega_dd_plus(n)
 
     def test_window_shift_preserves_values(self):
         wide = scanner._run_counts(1, 600)
@@ -145,9 +144,9 @@ class TestFindSets:
         for k in (1, 2, 3):
             report = find_sets(k, 500)
             for n in report.members:
-                assert denom.db_k(n, k).is_one
+                assert denom.db_k(n, k) == 1
             for n in set(range(1, 501)) - set(report.members):
-                assert not denom.db_k(n, k).is_one
+                assert denom.db_k(n, k) != 1
 
     def test_successors_of_first_set_are_prime(self):
         for n in find_sets(1, 500).members:
@@ -167,7 +166,7 @@ class TestFindSets:
 def integral_to_3000():
     """For k <= 5, the n <= 3000 whose k-th derivative db_k(n, k) is integral."""
     return {
-        k: tuple(n for n in range(1, 3001) if denom.db_k(n, k).is_one)
+        k: tuple(n for n in range(1, 3001) if denom.db_k(n, k) == 1)
         for k in range(1, 6)
     }
 
