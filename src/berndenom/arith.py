@@ -14,7 +14,7 @@ import decimal
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +36,10 @@ __all__ = [
 DEFAULT_SIEVE_CAP = 1 << 26
 """Largest sieve limit accepted, so a mistyped bound fails fast instead of
 allocating gigabytes."""
+
+
+_SEGMENT = 1 << 19
+"""Entries per window when a sieve runs in segments: its memory per piece."""
 
 
 class SieveSizeError(ValueError):
@@ -219,42 +223,41 @@ class PrimeSieve:
             raise SieveSizeError(
                 f"sieve holds primes up to {self.limit}, but primes up to {hi} were requested"
             )
-        return tuple(self._slice(lo, hi).tolist())
-
-    def _slice(self, lo: int, hi: int) -> np.ndarray:
-        return self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")]
+        return tuple(self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")].tolist())
 
     def window(self, lo: int, hi: int) -> np.ndarray:
-        """Primality of lo, ..., hi as a bool array.
-
-        Read off the sieve where it reaches hi; beyond it, a segmented sieve
-        with the primes up to isqrt(hi), whose memory is the window alone.
-        """
+        """Primality of lo, ..., hi as a bool array: the one sieving loop, a segmented
+        sieve with the primes up to isqrt(hi) whose memory is the window alone."""
         if not 0 <= lo <= hi + 1:
             raise ValueError(f"need 0 <= lo <= hi + 1, got [{lo}, {hi}]")
-        if hi <= self.limit:
-            flags = np.zeros(hi - lo + 1, dtype=bool)
-            flags[self._slice(lo, hi) - lo] = True
-            return flags
         flags = np.ones(hi - lo + 1, dtype=bool)
         flags[: max(2 - lo, 0)] = False
-        for p in self.primes_in(2, math.isqrt(hi)):
+        for p in self.primes_in(2, math.isqrt(max(hi, 0))):  # the empty window has hi = -1
             flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
         return flags
 
+    def segments(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, window(start, ...)) over lo, ..., hi in windows of at most _SEGMENT entries."""
+        for start in range(lo, hi + 1, _SEGMENT):
+            yield start, self.window(start, min(start + _SEGMENT - 1, hi))
+
+
+def _sieved(limit: int) -> PrimeSieve:
+    """The primes up to limit, read window by window off those up to isqrt(limit)."""
+    root = math.isqrt(limit)
+    base = _sieved(root) if root > 1 else PrimeSieve(limit=root, array=np.zeros(0, dtype=np.int64))
+    found = [np.flatnonzero(flags) + start for start, flags in base.segments(0, limit)]
+    return PrimeSieve(limit=limit, array=np.concatenate(found).astype(np.int64, copy=False))
+
 
 def sieve(limit: int) -> PrimeSieve:
-    """Sieve of Eratosthenes up to limit (inclusive), at most DEFAULT_SIEVE_CAP."""
+    """The primes up to limit (inclusive), at most DEFAULT_SIEVE_CAP, sieved in
+    windows of _SEGMENT entries: no array of limit + 1 flags is ever built."""
     if limit < 1:
         raise ValueError(f"sieve limit must be positive, got {limit}")
     if limit > DEFAULT_SIEVE_CAP:
         raise SieveSizeError(f"sieve limit {limit} exceeds the cap of {DEFAULT_SIEVE_CAP}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return PrimeSieve(limit=limit, array=np.flatnonzero(flags).astype(np.int64, copy=False))
+    return _sieved(limit)
 
 
 _SHARED: PrimeSieve | None = None

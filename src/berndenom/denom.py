@@ -77,10 +77,7 @@ _SUPPORT_BLOCK = 1 << 10
 
 _DENSE = 16
 """Candidates above sqrt(n) lie about n / c^2 apart near c, so up to about
-_DENSE * sqrt(n) sieving a window costs less than testing them one by one."""
-
-_WINDOW = 1 << 24
-"""The largest such window, in entries: its memory bound for large n."""
+_DENSE * sqrt(n) sieving them segment by segment costs less than testing them one by one."""
 
 _PRIMORIAL = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 """The largest primorial below 2**63; a candidate sharing a factor with it is
@@ -96,9 +93,9 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
     n // (a+1) + 1 and needs (a+1) not to divide n. Each a from isqrt(n)
     down to 1 thus gives at most one candidate, in ascending order. The
     candidates crowd below a few times sqrt(n): those up to _DENSE * isqrt(n)
-    are looked up in a window sieved from the primes up to isqrt(n), and
-    any larger one goes through is_prime unless it shares a factor with
-    _PRIMORIAL.
+    are looked up one segment at a time in windows sieved from the primes up
+    to isqrt(n), and any larger one goes through is_prime unless it shares a
+    factor with _PRIMORIAL.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
@@ -111,9 +108,11 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
     # in int64 with no products, so nothing overflows below 2**63
     q, r = np.divmod(n, np.arange(root + 1, 1, -1, dtype=np.int64))
     candidates = q[(r != 0) & (q >= root)] + 1
-    top = min(n // 2 + 1, _DENSE * root, root + _WINDOW)
+    top = min(n // 2 + 1, _DENSE * root)
     dense = candidates[candidates <= top]
-    out += dense[sv.window(root + 1, top)[dense - (root + 1)]].tolist()
+    for lo, flags in sv.segments(root + 1, top):
+        here = dense[dense.searchsorted(lo) : dense.searchsorted(lo + flags.size)]
+        out += here[flags[here - lo]].tolist()
     beyond = candidates[candidates > top]
     common = np.gcd(beyond, _PRIMORIAL)
     out += [p for p in beyond[(common == 1) | (common == beyond)].tolist() if is_prime(p)]

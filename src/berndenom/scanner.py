@@ -237,7 +237,6 @@ class ScanResult:
     chunk_size: int
     exceptional: tuple[int, ...]
     digest: str
-    chunks: int
 
 
 def _scan_chunks(pending, threads: int, need: int):
@@ -296,5 +295,4 @@ def run_scan(
         chunk_size=chunk_size,
         exceptional=exceptional,
         digest=digest,
-        chunks=len(ordered),
     )

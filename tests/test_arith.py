@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ def sieve_20k():
     """The primes to 20,002, sieved directly: these tests are of PrimeSieve
     and of products over many primes, not of the shared cache."""
     return sieve(20_002)
+
+
+def eratosthenes(limit):
+    """The primes to limit from one flag per integer: the whole-range sieve,
+    an independent reference for the segmented one."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
 
 
 def brute_radical_primes(n):
@@ -190,17 +202,61 @@ class TestSieve:
         assert sv.primes_in(90, 100) == (97,)
 
     def test_window_matches_sieve(self):
-        full = np.zeros(3001, dtype=bool)
-        full[list(sieve(3000).primes)] = True
-        # read off a sieve that reaches hi, or sieved in segments past it
+        seg = arith._SEGMENT
+        top = 3 * seg + 5
+        full = np.zeros(top + 1, dtype=bool)
+        full[eratosthenes(top)] = True
+        # one marking pass with the primes to isqrt(hi), whether or not the sieve reaches hi
         for sv in (sieve(55), sieve(400), sieve(3000)):
             for lo in (0, 1, 2, 3, 54, 55, 56, 399, 400, 401, 2000):
                 for hi in (lo - 1, lo, lo + 1, lo + 97, 3000):
                     assert sv.window(lo, hi).tolist() == full[lo : hi + 1].tolist(), (sv.limit, lo, hi)
+        assert sieve(55).window(0, -1).size == 0  # the empty window asks for no primes
+        # windows wider than a segment, and ones straddling the seams between segments
+        for lo, hi in ((0, top), (seg - 3, 2 * seg + 7), (2 * seg - 1, 3 * seg + 1), (seg, seg)):
+            assert sieve(3000).window(lo, hi).tolist() == full[lo : hi + 1].tolist(), (lo, hi)
         with pytest.raises(SieveSizeError):
             sieve(50).window(2600, 2610)  # isqrt(2610) = 51
         with pytest.raises(ValueError):
             sieve(50).window(10, 8)
+
+    def test_segments_tile_the_range(self):
+        sv = sieve(3000)
+        seg = arith._SEGMENT
+        for lo, hi in ((0, 0), (5, 4), (1, seg), (seg - 1, 2 * seg + 3), (7, 3 * seg - 1)):
+            pieces = list(sv.segments(lo, hi))
+            assert [start for start, _ in pieces] == list(range(lo, hi + 1, seg))
+            assert all(0 < f.size <= seg for _, f in pieces)
+            assert sum(f.size for _, f in pieces) == hi + 1 - lo
+            joined = np.concatenate([f for _, f in pieces] + [np.zeros(0, dtype=bool)])
+            assert joined.tolist() == sv.window(lo, hi).tolist()  # one pass over the whole span
+
+    def test_matches_whole_range_sieve_at_segment_seams(self):
+        seg = arith._SEGMENT
+        for limit in range(1, 101):
+            trial_division = tuple(n for n in range(2, limit + 1) if all(n % d for d in range(2, n)))
+            assert sieve(limit).primes == trial_division, limit
+        for limit in (seg - 1, seg, seg + 1, 3 * seg + 5):
+            assert sieve(limit).array.tolist() == eratosthenes(limit), limit
+
+    def test_tiny_segments(self, monkeypatch):
+        # seams every few integers: each one lands on, before and after a prime
+        reference = eratosthenes(5000)
+        for seg in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(arith, "_SEGMENT", seg)
+            for limit in (1, 2, 3, 4, 5, 48, 49, 50, 997, 5000):
+                assert sieve(limit).array.tolist() == [p for p in reference if p <= limit], (seg, limit)
+
+    def test_memory_is_the_primes_not_the_flags(self):
+        # the primes are gathered per segment and joined once: at most two copies of
+        # them, plus one segment's flags; never one flag per integer up to the limit
+        tracemalloc.start()
+        try:
+            primes = sieve(1 << 24).array
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * primes.nbytes + (2 << 20), (peak, primes.nbytes)
 
     def test_membership(self):
         sv = sieve(100)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from math import isqrt
 
@@ -314,6 +315,19 @@ class TestQualifyingPrimes:
         above = [p for p in found if p > 10**6]
         assert above[-1] ** 2 > 2**63 and all(n // p + n % p >= p for p in above)
         assert all(is_prime(p) for p in above[::50])
+
+    def test_every_candidate_to_dense_bound_is_sieved(self, monkeypatch):
+        # 16 * isqrt(n) lies 2.1e7 above isqrt(n), dozens of segments: every candidate
+        # up to it is sieved, and only those past it reach is_prime
+        n = 2_000_000_000_003
+        tested = []
+        real_is_prime = denom.is_prime
+        monkeypatch.setattr(denom, "is_prime", lambda p: tested.append(p) or real_is_prime(p))
+        found = qualifying_primes(n)
+        assert tested and min(tested) > 16 * isqrt(n)
+        assert len(found) == 145_364
+        digest = hashlib.sha256(",".join(map(str, found)).encode("ascii")).hexdigest()
+        assert digest == "ab6a25f2cae0397e41fdc5b7001003a29e30835f220517dc3ff092d20e14f598"
 
     def test_single_index_calls_sieve_to_sqrt_only(self, monkeypatch):
         limits = []

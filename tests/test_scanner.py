@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import tracemalloc
 
@@ -328,7 +329,10 @@ class TestRunScan:
         single = run_scan(3000, chunk_size=3000)
         assert small.exceptional == single.exceptional
         # digests cover the chunk tiling, so they differ across chunk sizes
-        assert small.chunks == 5 and single.chunks == 1
+        tiles = ScanConfig(1, 3000, 700).chunk_ranges()
+        joined = "|".join(scan_omega_plus(lo, hi).checksum for lo, hi in tiles)
+        assert len(tiles) == 5 and small.digest == hashlib.sha256(joined.encode("ascii")).hexdigest()
+        assert single.digest == hashlib.sha256(scan_omega_plus(1, 3000).checksum.encode("ascii")).hexdigest()
 
     def test_exceptional_matches_scan(self):
         result = run_scan(3000, chunk_size=700)
