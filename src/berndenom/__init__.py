@@ -31,8 +31,8 @@ _EXPORTS = {
         "denominator_of", "derivative", "sum_of_powers_polynomial",
     ),
     "scanner": (
-        "CheckpointError", "ScanChunk", "ScanResult", "SetReport",
-        "find_rad_set", "find_sets", "run_scan", "scan_omega_plus",
+        "CheckpointError", "ScanChunk", "ScanResult", "find_rad_set",
+        "find_sets", "run_scan", "scan_omega_plus",
     ),
     "verify": ("FamilyResult", "run_verification"),
 }

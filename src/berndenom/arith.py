@@ -242,12 +242,27 @@ class PrimeSieve:
             yield start, self.window(start, min(start + _SEGMENT - 1, hi))
 
 
+def _prime_count_bound(x: int) -> int:
+    """More than pi(x), the number of primes up to x: pi(x) < 1.25506 x / ln x
+    for x > 1 (Rosser & Schoenfeld 1962)."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+
+
 def _sieved(limit: int) -> PrimeSieve:
-    """The primes up to limit, read window by window off those up to isqrt(limit)."""
+    """The primes up to limit, read window by window off those up to isqrt(limit)
+    into one array sized by _prime_count_bound and cut to their count in place."""
     root = math.isqrt(limit)
     base = _sieved(root) if root > 1 else PrimeSieve(limit=root, array=np.zeros(0, dtype=np.int64))
-    found = [np.flatnonzero(flags) + start for start, flags in base.segments(0, limit)]
-    return PrimeSieve(limit=limit, array=np.concatenate(found).astype(np.int64, copy=False))
+    primes = np.empty(_prime_count_bound(limit), dtype=np.int64)
+    count = 0
+    for start, flags in base.segments(0, limit):
+        found = np.flatnonzero(flags)
+        if count + found.size > primes.size:
+            raise RuntimeError(f"more than {primes.size} primes up to {limit}, past their bound")
+        primes[count : count + found.size] = found + start
+        count += found.size
+    primes.resize(count, refcheck=False)
+    return PrimeSieve(limit=limit, array=primes)
 
 
 def sieve(limit: int) -> PrimeSieve:

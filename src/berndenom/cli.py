@@ -1,10 +1,12 @@
 """Command-line interface with deterministic CSV/JSON output.
 
-Subcommands: profile, seq, scan, sets, radset, verify. Exit codes: 0 on
-success, 1 when verification finds a counterexample, 2 on usage errors.
-Values that may exceed 2**53 are emitted as decimal strings in JSON.
-scanner and verify are imported by the commands that run them, so profile
-and seq start without loading either.
+Subcommands: profile, seq, scan, sets, radset, verify. Each subparser names
+its handler with set_defaults(run=...); a handler builds its result once, as a
+JSON payload and as CSV rows, and hands both to _emit, which writes the one
+--format asks for. Exit codes: 0 on success, 1 when verification finds a
+counterexample, 2 on usage errors. Values that may exceed 2**53 are emitted
+as decimal strings in JSON. scanner and verify are imported by the commands
+that run them, so profile and seq start without loading either.
 """
 
 from __future__ import annotations
@@ -12,28 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from dataclasses import asdict, fields
 
 from . import denom
 from .arith import SieveSizeError, decimal_str, is_prime
 
-SEQ_NAMES = denom.SEQUENCES
-
-PROFILE_FIELDS = (
-    "n",
-    "dd",
-    "dd_minus",
-    "dd_plus",
-    "dd_shared",
-    "dd_coprime",
-    "dd_complement",
-    "dn",
-    "db",
-    "ds",
-    "omega_plus",
-    "rad_n",
-    "rad_n1",
-    "in_rad_set",
-)
+PROFILE_FIELDS = (*(field.name for field in fields(denom.DenomProfile)), "in_rad_set")
 
 
 def _positive_int(text: str) -> int:
@@ -52,15 +39,17 @@ def _csv_cell(value) -> str:
     return decimal_str(value) if isinstance(value, int) else str(value)
 
 
-def _emit_csv(header, rows) -> None:
+def _emit(args, payload, header, rows) -> None:
+    """Write a command's one result: payload as one JSON line, or header and
+    rows as CSV, whichever --format asks for. An iterator in payload is read
+    as a list, and only for JSON, so CSV never builds what only JSON prints."""
     out = sys.stdout
+    if args.format == "json":
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list) + "\n")
+        return
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _usage_failure(exc: Exception) -> int:
@@ -72,20 +61,12 @@ def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     if args.n >= (1 << 63) - 1:
         parser.error(f"profile needs n + 1 < 2**63, got n = {args.n}")
     prof = denom.profile(args.n)
-    row = [
-        prof.dd == prof.rad_n1 if name == "in_rad_set" else getattr(prof, name)
+    small = ("n", "omega_plus", "in_rad_set")  # below 2**53; the rest go as strings
+    record = {
+        name: getattr(prof, name) if name in small else decimal_str(getattr(prof, name))
         for name in PROFILE_FIELDS
-    ]
-    if args.format == "json":
-        # only n, omega_plus and the flag stay below 2**53; the rest go as strings
-        _emit_json(
-            {
-                name: value if name in ("n", "omega_plus", "in_rad_set") else decimal_str(value)
-                for name, value in zip(PROFILE_FIELDS, row)
-            }
-        )
-    else:
-        _emit_csv(PROFILE_FIELDS, [row])
+    }
+    _emit(args, record, PROFILE_FIELDS, [record.values()])
     return 0
 
 
@@ -97,80 +78,73 @@ def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
     if args.lo > args.hi:
         parser.error(f"need lo <= hi, got {args.lo} > {args.hi}")
     rows = list(zip(range(args.lo, args.hi + 1), values))
-    if args.format == "json":
-        _emit_json(
-            {
-                "name": args.name,
-                "k": args.k,
-                "lo": args.lo,
-                "hi": args.hi,
-                "rows": [{"n": n, "value": decimal_str(v)} for n, v in rows],
-            }
-        )
-    else:
-        _emit_csv(("n", "value"), rows)
+    payload = {
+        "name": args.name,
+        "k": args.k,
+        "lo": args.lo,
+        "hi": args.hi,
+        "rows": ({"n": n, "value": decimal_str(v)} for n, v in rows),
+    }
+    _emit(args, payload, ("n", "value"), rows)
     return 0
 
 
-def _cmd_scan(args) -> int:
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     from . import scanner
 
+    chunk_size = args.chunk or scanner.DEFAULT_CHUNK_SIZE
     try:
-        result = scanner.run_scan(
-            args.limit,
-            threads=args.threads,
-            chunk_size=args.chunk or scanner.DEFAULT_CHUNK_SIZE,
-            checkpoint_path=args.checkpoint,
-        )
+        with warnings.catch_warnings():  # the library's warnings, without its source lines
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            result = scanner.run_scan(
+                args.limit,
+                threads=args.threads,
+                chunk_size=chunk_size,
+                checkpoint_path=args.checkpoint,
+            )
     except (scanner.CheckpointError, OSError) as exc:
         return _usage_failure(exc)
     top = max(result.exceptional) if result.exceptional else None
-    if args.format == "json":
-        _emit_json(
-            {
-                "limit": result.limit,
-                "chunk_size": result.chunk_size,
-                "exceptional": list(result.exceptional),
-                "exceptional_count": len(result.exceptional),
-                "max_exceptional": top,
-                "digest": result.digest,
-            }
-        )
-    else:
-        _emit_csv(("n",), [(n,) for n in result.exceptional])
+    payload = {
+        "limit": args.limit,
+        "chunk_size": chunk_size,
+        "exceptional": result.exceptional,
+        "exceptional_count": len(result.exceptional),
+        "max_exceptional": top,
+        "digest": result.digest,
+    }
+    _emit(args, payload, ("n",), [(n,) for n in result.exceptional])
     print(
-        f"scanned 1..{result.limit}: {len(result.exceptional)} indices with no prime "
+        f"scanned 1..{args.limit}: {len(result.exceptional)} indices with no prime "
         f"above sqrt(n); max {top}; digest {result.digest[:16]}",
         file=sys.stderr,
     )
     return 0
 
 
-def _cmd_sets(args) -> int:
+def _cmd_sets(args, parser: argparse.ArgumentParser) -> int:
     from . import scanner
 
-    report = scanner.find_sets(args.k, args.limit)
-    flags = [is_prime(n + 1) for n in report.members] if args.k == 1 else None
-    if args.format == "json":
-        payload = {"k": report.k, "limit": report.limit, "members": list(report.members)}
-        if flags is not None:
-            payload["next_is_prime"] = flags
-        _emit_json(payload)
-    elif flags is not None:
-        _emit_csv(("n", "next_prime"), list(zip(report.members, flags)))
-    else:
-        _emit_csv(("n",), [(n,) for n in report.members])
+    members = scanner.find_sets(args.k, args.limit)
+    payload = {"k": args.k, "limit": args.limit, "members": members}
+    header, rows = ("n",), [(n,) for n in members]
+    if args.k == 1:
+        payload["next_is_prime"] = flags = [is_prime(n + 1) for n in members]
+        header, rows = ("n", "next_prime"), zip(members, flags)
+    _emit(args, payload, header, rows)
     return 0
 
 
-def _cmd_radset(args) -> int:
+def _cmd_radset(args, parser: argparse.ArgumentParser) -> int:
     from . import scanner
 
-    report = scanner.find_rad_set(args.limit)
-    if args.format == "json":
-        _emit_json({"limit": report.limit, "members": list(report.members)})
-    else:
-        _emit_csv(("n",), [(n,) for n in report.members])
+    members = scanner.find_rad_set(args.limit)
+    _emit(args, {"limit": args.limit, "members": members}, ("n",), [(n,) for n in members])
     return 0
 
 
@@ -192,29 +166,17 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         limit=args.limit, oracle_limit=args.oracle_limit, fault=fault
     )
     passed = all(r.passed for r in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "limit": args.limit,
-                "oracle_limit": args.oracle_limit,
-                "passed": passed,
-                "families": [
-                    {
-                        "family": r.family,
-                        "passed": r.passed,
-                        "checked": r.checked,
-                        "witness": r.witness,
-                    }
-                    for r in results
-                ],
-            }
-        )
-    else:
-        rows = [
-            (r.family, "pass" if r.passed else "fail", r.checked, "" if r.witness is None else r.witness)
-            for r in results
-        ]
-        _emit_csv(("family", "status", "checked", "witness"), rows)
+    payload = {
+        "limit": args.limit,
+        "oracle_limit": args.oracle_limit,
+        "passed": passed,
+        "families": [asdict(r) for r in results],
+    }
+    rows = [
+        (r.family, "pass" if r.passed else "fail", r.checked, "" if r.witness is None else r.witness)
+        for r in results
+    ]
+    _emit(args, payload, ("family", "status", "checked", "witness"), rows)
     return 0 if passed else 1
 
 
@@ -233,15 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_profile = sub.add_parser("profile", help="every denominator quantity at one index")
+    p_profile.set_defaults(run=_cmd_profile)
     p_profile.add_argument("n", type=_positive_int)
 
     p_seq = sub.add_parser("seq", help="emit one sequence over an index range")
-    p_seq.add_argument("name", choices=SEQ_NAMES)
+    p_seq.set_defaults(run=_cmd_seq)
+    p_seq.add_argument("name", choices=denom.SEQUENCES)
     p_seq.add_argument("lo", type=int)
     p_seq.add_argument("hi", type=int)
     p_seq.add_argument("--k", type=_positive_int, default=None, help="derivative order for db_k")
 
     p_scan = sub.add_parser("scan", help="find every n <= limit with no heavy prime above sqrt(n)")
+    p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("--limit", type=_positive_int, required=True)
     p_scan.add_argument("--threads", type=_positive_int, default=1,
                         help="worker processes (default: 1)")
@@ -250,13 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 
     p_sets = sub.add_parser("sets", help="indices whose k-th derivative is integral")
+    p_sets.set_defaults(run=_cmd_sets)
     p_sets.add_argument("--k", type=_positive_int, required=True)
     p_sets.add_argument("--limit", type=_positive_int, default=10000)
 
     p_radset = sub.add_parser("radset", help="indices where dd(n) equals the kernel of n+1")
+    p_radset.set_defaults(run=_cmd_radset)
     p_radset.add_argument("--limit", type=_positive_int, default=10000)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--limit", type=_positive_int, default=1000)
     p_verify.add_argument("--oracle-limit", type=_positive_int, default=100)
     p_verify.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
@@ -270,17 +238,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "profile":
-            return _cmd_profile(args, parser)
-        if args.command == "seq":
-            return _cmd_seq(args, parser)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "sets":
-            return _cmd_sets(args)
-        if args.command == "radset":
-            return _cmd_radset(args)
-        return _cmd_verify(args, parser)
+        return args.run(args, parser)
     except SieveSizeError as exc:
         return _usage_failure(exc)
 

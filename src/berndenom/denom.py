@@ -430,9 +430,14 @@ class DenomProfile:
     dn: int
     db: int
     ds: int
+    omega_plus: int
     rad_n: int
     rad_n1: int
-    omega_plus: int
+
+    @property
+    def in_rad_set(self) -> bool:
+        """Whether dd(n) equals rad(n + 1), the squarefree kernel of n + 1."""
+        return self.dd == self.rad_n1
 
     def validate(self, support: PrimePairs) -> None:
         """Check the decomposition identities tying the fields together, and
@@ -472,9 +477,9 @@ def profile(n: int) -> DenomProfile:
         dn=dn(n),
         db=math.lcm(dd_next, rad_n1),
         ds=(n + 1) * dd_next,
+        omega_plus=int(np.count_nonzero(~support.minus)),
         rad_n=rad_n,
         rad_n1=rad_n1,
-        omega_plus=int(np.count_nonzero(~support.minus)),
     )
     prof.validate(support)
     return prof

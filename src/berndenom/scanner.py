@@ -43,7 +43,6 @@ __all__ = [
     "ScanChunk",
     "ScanConfig",
     "ScanResult",
-    "SetReport",
     "checkpoint_resume",
     "checkpoint_save",
     "chunk_checksum",
@@ -87,18 +86,8 @@ def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
     return ScanChunk(lo, hi, exceptional, chunk_checksum(lo, hi, exceptional))
 
 
-@dataclass(frozen=True)
-class SetReport:
-    """Members of one computed index set; k is the derivative order (0 marks
-    the radical-match set, which is not tied to a derivative)."""
-
-    k: int
-    limit: int
-    members: tuple[int, ...]
-
-
-def find_sets(k: int, limit: int) -> SetReport:
-    """All n <= limit whose k-th Bernoulli-polynomial derivative is integral.
+def find_sets(k: int, limit: int) -> tuple[int, ...]:
+    """Every n <= limit whose k-th Bernoulli-polynomial derivative is integral, ascending.
 
     Indices n <= k give a constant or vanishing derivative and are members
     outright. Beyond that, membership forces every prime above sqrt(n-k+1)
@@ -119,11 +108,11 @@ def find_sets(k: int, limit: int) -> SetReport:
         for m in (np.flatnonzero(missed == 0) + lo).tolist():
             if db_k(m + k - 1, k) == 1:
                 members.append(m + k - 1)
-    return SetReport(k=k, limit=limit, members=tuple(members))
+    return tuple(members)
 
 
-def find_rad_set(limit: int) -> SetReport:
-    """All n <= limit where dd(n) equals the squarefree kernel of n + 1.
+def find_rad_set(limit: int) -> tuple[int, ...]:
+    """Every n <= limit where dd(n) equals the squarefree kernel of n + 1, ascending.
 
     Only an n whose every support prime divides n + 1 can qualify; their
     product is compared with radical(n + 1) at those alone.
@@ -137,7 +126,7 @@ def find_rad_set(limit: int) -> SetReport:
         for n in (np.flatnonzero(strays == 0) + block.lo).tolist():
             if math.prod(block.window(n, n).p.tolist()) == radical(n + 1):
                 members.append(n)
-    return SetReport(k=0, limit=limit, members=tuple(members))
+    return tuple(members)
 
 
 @dataclass(frozen=True)
@@ -231,10 +220,9 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Final report of a full scan from 1 to limit."""
+    """Final report of a full scan from 1 to limit: the exceptional indices
+    in ascending order, and the digest of its chunks' checksums."""
 
-    limit: int
-    chunk_size: int
     exceptional: tuple[int, ...]
     digest: str
 
@@ -290,9 +278,4 @@ def run_scan(
     ordered = sorted(chunks.values(), key=lambda c: c.lo)
     exceptional = tuple(n for c in ordered for n in c.exceptional)
     digest = hashlib.sha256("|".join(c.checksum for c in ordered).encode("ascii")).hexdigest()
-    return ScanResult(
-        limit=limit,
-        chunk_size=chunk_size,
-        exceptional=exceptional,
-        digest=digest,
-    )
+    return ScanResult(exceptional=exceptional, digest=digest)

@@ -182,8 +182,7 @@ class _Context:
     def members(self, k: int) -> set[int]:
         """Indices up to min(limit, 1000) with an integral k-th derivative."""
         if k not in self._members:
-            report = scanner.find_sets(k, min(self.limit, 1000))
-            self._members[k] = set(report.members)
+            self._members[k] = set(scanner.find_sets(k, min(self.limit, 1000)))
         return self._members[k]
 
 

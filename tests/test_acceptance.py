@@ -66,10 +66,10 @@ def test_criterion_1_golden_sequences():
 
 
 def test_criterion_2_set_reproduction():
-    got1 = scanner.find_sets(1, 10_000).members
-    got2 = scanner.find_sets(2, 10_000).members
-    got3 = scanner.find_sets(3, 10_000).members
-    got_rad = scanner.find_rad_set(10_000).members
+    got1 = scanner.find_sets(1, 10_000)
+    got2 = scanner.find_sets(2, 10_000)
+    got3 = scanner.find_sets(3, 10_000)
+    got_rad = scanner.find_rad_set(10_000)
     ok = got1 == S1 and got2 == S2 and got3 == S3 and got_rad == RAD_SET
     report(
         2,

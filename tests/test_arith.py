@@ -248,8 +248,7 @@ class TestSieve:
                 assert sieve(limit).array.tolist() == [p for p in reference if p <= limit], (seg, limit)
 
     def test_memory_is_the_primes_not_the_flags(self):
-        # the primes are gathered per segment and joined once: at most two copies of
-        # them, plus one segment's flags; never one flag per integer up to the limit
+        # the primes plus one segment's flags; never one flag per integer up to the limit
         tracemalloc.start()
         try:
             primes = sieve(1 << 24).array
@@ -257,6 +256,26 @@ class TestSieve:
         finally:
             tracemalloc.stop()
         assert peak < 2 * primes.nbytes + (2 << 20), (peak, primes.nbytes)
+
+    def test_primes_are_held_once(self):
+        # one array sized by the bound on pi(x), 17% above pi(2**24), cut to its count
+        # in place: no second copy of the primes while the segments are gathered
+        tracemalloc.start()
+        try:
+            primes = sieve(1 << 24).array
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * primes.nbytes + (2 << 20), (peak, primes.nbytes)
+
+    def test_prime_count_bound(self, monkeypatch):
+        for x in (2, 3, 10, 100, 5000, 1 << 16):
+            assert arith._prime_count_bound(x) > len(eratosthenes(x)), x
+        # a bound that no longer holds fails loudly instead of dropping primes
+        monkeypatch.setattr(arith, "_prime_count_bound", lambda x: x // 10)
+        for limit in (30, 5000):
+            with pytest.raises(RuntimeError, match="past their bound"):
+                sieve(limit)
 
     def test_membership(self):
         sv = sieve(100)

@@ -9,7 +9,7 @@ import pytest
 
 import berndenom
 from berndenom import arith, denom
-from berndenom.cli import main
+from berndenom.cli import PROFILE_FIELDS, main
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,15 @@ class TestProfile:
         assert code == 0
         header, rows = parse_csv(out)
         assert dict(zip(header, rows[0]))["n"] == "200000000"
+
+    def test_fields_are_the_csv_header(self, capsys):
+        assert PROFILE_FIELDS == (
+            "n", "dd", "dd_minus", "dd_plus", "dd_shared", "dd_coprime",
+            "dd_complement", "dn", "db", "ds", "omega_plus", "rad_n", "rad_n1",
+            "in_rad_set",
+        )
+        _, out, _ = run_cli(capsys, "profile", "8")
+        assert tuple(parse_csv(out)[0]) == PROFILE_FIELDS
 
     def test_zero_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +247,14 @@ class TestScan:
         )
         assert code == 0
         assert resumed == fresh
+
+    def test_empty_checkpoint_warns_in_one_stable_line(self, capsys, tmp_path):
+        _, fresh, summary = run_cli(capsys, "scan", "--limit", "1000")
+        path = tmp_path / "empty.ckpt"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "scan", "--limit", "1000", "--checkpoint", str(path))
+        assert code == 0 and out == fresh
+        assert err == f"warning: checkpoint {path} is empty; starting fresh\n" + summary
 
     def test_conflicting_checkpoint_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "scan.ckpt"

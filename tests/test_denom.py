@@ -251,6 +251,12 @@ class TestProfile:
         assert prof.dd == 3
         assert prof.rad_n1 == 3
         assert prof.dd == prof.rad_n1
+        assert prof.in_rad_set
+
+    def test_in_rad_set_is_dd_equal_to_rad_n1(self):
+        for n in range(1, 2001):
+            prof = profile(n)
+            assert prof.in_rad_set == (prof.dd == prof.rad_n1) == (dd(n) == radical(n + 1)), n
 
     def test_n1(self):
         prof = profile(1)

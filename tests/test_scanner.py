@@ -133,34 +133,34 @@ class TestChunkIndependence:
 
 class TestFindSets:
     def test_first_derivative_set(self):
-        assert find_sets(1, 500).members == S1
+        assert find_sets(1, 500) == S1
 
     def test_second_derivative_set(self):
-        assert find_sets(2, 500).members == S2
+        assert find_sets(2, 500) == S2
 
     def test_third_derivative_set(self):
-        assert find_sets(3, 500).members == S3
+        assert find_sets(3, 500) == S3
 
     def test_members_verified_by_full_product(self):
         for k in (1, 2, 3):
-            report = find_sets(k, 500)
-            for n in report.members:
+            members = find_sets(k, 500)
+            for n in members:
                 assert denom.db_k(n, k) == 1
-            for n in set(range(1, 501)) - set(report.members):
+            for n in set(range(1, 501)) - set(members):
                 assert denom.db_k(n, k) != 1
 
     def test_successors_of_first_set_are_prime(self):
-        for n in find_sets(1, 500).members:
+        for n in find_sets(1, 500):
             assert is_prime(n + 1)
 
     def test_small_indices_always_members(self):
-        assert find_sets(5, 3).members == (1, 2, 3)
+        assert find_sets(5, 3) == (1, 2, 3)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, scanner.DEFAULT_CHUNK_SIZE])
     def test_any_chunk_grid_matches_db_k(self, integral_to_3000, monkeypatch, chunk):
         monkeypatch.setattr(scanner, "DEFAULT_CHUNK_SIZE", chunk)
         for k, expected in integral_to_3000.items():
-            assert find_sets(k, 3000).members == expected, k
+            assert find_sets(k, 3000) == expected, k
 
 
 @pytest.fixture(scope="module")
@@ -198,15 +198,15 @@ class TestMemory:
 
 class TestFindRadSet:
     def test_members(self):
-        assert find_rad_set(100).members == RAD_SET
+        assert find_rad_set(100) == RAD_SET
 
     def test_even_members_are_powers_of_two(self):
-        for n in find_rad_set(100).members:
+        for n in find_rad_set(100):
             if n % 2 == 0:
                 assert n & (n - 1) == 0
 
     def test_successors_composite(self):
-        for n in find_rad_set(100).members:
+        for n in find_rad_set(100):
             assert not is_prime(n + 1)
 
 
