@@ -248,18 +248,9 @@ class TestSieve:
                 assert sieve(limit).array.tolist() == [p for p in reference if p <= limit], (seg, limit)
 
     def test_memory_is_the_primes_not_the_flags(self):
-        # the primes plus one segment's flags; never one flag per integer up to the limit
-        tracemalloc.start()
-        try:
-            primes = sieve(1 << 24).array
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * primes.nbytes + (2 << 20), (peak, primes.nbytes)
-
-    def test_primes_are_held_once(self):
-        # one array sized by the bound on pi(x), 17% above pi(2**24), cut to its count
-        # in place: no second copy of the primes while the segments are gathered
+        # one array sized by the bound on pi(x), 17% above pi(2**24), cut to its count in
+        # place, plus one segment's flags: never a second copy of the primes while the
+        # segments are gathered, nor one flag per integer up to the limit
         tracemalloc.start()
         try:
             primes = sieve(1 << 24).array
