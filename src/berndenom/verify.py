@@ -6,9 +6,10 @@ Each family checks its indices in order and reports the first
 counterexample. The families over n = 1..limit are array predicates on one
 block of indices at a time: the supports come from denom's range route as
 (n, p) pairs, and a product of primes is compared as the sorted keys
-n << _SHIFT | p of its pairs. A fault hook can flip the verdict of one
-(family, index) pair so that callers can exercise their failure paths
-honestly.
+n << _SHIFT | p of its pairs. lambda-prime-bound reads the same supports
+and has one verdict per prime up to limit. A fault hook can flip the
+verdict of one (family, index) pair so that callers can exercise their
+failure paths honestly.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def _differ(lo: int, size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _block_verdicts(lo: int, hi: int) -> dict[str, np.ndarray]:
-    """Every block family's verdicts at n = lo, ..., hi - 1.
+def _block_verdicts(lo: int, hi: int, out: dict[str, np.ndarray]) -> np.ndarray:
+    """Every block family's verdicts at n = lo, ..., hi - 1, written into
+    out[family][lo - 1 : hi - 1]; returns the support primes above lambda(n).
 
     Products at n and at n + 1 (names ending in _next) are keyed at n. The
     supports come from denom's range route, the kernels from a sieve, the
@@ -108,6 +110,8 @@ def _block_verdicts(lo: int, hi: int) -> dict[str, np.ndarray]:
     size, n = hi - lo, np.arange(lo, hi, dtype=np.int64)
     block = denom.support_block(lo, hi)
     s, m = block.window(lo, hi - 1), block.window(lo + 1, hi)
+    # p > lambda(n) = (n + 1) // k, k = 2 for odd n and 3 for even n: k * p > n + 1
+    beaten = s.p[s.p * (3 - s.n % 2) > s.n + 1]
     factors = [prime_divisors(i) for i in range(lo, hi + 1)]
     owner = np.repeat(np.arange(lo, hi + 1), [len(f) for f in factors])
     found = owner << _SHIFT | np.fromiter((q for f in factors for q in f), np.int64, owner.size)
@@ -132,7 +136,7 @@ def _block_verdicts(lo: int, hi: int) -> dict[str, np.ndarray]:
     stray = ~_isin(kernel_next, support) | ~_isin(kernel_next, coprime)
     decomposed = _product(_keys(s, shared), _window(complement, lo, hi - 1))
     triple = _product(coprime_next, _keys(m, m.shared, 1), complement_next)
-    return {
+    for family, verdict in {
         "decomposition": ~hits(_keys(s, s.p * s.p == s.n))
         & ~differ(_window(kernel, lo, hi - 1), decomposed),
         "triple-product": ~differ(db, triple) & ~differ(db, _product(support_next, complement_next))
@@ -147,7 +151,9 @@ def _block_verdicts(lo: int, hi: int) -> dict[str, np.ndarray]:
             n == 1, ~hits(coprime), hits(coprime[coprime & _PRIME == 2]) == (n % 2 == 1)
         ),
         "coprime-one-implies-prime": hits(coprime) | next_is_prime,
-    }
+    }.items():
+        out[family][lo - 1 : hi - 1] = verdict
+    return beaten
 
 
 _BLOCK_FAMILIES = (
@@ -167,10 +173,13 @@ class _Context:
 
     @cached_property
     def verdicts(self) -> dict[str, np.ndarray]:
-        """Every block family's verdicts at n = 1..limit, one block at a time."""
+        """Every block family's verdicts at n = 1..limit, and lambda-prime-bound's per prime."""
         step, top = denom._SUPPORT_BLOCK, self.limit + 1
-        blocks = [_block_verdicts(lo, min(lo + step, top)) for lo in range(1, top, step)]
-        return {name: np.concatenate([b[name] for b in blocks]) for name in _BLOCK_FAMILIES}
+        # filled in place: holding each block's arrays to concatenate them fragments the heap
+        verdicts = {name: np.zeros(self.limit, dtype=bool) for name in _BLOCK_FAMILIES}
+        beaten = [_block_verdicts(lo, min(lo + step, top), verdicts) for lo in range(1, top, step)]
+        verdicts["lambda-prime-bound"] = ~np.isin(_primes(self.limit), np.concatenate(beaten))
+        return verdicts
 
     @cached_property
     def tables(self) -> denom.PrimePairs:
@@ -228,27 +237,6 @@ def _check_floor_equivalence(p: int, limit: int) -> bool:
     digit_heavy = (n // p + n % p) >= p
     floor_gap = (n - 1) // (p - 1) > n // p
     return bool(np.array_equal(digit_heavy, floor_gap))
-
-
-def _check_lambda_bound(primes: np.ndarray, limit: int) -> np.ndarray:
-    """For each prime p, whether no n in [2p - 1, limit] has digit_sum(n, p) >= p
-    and p above the bound (n + 1) // 2 for odd n, (n + 1) // 3 for even n.
-
-    Only even n in [2p - 1, 3p - 2] can fail: for odd n >= 2p - 1 the bound
-    (n + 1) // 2 is at least p, and for n >= 3p - 1 so is (n + 1) // 3. Those
-    n = 2h with p <= h <= (3p - 2) // 2 are checked for every prime at once,
-    in batches.
-    """
-    count = np.maximum(np.minimum((3 * primes - 2) // 2, limit // 2) - primes + 1, 0)
-    failed = [np.zeros(0, dtype=np.int64)]
-    for p, h in denom._ragged_batches(primes, primes, count):
-        p, n = p.astype(np.int32), (2 * h).astype(np.int32)  # int32 divides 4x faster
-        total, rest = np.zeros_like(n), n
-        while rest.any():  # base-p digit sums, digit by digit
-            rest, digit = np.divmod(rest, p)
-            total += digit
-        failed.append(p[(total >= p) & (3 * p > n + 1)])  # p > (n + 1) // 3
-    return ~np.isin(primes, np.concatenate(failed))
 
 
 def _check_oracle_equivalence(c: _Context, n: int) -> bool:
@@ -313,10 +301,7 @@ _FAMILIES = {
         lambda c: shared_sieve(c.limit).primes_in(2, _floor_bound(c)),
         _each(lambda c, p: _check_floor_equivalence(p, _floor_bound(c))),
     ),
-    "lambda-prime-bound": (
-        lambda c: _primes(c.limit),
-        lambda c, primes: _check_lambda_bound(primes, c.limit),
-    ),
+    "lambda-prime-bound": (lambda c: _primes(c.limit), partial(_from_blocks, "lambda-prime-bound")),
     "oracle-equivalence": (
         lambda c: range(1, c.oracle_limit + 1),
         _each(_check_oracle_equivalence),

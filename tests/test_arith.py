@@ -99,31 +99,6 @@ class TestFloorCondition:
 
 
 class TestLambdaPrimeBound:
-    def test_no_heavy_prime_above_bound_to_1e5(self, sieve_20k):
-        from berndenom.verify import _check_lambda_bound
-
-        limit = 10**5
-        primes = arith.sieve(limit).array
-        beaten = primes[~_check_lambda_bound(primes, limit)]
-        assert beaten.size == 0, f"primes {beaten.tolist()} beat the bound"
-
-    def test_restricted_to_even_n_below_3p(self):
-        from berndenom.verify import _check_lambda_bound
-
-        def full_range(p, limit):
-            # the family's statement over every n in [2p - 1, limit]
-            lo = 2 * p - 1
-            if lo > limit:
-                return True
-            n = np.arange(lo, limit + 1, dtype=np.int64)
-            bound = np.where(n % 2 == 1, (n + 1) // 2, (n + 1) // 3)
-            return not np.any((digit_sum_table(p, limit, lo) >= p) & (p > bound))
-
-        primes = arith.sieve(10**4).array
-        for limit in (1, 2, 4, 5, 6, 97, 1000, 10**4):
-            expected = [full_range(p, limit) for p in primes.tolist()]
-            assert _check_lambda_bound(primes, limit).tolist() == expected, limit
-
     def test_exhaustive_small(self):
         # the bound the lambda-prime-bound verify family checks
         for n in range(1, 300):

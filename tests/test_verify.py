@@ -6,9 +6,10 @@ with that index as its witness, and checked must be its position in the
 family's index order.
 """
 
+import numpy as np
 import pytest
 
-from berndenom import denom, verify
+from berndenom import arith, denom, verify
 
 LIMIT, ORACLE_LIMIT = 300, 30
 
@@ -35,3 +36,43 @@ def test_derivative_small_primes_catches_a_mask_that_drops_primes(monkeypatch):
     monkeypatch.setattr(denom.PrimePairs, "kept", lambda self, k: (self.n + k - 1) % self.p >= k + 1)
     [result] = verify.run_verification(families=["derivative-small-primes"])
     assert (result.passed, result.witness, result.checked) == (False, 3, 3)
+
+
+def test_lambda_prime_bound_catches_runs_that_start_early(monkeypatch):
+    # a run of p > sqrt(n) one index early holds p at n = 2p - 2, which is
+    # even with lambda(n) = (2p - 1) // 3 < p: first at p = 37, n = 72
+    runs = denom.heavy_runs
+
+    def early(*args, **kwargs):
+        for index, begin, stop in runs(*args, **kwargs):
+            yield index, np.maximum(begin - 1, 0), stop
+
+    monkeypatch.setattr(denom, "heavy_runs", early)
+    [result] = verify.run_verification(limit=1000, families=["lambda-prime-bound"])
+    assert (result.passed, result.witness, result.checked) == (False, 37, 12)
+
+
+class TestLambdaPrimeBound:
+    def test_no_heavy_prime_above_bound_to_1e5(self):
+        [result] = verify.run_verification(limit=10**5, families=["lambda-prime-bound"])
+        assert result.passed, f"prime {result.witness} beats the bound"
+
+    def test_per_prime_verdicts_match_brute_force(self):
+        def full_range(p, limit):
+            # the family's statement over every n in [2p - 1, limit]
+            lo = 2 * p - 1
+            if lo > limit:
+                return True
+            n = np.arange(lo, limit + 1, dtype=np.int64)
+            bound = np.where(n % 2 == 1, (n + 1) // 2, (n + 1) // 3)
+            return not np.any((arith.digit_sum_table(p, limit, lo) >= p) & (p > bound))
+
+        primes = arith.sieve(10**4).array
+        indices, verdicts = verify._FAMILIES["lambda-prime-bound"]
+        for limit in (1, 2, 4, 5, 6, 97, 1000, 10**4):
+            context = verify._Context(limit, 1)
+            chosen = indices(context)
+            # a prime the family does not index has no n in [2p - 1, limit]
+            got = dict(zip(chosen.tolist(), verdicts(context, chosen).tolist()))
+            expected = [full_range(p, limit) for p in primes.tolist()]
+            assert [got.get(p, True) for p in primes.tolist()] == expected, limit
