@@ -73,11 +73,13 @@ def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
     try:
         values = denom.sequence(args.name, args.lo, args.hi, args.k)
+    except SieveSizeError:
+        raise  # not a usage error: main reports it as a refusal
     except ValueError as exc:
         parser.error(str(exc))
     if args.lo > args.hi:
         parser.error(f"need lo <= hi, got {args.lo} > {args.hi}")
-    rows = list(zip(range(args.lo, args.hi + 1), values))
+    rows = zip(range(args.lo, args.hi + 1), values)
     payload = {
         "name": args.name,
         "k": args.k,

@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import digit_sum, digit_sum_table, is_prime, product, radical, shared_sieve
+from .arith import digit_sum, digit_sum_table, is_prime, prime_divisors, product, radical, shared_sieve
 
 __all__ = [
     "DenomProfile",
@@ -288,23 +288,12 @@ def dd_split_divisibility(n: int) -> tuple[int, int, int]:
     return shared, _part(support, ~support.shared), radical(n) // shared
 
 
-def _divisors(n: int) -> list[int]:
-    small = []
-    large = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    return small + large[::-1]
-
-
 def dn(n: int) -> int:
     """Denominator of the Bernoulli number B_n.
 
     Even n follows von Staudt-Clausen: the product of primes p with p-1
-    dividing n. B_1 = -1/2 gives dn(1) = 2, and B_n = 0 for odd n >= 3
-    makes those denominators 1.
+    dividing n, the divisors of n built from its prime_divisors. B_1 = -1/2
+    gives dn(1) = 2, and B_n = 0 for odd n >= 3 makes those denominators 1.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -312,7 +301,13 @@ def dn(n: int) -> int:
         return 2
     if n % 2:
         return 1
-    return product(d + 1 for d in _divisors(n) if is_prime(d + 1))
+    divisors = [1]
+    for p in prime_divisors(n):
+        powers = [p]
+        while n % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        divisors += [d * q for d in divisors for q in powers]
+    return product(d + 1 for d in divisors if is_prime(d + 1))
 
 
 def db(n: int) -> int:
@@ -349,11 +344,11 @@ def omega_dd_plus(n: int) -> int:
 
 
 # name: (shift, values); values(block, k) gives the family at n = m - shift for
-# each m of a support block. db_k's shift of 1 becomes 1 - k; None marks the
-# two families that read no support.
+# each m of a support block. db_k's shift of 1 becomes 1 - k; values None marks
+# the two families that read no support.
 _SEQUENCES = {
     "dd": (0, lambda b, k: b.products()),
-    "dn": None,
+    "dn": (0, None),
     "db": (1, lambda b, k: [r * c for r, c in zip(_radicals(b), b.products(~b.shared))]),
     "ds": (1, lambda b, k: [m * d for m, d in enumerate(b.products(), b.lo)]),
     "dd_plus": (0, lambda b, k: b.products(~b.minus)),
@@ -361,7 +356,7 @@ _SEQUENCES = {
     "dd_coprime": (0, lambda b, k: b.products(~b.shared)),
     "dd_shared": (0, lambda b, k: b.products(b.shared)),
     "dd_complement": (0, lambda b, k: [r // s for r, s in zip(_radicals(b), b.products(b.shared))]),
-    "omega_plus": None,
+    "omega_plus": (0, None),
     "db_k": (1, lambda b, k: b.products(b.kept(k))),
 }
 SEQUENCES = tuple(_SEQUENCES)
@@ -387,7 +382,8 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
 
     k is the derivative order of db_k, whose value at n reads the support at
     n - k + 1; it is 1 wherever that index lies below 1, as n <= k there.
-    Bad arguments raise ValueError at the call, worded for the seq command.
+    Bad arguments raise ValueError at the call, worded for the seq command;
+    so does a range past the sieve cap, which is sized before the first value.
     """
     if name not in _SEQUENCES:
         raise ValueError(f"unknown sequence {name!r}")
@@ -398,22 +394,20 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
     first = 0 if name in ("db", "ds") else 1
     if lo < first:
         raise ValueError(f"{name} is defined from n = {first}, got lo = {lo}")
-    return _values(name, lo, hi, k)
+    if name == "dn":  # the one family that reads no sieve
+        return map(dn, range(lo, hi + 1))
+    shift = _SEQUENCES[name][0] - (k if name == "db_k" else 0)
+    shared_sieve((hi + shift + 1) // 2)  # the primes to half the top index read
+    return _values(name, lo, hi, shift, k)
 
 
-def _values(name: str, lo: int, hi: int, k: int | None) -> Iterator[int]:
-    if name == "dn":
-        yield from map(dn, range(lo, hi + 1))
-        return
+def _values(name: str, lo: int, hi: int, shift: int, k: int | None) -> Iterator[int]:
     if name == "omega_plus":
         yield from _run_counts(lo, hi).tolist()
         return
-    shift, values = _SEQUENCES[name]
-    if name == "db_k":
-        shift -= k
     yield from [1] * (min(hi, -shift) - lo + 1)
     for block in support_blocks(max(lo + shift, 1), hi + shift):
-        yield from values(block, k)
+        yield from _SEQUENCES[name][1](block, k)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,7 @@ def find_rad_set(limit: int) -> tuple[int, ...]:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    shared_sieve((limit + 1) // 2)  # once for every block below
     members = []
     for block in support_blocks(1, limit):
         offset = block.n[(block.n + 1) % block.p != 0] - block.lo
@@ -229,7 +230,7 @@ class ScanResult:
 
 def _scan_chunks(pending, threads: int, need: int):
     """Scan each pending range, in order, on worker processes or in this
-    one, each with the cache sized to need first."""
+    one, each with the cache sized to need first (run_scan sized this one's)."""
     if not pending:
         return
     los, his = zip(*pending)
@@ -244,7 +245,6 @@ def _scan_chunks(pending, threads: int, need: int):
         ) as pool:
             yield from pool.map(scan_omega_plus, los, his)
     else:
-        shared_sieve(need)  # once for every chunk below
         yield from map(scan_omega_plus, los, his)
 
 
@@ -267,10 +267,12 @@ def run_scan(
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
+    need = (limit + 1) // 2
+    shared_sieve(need)  # past the cap, refused before the checkpoint is touched
     config = ScanConfig(lo=1, hi=limit, chunk_size=chunk_size)
     chunks = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     pending = [r for r in config.chunk_ranges() if r[0] not in chunks]
-    for chunk in _scan_chunks(pending, threads, (limit + 1) // 2):
+    for chunk in _scan_chunks(pending, threads, need):
         chunks[chunk.lo] = chunk
         if checkpoint_path is not None:
             checkpoint_save(checkpoint_path, chunk)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -168,6 +169,19 @@ class TestSeq:
         payload = json.loads(json_out)
         assert [(str(r["n"]), r["value"]) for r in payload["rows"]] == [tuple(r) for r in rows]
 
+    def test_csv_streams_its_rows(self, monkeypatch):
+        # 50,000 rows held as (n, value) tuples would take about 4 MiB more
+        arith.shared_sieve(25_000)  # the cache is not what this measures
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["seq", "omega_plus", "1", "50000"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 << 20, peak
+
 
 # 10**5000 + 7, spelled out without an int-to-str conversion
 HUGE_VALUE = 10**5000 + 7
@@ -288,6 +302,36 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--limit", "200000000")
         assert code == 2 and out == ""
         assert "67108864" in err and "max_limit" not in err
+
+    def test_refused_scan_leaves_no_checkpoint(self, capsys, tmp_path):
+        path = tmp_path / "refused.ckpt"
+        code, out, err = run_cli(capsys, "scan", "--limit", "300000000", "--checkpoint", str(path))
+        assert code == 2 and out == "" and "67108864" in err
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "dd", "1", "300000000"),
+        ("seq", "db_k", "1", "300000000", "--k", "2"),
+        ("radset", "--limit", "300000000"),
+    ],
+    ids=["seq-dd", "seq-db_k", "radset"],
+)
+def test_range_commands_refuse_past_the_sieve_cap_at_once(argv):
+    # primes up to 1.5e8 would need a sieve past the 2**26 cap; the refusal
+    # comes before any row, where building rows up to the cap took minutes
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "berndenom", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: sieve limit 150000000 exceeds the cap of 67108864\n"
 
 
 KILL_SCAN = ["scan", "--limit", "100000", "--chunk", "128"]  # 782 chunks

@@ -37,6 +37,18 @@ DS_FIRST = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20]
 INTEGRAL_DERIVATIVE_SET = (1, 2, 4, 6, 10, 12, 28, 30, 36, 60)
 
 
+def divisor_scan(n):
+    """The divisors of n, ascending, by trial division of every d <= isqrt(n)."""
+    small = []
+    large = []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
+
+
 def supports(lo, hi):
     """The range route's support of every n in [lo, hi], one tuple per index."""
     return [support for block in support_blocks(lo, hi) for support in block.tuples()]
@@ -117,6 +129,17 @@ class TestDN:
         numbers = oracle.bernoulli_numbers(60)
         for n in range(1, 61):
             assert dn(n) == numbers[n].denominator
+
+    def test_matches_von_staudt_clausen_over_the_sieve(self):
+        # the primes p with (p - 1) | n, each at most n + 1; B_n = 0 for odd n >= 3
+        primes = sieve(20_001).array
+        for n in range(1, 20_001):
+            expected = math.prod(primes[n % (primes - 1) == 0].tolist()) if n == 1 or n % 2 == 0 else 1
+            assert dn(n) == expected, n
+
+    @pytest.mark.parametrize("n", [10**12 + 38, 10**14 + 32, 10**15 + 36])
+    def test_matches_divisor_scan_at_large_n(self, n):
+        assert dn(n) == math.prod(d + 1 for d in divisor_scan(n) if is_prime(d + 1))
 
 
 class TestDB:
