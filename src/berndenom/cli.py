@@ -4,15 +4,17 @@ Subcommands: profile, seq, scan, sets, radset, verify. Each subparser names
 its handler with set_defaults(run=...); a handler builds its result once, as a
 JSON payload and as CSV rows, and hands both to _emit, which writes the one
 --format asks for. Exit codes: 0 on success, 1 when verification finds a
-counterexample, 2 on usage errors. Values that may exceed 2**53 are emitted
-as decimal strings in JSON. scanner and verify are imported by the commands
-that run them, so profile and seq start without loading either.
+counterexample, 2 on usage errors, 141 when the reader of stdout closes it
+early. Values that may exceed 2**53 are emitted as decimal strings in JSON.
+scanner and verify are imported by the commands that run them, so profile
+and seq start without loading either.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -240,9 +242,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        code = args.run(args, parser)
+        sys.stdout.flush()  # a reader gone before the last block surfaces here, not at exit
+        return code
     except SieveSizeError as exc:
         return _usage_failure(exc)
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): stdout now leads to devnull, so
+        # the flush at exit cannot raise again; 141 is 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ chunk's result, a ScanChunk, is what a checkpoint persists: one JSON line
 appended per chunk after a header naming the scan, so an interrupted scan
 resumes from the chunks it finished and ends byte-identical, file and all, to
 one that never stopped. A sweep sizes arith.shared_sieve for its whole range
-before its first chunk, in each process, so no chunk makes the cache grow
-again.
+before its first chunk, and forked workers inherit that sieve, so no chunk
+makes the cache grow again.
 """
 
 from __future__ import annotations
@@ -158,10 +158,28 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _record(chunk: ScanChunk) -> bytes:
+    """chunk's record: the line a checkpoint holds for it, and what a worker sends."""
+    return (_dump(asdict(chunk)) + "\n").encode("ascii")
+
+
+def _load(line) -> ScanChunk:
+    """The chunk a record line holds, its fields typed but not checked; a
+    malformed line raises KeyError, TypeError or ValueError (json's
+    JSONDecodeError among them)."""
+    payload = json.loads(line)
+    return ScanChunk(
+        int(payload["lo"]),
+        int(payload["hi"]),
+        tuple(int(x) for x in payload["exceptional"]),
+        str(payload["checksum"]),
+    )
+
+
 def checkpoint_save(path, chunk: ScanChunk) -> None:
     """Append chunk's record to the checkpoint, as one line in one write."""
     with open(path, "ab", buffering=0) as fh:
-        fh.write((_dump(asdict(chunk)) + "\n").encode("ascii"))
+        fh.write(_record(chunk))
 
 
 def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
@@ -199,23 +217,19 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
         if not line.strip():
             continue
         try:
-            payload = json.loads(line)
+            chunk = _load(line)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
-        try:
-            lo = int(payload["lo"])
-            hi = int(payload["hi"])
-            exceptional = tuple(int(x) for x in payload["exceptional"])
-            checksum = str(payload["checksum"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint record: {line!r}") from exc
+        lo, hi = chunk.lo, chunk.hi
         if grid.get(lo) != hi:
             raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid")
         if lo in chunks:
             raise CheckpointError(f"duplicate record for the chunk starting at {lo}")
-        if chunk_checksum(lo, hi, exceptional) != checksum:
+        if chunk_checksum(lo, hi, chunk.exceptional) != chunk.checksum:
             raise CheckpointError(f"checksum mismatch in chunk [{lo}, {hi}]")
-        chunks[lo] = ScanChunk(lo, hi, exceptional, checksum)
+        chunks[lo] = chunk
     return chunks
 
 
@@ -228,24 +242,70 @@ class ScanResult:
     digest: str
 
 
-def _scan_chunks(pending, threads: int, need: int):
-    """Scan each pending range, in order, on worker processes or in this
-    one, each with the cache sized to need first (run_scan sized this one's)."""
-    if not pending:
-        return
-    los, his = zip(*pending)
-    if threads > 1 and len(pending) > 1:
-        # imported here: it costs every CLI start about 19 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
+def _scan_chunks(pending, threads: int):
+    """Scan each pending range and yield its ScanChunk, in order.
 
-        with ProcessPoolExecutor(
-            max_workers=min(threads, len(pending)),
-            initializer=shared_sieve,
-            initargs=(need,),
-        ) as pool:
-            yield from pool.map(scan_omega_plus, los, his)
-    else:
-        yield from map(scan_omega_plus, los, his)
+    With several threads and os.fork, worker w of W scans pending[w::W],
+    writing each chunk's record to its own pipe, and chunk i is read back
+    from worker i mod W. Workers inherit the sieve run_scan sized.
+    Each keeps only its own write end, so a dead parent ends it at its next
+    write; the parent kills and reaps every worker however it leaves.
+    """
+    workers = min(threads, len(pending)) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        yield from (scan_omega_plus(lo, hi) for lo, hi in pending)
+        return
+    import signal  # here, as in _work: a one-process scan never loads it
+
+    readers, writers, pids = [], [], []
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            writers.append(open(write_end, "wb"))
+        for w, out in enumerate(writers):
+            pid = os.fork()
+            if pid == 0:
+                _work(pending[w::workers], readers + writers, out)
+            pids.append(pid)
+        for out in writers:
+            out.close()
+        for i, (lo, hi) in enumerate(pending):
+            line = readers[i % workers].readline()
+            if not line.endswith(b"\n"):
+                raise RuntimeError(f"scan worker {i % workers} exited before chunk [{lo}, {hi}]")
+            yield _load(line)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # unreaped, so never gone: at worst a zombie
+            os.waitpid(pid, 0)
+        for end in readers + writers:
+            end.close()
+
+
+def _work(share, ends, out) -> None:
+    """A forked worker's whole life: scan share, one record line per chunk
+    to out, then exit, 1 if a chunk raised. Never returns."""
+    import signal
+
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+        for end in ends:
+            if end is not out:
+                end.close()
+        for lo, hi in share:
+            out.write(_record(scan_omega_plus(lo, hi)))
+            out.flush()
+        code = 0
+    except BrokenPipeError:
+        pass  # the parent is gone and no one reads on
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def run_scan(
@@ -267,12 +327,11 @@ def run_scan(
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
-    need = (limit + 1) // 2
-    shared_sieve(need)  # past the cap, refused before the checkpoint is touched
+    shared_sieve((limit + 1) // 2)  # past the cap, refused before the checkpoint is touched
     config = ScanConfig(lo=1, hi=limit, chunk_size=chunk_size)
     chunks = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     pending = [r for r in config.chunk_ranges() if r[0] not in chunks]
-    for chunk in _scan_chunks(pending, threads, need):
+    for chunk in _scan_chunks(pending, threads):
         chunks[chunk.lo] = chunk
         if checkpoint_path is not None:
             checkpoint_save(checkpoint_path, chunk)

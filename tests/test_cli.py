@@ -1,6 +1,8 @@
+import glob
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -384,6 +386,104 @@ def test_sigkilled_scan_resumes_byte_identically(tmp_path):
     assert any(0 < h < total for h in held), held
 
 
+def alive_in_group(pgid) -> bool:
+    """Whether a process of group pgid still runs. A zombie counts as gone:
+    it has exited and waits only for a reaper, which some containers' init
+    never is. Without /proc, any member counts."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    if not os.path.isdir("/proc"):
+        return True
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as fh:
+                state, _, group = fh.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue  # exited while listed
+        if int(group) == pgid and state != "Z":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("interrupt", [False, True], ids=["sigkill-parent", "sigint-group"])
+def test_stopped_threaded_scan_takes_its_workers_and_resumes(tmp_path, interrupt):
+    # SIGKILL reaches the parent alone; SIGINT, as from a terminal, reaches
+    # the whole group, where only the parent may answer it
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    argv = [sys.executable, "-m", "berndenom", "scan", "--limit", "3000000", "--chunk", "65536"]
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh_path = tmp_path / "fresh.ckpt"
+    fresh = subprocess.run(
+        [*argv, "--threads", "1", "--checkpoint", str(fresh_path)],
+        env=env, capture_output=True, check=True, timeout=60,
+    ).stdout
+    total = records_in(fresh_path)
+    assert total == 46
+
+    path = tmp_path / "stopped.ckpt"
+    with open(tmp_path / "stderr", "wb") as err:  # a pipe would wait for the workers too
+        child = subprocess.Popen(
+            [*argv, "--threads", "2", "--checkpoint", str(path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True,
+        )
+    try:
+        while child.poll() is None and records_in(path) < 3:
+            time.sleep(0.0005)
+        if interrupt:
+            os.killpg(child.pid, signal.SIGINT)
+        else:
+            child.kill()
+        child.wait(timeout=10)
+        held = records_in(path)
+        deadline = time.monotonic() + 1
+        while alive_in_group(child.pid):
+            assert time.monotonic() < deadline, "a scan worker outlived its parent by 1 s"
+            time.sleep(0.01)
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert 3 <= held < total
+    if interrupt:  # the parent's traceback alone
+        err = (tmp_path / "stderr").read_bytes()
+        assert err.count(b"Traceback") == 1 and err.endswith(b"KeyboardInterrupt\n"), err
+
+    resumed = subprocess.run(
+        [*argv, "--threads", "2", "--checkpoint", str(path)],
+        env=env, capture_output=True, check=True, timeout=60,
+    ).stdout
+    assert resumed == fresh
+    assert path.read_bytes() == fresh_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["seq", "dd", "1", "100000"], b"n,value\n1,1\n"),
+        (["scan", "--limit", "300000", "--chunk", "4096"], b""),
+    ],
+    ids=["seq-after-two-lines", "scan-before-any"],
+)
+def test_reader_closing_early_stops_without_a_traceback(argv, head):
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "berndenom", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        read = b"".join(child.stdout.readline() for _ in range(head.count(b"\n")))
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert read == head
+    assert err == b""
+    assert code == 141
+
+
 class TestSets:
     def test_k1_members_and_flags(self, capsys):
         code, out, _ = run_cli(capsys, "sets", "--k", "1", "--limit", "100")
@@ -470,7 +570,7 @@ def loaded_modules(code):
 
 
 def test_cli_start_does_not_import_the_process_pool():
-    # only a scan on several workers needs concurrent.futures
+    # no command needs concurrent.futures: a scan forks its workers itself
     assert "concurrent.futures" not in loaded_modules("import berndenom.cli")
 
 
@@ -486,6 +586,10 @@ IMPORT_SURFACE = {
     "profile": (["profile", "8"], _HEAVY),
     "seq": (["seq", "db_k", "1", "30", "--k", "2"], _HEAVY),
     "scan": (["scan", "--limit", "1000"], {"berndenom.verify", "berndenom.oracle"}),
+    "scan-threads": (
+        ["scan", "--limit", "1000", "--chunk", "100", "--threads", "2"],
+        {"berndenom.verify", "berndenom.oracle", "concurrent.futures", "multiprocessing"},
+    ),
     "sets": (["sets", "--k", "2", "--limit", "200"], {"berndenom.verify", "berndenom.oracle"}),
     "radset": (["radset", "--limit", "200"], {"berndenom.verify", "berndenom.oracle"}),
     "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], set()),

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import json
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -359,6 +361,43 @@ class TestRunScan:
         serial = run_scan(6000, chunk_size=1500, threads=1)
         parallel = run_scan(6000, chunk_size=1500, threads=2)
         assert serial == parallel
+
+    def test_failing_worker_stops_the_scan_after_the_chunks_before_it(self, tmp_path, monkeypatch, capfd):
+        serial = tmp_path / "serial.ckpt"
+        run_scan(6000, chunk_size=500, checkpoint_path=serial)
+        real = scanner.scan_omega_plus
+
+        def failing(lo, hi):
+            if lo == 2501:  # the sixth of twelve chunks: the second worker's third
+                raise ValueError("injected failure")
+            return real(lo, hi)
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", failing)  # before the fork
+        path = tmp_path / "failed.ckpt"
+        with pytest.raises(RuntimeError, match=r"before chunk \[2501, 3000\]"):
+            run_scan(6000, chunk_size=500, threads=2, checkpoint_path=path)
+        assert path.read_bytes().splitlines() == serial.read_bytes().splitlines()[:6]
+        assert "ValueError: injected failure" in capfd.readouterr().err  # the worker's traceback
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+    def test_workers_leave_an_interrupt_to_the_parent(self, monkeypatch):
+        expected = run_scan(6000, chunk_size=500)
+        real = scanner.scan_omega_plus
+
+        def interrupted(lo, hi):
+            os.kill(os.getpid(), signal.SIGINT)  # a worker ignores it; here it would raise
+            return real(lo, hi)
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", interrupted)
+        assert run_scan(6000, chunk_size=500, threads=2) == expected
+
+    def test_closing_early_leaves_no_worker(self):
+        chunks = scanner._scan_chunks(ScanConfig(1, 6000, 500).chunk_ranges(), 2)
+        assert next(chunks) == scan_omega_plus(1, 500)
+        chunks.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
