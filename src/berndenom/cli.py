@@ -79,8 +79,6 @@ def _cmd_seq(args, parser: argparse.ArgumentParser) -> int:
         raise  # not a usage error: main reports it as a refusal
     except ValueError as exc:
         parser.error(str(exc))
-    if args.lo > args.hi:
-        parser.error(f"need lo <= hi, got {args.lo} > {args.hi}")
     rows = zip(range(args.lo, args.hi + 1), values)
     payload = {
         "name": args.name,
@@ -100,7 +98,6 @@ def _print_warning(message, *_) -> None:
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     from . import scanner
 
-    chunk_size = args.chunk or scanner.DEFAULT_CHUNK_SIZE
     try:
         with warnings.catch_warnings():  # the library's warnings, without its source lines
             warnings.simplefilter("always")
@@ -108,7 +105,7 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
             result = scanner.run_scan(
                 args.limit,
                 threads=args.threads,
-                chunk_size=chunk_size,
+                chunk_size=args.chunk,
                 checkpoint_path=args.checkpoint,
             )
     except (scanner.CheckpointError, OSError) as exc:
@@ -116,7 +113,7 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     top = max(result.exceptional) if result.exceptional else None
     payload = {
         "limit": args.limit,
-        "chunk_size": chunk_size,
+        "chunk_size": args.chunk,
         "exceptional": result.exceptional,
         "exceptional_count": len(result.exceptional),
         "max_exceptional": top,
@@ -214,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--limit", type=_positive_int, required=True)
     p_scan.add_argument("--threads", type=_positive_int, default=1,
                         help="worker processes (default: 1)")
-    # None stands for scanner.DEFAULT_CHUNK_SIZE, so parsing need not import the scanner
-    p_scan.add_argument("--chunk", type=_positive_int, default=None)
+    p_scan.add_argument("--chunk", type=_positive_int, default=denom.DEFAULT_CHUNK_SIZE)
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 
     p_sets = sub.add_parser("sets", help="indices whose k-th derivative is integral")

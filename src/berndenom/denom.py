@@ -69,6 +69,9 @@ __all__ = [
     "support_blocks",
 ]
 
+DEFAULT_CHUNK_SIZE = 1 << 20
+"""Indices per chunk of _run_count_chunks(), and a scan's default chunk."""
+
 _RUN_BATCH = 1 << 16
 """Most runs or (prime, index) pairs in one batch, so memory is O(window + batch)."""
 
@@ -178,6 +181,13 @@ def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
         np.subtract.at(delta, stop, np.int32(1))
         del begin, stop  # before heavy_runs builds the next batch
     return np.cumsum(delta[:length], dtype=np.int32, out=delta[:length])
+
+
+def _run_count_chunks(lo: int, hi: int, cut: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, _run_counts(start, end, cut)) over [lo, hi], a chunk of DEFAULT_CHUNK_SIZE at a time."""
+    shared_sieve((hi + 1) // 2)  # once, for every chunk
+    for start in range(lo, hi + 1, DEFAULT_CHUNK_SIZE):
+        yield start, _run_counts(start, min(start + DEFAULT_CHUNK_SIZE - 1, hi), cut)
 
 
 class PrimePairs(NamedTuple):
@@ -394,17 +404,18 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
     first = 0 if name in ("db", "ds") else 1
     if lo < first:
         raise ValueError(f"{name} is defined from n = {first}, got lo = {lo}")
+    if lo > hi:
+        raise ValueError(f"need lo <= hi, got {lo} > {hi}")
     if name == "dn":  # the one family that reads no sieve
         return map(dn, range(lo, hi + 1))
     shift = _SEQUENCES[name][0] - (k if name == "db_k" else 0)
     shared_sieve((hi + shift + 1) // 2)  # the primes to half the top index read
+    if name == "omega_plus":
+        return (v for _, counts in _run_count_chunks(lo, hi) for v in counts.tolist())
     return _values(name, lo, hi, shift, k)
 
 
 def _values(name: str, lo: int, hi: int, shift: int, k: int | None) -> Iterator[int]:
-    if name == "omega_plus":
-        yield from _run_counts(lo, hi).tolist()
-        return
     yield from [1] * (min(hi, -shift) - lo + 1)
     for block in support_blocks(max(lo + shift, 1), hi + shift):
         yield from _SEQUENCES[name][1](block, k)

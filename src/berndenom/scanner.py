@@ -11,7 +11,8 @@ that keep a chunk's memory at O(chunk + batch) and its time at O(chunk + runs).
 The same count with every run cut short at the top by k - 1 is find_sets'
 prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
 when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
-stays in the denominator of the k-th derivative at n = m + k - 1.
+stays in the denominator of the k-th derivative at n = m + k - 1. The cut-1
+count, zero where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
 Chunks are independent, so a scan may run them on worker processes. A
 chunk's result, a ScanChunk, is what a checkpoint persists: one JSON line
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import radical, shared_sieve
-from .denom import _run_counts, db_k, support_blocks
+from .denom import DEFAULT_CHUNK_SIZE, _run_count_chunks, _run_counts, db_k, dd
 
 __all__ = [
     "CheckpointError",
@@ -52,7 +52,6 @@ __all__ = [
     "scan_omega_plus",
 ]
 
-DEFAULT_CHUNK_SIZE = 1 << 20
 CHECKPOINT_VERSION = 2
 
 
@@ -86,48 +85,40 @@ def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
     return ScanChunk(lo, hi, exceptional, chunk_checksum(lo, hi, exceptional))
 
 
+def _zeros(lo: int, hi: int, cut: int):
+    """Ascending n in [lo, hi] that no heavy run cut short by cut holds."""
+    for start, counts in _run_count_chunks(lo, hi, cut):
+        yield from (np.flatnonzero(counts == 0) + start).tolist()
+        del counts  # before the next chunk's counts are built
+
+
 def find_sets(k: int, limit: int) -> tuple[int, ...]:
     """Every n <= limit whose k-th Bernoulli-polynomial derivative is integral, ascending.
 
     Indices n <= k give a constant or vanishing derivative and are members
     outright. Beyond that, membership forces every prime above sqrt(n-k+1)
     with a heavy digit sum to divide the falling factorial (n)_{k-1}. That
-    prefilter is the scan's run count, chunk by chunk, with each run cut short
-    by k - 1; it discards almost every index, and the survivors are confirmed
-    with the full db_k product before being reported.
+    prefilter is the scan's run count with each run cut short by k - 1 at
+    m = n - k + 1; it discards almost every index, and the survivors are
+    confirmed with the full db_k product before being reported.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    shared_sieve((limit + 2) // 2)  # once for every chunk below
-    members = list(range(1, min(k, limit) + 1))
-    # m = n - k + 1 survives when no heavy prime above sqrt(m) misses (n)_{k-1}
-    for lo, hi in ScanConfig(2, limit - k + 1, DEFAULT_CHUNK_SIZE).chunk_ranges():
-        missed = _run_counts(lo, hi, cut=k - 1)
-        for m in (np.flatnonzero(missed == 0) + lo).tolist():
-            if db_k(m + k - 1, k) == 1:
-                members.append(m + k - 1)
-    return tuple(members)
+    survivors = (m + k - 1 for m in _zeros(2, limit - k + 1, k - 1))
+    return (*range(1, min(k, limit) + 1), *(n for n in survivors if db_k(n, k) == 1))
 
 
 def find_rad_set(limit: int) -> tuple[int, ...]:
     """Every n <= limit where dd(n) equals the squarefree kernel of n + 1, ascending.
 
-    Only an n whose every support prime divides n + 1 can qualify; their
-    product is compared with radical(n + 1) at those alone.
+    Each heavy prime above sqrt(n) must divide n + 1, which leaves find_sets'
+    prefilter for k = 2; only its survivors are compared with radical(n + 1).
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    shared_sieve((limit + 1) // 2)  # once for every block below
-    members = []
-    for block in support_blocks(1, limit):
-        offset = block.n[(block.n + 1) % block.p != 0] - block.lo
-        strays = np.bincount(offset, minlength=block.hi - block.lo + 1)
-        for n in (np.flatnonzero(strays == 0) + block.lo).tolist():
-            if math.prod(block.window(n, n).p.tolist()) == radical(n + 1):
-                members.append(n)
-    return tuple(members)
+    return tuple(n for n in _zeros(2, limit, 1) if dd(n) == radical(n + 1))
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,8 @@ class TestSeq:
             (("db", "-1", "2"), "db is defined from n = 0, got lo = -1"),
             (("dd", "0", "3"), "dd is defined from n = 1, got lo = 0"),
             (("dd", "5", "3"), "need lo <= hi, got 5 > 3"),
+            # before the sieve is sized: this range would need one past its cap
+            (("dd", "300000001", "300000000"), "need lo <= hi, got 300000001 > 300000000"),
         ],
     )
     def test_usage_error_messages(self, capsys, argv, message):
@@ -318,8 +320,9 @@ class TestScan:
         ("seq", "dd", "1", "300000000"),
         ("seq", "db_k", "1", "300000000", "--k", "2"),
         ("radset", "--limit", "300000000"),
+        ("sets", "--k", "1", "--limit", "300000000"),
     ],
-    ids=["seq-dd", "seq-db_k", "radset"],
+    ids=["seq-dd", "seq-db_k", "radset", "sets"],
 )
 def test_range_commands_refuse_past_the_sieve_cap_at_once(argv):
     # primes up to 1.5e8 would need a sieve past the 2**26 cap; the refusal
@@ -457,6 +460,52 @@ def test_stopped_threaded_scan_takes_its_workers_and_resumes(tmp_path, interrupt
     ).stdout
     assert resumed == fresh
     assert path.read_bytes() == fresh_path.read_bytes()
+
+
+SLOW_SCAN = """
+import sys, time
+from berndenom import scanner
+
+real = scanner.scan_omega_plus
+
+
+def slow(lo, hi):  # 200 chunks, 0.05 s each, on two workers: 5 s of work
+    time.sleep(0.05)
+    return real(lo, hi)
+
+
+scanner.scan_omega_plus = slow
+scanner.run_scan(100000, chunk_size=500, threads=2, checkpoint_path=sys.argv[1])
+"""
+
+
+def test_sigkilled_parent_ends_busy_workers_at_their_next_write(tmp_path):
+    # a worker learns of its parent's death only when a write finds no
+    # reader, so it must hold no read end of any pipe: holding one, it would
+    # write on into the pipe's buffer for the seconds its share still takes
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    path = tmp_path / "slow.ckpt"
+    child = subprocess.Popen(
+        [sys.executable, "-c", SLOW_SCAN, str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        while child.poll() is None and records_in(path) < 3:
+            time.sleep(0.001)
+        assert child.poll() is None, "the scan ended before it was killed"
+        child.kill()
+        child.wait(timeout=10)
+        deadline = time.monotonic() + 1
+        while alive_in_group(child.pid):
+            assert time.monotonic() < deadline, "a busy scan worker outlived its parent by 1 s"
+            time.sleep(0.01)
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert 3 <= records_in(path) < 200
 
 
 @pytest.mark.parametrize(

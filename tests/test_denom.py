@@ -561,6 +561,8 @@ class TestSequence:
             (("dn", 0, 3), "dn is defined from n = 1, got lo = 0"),
             (("omega_plus", 0, 3), "omega_plus is defined from n = 1, got lo = 0"),
             (("db_k", 0, 3, 2), "db_k is defined from n = 1, got lo = 0"),
+            (("dd", 5, 3), "need lo <= hi, got 5 > 3"),
+            (("dn", 5, 3), "need lo <= hi, got 5 > 3"),
         ],
     )
     def test_bad_arguments_raise_at_the_call(self, args, message):

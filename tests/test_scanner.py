@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berndenom import arith, denom, scanner
-from berndenom.arith import is_prime, sieve
+from berndenom.arith import SieveSizeError, is_prime, radical, sieve
 from berndenom.scanner import (
     CheckpointError,
     ScanChunk,
@@ -37,6 +38,10 @@ S3 = (
 )
 RAD_SET = (3, 5, 8, 9, 11, 27, 29, 35, 59)
 
+# chunk sizes of denom._run_count_chunks, the sweep behind find_sets, find_rad_set
+# and sequence("omega_plus"): none may change what they report
+CHUNK_GRIDS = pytest.mark.parametrize("chunk", [1, 7, 64, denom.DEFAULT_CHUNK_SIZE])
+
 
 class TestScanOmegaPlus:
     def test_first_ten(self):
@@ -57,6 +62,11 @@ class TestScanOmegaPlus:
         counts = scanner._run_counts(1, 5000)
         n = np.arange(1, 5001, dtype=np.int64)
         assert not np.any(counts.astype(np.int64) ** 2 >= n)
+
+    @CHUNK_GRIDS
+    def test_sequence_on_any_chunk_grid(self, monkeypatch, chunk):
+        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+        assert list(denom.sequence("omega_plus", 1, 3000)) == scanner._run_counts(1, 3000).tolist()
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -158,11 +168,30 @@ class TestFindSets:
     def test_small_indices_always_members(self):
         assert find_sets(5, 3) == (1, 2, 3)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, scanner.DEFAULT_CHUNK_SIZE])
+    @CHUNK_GRIDS
     def test_any_chunk_grid_matches_db_k(self, integral_to_3000, monkeypatch, chunk):
-        monkeypatch.setattr(scanner, "DEFAULT_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
         for k, expected in integral_to_3000.items():
             assert find_sets(k, 3000) == expected, k
+
+    def test_bound_is_half_the_top_index_read(self, monkeypatch):
+        # a scan to limit and find_sets(k, limit + k - 1) both read the
+        # counts to limit, so both need the primes to limit / 2 alone
+        cap = 1 << 16
+        monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", cap)
+        monkeypatch.setattr(arith, "_SHARED", None)
+        run_scan(2 * cap)
+        assert find_sets(1, 2 * cap) == S1
+        assert find_sets(3, 2 * cap + 2) == S3
+        assert find_rad_set(2 * cap) == RAD_SET
+        for refused in (
+            lambda: run_scan(2 * cap + 1),
+            lambda: find_sets(1, 2 * cap + 1),
+            lambda: find_sets(3, 2 * cap + 3),
+            lambda: find_rad_set(2 * cap + 1),
+        ):
+            with pytest.raises(SieveSizeError, match=f"sieve limit {cap + 1} exceeds"):
+                refused()
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +220,13 @@ class TestMemory:
         arith.shared_sieve((chunk + 1) // 2)  # built before tracing: the chunk alone is measured
         assert traced_peak(scan_omega_plus, 1, chunk) < 3 * 4 * chunk
 
+    def test_omega_plus_sequence_holds_one_chunk(self):
+        # one chunk's int32 counts and the list of its values, not the range's
+        chunk = denom.DEFAULT_CHUNK_SIZE
+        arith.shared_sieve((4 * chunk + 1) // 2)  # built before tracing
+        drain = lambda: collections.deque(denom.sequence("omega_plus", 1, 4 * chunk), maxlen=0)
+        assert traced_peak(drain) < 4 * 4 * chunk
+
     def test_find_sets_peak_is_flat_in_the_limit(self):
         arith.shared_sieve(((1 << 23) + 2) // 2)  # both runs read this cache, built untraced
         small = traced_peak(find_sets, 1, 1 << 21)
@@ -198,9 +234,33 @@ class TestMemory:
         assert large <= small + (1 << 20), (small, large)
 
 
+def support_prefilter(lo, hi) -> list[int]:
+    """The n in [lo, hi] at which every support prime above sqrt(n) divides
+    n + 1, read off support_blocks: find_rad_set's pass before the run count."""
+    survivors = []
+    for block in denom.support_blocks(lo, hi):
+        stray = ~block.minus & ((block.n + 1) % block.p != 0)
+        strays = np.bincount(block.n[stray] - block.lo, minlength=block.hi - block.lo + 1)
+        survivors += (np.flatnonzero(strays == 0) + block.lo).tolist()
+    return survivors
+
+
 class TestFindRadSet:
     def test_members(self):
         assert find_rad_set(100) == RAD_SET
+
+    def test_matches_brute_force(self):
+        expected = tuple(n for n in range(1, 10**4 + 1) if denom.dd(n) == radical(n + 1))
+        assert expected == RAD_SET
+        assert find_rad_set(10**4) == expected
+
+    def test_cut_one_survivors_match_the_support_pass(self):
+        assert list(scanner._zeros(1, 2 * 10**5, 1)) == support_prefilter(1, 2 * 10**5)
+
+    @CHUNK_GRIDS
+    def test_any_chunk_grid(self, monkeypatch, chunk):
+        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+        assert find_rad_set(3000) == RAD_SET
 
     def test_even_members_are_powers_of_two(self):
         for n in find_rad_set(100):
@@ -341,7 +401,14 @@ class TestRunScan:
         assert result.exceptional == scan_omega_plus(1, 3000).exceptional
 
     @pytest.mark.parametrize(
-        "sweep", [lambda: run_scan(3 << 20), lambda: find_sets(1, 3 << 20)], ids=["run_scan", "find_sets"]
+        "sweep",
+        [
+            lambda: run_scan(3 << 20),
+            lambda: find_sets(1, 3 << 20),
+            lambda: find_rad_set(3 << 20),
+            lambda: collections.deque(denom.sequence("omega_plus", 1, 3 << 20), maxlen=0),
+        ],
+        ids=["run_scan", "find_sets", "find_rad_set", "omega_plus"],
     )
     def test_sweep_builds_one_sieve(self, monkeypatch, sweep):
         # three chunks of 2^20: growing the cache chunk by chunk would build three
