@@ -184,7 +184,8 @@ def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
 
 
 def _run_count_chunks(lo: int, hi: int, cut: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, _run_counts(start, end, cut)) over [lo, hi], a chunk of DEFAULT_CHUNK_SIZE at a time."""
+    """(start, _run_counts(start, end, cut)) over [lo, hi], a chunk of DEFAULT_CHUNK_SIZE at a
+    time: the one sweep that scans, find_sets, find_rad_set and seq omega_plus read."""
     shared_sieve((hi + 1) // 2)  # once, for every chunk
     for start in range(lo, hi + 1, DEFAULT_CHUNK_SIZE):
         yield start, _run_counts(start, min(start + DEFAULT_CHUNK_SIZE - 1, hi), cut)

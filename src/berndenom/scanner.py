@@ -2,11 +2,10 @@
 
 omega_+(n) counts the primes p > sqrt(n) whose base-p digit sum of n
 reaches p. Such a prime is heavy at n exactly on the runs
-[(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p, so a scan scatters the run
-boundaries into an int32 difference array and takes one cumulative sum per
-chunk. The runs come from denom.heavy_runs, the generator behind
-denom.support_blocks, quotient-major with no Python loop over primes, in batches
-that keep a chunk's memory at O(chunk + batch) and its time at O(chunk + runs).
+[(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p. Every reader here counts them
+with denom._run_count_chunks, 2^20 indices at a time whatever its range: the
+runs of denom.heavy_runs are scattered into an int32 difference array and
+summed, so a step costs O(2^20 + batch) memory and O(2^20 + runs) time.
 
 The same count with every run cut short at the top by k - 1 is find_sets'
 prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
@@ -14,13 +13,13 @@ when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
 stays in the denominator of the k-th derivative at n = m + k - 1. The cut-1
 count, zero where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
-Chunks are independent, so a scan may run them on worker processes. A
-chunk's result, a ScanChunk, is what a checkpoint persists: one JSON line
-appended per chunk after a header naming the scan, so an interrupted scan
-resumes from the chunks it finished and ends byte-identical, file and all, to
-one that never stopped. A sweep sizes arith.shared_sieve for its whole range
-before its first chunk, and forked workers inherit that sieve, so no chunk
-makes the cache grow again.
+A scan's chunk_size sets only what one checkpoint record covers and what one
+worker process takes. A chunk's result, a ScanChunk, is what a checkpoint
+persists: one JSON line appended per chunk after a header naming the scan, so
+an interrupted scan resumes from the chunks it finished and ends
+byte-identical, file and all, to one that never stopped. A sweep sizes
+arith.shared_sieve for its whole range before its first chunk, and forked
+workers inherit that sieve, so no chunk makes the cache grow again.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import radical, shared_sieve
-from .denom import DEFAULT_CHUNK_SIZE, _run_count_chunks, _run_counts, db_k, dd
+from .denom import DEFAULT_CHUNK_SIZE, _run_count_chunks, db_k, dd
 
 __all__ = [
     "CheckpointError",
@@ -77,19 +76,19 @@ class ScanChunk:
     checksum: str
 
 
-def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
-    """The n in [lo, hi] with no prime p > sqrt(n) of digit sum >= p."""
-    if lo < 1 or lo > hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    exceptional = tuple((np.flatnonzero(_run_counts(lo, hi) == 0) + lo).tolist())
-    return ScanChunk(lo, hi, exceptional, chunk_checksum(lo, hi, exceptional))
-
-
 def _zeros(lo: int, hi: int, cut: int):
     """Ascending n in [lo, hi] that no heavy run cut short by cut holds."""
     for start, counts in _run_count_chunks(lo, hi, cut):
         yield from (np.flatnonzero(counts == 0) + start).tolist()
         del counts  # before the next chunk's counts are built
+
+
+def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
+    """The n in [lo, hi] with no prime p > sqrt(n) of digit sum >= p."""
+    if lo < 1 or lo > hi:
+        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    exceptional = tuple(_zeros(lo, hi, 0))
+    return ScanChunk(lo, hi, exceptional, chunk_checksum(lo, hi, exceptional))
 
 
 def find_sets(k: int, limit: int) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
 import pytest
 
-from berndenom import scanner
+from berndenom import denom, scanner
 
 
 @pytest.fixture(scope="session")
@@ -11,4 +11,4 @@ def scan_million():
 @pytest.fixture(scope="session")
 def counts_million():
     """omega_+(n) for every n <= 10^6, the counts behind scan_million."""
-    return scanner._run_counts(1, 10**6)
+    return denom._run_counts(1, 10**6)

@@ -128,7 +128,7 @@ def test_criterion_6_lemma_suite():
 
 def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
     chunk = scanner.scan_omega_plus(1, 10_000)
-    counts = scanner._run_counts(1, 10_000)
+    counts = denom._run_counts(1, 10_000)
     mismatch = None
     for n in range(1, 10_001):
         if int(counts[n - 1]) != denom.omega_dd_plus(n):
@@ -139,7 +139,7 @@ def test_criterion_7_scanner_self_consistency(tmp_path, capsys):
     parts = [scanner.scan_omega_plus(lo, hi) for lo, hi in ranges]
     exceptional = tuple(n for part in parts for n in part.exceptional)
     chunked_ok = (
-        np.array_equal(np.concatenate([scanner._run_counts(lo, hi) for lo, hi in ranges]), counts)
+        np.array_equal(np.concatenate([denom._run_counts(lo, hi) for lo, hi in ranges]), counts)
         and exceptional == chunk.exceptional
         and scanner.chunk_checksum(1, 10_000, exceptional) == chunk.checksum
     )
@@ -178,7 +178,7 @@ def test_criterion_8_kappa_ratio_sanity(counts_million):
     counts = counts_million[scan_lo - 1 : scan_hi]
     n = np.arange(scan_lo, scan_hi + 1, dtype=np.float64)
     scan_mean = float((counts.astype(np.float64) * np.log(n) / np.sqrt(n)).mean())
-    window = scanner._run_counts(scan_lo, scan_hi)  # the same counts, scanned alone
+    window = denom._run_counts(scan_lo, scan_hi)  # the same counts, scanned alone
     ok = (
         0.5 < brute_mean < 4.0
         and 0.5 < scan_mean < 4.0

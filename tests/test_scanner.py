@@ -38,35 +38,35 @@ S3 = (
 )
 RAD_SET = (3, 5, 8, 9, 11, 27, 29, 35, 59)
 
-# chunk sizes of denom._run_count_chunks, the sweep behind find_sets, find_rad_set
-# and sequence("omega_plus"): none may change what they report
+# chunk sizes of denom._run_count_chunks, the sweep behind scan_omega_plus,
+# find_sets, find_rad_set and sequence("omega_plus"): none may change what they report
 CHUNK_GRIDS = pytest.mark.parametrize("chunk", [1, 7, 64, denom.DEFAULT_CHUNK_SIZE])
 
 
 class TestScanOmegaPlus:
     def test_first_ten(self):
-        assert scanner._run_counts(1, 10).tolist() == [0, 0, 1, 0, 1, 0, 1, 1, 1, 0]
+        assert denom._run_counts(1, 10).tolist() == [0, 0, 1, 0, 1, 0, 1, 1, 1, 0]
         assert scan_omega_plus(1, 10).exceptional == (1, 2, 4, 6, 10)
 
     def test_matches_per_index_route(self):
-        counts = scanner._run_counts(1, 2000)
+        counts = denom._run_counts(1, 2000)
         for n in range(1, 2001):
             assert int(counts[n - 1]) == denom.omega_dd_plus(n)
 
     def test_window_shift_preserves_values(self):
-        wide = scanner._run_counts(1, 600)
-        window = scanner._run_counts(101, 400)
+        wide = denom._run_counts(1, 600)
+        window = denom._run_counts(101, 400)
         assert np.array_equal(window, wide[100:400])
 
     def test_bound_below_sqrt(self):
-        counts = scanner._run_counts(1, 5000)
+        counts = denom._run_counts(1, 5000)
         n = np.arange(1, 5001, dtype=np.int64)
         assert not np.any(counts.astype(np.int64) ** 2 >= n)
 
     @CHUNK_GRIDS
     def test_sequence_on_any_chunk_grid(self, monkeypatch, chunk):
         monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
-        assert list(denom.sequence("omega_plus", 1, 3000)) == scanner._run_counts(1, 3000).tolist()
+        assert list(denom.sequence("omega_plus", 1, 3000)) == denom._run_counts(1, 3000).tolist()
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def scan_with_batch(lo, hi, batch):
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(denom, "_RUN_BATCH", batch)
-        return scanner._run_counts(lo, hi)
+        return denom._run_counts(lo, hi)
 
 
 class TestAgainstBruteForce:
@@ -137,8 +137,8 @@ class TestChunkIndependence:
         ranges = [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:] + [5001]) if lo <= hi - 1]
         parts = [scan_omega_plus(lo, hi) for lo, hi in ranges]
         exceptional = tuple(n for c in parts for n in c.exceptional)
-        counts = np.concatenate([scanner._run_counts(lo, hi) for lo, hi in ranges])
-        assert np.array_equal(counts, scanner._run_counts(1, 5000))
+        counts = np.concatenate([denom._run_counts(lo, hi) for lo, hi in ranges])
+        assert np.array_equal(counts, denom._run_counts(1, 5000))
         assert exceptional == direct.exceptional
         assert chunk_checksum(1, 5000, exceptional) == direct.checksum
 
@@ -220,6 +220,11 @@ class TestMemory:
         arith.shared_sieve((chunk + 1) // 2)  # built before tracing: the chunk alone is measured
         assert traced_peak(scan_omega_plus, 1, chunk) < 3 * 4 * chunk
 
+    def test_scan_holds_one_sweep_step_whatever_its_chunk(self):
+        # a chunk of four sweep steps: the counts of one step at a time, not of the chunk
+        arith.shared_sieve((4 * denom.DEFAULT_CHUNK_SIZE + 1) // 2)  # built before tracing
+        assert traced_peak(scan_omega_plus, 1, 4 * denom.DEFAULT_CHUNK_SIZE) < 10 << 20
+
     def test_omega_plus_sequence_holds_one_chunk(self):
         # one chunk's int32 counts and the list of its values, not the range's
         chunk = denom.DEFAULT_CHUNK_SIZE
@@ -275,7 +280,7 @@ class TestFindRadSet:
 def kappa(lo, hi):
     """omega_+(n) * ln(n) / sqrt(n) for every n in [lo, hi]."""
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    return scanner._run_counts(lo, hi) * np.log(n) / np.sqrt(n)
+    return denom._run_counts(lo, hi) * np.log(n) / np.sqrt(n)
 
 
 class TestKappaRatio:
@@ -285,7 +290,7 @@ class TestKappaRatio:
         assert np.array_equal(kappa(2, 3000), first)
 
     def test_raw_ratio_below_one(self):
-        counts = scanner._run_counts(2, 3000)
+        counts = denom._run_counts(2, 3000)
         n = np.arange(2, 3001, dtype=np.float64)
         assert np.all(counts.astype(np.float64) / np.sqrt(n) < 1.0)
 
@@ -423,6 +428,20 @@ class TestRunScan:
         monkeypatch.setattr(arith, "sieve", recording_sieve)
         sweep()
         assert len(built) == 1, built
+
+    @CHUNK_GRIDS
+    def test_any_sweep_grid_keeps_result_and_checkpoint(self, tmp_path, monkeypatch, chunk):
+        # the scan's own chunk sets the records; the sweep's steps under it change nothing
+        def scan(label, chunk_size, threads):
+            path = tmp_path / f"{label}-{chunk_size}-{threads}.ckpt"
+            result = run_scan(3000, chunk_size=chunk_size, threads=threads, checkpoint_path=path)
+            return result, path.read_bytes()
+
+        shapes = [(c, t) for c in (500, 3000) for t in (1, 2)]
+        expected = {shape: scan("default", *shape) for shape in shapes}
+        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+        for shape in shapes:
+            assert scan("patched", *shape) == expected[shape], shape
 
     def test_parallel_equals_serial(self):
         serial = run_scan(6000, chunk_size=1500, threads=1)
