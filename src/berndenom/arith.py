@@ -279,12 +279,9 @@ _SHARED: PrimeSieve | None = None
 
 
 def shared_sieve(min_limit: int) -> PrimeSieve:
-    """The one source of primes: a process-wide sieve to min_limit rounded up to a
-    power of two (at least 2**16); it never shrinks, and refuses limits past DEFAULT_SIEVE_CAP."""
+    """The one source of primes: a process-wide sieve, rebuilt to exactly max(min_limit, 1)
+    when it holds less. It never shrinks, and past DEFAULT_SIEVE_CAP sieve() refuses."""
     global _SHARED
     if _SHARED is None or _SHARED.limit < min_limit:
-        target = max(1 << 16, 1 << max(min_limit - 1, 1).bit_length())
-        if target > DEFAULT_SIEVE_CAP:
-            target = max(min_limit, DEFAULT_SIEVE_CAP)
-        _SHARED = sieve(target)
+        _SHARED = sieve(max(min_limit, 1))
     return _SHARED

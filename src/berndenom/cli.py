@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--limit", type=_positive_int, required=True)
     p_scan.add_argument("--threads", type=_positive_int, default=1,
                         help="worker processes (default: 1)")
-    p_scan.add_argument("--chunk", type=_positive_int, default=denom.DEFAULT_CHUNK_SIZE)
+    p_scan.add_argument("--chunk", type=_positive_int, default=denom.DEFAULT_CHUNK_SIZE, help="indices per "
+                        "checkpoint record and worker task, not memory (default: %(default)s)")
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 
     p_sets = sub.add_parser("sets", help="indices whose k-th derivative is integral")

@@ -33,7 +33,7 @@ n + k - 1). Every family below is read off those parts:
 Each family returns a plain int, and all but ds are squarefree: the product
 of the primes one mask keeps. The primes themselves are read from
 qualifying_primes(n), support_at(n) and the masks. Every prime comes from
-arith.shared_sieve, asked for the bound each route needs.
+arith.shared_sieve, asked for the bound each route needs: a range's, once.
 """
 
 from __future__ import annotations
@@ -272,6 +272,7 @@ def support_block(lo: int, hi: int) -> PrimePairs:
 
 def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
     """The supports of n = lo, ..., hi, one block of _SUPPORT_BLOCK indices at a time."""
+    shared_sieve((hi + 1) // 2)  # once, for every block
     for b0 in range(lo, hi + 1, _SUPPORT_BLOCK):
         yield support_block(b0, min(b0 + _SUPPORT_BLOCK - 1, hi))
 
@@ -393,8 +394,8 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
 
     k is the derivative order of db_k, whose value at n reads the support at
     n - k + 1; it is 1 wherever that index lies below 1, as n <= k there.
-    Bad arguments raise ValueError at the call, worded for the seq command;
-    so does a range past the sieve cap, which is sized before the first value.
+    Bad arguments raise ValueError at the call, worded for the seq command; so does
+    a range past the sieve cap, or for dn past is_prime's bound (dn(hi) tests hi + 1).
     """
     if name not in _SEQUENCES:
         raise ValueError(f"unknown sequence {name!r}")
@@ -408,6 +409,7 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
     if lo > hi:
         raise ValueError(f"need lo <= hi, got {lo} > {hi}")
     if name == "dn":  # the one family that reads no sieve
+        is_prime(hi + 1)  # past its exact bound, refused before any value
         return map(dn, range(lo, hi + 1))
     shift = _SEQUENCES[name][0] - (k if name == "db_k" else 0)
     shared_sieve((hi + shift + 1) // 2)  # the primes to half the top index read

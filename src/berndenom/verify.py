@@ -129,7 +129,7 @@ def _block_verdicts(lo: int, hi: int, out: dict[str, np.ndarray]) -> np.ndarray:
     complement_next = _window(complement, lo + 1, hi, 1)
     db = _product(coprime_next, kernel_next)  # db(n): the kernel of n + 1 times its coprime part
     lcm_next = _lcm(support_next, kernel_next)  # also db(n): lcm(dd(n + 1), rad(n + 1))
-    next_is_prime = shared_sieve(hi).window(lo + 1, hi)
+    next_is_prime = _isin(n + 1, primes)
     hits = lambda keys: np.bincount((keys >> _SHIFT) - lo, minlength=size) > 0
     differ = partial(_differ, lo, size)
     odd = lambda keys: keys[keys >> _SHIFT & 1 == 1]
@@ -338,7 +338,7 @@ def run_verification(
     if fault is not None and fault[0] not in FAMILIES:
         raise ValueError(f"unknown verification family {fault[0]!r}")
 
-    shared_sieve(limit + 2)  # once for every family below
+    shared_sieve(max(limit + 1, (max(oracle_limit, 50) + 2) // 2))  # blocks and the oracle tables
     context = _Context(limit, oracle_limit)
     results = []
     for name in selected:

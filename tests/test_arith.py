@@ -332,3 +332,17 @@ def test_shared_sieve_grows():
     bigger = arith.shared_sieve(small.limit + 1)
     assert bigger.limit > small.limit
     assert arith.shared_sieve(10).limit >= bigger.limit
+
+
+@pytest.mark.parametrize("m", [0, 1, 10, 2_500_000])
+def test_shared_sieve_builds_exactly_what_is_asked(monkeypatch, m):
+    monkeypatch.setattr(arith, "_SHARED", None)
+    assert arith.shared_sieve(m).limit == max(m, 1)
+
+
+def test_shared_sieve_rebuilds_only_to_grow(monkeypatch):
+    monkeypatch.setattr(arith, "_SHARED", None)
+    first = arith.shared_sieve(1000)
+    assert arith.shared_sieve(999) is first and arith.shared_sieve(1000) is first
+    assert arith.shared_sieve(1001).limit == 1001
+    assert arith.shared_sieve(10).limit == 1001

@@ -339,6 +339,40 @@ def test_range_commands_refuse_past_the_sieve_cap_at_once(argv):
     assert done.stderr == "error: sieve limit 150000000 exceeds the cap of 67108864\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_seq_dn_refuses_past_is_prime_bound_at_once(capsys, fmt):
+    # dn(n) tests n + 1 by is_prime, which is exact only below this bound
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", fmt, "seq", "dn", str(10**25), str(10**25)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "3317044064679887385961981" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        ("scan --limit 300000", [150_000]),
+        ("seq dd 1 5000", [2_500]),
+        ("seq omega_plus 1 300000", [150_000]),
+        ("sets --k 2 --limit 300000", [150_000]),
+        ("radset --limit 300000", [150_000]),
+        ("verify --limit 10000 --oracle-limit 300", [10_001]),
+        ("verify --limit 100 --oracle-limit 300", [151]),
+        ("seq dn 1 1000", []),
+    ],
+)
+def test_command_builds_one_sieve_to_its_bound(capsys, monkeypatch, argv, built):
+    # half the top index read; for verify limit + 1, or half of
+    # max(oracle_limit, 50) + 2 when its oracle tables reach further
+    limits = []
+    real_sieve = arith.sieve
+    monkeypatch.setattr(arith, "_SHARED", None)
+    monkeypatch.setattr(arith, "sieve", lambda limit: limits.append(limit) or real_sieve(limit))
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert limits == built
+
+
 KILL_SCAN = ["scan", "--limit", "100000", "--chunk", "128"]  # 782 chunks
 KILL_POINTS = 10
 

@@ -35,6 +35,7 @@ DB_FIRST = [2, 6, 2, 30, 6, 42, 6, 30, 10, 66]
 DS_FIRST = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20]
 
 INTEGRAL_DERIVATIVE_SET = (1, 2, 4, 6, 10, 12, 28, 30, 36, 60)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981  # is_prime refuses from here on
 
 
 def divisor_scan(n):
@@ -371,7 +372,7 @@ class TestQualifyingPrimes:
         n = 10**9 + 7
         profile(n)  # validate() runs inside
         dd(n), db(n), ds(n), db_k(n, 3), omega_dd_plus(n)
-        assert limits and max(limits) <= 1 << 16, limits
+        assert limits and max(limits) <= isqrt(n + 1), limits
 
     def test_int64_bound_fails_loudly(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
@@ -423,6 +424,15 @@ class TestSupports:
         assert len(found) == width
         for n in sorted({lo, hi, *picks}):
             assert found[n - lo] == qualifying_primes(n), n
+
+    def test_blocks_size_the_sieve_once(self, monkeypatch):
+        # grown block by block to exactly what each asks for, it would be built per block
+        limits = []
+        real_sieve = arith.sieve
+        monkeypatch.setattr(arith, "_SHARED", None)
+        monkeypatch.setattr(arith, "sieve", lambda limit: limits.append(limit) or real_sieve(limit))
+        next(support_blocks(200_000, 300_000))
+        assert limits == [150_000]
 
     def test_empty_range_and_bad_start(self):
         assert supports(10, 9) == []
@@ -563,9 +573,15 @@ class TestSequence:
             (("db_k", 0, 3, 2), "db_k is defined from n = 1, got lo = 0"),
             (("dd", 5, 3), "need lo <= hi, got 5 > 3"),
             (("dn", 5, 3), "need lo <= hi, got 5 > 3"),
+            # dn(n) tests n + 1 by is_prime, exact only below its last bound
+            (("dn", 10**25, 10**25), f"is_prime is exact only below {MR_LIMIT}, got {10**25 + 1}"),
+            (("dn", 1, MR_LIMIT - 1), f"is_prime is exact only below {MR_LIMIT}, got {MR_LIMIT}"),
         ],
     )
     def test_bad_arguments_raise_at_the_call(self, args, message):
         with pytest.raises(ValueError) as exc:
             sequence(*args)
         assert str(exc.value) == message
+
+    def test_dn_runs_to_the_last_index_is_prime_decides(self):
+        assert list(sequence("dn", MR_LIMIT - 2, MR_LIMIT - 2)) == [1]  # odd: B_n = 0
