@@ -31,9 +31,10 @@ n + k - 1). Every family below is read off those parts:
 * ``db_k(n, k)``  denominator of the k-th derivative of B_n(x)
 
 Each family returns a plain int, and all but ds are squarefree: the product
-of the primes one mask keeps. The primes themselves are read from
-qualifying_primes(n), support_at(n) and the masks. Every prime comes from
-arith.shared_sieve, asked for the bound each route needs: a range's, once.
+of the primes one mask keeps. The primes are read from qualifying_primes(n),
+support_at(n) and the masks, and the radicals in db from arith.radical, or
+from _factors over a block. Every prime comes from arith.shared_sieve, asked
+for the bound each route needs: a range's, once.
 """
 
 from __future__ import annotations
@@ -246,6 +247,13 @@ def _part(support: PrimePairs, mask: np.ndarray) -> int:
     return product(support.p[mask].tolist())
 
 
+def _sorted_pairs(lo: int, hi: int, offsets: list, primes: list) -> PrimePairs:
+    """Pairs (lo + offset, p), p <= hi, by index then prime: one sort of offset * (hi + 1) + p."""
+    keys = np.sort(np.concatenate(offsets) * (hi + 1) + np.concatenate(primes))
+    n, p = np.divmod(keys, hi + 1)
+    return PrimePairs(lo, hi, n + lo, p)
+
+
 def support_block(lo: int, hi: int) -> PrimePairs:
     """The supports of every n in [lo, hi]: digit sums for the primes up to
     isqrt(hi), heavy_runs() for the larger ones."""
@@ -264,10 +272,7 @@ def support_block(lo: int, hi: int) -> PrimePairs:
         for owner, offset in _ragged_batches(large[index], begin, stop - begin):
             owners.append(owner)
             offsets.append(offset)
-    # every prime is below hi + 1, so one sort of this key orders by index, then prime
-    keys = np.sort(np.concatenate(offsets) * (hi + 1) + np.concatenate(owners))
-    n, p = np.divmod(keys, hi + 1)
-    return PrimePairs(lo, hi, n + lo, p)
+    return _sorted_pairs(lo, hi, offsets, owners)
 
 
 def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
@@ -275,6 +280,23 @@ def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
     shared_sieve((hi + 1) // 2)  # once, for every block
     for b0 in range(lo, hi + 1, _SUPPORT_BLOCK):
         yield support_block(b0, min(b0 + _SUPPORT_BLOCK - 1, hi))
+
+
+def _factors(lo: int, hi: int) -> PrimePairs:
+    """The pairs (m, q) of each distinct prime q of each m in [lo, hi], lo >= 1,
+    by division alone: with every power of the primes up to isqrt(hi) divided
+    out of m, what is left is 1 or m's one prime above isqrt(hi)."""
+    small = shared_sieve(isqrt(hi)).primes_in(2, isqrt(hi))
+    rest = np.arange(lo, hi + 1, dtype=np.int64)
+    offsets = [np.arange(-lo % p, hi - lo + 1, p) for p in small]
+    for p in small:
+        power = p
+        while power <= hi:
+            rest[-lo % power :: power] //= p
+            power *= p
+    above = np.flatnonzero(rest > 1)
+    primes = np.repeat(np.array(small, dtype=np.int64), [o.size for o in offsets])
+    return _sorted_pairs(lo, hi, [*offsets, above], [primes, rest[above]])
 
 
 def dd(n: int) -> int:
@@ -361,31 +383,24 @@ def omega_dd_plus(n: int) -> int:
 _SEQUENCES = {
     "dd": (0, lambda b, k: b.products()),
     "dn": (0, None),
-    "db": (1, lambda b, k: [r * c for r, c in zip(_radicals(b), b.products(~b.shared))]),
+    "db": (1, lambda b, k: [r * c for r, c in zip(_kernels(b), b.products(~b.shared))]),
     "ds": (1, lambda b, k: [m * d for m, d in enumerate(b.products(), b.lo)]),
     "dd_plus": (0, lambda b, k: b.products(~b.minus)),
     "dd_minus": (0, lambda b, k: b.products(b.minus)),
     "dd_coprime": (0, lambda b, k: b.products(~b.shared)),
     "dd_shared": (0, lambda b, k: b.products(b.shared)),
-    "dd_complement": (0, lambda b, k: [r // s for r, s in zip(_radicals(b), b.products(b.shared))]),
+    "dd_complement": (0, lambda b, k: [r // s for r, s in zip(_kernels(b), b.products(b.shared))]),
     "omega_plus": (0, None),
     "db_k": (1, lambda b, k: b.products(b.kept(k))),
 }
 SEQUENCES = tuple(_SEQUENCES)
 
 
-def _radicals(block: PrimePairs) -> list[int]:
-    """radical(m) for each m of the block: with every power of the primes up
-    to isqrt(hi) divided out of m, what is left is 1 or its one prime above."""
-    lo, hi = block.lo, block.hi
-    rest, rad = np.arange(lo, hi + 1, dtype=np.int64), np.ones(hi - lo + 1, dtype=np.int64)
-    for p in shared_sieve(isqrt(hi)).primes_in(2, isqrt(hi)):
-        rad[-lo % p :: p] *= p
-        power = p
-        while power <= hi:
-            rest[-lo % power :: power] //= p
-            power *= p
-    return (rad * rest).tolist()
+def _kernels(block: PrimePairs) -> list[int]:
+    """radical(m) for each m of the block, the product of its _factors pairs: at most m, in int64."""
+    factors, rad = _factors(block.lo, block.hi), np.ones(block.hi - block.lo + 1, dtype=np.int64)
+    np.multiply.at(rad, factors.n - block.lo, factors.p)
+    return rad.tolist()
 
 
 def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]:
@@ -469,6 +484,7 @@ def profile(n: int) -> DenomProfile:
     its coprime part by dividing out the shared one, db and ds from dd(n + 1),
     with each radical trial-divided once, after both supports, so an n past
     the sieve cap is refused before any trial division."""
+    shared_sieve(isqrt(n + 1))  # once, for both supports
     support, support_next = support_at(n), qualifying_primes(n + 1)
     rad_n, rad_n1 = radical(n), radical(n + 1)
     dd_minus, dd_plus = _part(support, support.minus), _part(support, ~support.minus)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import denom, oracle, scanner
-from .arith import prime_divisors, radical, shared_sieve
+from .arith import radical, shared_sieve
 
 __all__ = ["FAMILIES", "FamilyResult", "run_verification"]
 
@@ -45,16 +45,15 @@ def _primes(hi: int) -> np.ndarray:
     return primes[: primes.searchsorted(hi, "right")]
 
 
-def _keys(pairs: denom.PrimePairs, mask: np.ndarray | None = None, shift: int = 0) -> np.ndarray:
-    """The ascending keys of the pairs that mask keeps, moved to n - shift."""
-    n, p = (pairs.n, pairs.p) if mask is None else (pairs.n[mask], pairs.p[mask])
-    return (n - shift) << _SHIFT | p
+def _keys(pairs: denom.PrimePairs) -> np.ndarray:
+    """The ascending keys of the pairs."""
+    return pairs.n << _SHIFT | pairs.p
 
 
 def _window(keys: np.ndarray, lo: int, hi: int, shift: int = 0) -> np.ndarray:
-    """The ascending keys at lo <= n <= hi, moved to n - shift."""
+    """The ascending keys at lo <= n <= hi, moved to n - shift: a view when shift is 0."""
     a, b = keys.searchsorted((lo << _SHIFT, (hi + 1) << _SHIFT))
-    return keys[a:b] - (shift << _SHIFT)
+    return keys[a:b] - (shift << _SHIFT) if shift else keys[a:b]
 
 
 def _multiples(lo: int, hi: int, primes: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -102,29 +101,27 @@ def _block_verdicts(lo: int, hi: int, out: dict[str, np.ndarray]) -> np.ndarray:
     out[family][lo - 1 : hi - 1]; returns the support primes above lambda(n).
 
     Products at n and at n + 1 (names ending in _next) are keyed at n. The
-    supports come from denom's range route, the kernels from a sieve, the
-    complements (the primes of n outside the support) from
-    arith.prime_divisors, and dn(n) from von Staudt-Clausen, independently
-    of denom.dn.
+    supports come from denom's range route, the kernels from the prime
+    multiples of a sieve, the complements (the primes of n outside the
+    support) from the division of denom._factors, and dn(n) from von
+    Staudt-Clausen, independently of denom.dn.
     """
     size, n = hi - lo, np.arange(lo, hi, dtype=np.int64)
     block = denom.support_block(lo, hi)
     s, m = block.window(lo, hi - 1), block.window(lo + 1, hi)
     # p > lambda(n) = (n + 1) // k, k = 2 for odd n and 3 for even n: k * p > n + 1
     beaten = s.p[s.p * (3 - s.n % 2) > s.n + 1]
-    factors = [prime_divisors(i) for i in range(lo, hi + 1)]
-    owner = np.repeat(np.arange(lo, hi + 1), [len(f) for f in factors])
-    found = owner << _SHIFT | np.fromiter((q for f in factors for q in f), np.int64, owner.size)
-    complement = found[~_isin(found, _keys(block, block.shared))]
+    keys, factors = _keys(block), _keys(denom._factors(lo, hi))
+    complement = factors[~_isin(factors, keys)]
     primes = _primes(hi)
     kernel = _multiples(lo, hi, primes, primes)
     # p divides dn(n) for even n exactly when p - 1 divides n; dn(1) = 2
     dn = _multiples(lo, hi - 1, primes, np.maximum(primes - 1, 2))
     dn = np.sort(np.append(dn, 1 << _SHIFT | 2)) if lo == 1 else dn
 
-    shared = s.shared
-    support, coprime = _keys(s), _keys(s, ~shared)
-    support_next, coprime_next = _keys(m, shift=1), _keys(m, ~m.shared, 1)
+    support, support_next = _window(keys, lo, hi - 1), _window(keys, lo + 1, hi, 1)
+    shared, shared_next = s.shared, m.shared  # each mask once; every part is a selection
+    coprime, coprime_next = support[~shared], support_next[~shared_next]
     kernel_next = _window(kernel, lo + 1, hi, 1)
     complement_next = _window(complement, lo + 1, hi, 1)
     db = _product(coprime_next, kernel_next)  # db(n): the kernel of n + 1 times its coprime part
@@ -134,17 +131,17 @@ def _block_verdicts(lo: int, hi: int, out: dict[str, np.ndarray]) -> np.ndarray:
     differ = partial(_differ, lo, size)
     odd = lambda keys: keys[keys >> _SHIFT & 1 == 1]
     stray = ~_isin(kernel_next, support) | ~_isin(kernel_next, coprime)
-    decomposed = _product(_keys(s, shared), _window(complement, lo, hi - 1))
-    triple = _product(coprime_next, _keys(m, m.shared, 1), complement_next)
+    decomposed = _product(support[shared], _window(complement, lo, hi - 1))
+    triple = _product(coprime_next, support_next[shared_next], complement_next)
     for family, verdict in {
-        "decomposition": ~hits(_keys(s, s.p * s.p == s.n))
+        "decomposition": ~hits(support[s.p * s.p == s.n])
         & ~differ(_window(kernel, lo, hi - 1), decomposed),
         "triple-product": ~differ(db, triple) & ~differ(db, _product(support_next, complement_next))
         & ~differ(db, lcm_next) & ~differ(db, _lcm(support, dn)),
-        "dd-odd-iff-power-of-two": ~hits(_keys(s, s.p == 2)) == (n & (n - 1) == 0),
+        "dd-odd-iff-power-of-two": ~hits(support[s.p == 2]) == (n & (n - 1) == 0),
         "composite-radical-divides": next_is_prime | ~hits(kernel_next[stray]),
         "odd-index-lcm": (n % 2 == 0) | (n < 3) | ~differ(odd(support), odd(lcm_next)),
-        "plus-divides-coprime": ~hits(_keys(s, (s.p * s.p > s.n) & shared)),
+        "plus-divides-coprime": ~hits(support[(s.p * s.p > s.n) & shared]),
         "rad-of-power-sum-denom": ~differ(lcm_next, _lcm(coprime_next, kernel_next)),
         "db-even": hits(db[db & _PRIME == 2]),
         "coprime-parity": np.where(
@@ -169,7 +166,6 @@ class _Context:
     def __init__(self, limit: int, oracle_limit: int):
         self.limit = limit
         self.oracle_limit = oracle_limit
-        self._members: dict[int, set[int]] = {}
 
     @cached_property
     def verdicts(self) -> dict[str, np.ndarray]:
@@ -188,11 +184,10 @@ class _Context:
         one window of it per index."""
         return denom.support_block(1, max(self.oracle_limit, 50) + 1)
 
-    def members(self, k: int) -> set[int]:
-        """Indices up to min(limit, 1000) with an integral k-th derivative."""
-        if k not in self._members:
-            self._members[k] = set(scanner.find_sets(k, min(self.limit, 1000)))
-        return self._members[k]
+    @cached_property
+    def members(self) -> dict[int, set[int]]:
+        """For k = 1, 2, 3, the indices up to min(limit, 1000) with an integral k-th derivative."""
+        return {k: set(scanner.find_sets(k, min(self.limit, 1000))) for k in (1, 2, 3)}
 
 
 def _report(family: str, indices, verdicts, fault: tuple[str, int] | None) -> FamilyResult:
@@ -230,10 +225,7 @@ def _check_small_primes(c: _Context, n: int) -> bool:
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
-    hi = min(p * p - 1, limit)
-    if hi < p:
-        return True
-    n = np.arange(p, hi + 1, dtype=np.int64)
+    n = np.arange(p, min(p * p - 1, limit) + 1, dtype=np.int64)
     digit_heavy = (n // p + n % p) >= p
     floor_gap = (n - 1) // (p - 1) > n // p
     return bool(np.array_equal(digit_heavy, floor_gap))
@@ -267,12 +259,7 @@ def _check_reflection(c: _Context, n: int) -> bool:
 
 def _check_power_sums(c: _Context, n: int) -> bool:
     poly = oracle.sum_of_powers_polynomial(n)
-    total = 0
-    for m in range(21):
-        if poly(m) != total:
-            return False
-        total += m**n
-    return True
+    return all(poly(m) == sum(j**n for j in range(m)) for m in range(21))
 
 
 def _each(predicate: Callable[[_Context, int], bool]):
@@ -284,19 +271,16 @@ def _from_blocks(name: str, c: _Context, indices) -> np.ndarray:
     return c.verdicts[name]
 
 
-def _upto_limit(c: _Context) -> range:
-    return range(1, c.limit + 1)
-
-
 def _floor_bound(c: _Context) -> int:
     return min(c.limit, 10**4)
 
 
 # name: (indices(context), verdicts(context, indices)), in reporting order
 _FAMILIES = {
-    **{name: (_upto_limit, partial(_from_blocks, name)) for name in _BLOCK_FAMILIES},
+    **{name: (lambda c: range(1, c.limit + 1), partial(_from_blocks, name))
+       for name in _BLOCK_FAMILIES},
     "derivative-small-primes": (lambda c: range(1, 51), _each(_check_small_primes)),
-    "set-nesting": (lambda c: (1, 2), _each(lambda c, k: c.members(k) <= c.members(k + 1))),
+    "set-nesting": (lambda c: (1, 2), _each(lambda c, k: c.members[k] <= c.members[k + 1])),
     "floor-digit-equivalence": (
         lambda c: shared_sieve(c.limit).primes_in(2, _floor_bound(c)),
         _each(lambda c, p: _check_floor_equivalence(p, _floor_bound(c))),

@@ -306,6 +306,15 @@ class TestProfile:
             profile(n)
             assert sorted(calls) == [n, n + 1]
 
+    def test_builds_one_sieve_for_both_supports(self, monkeypatch):
+        # n + 1 = 10^8 is a square: sized for isqrt(n) = 9,999 first, the sieve was built twice
+        limits = []
+        real_sieve = arith.sieve
+        monkeypatch.setattr(arith, "_SHARED", None)
+        monkeypatch.setattr(arith, "sieve", lambda limit: limits.append(limit) or real_sieve(limit))
+        profile(10**8 - 1)  # validate() runs inside
+        assert limits == [10_000]
+
     def test_validate_rejects_tampering(self):
         import dataclasses
 
@@ -510,6 +519,41 @@ class TestPrimePairs:
         assert support.minus.tolist() == expected
         # the square itself wraps in int64 and misplaces some primes
         assert (support.p * support.p < support.n).tolist() != expected
+
+
+class TestFactors:
+    """The block factoriser against arith.prime_divisors, which shares no code with it."""
+
+    def test_matches_prime_divisors_exhaustively(self):
+        # windows of one block, and of an odd width, that straddle the block seams
+        block = denom._SUPPORT_BLOCK
+        for first, width in [(block // 2, block), (333, 777)]:
+            starts = [1, *range(first + 1, 30_000, width)]
+            for lo, hi in zip(starts, [*(s - 1 for s in starts[1:]), 30_000]):
+                found = denom._factors(lo, hi)
+                assert (found.lo, found.hi) == (lo, hi)
+                assert found.tuples() == [prime_divisors(m) for m in range(lo, hi + 1)], (lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_windows_to_1e12(self, data):
+        hi = data.draw(st.integers(1, 10**12), label="hi")
+        lo = max(hi - data.draw(st.integers(1, 1 << 12), label="width") + 1, 1)
+        found = denom._factors(lo, hi).tuples()
+        assert len(found) == hi - lo + 1
+        # trial division near 10^12 takes up to 0.1 s an index, so most indices are
+        # checked from the definition: ascending primes whose powers make up m
+        for m, primes in zip(range(lo, hi + 1), found):
+            assert list(primes) == sorted(set(primes)) and all(map(is_prime, primes)), m
+            rest = m
+            for q in primes:
+                assert rest % q == 0, (m, q)
+                while rest % q == 0:
+                    rest //= q
+            assert rest == 1, m
+        picks = data.draw(st.lists(st.integers(lo, hi), max_size=3), label="picks")
+        for m in sorted({lo, hi, *picks}):
+            assert found[m - lo] == prime_divisors(m), m
 
 
 class TestHeavyRuns:

@@ -6,6 +6,8 @@ with that index as its witness, and checked must be its position in the
 family's index order.
 """
 
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,22 @@ def test_lambda_prime_bound_catches_runs_that_start_early(monkeypatch):
     monkeypatch.setattr(denom, "heavy_runs", early)
     [result] = verify.run_verification(limit=1000, families=["lambda-prime-bound"])
     assert (result.passed, result.witness, result.checked) == (False, 37, 12)
+
+
+@pytest.mark.parametrize("family, witness", [("decomposition", 37), ("triple-product", 36)])
+def test_complements_catch_a_factoriser_that_drops_the_large_prime(monkeypatch, family, witness):
+    # the block [1, 1025] divides by the primes to 32; 37 is the first index
+    # whose prime above that is lost, and triple-product reads it at n + 1
+    factors = denom._factors
+
+    def small_only(lo, hi):
+        found = factors(lo, hi)
+        keep = found.p <= isqrt(hi)
+        return denom.PrimePairs(lo, hi, found.n[keep], found.p[keep])
+
+    monkeypatch.setattr(denom, "_factors", small_only)
+    [result] = verify.run_verification(limit=3000, oracle_limit=1, families=[family])
+    assert (result.passed, result.witness, result.checked) == (False, witness, witness)
 
 
 class TestLambdaPrimeBound:
