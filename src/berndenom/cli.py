@@ -7,7 +7,8 @@ JSON payload and as CSV rows, and hands both to _emit, which writes the one
 counterexample, 2 on usage errors, 141 when the reader of stdout closes it
 early. Values that may exceed 2**53 are emitted as decimal strings in JSON.
 scanner and verify are imported by the commands that run them, so profile
-and seq start without loading either.
+and seq start without loading either. run() is the process entry: it exits
+without the interpreter's teardown once main has written and closed everything.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # berndenom calls no BLAS: numpy's pool only spins
 from . import denom
 from .arith import SieveSizeError, decimal_str, is_prime
 
@@ -251,5 +253,12 @@ def main(argv=None) -> int:
         return 141
 
 
+def run() -> None:
+    code = main()  # every byte is written and every file closed by now
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

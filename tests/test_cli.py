@@ -1,3 +1,4 @@
+import ast
 import glob
 import json
 import os
@@ -638,18 +639,25 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def loaded_modules(code):
-    """sys.modules after running code in a fresh interpreter."""
+def probe(code, **env):
+    """The words of the last stderr line of code run in a fresh interpreter.
+    OPENBLAS_NUM_THREADS is unset unless env sets it: importing cli here set
+    it in this process, and the probe must not inherit the pin it checks."""
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
-    probe = code + "\nprint(' '.join(sys.modules), file=sys.stderr)"
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     err = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + probe],
-        env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-c", "import os, sys\n" + code],
+        env=dict(environ, PYTHONPATH=src, **env),
         capture_output=True,
         text=True,
         check=True,
     ).stderr
-    return set(err.splitlines()[-1].split())
+    return err.splitlines()[-1].split()
+
+
+def loaded_modules(code):
+    """sys.modules after running code in a fresh interpreter."""
+    return set(probe(code + "\nprint(' '.join(sys.modules), file=sys.stderr)"))
 
 
 def test_cli_start_does_not_import_the_process_pool():
@@ -679,9 +687,68 @@ IMPORT_SURFACE = {
 }
 
 
+TASKS = "/proc/self/task"  # one entry per thread of the process, on Linux
+
+
 @pytest.mark.parametrize("command", sorted(IMPORT_SURFACE))
 def test_command_loads_only_its_modules(command):
     argv, unused = IMPORT_SURFACE[command]
-    loaded = loaded_modules(f"from berndenom.cli import main\nassert main({argv!r}) == 0")
+    threads, *loaded = probe(
+        f"from berndenom.cli import main\nassert main({argv!r}) == 0\n"
+        f"print(len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else 0, *sys.modules, "
+        "file=sys.stderr)"
+    )
     assert "berndenom.denom" in loaded  # the probe ran the command
-    assert loaded & (unused | {"concurrent.futures"}) == set()
+    assert set(loaded) & (unused | {"concurrent.futures"}) == set()
+    if threads == "0":
+        pytest.skip(f"no {TASKS} to count threads in")
+    # numpy's import starts an OpenBLAS worker unless cli pins the pool to one thread
+    assert threads == "1"
+
+
+def test_callers_blas_setting_wins_over_the_pin():
+    code = "import berndenom.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)"
+    assert probe(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+BLAS_NAMES = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg"}
+
+
+def test_package_calls_no_blas():
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(berndenom.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(getattr(node, "op", None), ast.MatMult) or name in BLAS_NAMES:
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not found, (
+        "cli pins OpenBLAS to one thread because berndenom calls no BLAS; "
+        f"these look like BLAS calls: {found}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["seq", "omega_plus", "1", "300000"], 0),
+        (["--format", "json", "seq", "dd", "1", "3000"], 0),
+        (["verify", "--limit", "50", "--oracle-limit", "5", "--inject-fault", "decomposition:3"], 1),
+    ],
+    ids=["csv", "json", "counterexample"],
+)
+def test_process_entry_writes_and_exits_as_main_returns(capsys, argv, expected):
+    # run() ends the process with os._exit, which flushes no buffer; unbuffered
+    # output would hide a lost one, so stdout is block-buffered into the pipe
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-m", "berndenom", *argv],
+        env=dict(environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=60,
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (done.returncode, done.stderr) == (code, err.encode()) == (expected, b"")
+    assert done.stdout == out.encode()
