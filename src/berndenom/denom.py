@@ -73,8 +73,8 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 1 << 20
 """Indices per chunk of _run_count_chunks(), and a scan's default chunk."""
 
-_RUN_BATCH = 1 << 16
-"""Most runs or (prime, index) pairs in one batch, so memory is O(window + batch)."""
+_RUN_BATCH = 1 << 15
+"""Most runs or (prime, index) pairs in one batch: its int64 arrays take 256 KiB each."""
 
 _SUPPORT_BLOCK = 1 << 10
 """Indices per block of support_blocks(), so memory is O(block * support size)."""
@@ -139,7 +139,9 @@ def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
         skip = np.maximum(b0 - begins, 0)
         take = np.minimum(b1 - begins, count[g0:g1]) - skip
         base = first[g0:g1] + skip - (np.cumsum(take) - take)
-        yield np.repeat(keys[g0:g1], take), np.repeat(base, take) + np.arange(b1 - b0)
+        values = np.repeat(base, take)
+        values += np.arange(b1 - b0)
+        yield np.repeat(keys[g0:g1], take), values
 
 
 def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
@@ -149,7 +151,8 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
     indices below (a1+1)p where p's digit sum reaches p, less the top cut of
     them. Batches of at most _RUN_BATCH nonempty runs come as arrays
     (index, begin, stop): primes[index] is heavy at lo + begin <= n < lo + stop,
-    its run clipped to [lo, hi]. primes must be ascending int64.
+    its run clipped to [lo, hi]; the three are the batch's own, filled in place
+    with no temporary beside them. primes must be ascending int64.
 
     Quotient-major: for each a1 the primes whose run meets [lo, hi] form one
     slice of primes, found for every a1 by one vectorised search. A run
@@ -160,11 +163,13 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
     first = np.searchsorted(primes, lower)
     last = np.searchsorted(primes, (hi + quotients) // (quotients + 1), "right")
     for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
-        # a scan's memory peaks here: work in place, and let go of each
-        # batch before building the next (callers drop theirs too)
-        stop = (a1 + 1) * primes[index]
-        begin = np.maximum(stop - a1 - lo, 0, out=a1)
-        np.minimum(stop - (lo + cut), hi - lo + 1, out=stop)
+        # a scan's memory peaks here: fill the batch's own three arrays in
+        # place, and let go of them before the next (callers drop theirs too)
+        stop = primes[index]
+        stop *= np.add(a1, 1, out=a1)  # (a1+1)p, with a1 + 1 left in a1
+        begin = np.subtract(stop, a1, out=a1)
+        np.maximum(np.add(begin, 1 - lo, out=begin), 0, out=begin)
+        np.minimum(np.subtract(stop, lo + cut, out=stop), hi - lo + 1, out=stop)
         yield index, begin, stop
         del a1, index, begin, stop
 
@@ -173,15 +178,17 @@ def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
     """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ..., cut) hold n.
 
     With cut = 0 that is omega_+(n), the number of heavy primes above
-    sqrt(n): a run holds only n < (a1+1)p <= p^2.
+    sqrt(n): a run holds only n < (a1+1)p <= p^2. The counts fit int16: the
+    runs of one a1, each the a1 indices below a multiple of a1 + 1, are disjoint,
+    and a1 <= isqrt(hi) <= isqrt(2 * DEFAULT_SIEVE_CAP + 1) = 11,585 < 2^15.
     """
     length = hi - lo + 1
-    delta = np.zeros(length + 1, dtype=np.int32)
+    delta = np.zeros(length + 1, dtype=np.int16)
     for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array, cut):
-        np.add.at(delta, begin, np.int32(1))  # a Python 1 takes a path 20x slower
-        np.subtract.at(delta, stop, np.int32(1))
+        np.add.at(delta, begin, np.int16(1))  # a Python 1 takes a path 20x slower
+        np.subtract.at(delta, stop, np.int16(1))
         del begin, stop  # before heavy_runs builds the next batch
-    return np.cumsum(delta[:length], dtype=np.int32, out=delta[:length])
+    return np.cumsum(delta[:length], dtype=np.int16, out=delta[:length])
 
 
 def _run_count_chunks(lo: int, hi: int, cut: int = 0) -> Iterator[tuple[int, np.ndarray]]:

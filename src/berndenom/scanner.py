@@ -4,7 +4,7 @@ omega_+(n) counts the primes p > sqrt(n) whose base-p digit sum of n
 reaches p. Such a prime is heavy at n exactly on the runs
 [(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p. Every reader here counts them
 with denom._run_count_chunks, 2^20 indices at a time whatever its range: the
-runs of denom.heavy_runs are scattered into an int32 difference array and
+runs of denom.heavy_runs are scattered into an int16 difference array and
 summed, so a step costs O(2^20 + batch) memory and O(2^20 + runs) time.
 
 The same count with every run cut short at the top by k - 1 is find_sets'
@@ -235,11 +235,11 @@ class ScanResult:
 def _scan_chunks(pending, threads: int):
     """Scan each pending range and yield its ScanChunk, in order.
 
-    With several threads and os.fork, worker w of W scans pending[w::W],
-    writing each chunk's record to its own pipe, and chunk i is read back
-    from worker i mod W. Workers inherit the sieve run_scan sized.
-    Each keeps only its own write end, so a dead parent ends it at its next
-    write; the parent kills and reaps every worker however it leaves.
+    With W threads and os.fork, worker w scans pending[w::W] and chunk i
+    comes from worker i mod W: worker 0 is the parent, inline, and the W - 1
+    it forks inherit the sieve run_scan sized and write records to their own
+    pipes. Each keeps only its own write end, so a dead parent ends it at its
+    next write; the parent kills and reaps every worker however it leaves.
     """
     workers = min(threads, len(pending)) if hasattr(os, "fork") else 1
     if workers <= 1:
@@ -249,11 +249,11 @@ def _scan_chunks(pending, threads: int):
 
     readers, writers, pids = [], [], []
     try:
-        for _ in range(workers):
+        for _ in range(1, workers):
             read_end, write_end = os.pipe()
             readers.append(open(read_end, "rb"))
             writers.append(open(write_end, "wb"))
-        for w, out in enumerate(writers):
+        for w, out in enumerate(writers, 1):
             pid = os.fork()
             if pid == 0:
                 _work(pending[w::workers], readers + writers, out)
@@ -261,7 +261,10 @@ def _scan_chunks(pending, threads: int):
         for out in writers:
             out.close()
         for i, (lo, hi) in enumerate(pending):
-            line = readers[i % workers].readline()
+            if i % workers == 0:
+                yield scan_omega_plus(lo, hi)
+                continue
+            line = readers[i % workers - 1].readline()
             if not line.endswith(b"\n"):
                 raise RuntimeError(f"scan worker {i % workers} exited before chunk [{lo}, {hi}]")
             yield _load(line)

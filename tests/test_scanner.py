@@ -5,6 +5,7 @@ import json
 import os
 import signal
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ class TestScanOmegaPlus:
             scan_omega_plus(0, 10)
         with pytest.raises(ValueError):
             scan_omega_plus(10, 5)
+
+
+class TestSixteenBitCounts:
+    """The counts are int16: one run per quotient a1 <= isqrt(hi) holds n at most."""
+
+    def test_the_sieve_cap_keeps_every_count_below_2_15(self):
+        # a scan's hi is at most 2 * cap + 1, as it sieves to (hi + 1) // 2; a
+        # higher cap fails here instead of wrapping the counts silently
+        assert isqrt(2 * arith.DEFAULT_SIEVE_CAP + 1) < 2**15
+
+    def test_counts_are_int16(self):
+        assert denom._run_counts(1, 100).dtype == np.int16
+        assert denom._run_counts(1000, 1100, 3).dtype == np.int16
+
+    @pytest.mark.parametrize("lo, hi", [(1, 5000), (10**6 - 4096, 10**6), (2**23 - 4096, 2**23)])
+    def test_no_count_exceeds_isqrt_hi(self, lo, hi):
+        counts = denom._run_counts(lo, hi)
+        assert counts.min() >= 0 and counts.max() <= isqrt(hi)
+        assert counts[-1] == denom.omega_dd_plus(hi)  # the top count, past 255 at 2^23
 
 
 @functools.cache
@@ -215,22 +235,23 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestMemory:
-    def test_one_chunk_costs_three_int32_arrays(self):
+    def test_one_chunk_costs_two_int16_arrays(self):
+        # a 2 MiB int16 step and one batch of 2^15 runs: 3.1 MiB traced
         chunk = scanner.DEFAULT_CHUNK_SIZE
         arith.shared_sieve((chunk + 1) // 2)  # built before tracing: the chunk alone is measured
-        assert traced_peak(scan_omega_plus, 1, chunk) < 3 * 4 * chunk
+        assert traced_peak(scan_omega_plus, 1, chunk) < 2 * 2 * chunk
 
     def test_scan_holds_one_sweep_step_whatever_its_chunk(self):
         # a chunk of four sweep steps: the counts of one step at a time, not of the chunk
         arith.shared_sieve((4 * denom.DEFAULT_CHUNK_SIZE + 1) // 2)  # built before tracing
-        assert traced_peak(scan_omega_plus, 1, 4 * denom.DEFAULT_CHUNK_SIZE) < 10 << 20
+        assert traced_peak(scan_omega_plus, 1, 4 * denom.DEFAULT_CHUNK_SIZE) < 4 << 20
 
     def test_omega_plus_sequence_holds_one_chunk(self):
-        # one chunk's int32 counts and the list of its values, not the range's
+        # one chunk's int16 counts and the list of its values, not the range's: 10.6 MiB
         chunk = denom.DEFAULT_CHUNK_SIZE
         arith.shared_sieve((4 * chunk + 1) // 2)  # built before tracing
         drain = lambda: collections.deque(denom.sequence("omega_plus", 1, 4 * chunk), maxlen=0)
-        assert traced_peak(drain) < 4 * 4 * chunk
+        assert traced_peak(drain) < 12 << 20
 
     def test_find_sets_peak_is_flat_in_the_limit(self):
         arith.shared_sieve(((1 << 23) + 2) // 2)  # both runs read this cache, built untraced
@@ -443,10 +464,16 @@ class TestRunScan:
         for shape in shapes:
             assert scan("patched", *shape) == expected[shape], shape
 
-    def test_parallel_equals_serial(self):
-        serial = run_scan(6000, chunk_size=1500, threads=1)
-        parallel = run_scan(6000, chunk_size=1500, threads=2)
-        assert serial == parallel
+    def test_parallel_equals_serial(self, tmp_path):
+        # six chunks: the parent scans chunks 0 and 4 of them on four workers
+        def scan(threads):
+            path = tmp_path / f"{threads}.ckpt"
+            result = run_scan(6000, chunk_size=1000, threads=threads, checkpoint_path=path)
+            return result, path.read_bytes()
+
+        serial = scan(1)
+        for threads in (2, 3, 4):
+            assert scan(threads) == serial, threads
 
     def test_failing_worker_stops_the_scan_after_the_chunks_before_it(self, tmp_path, monkeypatch, capfd):
         serial = tmp_path / "serial.ckpt"
@@ -470,9 +497,11 @@ class TestRunScan:
     def test_workers_leave_an_interrupt_to_the_parent(self, monkeypatch):
         expected = run_scan(6000, chunk_size=500)
         real = scanner.scan_omega_plus
+        parent = os.getpid()
 
         def interrupted(lo, hi):
-            os.kill(os.getpid(), signal.SIGINT)  # a worker ignores it; here it would raise
+            if os.getpid() != parent:  # the parent scans every other chunk itself
+                os.kill(os.getpid(), signal.SIGINT)  # a worker ignores it; the parent would raise
             return real(lo, hi)
 
         monkeypatch.setattr(scanner, "scan_omega_plus", interrupted)
