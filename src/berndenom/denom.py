@@ -18,7 +18,7 @@ one of two routes:
   sorted int64 arrays. Primes up to isqrt(hi) are tested with vectorised
   digit sums; heavy_runs() enumerates the runs of the larger primes
   quotient-major, and _run_counts() counts the same runs without
-  materialising any support: that count is omega_+(n).
+  materialising any support: that count is omega_+(n), seq omega_plus.
 
 Either way a support is cut by the masks of PrimePairs: minus (p below
 sqrt(n)), shared (p divides n) and kept(k) (p divides none of n, ...,
@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 20
-"""Indices per chunk of _run_count_chunks(), and a scan's default chunk."""
+"""Indices per step of _run_count_chunks() and of the scanner's cover; a scan's default chunk."""
 
 _RUN_BATCH = 1 << 15
 """Most runs or (prime, index) pairs in one batch: its int64 arrays take 256 KiB each."""
@@ -144,7 +144,7 @@ def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
         yield np.repeat(keys[g0:g1], take), values
 
 
-def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
+def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0, depth: int | None = None):
     """Yield the runs of heavy indices of the given primes that meet [lo, hi].
 
     The run of a prime p > a1 >= 1 is [(a1+1)p - a1, (a1+1)p - 1 - cut]: the
@@ -156,12 +156,15 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
 
     Quotient-major: for each a1 the primes whose run meets [lo, hi] form one
     slice of primes, found for every a1 by one vectorised search. A run
-    starts above a1^2, so a1 never exceeds sqrt(hi).
+    starts above a1^2, so a1 never exceeds sqrt(hi). With a depth, a1 yields only the runs
+    below (a1 + depth + 1)^2, the n whose depth + 1 largest quotients include a1.
     """
-    quotients = np.arange(cut + 1, isqrt(hi) + 1, dtype=np.int64)
+    least = cut + 1 if depth is None else max(cut + 1, isqrt(lo) - depth)
+    quotients = np.arange(least, isqrt(hi) + 1, dtype=np.int64)
+    top = hi if depth is None else np.minimum(hi, (quotients + depth + 1) ** 2 - 1)
     lower = np.maximum(quotients + 1, -(-(lo + 1 + cut) // (quotients + 1)))
     first = np.searchsorted(primes, lower)
-    last = np.searchsorted(primes, (hi + quotients) // (quotients + 1), "right")
+    last = np.searchsorted(primes, (top + quotients) // (quotients + 1), "right")
     for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
         # a scan's memory peaks here: fill the batch's own three arrays in
         # place, and let go of them before the next (callers drop theirs too)
@@ -174,29 +177,29 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0):
         del a1, index, begin, stop
 
 
-def _run_counts(lo: int, hi: int, cut: int = 0) -> np.ndarray:
-    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ..., cut) hold n.
+def _run_counts(lo: int, hi: int) -> np.ndarray:
+    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ...) hold n.
 
-    With cut = 0 that is omega_+(n), the number of heavy primes above
-    sqrt(n): a run holds only n < (a1+1)p <= p^2. The counts fit int16: the
+    That is omega_+(n), the number of heavy primes above sqrt(n): a run
+    holds only n < (a1+1)p <= p^2. The counts fit int16: the
     runs of one a1, each the a1 indices below a multiple of a1 + 1, are disjoint,
     and a1 <= isqrt(hi) <= isqrt(2 * DEFAULT_SIEVE_CAP + 1) = 11,585 < 2^15.
     """
     length = hi - lo + 1
     delta = np.zeros(length + 1, dtype=np.int16)
-    for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array, cut):
+    for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array):
         np.add.at(delta, begin, np.int16(1))  # a Python 1 takes a path 20x slower
         np.subtract.at(delta, stop, np.int16(1))
         del begin, stop  # before heavy_runs builds the next batch
     return np.cumsum(delta[:length], dtype=np.int16, out=delta[:length])
 
 
-def _run_count_chunks(lo: int, hi: int, cut: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, _run_counts(start, end, cut)) over [lo, hi], a chunk of DEFAULT_CHUNK_SIZE at a
-    time: the one sweep that scans, find_sets, find_rad_set and seq omega_plus read."""
+def _run_count_chunks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, _run_counts(start, end)) over [lo, hi], a chunk of DEFAULT_CHUNK_SIZE at a
+    time: the values of seq omega_plus."""
     shared_sieve((hi + 1) // 2)  # once, for every chunk
     for start in range(lo, hi + 1, DEFAULT_CHUNK_SIZE):
-        yield start, _run_counts(start, min(start + DEFAULT_CHUNK_SIZE - 1, hi), cut)
+        yield start, _run_counts(start, min(start + DEFAULT_CHUNK_SIZE - 1, hi))
 
 
 class PrimePairs(NamedTuple):

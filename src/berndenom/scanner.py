@@ -2,16 +2,16 @@
 
 omega_+(n) counts the primes p > sqrt(n) whose base-p digit sum of n
 reaches p. Such a prime is heavy at n exactly on the runs
-[(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p. Every reader here counts them
-with denom._run_count_chunks, 2^20 indices at a time whatever its range: the
-runs of denom.heavy_runs are scattered into an int16 difference array and
-summed, so a step costs O(2^20 + batch) memory and O(2^20 + runs) time.
+[(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p, and a1 = n // p <= isqrt(n).
+A scan wants only the n where that count is zero: near a1 = sqrt(n) one
+quotient's few runs hold about 2 / ln n of all indices, so each step of 2^20
+indices covers n with the runs of its largest quotients alone (_zeros).
 
-The same count with every run cut short at the top by k - 1 is find_sets'
+The same test with every run cut short at the top by k - 1 is find_sets'
 prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
 when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
 stays in the denominator of the k-th derivative at n = m + k - 1. The cut-1
-count, zero where every heavy prime above sqrt(n) divides n + 1, is radset's.
+test, passed where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
 A scan's chunk_size sets only what one checkpoint record covers and what one
 worker process takes. A chunk's result, a ScanChunk, is what a checkpoint
@@ -24,17 +24,18 @@ workers inherit that sieve, so no chunk makes the cache grow again.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
 from dataclasses import asdict, dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
+from . import denom
 from .arith import radical, shared_sieve
-from .denom import DEFAULT_CHUNK_SIZE, _run_count_chunks, db_k, dd
+from .denom import DEFAULT_CHUNK_SIZE, db_k, dd
 
 __all__ = [
     "CheckpointError",
@@ -60,6 +61,7 @@ class CheckpointError(RuntimeError):
 
 def chunk_checksum(lo: int, hi: int, exceptional: Sequence[int]) -> str:
     """Digest of a chunk's persisted results (bounds plus exceptional list)."""
+    import hashlib  # here and in run_scan alone: sets, radset and verify never load it
     payload = "omega-scan:%d:%d:%s" % (lo, hi, ",".join(map(str, exceptional)))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -76,11 +78,45 @@ class ScanChunk:
     checksum: str
 
 
+_DEPTH = 64
+"""Largest quotients per index, past cut, that the cover reads; only speed depends on it:
+on [1, 5*10^6], 32 left 2,843 indices to the walk, 64 left 26, and 128 doubled the runs."""
+
+
+def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np.ndarray:
+    """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, primes, cut, depth) holds: as
+    many runs stop as begin at or below such n, so with the begins and the stops sorted
+    apart they are the gaps [stops[i - 1], begins[i]), stops[-1] = 0, begins[runs] = hi - lo + 1."""
+    starts, ends = [np.zeros(1, np.int32)], [np.full(1, hi - lo + 1, np.int32)]
+    for _, begin, stop in denom.heavy_runs(lo, hi, primes, cut, depth):
+        ends.append(begin.astype(np.int32))  # offsets below 2^20: half of int64
+        starts.append(stop.astype(np.int32))
+        del begin, stop  # before heavy_runs builds the next batch
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    starts.sort()  # in place, as is ends: 0 stays first and hi - lo + 1 goes last
+    ends.sort()
+    starts, sizes = starts[ends > starts], (ends - starts)[ends > starts]
+    return np.repeat(starts - np.cumsum(sizes) + sizes + lo, sizes) + np.arange(sizes.sum())
+
+
+def _held_below(n: int, cut: int, depth: int, primes: np.ndarray) -> bool:
+    """Whether a quotient a < isqrt(n) - depth holds n: by qualifying_primes' rule, cut short."""
+    a = np.arange(cut + 1, isqrt(n) - depth, dtype=np.int64)
+    q, r = np.divmod(n, a + 1)
+    p = q[(r >= 1) & (r <= a - cut) & (q >= a)] + 1
+    return bool(np.any(primes.searchsorted(p, "right") > primes.searchsorted(p)))
+
+
 def _zeros(lo: int, hi: int, cut: int):
-    """Ascending n in [lo, hi] that no heavy run cut short by cut holds."""
-    for start, counts in _run_count_chunks(lo, hi, cut):
-        yield from (np.flatnonzero(counts == 0) + start).tolist()
-        del counts  # before the next chunk's counts are built
+    """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time; a cut
+    run holds only a1 - cut indices of its period, so the cover reads cut more quotients."""
+    primes = shared_sieve((hi + 1) // 2).array  # once, for every step
+    depth = _DEPTH + cut
+    for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
+        left = _uncovered(start, min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), cut, depth, primes)
+        walked = left >= (cut + depth + 2) ** 2  # below it, no quotient lies under the cover
+        yield from left[~walked].tolist()
+        yield from (n for n in left[walked].tolist() if not _held_below(n, cut, depth, primes))
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
@@ -97,7 +133,7 @@ def find_sets(k: int, limit: int) -> tuple[int, ...]:
     Indices n <= k give a constant or vanishing derivative and are members
     outright. Beyond that, membership forces every prime above sqrt(n-k+1)
     with a heavy digit sum to divide the falling factorial (n)_{k-1}. That
-    prefilter is the scan's run count with each run cut short by k - 1 at
+    prefilter is the scan's test with each run cut short by k - 1 at
     m = n - k + 1; it discards almost every index, and the survivors are
     confirmed with the full db_k product before being reported.
     """
@@ -331,5 +367,6 @@ def run_scan(
 
     ordered = sorted(chunks.values(), key=lambda c: c.lo)
     exceptional = tuple(n for c in ordered for n in c.exceptional)
+    import hashlib
     digest = hashlib.sha256("|".join(c.checksum for c in ordered).encode("ascii")).hexdigest()
     return ScanResult(exceptional=exceptional, digest=digest)

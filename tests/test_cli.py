@@ -671,8 +671,9 @@ def test_bare_package_import_loads_no_numpy():
     assert not {m for m in loaded if m.startswith("berndenom.")}
 
 
-# each command, and the modules it must not load; none needs the process pool
-_HEAVY = {"berndenom.scanner", "berndenom.verify", "berndenom.oracle", "fractions"}
+# each command, and the modules it must not load; none needs the process pool,
+# and only a scan hashes, so no other command loads hashlib and its OpenSSL
+_HEAVY = {"berndenom.scanner", "berndenom.verify", "berndenom.oracle", "fractions", "hashlib"}
 IMPORT_SURFACE = {
     "profile": (["profile", "8"], _HEAVY),
     "seq": (["seq", "db_k", "1", "30", "--k", "2"], _HEAVY),
@@ -681,9 +682,9 @@ IMPORT_SURFACE = {
         ["scan", "--limit", "1000", "--chunk", "100", "--threads", "2"],
         {"berndenom.verify", "berndenom.oracle", "concurrent.futures", "multiprocessing"},
     ),
-    "sets": (["sets", "--k", "2", "--limit", "200"], {"berndenom.verify", "berndenom.oracle"}),
-    "radset": (["radset", "--limit", "200"], {"berndenom.verify", "berndenom.oracle"}),
-    "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], set()),
+    "sets": (["sets", "--k", "2", "--limit", "200"], {"berndenom.verify", "berndenom.oracle", "hashlib"}),
+    "radset": (["radset", "--limit", "200"], {"berndenom.verify", "berndenom.oracle", "hashlib"}),
+    "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], {"hashlib"}),
 }
 
 

@@ -571,6 +571,22 @@ class TestHeavyRuns:
             missing = [p for p in above if all((m + i) % p for i in range(1, cut + 1))]
             assert counts[m - lo] == len(missing), m
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    @pytest.mark.parametrize("lo, hi, cut", [(1, 3000, 0), (150, 1200, 1), (2000, 2100, 0), (4000, 9000, 3)])
+    def test_depth_keeps_the_runs_among_the_top_quotients(self, lo, hi, cut, depth):
+        # a run of p holds n with quotient a = n // p; with a depth it is kept
+        # exactly when a >= isqrt(n) - depth at some n it holds in [lo, hi]
+        primes = sieve(hi).array
+        runs = lambda d: {
+            (p, lo + b, lo + s)
+            for index, begin, stop in heavy_runs(lo, hi, primes, cut, d)
+            for p, b, s in zip(primes[index].tolist(), begin.tolist(), stop.tolist())
+        }
+        full, deep = runs(None), runs(depth)
+        assert deep <= full
+        for p, b, s in full:
+            assert ((p, b, s) in deep) == any(n // p >= isqrt(n) - depth for n in range(b, s))
+
 
 class TestSequence:
     @pytest.mark.parametrize("lo, hi", [(1, 60), (1, 2), (700, 760)])

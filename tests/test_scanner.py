@@ -39,8 +39,9 @@ S3 = (
 )
 RAD_SET = (3, 5, 8, 9, 11, 27, 29, 35, 59)
 
-# chunk sizes of denom._run_count_chunks, the sweep behind scan_omega_plus,
-# find_sets, find_rad_set and sequence("omega_plus"): none may change what they report
+# steps of denom._run_count_chunks, behind sequence("omega_plus"), and of
+# scanner._zeros, behind scan_omega_plus, find_sets and find_rad_set: none
+# may change what they report
 CHUNK_GRIDS = pytest.mark.parametrize("chunk", [1, 7, 64, denom.DEFAULT_CHUNK_SIZE])
 
 
@@ -86,7 +87,7 @@ class TestSixteenBitCounts:
 
     def test_counts_are_int16(self):
         assert denom._run_counts(1, 100).dtype == np.int16
-        assert denom._run_counts(1000, 1100, 3).dtype == np.int16
+        assert denom._run_counts(1000, 1100).dtype == np.int16
 
     @pytest.mark.parametrize("lo, hi", [(1, 5000), (10**6 - 4096, 10**6), (2**23 - 4096, 2**23)])
     def test_no_count_exceeds_isqrt_hi(self, lo, hi):
@@ -163,6 +164,75 @@ class TestChunkIndependence:
         assert chunk_checksum(1, 5000, exceptional) == direct.checksum
 
 
+def full_counts(lo, hi, cut):
+    """For each n in [lo, hi], how many runs of heavy_runs cut short by cut
+    hold n, every quotient counted: _run_counts itself for cut 0."""
+    if cut == 0:
+        return denom._run_counts(lo, hi)
+    delta = np.zeros(hi - lo + 2, dtype=np.int64)
+    for _, begin, stop in denom.heavy_runs(lo, hi, arith.shared_sieve((hi + 1) // 2).array, cut):
+        np.add.at(delta, begin, 1)
+        np.subtract.at(delta, stop, 1)
+    return np.cumsum(delta[:-1])
+
+
+def full_zeros(lo, hi, cut):
+    return (np.flatnonzero(full_counts(lo, hi, cut) == 0) + lo).tolist()
+
+
+COVER_TOP = 134_000_000  # the largest scan the sieve cap admits
+
+
+class TestCover:
+    """_zeros reads the runs of each index's _DEPTH + cut + 1 largest quotients
+    and walks the smaller ones only at the indices those runs leave uncovered."""
+
+    @CHUNK_GRIDS
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_windows_match_the_full_count(self, chunk, data):
+        width = data.draw(st.integers(1, min(1 << 16, 64 * chunk)), label="width")
+        cut = data.draw(st.integers(0, 63) | st.integers(64, 3000), label="cut")
+        depth = scanner._DEPTH + cut
+        edge = data.draw(st.sampled_from(["any", "a^2", "(a+depth+1)^2"]), label="edge")
+        if edge == "any":
+            hi = data.draw(st.integers(1, COVER_TOP), label="hi")
+        else:  # a window across the first or the last index whose top quotients hold a
+            a = data.draw(st.integers(cut + 1, isqrt(COVER_TOP) - depth - 1), label="a")
+            mark = a * a if edge == "a^2" else (a + depth + 1) ** 2
+            hi = min(mark + data.draw(st.integers(0, width - 1), label="above"), COVER_TOP)
+        lo = max(hi - width + 1, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+            assert list(scanner._zeros(lo, hi, cut)) == full_zeros(lo, hi, cut)
+
+    @pytest.mark.parametrize("lo, hi, cut", [(1, 20_000, 0), (1, 20_000, 3), (10**8, 10**8 + 500, 0)])
+    def test_the_walk_decides_what_a_shallow_cover_leaves(self, monkeypatch, lo, hi, cut):
+        # at depth 64 the walk sees almost nothing; at depth 2 hundreds of
+        # indices reach it, and it rejects nine in ten of them or more
+        monkeypatch.setattr(scanner, "_DEPTH", 2)
+        zeros = list(scanner._zeros(lo, hi, cut))
+        assert zeros == full_zeros(lo, hi, cut)
+        left = scanner._uncovered(lo, hi, cut, 2 + cut, arith.shared_sieve((hi + 1) // 2).array)
+        assert left.size > 400 and len(zeros) < left.size // 10
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_the_walk_starts_where_a_shallower_cover_stops(self, monkeypatch, depth):
+        # quotient 1, the first below a depth-0 cover, holds 5 = 2 * 3 - 1, and
+        # below a depth-1 cover it holds 9: walking only from one square later misses them
+        monkeypatch.setattr(scanner, "_DEPTH", depth)
+        for cut in range(6):
+            assert list(scanner._zeros(1, 3000, cut)) == full_zeros(1, 3000, cut), cut
+
+    def test_the_cover_alone_leaves_only_the_exceptional_indices_to_5_million(self):
+        assert scanner._DEPTH == 64  # K = 32 left 2,843 indices to the walk here
+        top, step = 5 * 10**6, denom.DEFAULT_CHUNK_SIZE
+        primes = arith.shared_sieve((top + 1) // 2).array
+        ends = [(lo, min(lo + step - 1, top)) for lo in range(1, top + 1, step)]
+        left = [scanner._uncovered(lo, hi, 0, 64, primes) for lo, hi in ends]
+        assert tuple(np.concatenate(left).tolist()) == scan_omega_plus(1, top).exceptional
+
+
 class TestFindSets:
     def test_first_derivative_set(self):
         assert find_sets(1, 500) == S1
@@ -235,14 +305,15 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestMemory:
-    def test_one_chunk_costs_two_int16_arrays(self):
-        # a 2 MiB int16 step and one batch of 2^15 runs: 3.1 MiB traced
+    def test_one_chunk_costs_one_batch_of_runs(self):
+        # one batch of at most 2^15 runs in int64, and the 24,912 runs that
+        # cover [1, 2^20] as int32 offsets: 0.86 MiB traced
         chunk = scanner.DEFAULT_CHUNK_SIZE
         arith.shared_sieve((chunk + 1) // 2)  # built before tracing: the chunk alone is measured
-        assert traced_peak(scan_omega_plus, 1, chunk) < 2 * 2 * chunk
+        assert traced_peak(scan_omega_plus, 1, chunk) < 3 << 19
 
     def test_scan_holds_one_sweep_step_whatever_its_chunk(self):
-        # a chunk of four sweep steps: the counts of one step at a time, not of the chunk
+        # a chunk of four sweep steps: the runs of one step at a time, not of the chunk
         arith.shared_sieve((4 * denom.DEFAULT_CHUNK_SIZE + 1) // 2)  # built before tracing
         assert traced_peak(scan_omega_plus, 1, 4 * denom.DEFAULT_CHUNK_SIZE) < 4 << 20
 
