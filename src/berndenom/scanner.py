@@ -80,10 +80,10 @@ class ScanChunk:
 
 _DEPTH = 64
 """Largest quotients per index, past cut, that the cover reads; only speed depends on it:
-on [1, 5*10^6], 32 left 2,843 indices to the walk, 64 left 26, and 128 doubled the runs."""
+on [1, 5*10^6], 32 left 2,843 indices uncovered, 64 left 26, and 128 doubled the runs."""
 
 
-def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np.ndarray:
+def _uncovered(lo: int, hi: int, cut: int, depth: int | None, primes: np.ndarray) -> np.ndarray:
     """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, primes, cut, depth) holds: as
     many runs stop as begin at or below such n, so with the begins and the stops sorted
     apart they are the gaps [stops[i - 1], begins[i]), stops[-1] = 0, begins[runs] = hi - lo + 1."""
@@ -99,14 +99,6 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np
     return np.repeat(starts - np.cumsum(sizes) + sizes + lo, sizes) + np.arange(sizes.sum())
 
 
-def _held_below(n: int, cut: int, depth: int, primes: np.ndarray) -> bool:
-    """Whether a quotient a < isqrt(n) - depth holds n: by qualifying_primes' rule, cut short."""
-    a = np.arange(cut + 1, isqrt(n) - depth, dtype=np.int64)
-    q, r = np.divmod(n, a + 1)
-    p = q[(r >= 1) & (r <= a - cut) & (q >= a)] + 1
-    return bool(np.any(primes.searchsorted(p, "right") > primes.searchsorted(p)))
-
-
 def _zeros(lo: int, hi: int, cut: int):
     """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time; a cut
     run holds only a1 - cut indices of its period, so the cover reads cut more quotients."""
@@ -114,9 +106,9 @@ def _zeros(lo: int, hi: int, cut: int):
     depth = _DEPTH + cut
     for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
         left = _uncovered(start, min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), cut, depth, primes)
-        walked = left >= (cut + depth + 2) ** 2  # below it, no quotient lies under the cover
-        yield from left[~walked].tolist()
-        yield from (n for n in left[walked].tolist() if not _held_below(n, cut, depth, primes))
+        deep = left >= (cut + depth + 2) ** 2  # below it, the cover reads every quotient
+        yield from left[~deep].tolist()
+        yield from (n for n in left[deep].tolist() if _uncovered(n, n, cut, None, primes).size)
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:

@@ -185,7 +185,7 @@ COVER_TOP = 134_000_000  # the largest scan the sieve cap admits
 
 class TestCover:
     """_zeros reads the runs of each index's _DEPTH + cut + 1 largest quotients
-    and walks the smaller ones only at the indices those runs leave uncovered."""
+    and reads every quotient's runs only at the indices those runs leave uncovered."""
 
     @CHUNK_GRIDS
     @settings(max_examples=25, deadline=None)
