@@ -22,6 +22,7 @@ __all__ = [
     "DEFAULT_SIEVE_CAP",
     "PrimeSieve",
     "SieveSizeError",
+    "check_sieve_cap",
     "decimal_str",
     "digit_sum",
     "digit_sum_table",
@@ -265,13 +266,19 @@ def _sieved(limit: int) -> PrimeSieve:
     return PrimeSieve(limit=limit, array=primes)
 
 
+def check_sieve_cap(limit: int) -> None:
+    """Raise SieveSizeError when limit passes DEFAULT_SIEVE_CAP: sieve()'s own
+    refusal, which a range walker also runs on a bound it does not sieve to."""
+    if limit > DEFAULT_SIEVE_CAP:
+        raise SieveSizeError(f"sieve limit {limit} exceeds the cap of {DEFAULT_SIEVE_CAP}")
+
+
 def sieve(limit: int) -> PrimeSieve:
     """The primes up to limit (inclusive), at most DEFAULT_SIEVE_CAP, sieved in
     windows of _SEGMENT entries: no array of limit + 1 flags is ever built."""
     if limit < 1:
         raise ValueError(f"sieve limit must be positive, got {limit}")
-    if limit > DEFAULT_SIEVE_CAP:
-        raise SieveSizeError(f"sieve limit {limit} exceeds the cap of {DEFAULT_SIEVE_CAP}")
+    check_sieve_cap(limit)
     return _sieved(limit)
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "dd_split_sqrt",
     "dn",
     "ds",
+    "heavy_reach",
     "heavy_runs",
     "omega_dd_plus",
     "profile",
@@ -144,6 +145,23 @@ def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
         yield np.repeat(keys[g0:g1], take), values
 
 
+def _searched(lo: int, hi: int, cut: int, depth: int | None):
+    """(quotients, lower, upper) of heavy_runs(lo, hi, primes, cut, depth): quotient
+    a1 = quotients[i] searches the primes p with lower[i] <= p <= upper[i]."""
+    least = cut + 1 if depth is None else max(cut + 1, isqrt(lo) - depth)
+    quotients = np.arange(least, isqrt(hi) + 1, dtype=np.int64)
+    top = hi if depth is None else np.minimum(hi, (quotients + depth + 1) ** 2 - 1)
+    lower = np.maximum(quotients + 1, -(-(lo + 1 + cut) // (quotients + 1)))
+    return quotients, lower, (top + quotients) // (quotients + 1)
+
+
+def heavy_reach(lo: int, hi: int, cut: int = 0, depth: int | None = None) -> int:
+    """The largest bound heavy_runs(lo, hi, primes, cut, depth) searches primes to, 0 when it
+    reads no quotient. With no depth it is (hi + cut + 1) // (cut + 2); with one, quotient
+    cut + 1 reaches (cut + depth + 2)^2 / (cut + 2) and the top ones about isqrt(hi) + depth."""
+    return int(_searched(lo, hi, cut, depth)[2].max(initial=0))
+
+
 def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0, depth: int | None = None):
     """Yield the runs of heavy indices of the given primes that meet [lo, hi].
 
@@ -158,13 +176,16 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0, depth: int | 
     slice of primes, found for every a1 by one vectorised search. A run
     starts above a1^2, so a1 never exceeds sqrt(hi). With a depth, a1 yields only the runs
     below (a1 + depth + 1)^2, the n whose depth + 1 largest quotients include a1.
+    primes must hold every prime up to heavy_reach(lo, hi, cut, depth): when one between
+    their last and that bound is missing, ValueError, rather than its runs left out.
     """
-    least = cut + 1 if depth is None else max(cut + 1, isqrt(lo) - depth)
-    quotients = np.arange(least, isqrt(hi) + 1, dtype=np.int64)
-    top = hi if depth is None else np.minimum(hi, (quotients + depth + 1) ** 2 - 1)
-    lower = np.maximum(quotients + 1, -(-(lo + 1 + cut) // (quotients + 1)))
+    quotients, lower, upper = _searched(lo, hi, cut, depth)
+    reach = int(upper.max(initial=0))
+    if primes.size and reach > primes[-1]:
+        if any(is_prime(q) for q in range(int(primes[-1]) + 1, reach + 1)):  # to the first missing
+            raise ValueError(f"primes stop at {primes[-1]}, but those to {reach} are searched")
     first = np.searchsorted(primes, lower)
-    last = np.searchsorted(primes, (top + quotients) // (quotients + 1), "right")
+    last = np.searchsorted(primes, upper, "right")
     for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
         # a scan's memory peaks here: fill the batch's own three arrays in
         # place, and let go of them before the next (callers drop theirs too)

@@ -13,6 +13,15 @@ when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
 stays in the denominator of the k-th derivative at n = m + k - 1. The cut-1
 test, passed where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
+The cover reads only the primes its runs can reach (denom.heavy_reach):
+2,178 for a scan to 300,000 and 11,641 for one to 1.34 * 10^8, not every
+prime to hi / 2. An index it leaves uncovered past its depth is decided by
+qualifying_primes, which sieves to isqrt(n) alone. The sieve cap still bounds
+a sweep: where (hi + 1) // 2 passes it, the sweep is refused as sieve()
+refuses, since past it the cover leaves gaps that the per-index walk is too
+slow to fill: 1,261 indices in the 2^20 step at 383,778,817, 437,348 in the
+one at 985,661,441.
+
 A scan's chunk_size sets only what one checkpoint record covers and what one
 worker process takes. A chunk's result, a ScanChunk, is what a checkpoint
 persists: one JSON line appended per chunk after a header naming the scan, so
@@ -34,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import denom
-from .arith import radical, shared_sieve
+from .arith import check_sieve_cap, radical, shared_sieve
 from .denom import DEFAULT_CHUNK_SIZE, db_k, dd
 
 __all__ = [
@@ -83,7 +92,7 @@ _DEPTH = 64
 on [1, 5*10^6], 32 left 2,843 indices uncovered, 64 left 26, and 128 doubled the runs."""
 
 
-def _uncovered(lo: int, hi: int, cut: int, depth: int | None, primes: np.ndarray) -> np.ndarray:
+def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np.ndarray:
     """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, primes, cut, depth) holds: as
     many runs stop as begin at or below such n, so with the begins and the stops sorted
     apart they are the gaps [stops[i - 1], begins[i]), stops[-1] = 0, begins[runs] = hi - lo + 1."""
@@ -99,16 +108,35 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int | None, primes: np.ndarray
     return np.repeat(starts - np.cumsum(sizes) + sizes + lo, sizes) + np.arange(sizes.sum())
 
 
+def _sieve_bound(lo: int, hi: int, cut: int) -> int:
+    """The primes _zeros(lo, hi, cut) reads: those its cover's runs reach, and those to isqrt(hi)
+    that qualifying_primes reads in _held and in the confirmations of find_sets and find_rad_set
+    (the reach passes isqrt(hi) unless the cover reads no quotient). Where (hi + 1) // 2 passes
+    the sieve cap, refused as sieve() refuses: past it the cover leaves too many gaps."""
+    check_sieve_cap((hi + 1) // 2)
+    return max(denom.heavy_reach(lo, hi, cut, _DEPTH + cut), isqrt(hi))
+
+
+def _held(n: int, cut: int) -> bool:
+    """Whether a heavy run cut short by cut holds n: some p in qualifying_primes(n) has p^2 > n
+    and n % p <= p - 1 - cut, so n lies below the top cut of p's run (then n // p > cut)."""
+    return any(p * p > n and n % p < p - cut for p in denom.qualifying_primes(n))
+
+
 def _zeros(lo: int, hi: int, cut: int):
     """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time; a cut
-    run holds only a1 - cut indices of its period, so the cover reads cut more quotients."""
-    primes = shared_sieve((hi + 1) // 2).array  # once, for every step
+    run holds only a1 - cut indices of its period, so the cover reads cut more quotients.
+    The sieve goes to the cover's reach alone; each index the cover leaves past its depth is
+    decided by _held, the single-index route, whose primes to isqrt(n) lie below that reach."""
+    if lo > hi:
+        return
+    primes = shared_sieve(_sieve_bound(lo, hi, cut)).array  # once, for every step
     depth = _DEPTH + cut
     for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
         left = _uncovered(start, min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), cut, depth, primes)
         deep = left >= (cut + depth + 2) ** 2  # below it, the cover reads every quotient
         yield from left[~deep].tolist()
-        yield from (n for n in left[deep].tolist() if _uncovered(n, n, cut, None, primes).size)
+        yield from (n for n in left[deep].tolist() if not _held(n, cut))
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
@@ -348,7 +376,7 @@ def run_scan(
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
-    shared_sieve((limit + 1) // 2)  # past the cap, refused before the checkpoint is touched
+    shared_sieve(_sieve_bound(1, limit, 0))  # past the cap, refused before the checkpoint is touched
     config = ScanConfig(lo=1, hi=limit, chunk_size=chunk_size)
     chunks = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     pending = [r for r in config.chunk_ranges() if r[0] not in chunks]

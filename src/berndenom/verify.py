@@ -225,9 +225,11 @@ def _check_small_primes(c: _Context, n: int) -> bool:
 
 
 def _check_floor_equivalence(p: int, limit: int) -> bool:
-    n = np.arange(p, min(p * p - 1, limit) + 1, dtype=np.int64)
-    digit_heavy = (n // p + n % p) >= p
-    floor_gap = (n - 1) // (p - 1) > n // p
+    top = min(p * p - 1, limit)
+    n = np.arange(p, top + 1, dtype=np.int32 if top < 1 << 31 else np.int64)
+    q, r = np.divmod(n, p)
+    digit_heavy = q + r >= p
+    floor_gap = (n - 1) // (p - 1) > q
     return bool(np.array_equal(digit_heavy, floor_gap))
 
 

@@ -354,18 +354,20 @@ def test_seq_dn_refuses_past_is_prime_bound_at_once(capsys, fmt):
 @pytest.mark.parametrize(
     "argv, built",
     [
-        ("scan --limit 300000", [150_000]),
+        ("scan --limit 300000", [2_178]),
         ("seq dd 1 5000", [2_500]),
         ("seq omega_plus 1 300000", [150_000]),
-        ("sets --k 2 --limit 300000", [150_000]),
-        ("radset --limit 300000", [150_000]),
+        ("sets --k 2 --limit 300000", [1_541]),
+        ("radset --limit 300000", [1_541]),
         ("verify --limit 10000 --oracle-limit 300", [10_001]),
         ("verify --limit 100 --oracle-limit 300", [151]),
         ("seq dn 1 1000", []),
     ],
 )
 def test_command_builds_one_sieve_to_its_bound(capsys, monkeypatch, argv, built):
-    # half the top index read; for verify limit + 1, or half of
+    # half the top index read; for scan, sets and radset the reach of their
+    # cover, here (2 cut + 66)^2 // (cut + 2), the bound of quotient cut + 1
+    # for runs cut short by cut; for verify limit + 1, or half of
     # max(oracle_limit, 50) + 2 when its oracle tables reach further
     limits = []
     real_sieve = arith.sieve

@@ -184,8 +184,9 @@ COVER_TOP = 134_000_000  # the largest scan the sieve cap admits
 
 
 class TestCover:
-    """_zeros reads the runs of each index's _DEPTH + cut + 1 largest quotients
-    and reads every quotient's runs only at the indices those runs leave uncovered."""
+    """_zeros reads the runs of each index's _DEPTH + cut + 1 largest quotients, from
+    the primes to their reach alone, and decides each index those runs leave uncovered
+    past the depth by the single-index route."""
 
     @CHUNK_GRIDS
     @settings(max_examples=25, deadline=None)
@@ -206,10 +207,13 @@ class TestCover:
             mp.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
             assert list(scanner._zeros(lo, hi, cut)) == full_zeros(lo, hi, cut)
 
-    @pytest.mark.parametrize("lo, hi, cut", [(1, 20_000, 0), (1, 20_000, 3), (10**8, 10**8 + 500, 0)])
+    @pytest.mark.parametrize(
+        "lo, hi, cut", [(1, 20_000, 0), (1, 20_000, 3), (10**8, 10**8 + 500, 0), (10**8, 10**8 + 500, 1)]
+    )
     def test_the_walk_decides_what_a_shallow_cover_leaves(self, monkeypatch, lo, hi, cut):
         # at depth 64 the walk sees almost nothing; at depth 2 hundreds of
-        # indices reach it, and it rejects nine in ten of them or more
+        # indices reach it, and it rejects nine in ten of them or more (at 10^8
+        # all of them, each by qualifying_primes, which sieves to isqrt(n) alone)
         monkeypatch.setattr(scanner, "_DEPTH", 2)
         zeros = list(scanner._zeros(lo, hi, cut))
         assert zeros == full_zeros(lo, hi, cut)
@@ -223,6 +227,40 @@ class TestCover:
         monkeypatch.setattr(scanner, "_DEPTH", depth)
         for cut in range(6):
             assert list(scanner._zeros(1, 3000, cut)) == full_zeros(1, 3000, cut), cut
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_primes_to_the_reach_give_every_run(self, data):
+        # the runs of one step over the primes to its reach alone, and over every prime to hi / 2
+        cut = data.draw(st.integers(0, 63) | st.integers(64, 3000), label="cut")
+        hi = data.draw(st.integers(1, COVER_TOP), label="hi")
+        lo = max(hi - data.draw(st.integers(0, denom.DEFAULT_CHUNK_SIZE - 1), label="below"), 1)
+        depth = scanner._DEPTH + cut
+        full = arith.shared_sieve((COVER_TOP + 1) // 2).array
+        full = full[: full.searchsorted((hi + 1) // 2, "right")]
+        reach = denom.heavy_reach(lo, hi, cut, depth)
+        short = sieve(max(reach, 1)).array
+        assert reach <= (hi + 1) // 2 and short.size <= full.size
+
+        def runs(primes):
+            return [
+                (primes[index].tolist(), begin.tolist(), stop.tolist())
+                for index, begin, stop in denom.heavy_runs(lo, hi, primes, cut, depth)
+            ]
+
+        assert runs(short) == runs(full)
+
+    @pytest.mark.parametrize(
+        "lo, hi, cut, depth", [(1, 1 << 20, 0, 64), (10**8, 10**8 + 4096, 1, 65), (5, 5000, 2, None)]
+    )
+    def test_an_array_short_of_the_reach_raises(self, lo, hi, cut, depth):
+        # the primes to the reach are enough; one prime fewer would drop its runs
+        # silently and report false zeros, so heavy_runs raises, also under python -O
+        primes = sieve(denom.heavy_reach(lo, hi, cut, depth)).array
+        assert len(list(denom.heavy_runs(lo, hi, primes, cut, depth))) > 0
+        for short in (primes[:-1], primes[: primes.size // 2]):
+            with pytest.raises(ValueError, match=f"primes stop at {short[-1]},"):
+                next(denom.heavy_runs(lo, hi, short, cut, depth))
 
     def test_the_cover_alone_leaves_only_the_exceptional_indices_to_5_million(self):
         assert scanner._DEPTH == 64  # K = 32 left 2,843 indices to the walk here
@@ -265,8 +303,9 @@ class TestFindSets:
             assert find_sets(k, 3000) == expected, k
 
     def test_bound_is_half_the_top_index_read(self, monkeypatch):
-        # a scan to limit and find_sets(k, limit + k - 1) both read the
-        # counts to limit, so both need the primes to limit / 2 alone
+        # a scan to limit and find_sets(k, limit + k - 1) both cover the indices
+        # to limit, so both are refused once limit / 2 passes the cap, though
+        # they sieve only to their reach
         cap = 1 << 16
         monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", cap)
         monkeypatch.setattr(arith, "_SHARED", None)
