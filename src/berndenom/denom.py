@@ -278,32 +278,34 @@ def _part(support: PrimePairs, mask: np.ndarray) -> int:
     return product(support.p[mask].tolist())
 
 
-def _sorted_pairs(lo: int, hi: int, offsets: list, primes: list) -> PrimePairs:
-    """Pairs (lo + offset, p), p <= hi, by index then prime: one sort of offset * (hi + 1) + p."""
-    keys = np.sort(np.concatenate(offsets) * (hi + 1) + np.concatenate(primes))
-    n, p = np.divmod(keys, hi + 1)
-    return PrimePairs(lo, hi, n + lo, p)
+def _sorted_pairs(lo: int, hi: int, *parts) -> PrimePairs:
+    """Pairs (lo + offset, p), p <= hi, by index then prime, from the keys offset * (hi + 1) + p
+    in any order, in arrays that the iterables parts yield: one sort, then a split in place.
+    Parts that yield as they go peak at the keys and one copy of them, the size of the pairs."""
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *(key for part in parts for key in part)])
+    keys.sort()
+    n = keys // (hi + 1)
+    keys %= hi + 1
+    return PrimePairs(lo, hi, np.add(n, lo, out=n), keys)
 
 
 def support_block(lo: int, hi: int) -> PrimePairs:
     """The supports of every n in [lo, hi]: digit sums for the primes up to
-    isqrt(hi), heavy_runs() for the larger ones."""
+    isqrt(hi), heavy_runs() for the larger ones, each keyed as it comes."""
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
     primes = shared_sieve((hi + 1) // 2).array
     root = primes.searchsorted(isqrt(hi), "right")
-    owners = [np.zeros(0, dtype=np.int64)]
-    offsets = [np.zeros(0, dtype=np.int64)]
-    for p in primes[:root].tolist():
-        heavy = np.flatnonzero(digit_sum_table(p, hi, lo) >= p)
-        owners.append(np.full(heavy.size, p, dtype=np.int64))
-        offsets.append(heavy)
+    small = (
+        np.flatnonzero(digit_sum_table(p, hi, lo) >= p) * (hi + 1) + p for p in primes[:root].tolist()
+    )
     large = primes[root:]
-    for index, begin, stop in heavy_runs(lo, hi, large):
-        for owner, offset in _ragged_batches(large[index], begin, stop - begin):
-            owners.append(owner)
-            offsets.append(offset)
-    return _sorted_pairs(lo, hi, offsets, owners)
+    runs = (
+        offset * (hi + 1) + owner
+        for index, begin, stop in heavy_runs(lo, hi, large)
+        for owner, offset in _ragged_batches(large[index], begin, stop - begin)
+    )
+    return _sorted_pairs(lo, hi, small, runs)
 
 
 def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
@@ -319,15 +321,14 @@ def _factors(lo: int, hi: int) -> PrimePairs:
     out of m, what is left is 1 or m's one prime above isqrt(hi)."""
     small = shared_sieve(isqrt(hi)).primes_in(2, isqrt(hi))
     rest = np.arange(lo, hi + 1, dtype=np.int64)
-    offsets = [np.arange(-lo % p, hi - lo + 1, p) for p in small]
     for p in small:
         power = p
         while power <= hi:
             rest[-lo % power :: power] //= p
             power *= p
-    above = np.flatnonzero(rest > 1)
-    primes = np.repeat(np.array(small, dtype=np.int64), [o.size for o in offsets])
-    return _sorted_pairs(lo, hi, [*offsets, above], [primes, rest[above]])
+    above, step = np.flatnonzero(rest > 1), hi + 1
+    multiples = (np.arange(-lo % p * step + p, (hi - lo + 1) * step, p * step) for p in small)
+    return _sorted_pairs(lo, hi, multiples, [above * step + rest[above]])
 
 
 def dd(n: int) -> int:

@@ -15,12 +15,12 @@ test, passed where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
 The cover reads only the primes its runs can reach (denom.heavy_reach):
 2,178 for a scan to 300,000 and 11,641 for one to 1.34 * 10^8, not every
-prime to hi / 2. An index it leaves uncovered past its depth is decided by
-qualifying_primes, which sieves to isqrt(n) alone. The sieve cap still bounds
-a sweep: where (hi + 1) // 2 passes it, the sweep is refused as sieve()
-refuses, since past it the cover leaves gaps that the per-index walk is too
-slow to fill: 1,261 indices in the 2^20 step at 383,778,817, 437,348 in the
-one at 985,661,441.
+prime to hi / 2. A step whose cover leaves an index past its depth is covered
+again, deeper, so the run rule lives in denom.heavy_runs alone. The sieve cap
+still bounds a sweep: where (hi + 1) // 2 passes it, the sweep is refused as
+sieve() refuses, since past it the steps do not grow yet (ROADMAP item 16).
+There depth 64 leaves 1,261 indices in the 2^20 step at 383,778,817 and
+437,348 in the one at 985,661,441; the first re-cover, at depth 129, leaves none.
 
 A scan's chunk_size sets only what one checkpoint record covers and what one
 worker process takes. A chunk's result, a ScanChunk, is what a checkpoint
@@ -109,34 +109,32 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np
 
 
 def _sieve_bound(lo: int, hi: int, cut: int) -> int:
-    """The primes _zeros(lo, hi, cut) reads: those its cover's runs reach, and those to isqrt(hi)
-    that qualifying_primes reads in _held and in the confirmations of find_sets and find_rad_set
-    (the reach passes isqrt(hi) unless the cover reads no quotient). Where (hi + 1) // 2 passes
-    the sieve cap, refused as sieve() refuses: past it the cover leaves too many gaps."""
+    """The primes _zeros(lo, hi, cut) reads first: those its depth-_DEPTH cover's runs reach, and
+    those to isqrt(hi) that qualifying_primes reads in the confirmations of find_sets and
+    find_rad_set (the reach passes isqrt(hi) unless the cover reads no quotient). Where
+    (hi + 1) // 2 passes the sieve cap, refused as sieve() refuses: past it the steps do not
+    grow yet. A deeper cover reads at most (hi + cut + 1) // (cut + 2), within the cap."""
     check_sieve_cap((hi + 1) // 2)
     return max(denom.heavy_reach(lo, hi, cut, _DEPTH + cut), isqrt(hi))
-
-
-def _held(n: int, cut: int) -> bool:
-    """Whether a heavy run cut short by cut holds n: some p in qualifying_primes(n) has p^2 > n
-    and n % p <= p - 1 - cut, so n lies below the top cut of p's run (then n // p > cut)."""
-    return any(p * p > n and n % p < p - cut for p in denom.qualifying_primes(n))
 
 
 def _zeros(lo: int, hi: int, cut: int):
     """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time; a cut
     run holds only a1 - cut indices of its period, so the cover reads cut more quotients.
-    The sieve goes to the cover's reach alone; each index the cover leaves past its depth is
-    decided by _held, the single-index route, whose primes to isqrt(n) lie below that reach."""
+    Below (cut + depth + 2)^2 the cover reads every quotient, so what it leaves there is exact;
+    a step that leaves an index past it is covered again at depth 2 * depth + 1, from the
+    primes to that deeper cover's reach, until none is left past it."""
     if lo > hi:
         return
-    primes = shared_sieve(_sieve_bound(lo, hi, cut)).array  # once, for every step
-    depth = _DEPTH + cut
+    primes = shared_sieve(_sieve_bound(lo, hi, cut)).array  # once, for every step at _DEPTH
     for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
-        left = _uncovered(start, min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), cut, depth, primes)
-        deep = left >= (cut + depth + 2) ** 2  # below it, the cover reads every quotient
-        yield from left[~deep].tolist()
-        yield from (n for n in left[deep].tolist() if not _held(n, cut))
+        end, depth = min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), _DEPTH + cut
+        left = _uncovered(start, end, cut, depth, primes)
+        while left.size and left[-1] >= (cut + depth + 2) ** 2:
+            depth = 2 * depth + 1
+            deeper = shared_sieve(denom.heavy_reach(start, end, cut, depth)).array
+            left = _uncovered(start, end, cut, depth, deeper)
+        yield from left.tolist()
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:

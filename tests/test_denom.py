@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -115,6 +116,27 @@ class TestSplits:
             assert below * above == whole
             assert shared * coprime == whole
             assert shared * complement == radical(n)
+
+
+def test_carmichael_numbers_keep_every_prime_of_theirs():
+    # Korselt: n is squarefree and composite, and p - 1 divides n - 1 for each p | n.
+    # So s_p(n) = n = 1 (mod p - 1), and s_p(n) > 1 as n is no power of p: s_p(n) >= p
+    # puts every p | n in the support, and the complement is 1 (Kellner and Sondow,
+    # Integers 2021). The 43 such n below 10^6 are found over _factors blocks.
+    top, step, found = 10**6, 1 << 16, []
+    for lo in range(1, top + 1, step):
+        factors = denom._factors(lo, min(lo + step - 1, top))
+        width = factors.hi - lo + 1
+        rad = np.ones(width, dtype=np.int64)
+        np.multiply.at(rad, factors.n - lo, factors.p)
+        primes = np.bincount(factors.n - lo, minlength=width)
+        strays = np.bincount(factors.n - lo, (factors.n - 1) % (factors.p - 1) != 0, width)
+        m = np.arange(lo, lo + width)
+        found += m[(rad == m) & (primes >= 2) & (strays == 0)].tolist()
+    assert len(found) == 43 and found[:3] == [561, 1105, 1729] and found[-1] == 997_633
+    for n in found:
+        assert profile(n).dd_complement == 1, n
+        assert list(sequence("dd_complement", n, n)) == [1], n
 
 
 class TestDN:
@@ -442,6 +464,20 @@ class TestSupports:
         monkeypatch.setattr(arith, "sieve", lambda limit: limits.append(limit) or real_sieve(limit))
         next(support_blocks(200_000, 300_000))
         assert limits == [150_000]
+
+    def test_a_block_peaks_under_twice_its_pairs(self):
+        # 1,904,529 pairs, 29.1 MiB: each piece is keyed as it comes and the keys are
+        # sorted and split in place, so the peak is 29.2 MiB (three copies took 87.7)
+        lo, hi = 134_200_000, 134_201_023
+        arith.shared_sieve((hi + 1) // 2)  # built before tracing: the block alone is measured
+        tracemalloc.start()
+        try:
+            block = support_block(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.n.size > 1_900_000
+        assert peak < 2 * (block.n.nbytes + block.p.nbytes), peak
 
     def test_empty_range_and_bad_start(self):
         assert supports(10, 9) == []

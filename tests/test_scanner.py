@@ -185,8 +185,8 @@ COVER_TOP = 134_000_000  # the largest scan the sieve cap admits
 
 class TestCover:
     """_zeros reads the runs of each index's _DEPTH + cut + 1 largest quotients, from
-    the primes to their reach alone, and decides each index those runs leave uncovered
-    past the depth by the single-index route."""
+    the primes to their reach alone, and covers a step again, deeper, while those runs
+    leave an index uncovered past the depth."""
 
     @CHUNK_GRIDS
     @settings(max_examples=25, deadline=None)
@@ -210,10 +210,10 @@ class TestCover:
     @pytest.mark.parametrize(
         "lo, hi, cut", [(1, 20_000, 0), (1, 20_000, 3), (10**8, 10**8 + 500, 0), (10**8, 10**8 + 500, 1)]
     )
-    def test_the_walk_decides_what_a_shallow_cover_leaves(self, monkeypatch, lo, hi, cut):
-        # at depth 64 the walk sees almost nothing; at depth 2 hundreds of
-        # indices reach it, and it rejects nine in ten of them or more (at 10^8
-        # all of them, each by qualifying_primes, which sieves to isqrt(n) alone)
+    def test_the_re_cover_decides_what_a_shallow_cover_leaves(self, monkeypatch, lo, hi, cut):
+        # at depth 64 almost nothing is left past the depth; at depth 2 hundreds
+        # of indices are, and the deeper covers reject nine in ten of them or more
+        # (at 10^8 all of them, from the primes to each deeper cover's reach)
         monkeypatch.setattr(scanner, "_DEPTH", 2)
         zeros = list(scanner._zeros(lo, hi, cut))
         assert zeros == full_zeros(lo, hi, cut)
@@ -221,12 +221,36 @@ class TestCover:
         assert left.size > 400 and len(zeros) < left.size // 10
 
     @pytest.mark.parametrize("depth", [0, 1])
-    def test_the_walk_starts_where_a_shallower_cover_stops(self, monkeypatch, depth):
-        # quotient 1, the first below a depth-0 cover, holds 5 = 2 * 3 - 1, and
-        # below a depth-1 cover it holds 9: walking only from one square later misses them
+    def test_the_re_cover_starts_where_a_shallower_cover_stops(self, monkeypatch, depth):
+        # quotient 1, the first below a depth-0 cover, holds 5 = 2 * 3 - 1, and below
+        # a depth-1 cover it holds 9: covering again only from one square later misses them
         monkeypatch.setattr(scanner, "_DEPTH", depth)
         for cut in range(6):
             assert list(scanner._zeros(1, 3000, cut)) == full_zeros(1, 3000, cut), cut
+            # one index a step, so each is covered again exactly as deep as it needs
+            zeros = [n for n in range(1, 300) if list(scanner._zeros(n, n, cut)) == [n]]
+            assert zeros == full_zeros(1, 299, cut), cut
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_a_cover_from_depth_0_up_is_covered_again_until_exact(self, data):
+        # a window of at most one step, covered first at a depth of 0, 1, 2 or 5
+        # past cut, then at 2 * depth + 1 while an index is left past the depth
+        floor = data.draw(st.sampled_from([0, 1, 2, 5]), label="_DEPTH")
+        cut = data.draw(st.integers(0, 300) | st.just(3000), label="cut")
+        hi = data.draw(st.integers(1, COVER_TOP), label="hi")
+        lo = max(hi - data.draw(st.integers(0, denom.DEFAULT_CHUNK_SIZE - 1), label="below"), 1)
+        depths, uncovered = [], scanner._uncovered
+
+        def spy(lo, hi, cut, depth, primes):
+            depths.append(depth)
+            return uncovered(lo, hi, cut, depth, primes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanner, "_DEPTH", floor)
+            mp.setattr(scanner, "_uncovered", spy)
+            assert list(scanner._zeros(lo, hi, cut)) == full_zeros(lo, hi, cut)
+        assert depths == [(floor + cut + 1) * 2**i - 1 for i in range(len(depths))]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -263,7 +287,7 @@ class TestCover:
                 next(denom.heavy_runs(lo, hi, short, cut, depth))
 
     def test_the_cover_alone_leaves_only_the_exceptional_indices_to_5_million(self):
-        assert scanner._DEPTH == 64  # K = 32 left 2,843 indices to the walk here
+        assert scanner._DEPTH == 64  # K = 32 left 2,843 indices past the depth here
         top, step = 5 * 10**6, denom.DEFAULT_CHUNK_SIZE
         primes = arith.shared_sieve((top + 1) // 2).array
         ends = [(lo, min(lo + step - 1, top)) for lo in range(1, top + 1, step)]
