@@ -10,7 +10,6 @@ pure functions of their inputs.
 
 from __future__ import annotations
 
-import decimal
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -158,6 +157,8 @@ def decimal_str(n: int) -> str:
         return "-" + decimal_str(-n)
     if n.bit_length() <= _DECIMAL_LEAF_BITS:
         return str(n)
+    import decimal  # here alone: a command that prints no such int never loads it
+
     powers: dict[int, decimal.Decimal] = {}  # 2**half, one or two per level
 
     def convert(m: int, bits: int) -> decimal.Decimal:

@@ -294,12 +294,10 @@ def _scan_chunks(pending, threads: int):
     it forks inherit the sieve run_scan sized and write records to their own
     pipes. Each keeps only its own write end, so a dead parent ends it at its
     next write; the parent kills and reaps every worker however it leaves.
+    With one worker, or without os.fork, the parent forks none and scans all.
     """
     workers = min(threads, len(pending)) if hasattr(os, "fork") else 1
-    if workers <= 1:
-        yield from (scan_omega_plus(lo, hi) for lo, hi in pending)
-        return
-    import signal  # here, as in _work: a one-process scan never loads it
+    import signal  # here, as in _work: only a scan loads it
 
     readers, writers, pids = [], [], []
     try:

@@ -2,22 +2,21 @@
 independent routes: the rational-polynomial oracle, divisibility and parity
 facts, and vectorized digit-sum recomputation.
 
-Each family checks its indices in order and reports the first
-counterexample. The families over n = 1..limit are array predicates on one
-block of indices at a time: the supports come from denom's range route as
-(n, p) pairs, and a product of primes is compared as the sorted keys
-n << _SHIFT | p of its pairs. lambda-prime-bound reads the same supports
-and has one verdict per prime up to limit. A fault hook can flip the
-verdict of one (family, index) pair so that callers can exercise their
-failure paths honestly.
+run_verification runs every family, in FAMILIES order; each checks its
+indices in order and reports the first counterexample. The families over
+n = 1..limit are array predicates on one block of indices at a time: the
+supports come from denom's range route as (n, p) pairs, and a product of
+primes is compared as the sorted keys n << _SHIFT | p of its pairs.
+lambda-prime-bound reads the same supports and has one verdict per prime up
+to limit. The only hook, fault, flips the verdict of one (family, index)
+pair so that callers can exercise their failure paths honestly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -158,36 +157,11 @@ _BLOCK_FAMILIES = (
     "odd-index-lcm", "plus-divides-coprime", "rad-of-power-sum-denom", "db-even",
     "coprime-parity", "coprime-one-implies-prime",
 )
-
-
-class _Context:
-    """What the families read: limits, and tables built on first use."""
-
-    def __init__(self, limit: int, oracle_limit: int):
-        self.limit = limit
-        self.oracle_limit = oracle_limit
-
-    @cached_property
-    def verdicts(self) -> dict[str, np.ndarray]:
-        """Every block family's verdicts at n = 1..limit, and lambda-prime-bound's per prime."""
-        step, top = denom._SUPPORT_BLOCK, self.limit + 1
-        # filled in place: holding each block's arrays to concatenate them fragments the heap
-        verdicts = {name: np.zeros(self.limit, dtype=bool) for name in _BLOCK_FAMILIES}
-        beaten = [_block_verdicts(lo, min(lo + step, top), verdicts) for lo in range(1, top, step)]
-        verdicts["lambda-prime-bound"] = ~np.isin(_primes(self.limit), np.concatenate(beaten))
-        return verdicts
-
-    @cached_property
-    def tables(self) -> denom.PrimePairs:
-        """The supports of n = 1, ..., max(oracle_limit, 50) + 1, from the
-        range route, for the families that read single indices: each reads
-        one window of it per index."""
-        return denom.support_block(1, max(self.oracle_limit, 50) + 1)
-
-    @cached_property
-    def members(self) -> dict[int, set[int]]:
-        """For k = 1, 2, 3, the indices up to min(limit, 1000) with an integral k-th derivative."""
-        return {k: set(scanner.find_sets(k, min(self.limit, 1000))) for k in (1, 2, 3)}
+FAMILIES = (
+    *_BLOCK_FAMILIES, "derivative-small-primes", "set-nesting", "floor-digit-equivalence",
+    "lambda-prime-bound", "oracle-equivalence", "oracle-reflection", "oracle-power-sums",
+)
+"""Every family, in the order _suite yields them and run_verification reports them."""
 
 
 def _report(family: str, indices, verdicts, fault: tuple[str, int] | None) -> FamilyResult:
@@ -202,23 +176,23 @@ def _report(family: str, indices, verdicts, fault: tuple[str, int] | None) -> Fa
     return FamilyResult(family, True, indices.size, None)
 
 
-def _support_matches(c: _Context, n: int) -> bool:
+def _support_matches(tables: denom.PrimePairs, n: int) -> bool:
     """The single-index route agrees with the tables' range route at n."""
-    return denom.qualifying_primes(n) == tuple(c.tables.window(n, n).p.tolist())
+    return denom.qualifying_primes(n) == tuple(tables.window(n, n).p.tolist())
 
 
-def _check_small_primes(c: _Context, n: int) -> bool:
+def _check_small_primes(tables: denom.PrimePairs, n: int) -> bool:
     """db_k(n, k) for k <= 50 is the mask kept(k) at m = n - k + 1. The
     primes of m's support that divide no factor of the falling factorial
     n (n - 1) ... m are the same primes, found apart from the mask, and
     each of them exceeds k."""
-    window = c.tables.window(max(n - 49, 1), n)
+    window = tables.window(max(n - 49, 1), n)
     k = n + 1 - window.n
     falling = np.array(
         [math.perm(n, j) % p != 0 for j, p in zip(k.tolist(), window.p.tolist())], dtype=bool
     )
     return (
-        _support_matches(c, n)
+        _support_matches(tables, n)
         and np.array_equal(window.kept(k), falling)
         and bool(np.all(window.p[falling] > k[falling]))
     )
@@ -233,10 +207,10 @@ def _check_floor_equivalence(p: int, limit: int) -> bool:
     return bool(np.array_equal(digit_heavy, floor_gap))
 
 
-def _check_oracle_equivalence(c: _Context, n: int) -> bool:
-    if not _support_matches(c, n):
+def _check_oracle_equivalence(tables: denom.PrimePairs, n: int) -> bool:
+    if not _support_matches(tables, n):
         return False
-    dd, dd_next = c.tables.window(n, n + 1).products()
+    dd, dd_next = tables.window(n, n + 1).products()
     poly = oracle.bernoulli_polynomial(n)
     if oracle.denominator_of(poly) != math.lcm(dd_next, radical(n + 1)):  # db(n)
         return False
@@ -246,89 +220,73 @@ def _check_oracle_equivalence(c: _Context, n: int) -> bool:
         return False
     if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != (n + 1) * dd_next:  # ds(n)
         return False
-    window = c.tables.window(max(n - 2, 1), n)  # db_k(n, k) for k <= 3, as above; 1 for n <= k
+    window = tables.window(max(n - 2, 1), n)  # db_k(n, k) for k <= 3, as above; 1 for n <= k
     for k, db_k in zip((1, 2, 3), window.products(window.kept(n + 1 - window.n))[::-1] + [1, 1]):
         if oracle.denominator_of(oracle.derivative(poly, k)) != db_k:
             return False
     return True
 
 
-def _check_reflection(c: _Context, n: int) -> bool:
+def _check_reflection(n: int) -> bool:
     poly = oracle.bernoulli_polynomial(n)
     sign = 1 if n % 2 == 0 else -1
     return poly.substitute_affine(1, -1) == sign * poly
 
 
-def _check_power_sums(c: _Context, n: int) -> bool:
+def _check_power_sums(n: int) -> bool:
     poly = oracle.sum_of_powers_polynomial(n)
     return all(poly(m) == sum(j**n for j in range(m)) for m in range(21))
 
 
-def _each(predicate: Callable[[_Context, int], bool]):
-    """The verdicts of a predicate of one index, index by index."""
-    return lambda c, indices: [predicate(c, n) for n in indices]
+def _suite(limit: int, oracle_limit: int):
+    """Each family's (name, indices, verdicts), in FAMILIES order.
 
+    The block families' verdicts at n = 1..limit and lambda-prime-bound's per
+    prime come first, from one pass over the blocks. Then come the supports
+    of n = 1, ..., max(oracle_limit, 50) + 1 from the range route, of which
+    the families that read single indices read one window per index, and for
+    k = 1, 2, 3 the indices up to min(limit, 1000) with an integral k-th
+    derivative.
+    """
+    shared_sieve(max(limit + 1, (max(oracle_limit, 50) + 2) // 2))  # blocks and the oracle tables
+    step, top = denom._SUPPORT_BLOCK, limit + 1
+    # filled in place: holding each block's arrays to concatenate them fragments the heap
+    verdicts = {name: np.zeros(limit, dtype=bool) for name in _BLOCK_FAMILIES}
+    beaten = [_block_verdicts(lo, min(lo + step, top), verdicts) for lo in range(1, top, step)]
+    primes = _primes(limit)
+    unbeaten = ~np.isin(primes, np.concatenate(beaten))
+    tables = denom.support_block(1, max(oracle_limit, 50) + 1)
+    members = {k: set(scanner.find_sets(k, min(limit, 1000))) for k in (1, 2, 3)}
 
-def _from_blocks(name: str, c: _Context, indices) -> np.ndarray:
-    return c.verdicts[name]
-
-
-def _floor_bound(c: _Context) -> int:
-    return min(c.limit, 10**4)
-
-
-# name: (indices(context), verdicts(context, indices)), in reporting order
-_FAMILIES = {
-    **{name: (lambda c: range(1, c.limit + 1), partial(_from_blocks, name))
-       for name in _BLOCK_FAMILIES},
-    "derivative-small-primes": (lambda c: range(1, 51), _each(_check_small_primes)),
-    "set-nesting": (lambda c: (1, 2), _each(lambda c, k: c.members[k] <= c.members[k + 1])),
-    "floor-digit-equivalence": (
-        lambda c: shared_sieve(c.limit).primes_in(2, _floor_bound(c)),
-        _each(lambda c, p: _check_floor_equivalence(p, _floor_bound(c))),
-    ),
-    "lambda-prime-bound": (lambda c: _primes(c.limit), partial(_from_blocks, "lambda-prime-bound")),
-    "oracle-equivalence": (
-        lambda c: range(1, c.oracle_limit + 1),
-        _each(_check_oracle_equivalence),
-    ),
-    "oracle-reflection": (
-        lambda c: range(0, min(c.oracle_limit, 50) + 1),
-        _each(_check_reflection),
-    ),
-    "oracle-power-sums": (lambda c: range(0, 11), _each(_check_power_sums)),
-}
-FAMILIES = tuple(_FAMILIES)
+    for name in _BLOCK_FAMILIES:
+        yield name, range(1, limit + 1), verdicts[name]
+    small = range(1, 51)
+    yield "derivative-small-primes", small, [_check_small_primes(tables, n) for n in small]
+    yield "set-nesting", (1, 2), [members[k] <= members[k + 1] for k in (1, 2)]
+    bound = min(limit, 10**4)
+    floor = shared_sieve(limit).primes_in(2, bound)
+    yield "floor-digit-equivalence", floor, [_check_floor_equivalence(p, bound) for p in floor]
+    yield "lambda-prime-bound", primes, unbeaten
+    checked = range(1, oracle_limit + 1)
+    yield "oracle-equivalence", checked, [_check_oracle_equivalence(tables, n) for n in checked]
+    reflected = range(0, min(oracle_limit, 50) + 1)
+    yield "oracle-reflection", reflected, [_check_reflection(n) for n in reflected]
+    yield "oracle-power-sums", range(11), [_check_power_sums(n) for n in range(11)]
 
 
 def run_verification(
-    limit: int = 1000,
-    oracle_limit: int = 100,
-    families: Sequence[str] | None = None,
-    fault: tuple[str, int] | None = None,
+    limit: int = 1000, oracle_limit: int = 100, fault: tuple[str, int] | None = None
 ) -> list[FamilyResult]:
-    """Run the invariant families and return one result per family.
+    """Run every family in FAMILIES order and return one result per family.
 
     limit bounds the product-formula checks; oracle_limit bounds the rational
-    cross-checks (kept separate because those grow quadratically). families
-    selects a subset by name, and fault=(family, n) flips one verdict.
+    cross-checks (kept separate because those grow quadratically). The one
+    hook is fault=(family, n), which flips that family's verdict at n.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if oracle_limit < 1:
         raise ValueError(f"oracle limit must be positive, got {oracle_limit}")
-    selected = tuple(families) if families is not None else FAMILIES
-    for name in selected:
-        if name not in FAMILIES:
-            raise ValueError(f"unknown verification family {name!r}")
     if fault is not None and fault[0] not in FAMILIES:
         raise ValueError(f"unknown verification family {fault[0]!r}")
-
-    shared_sieve(max(limit + 1, (max(oracle_limit, 50) + 2) // 2))  # blocks and the oracle tables
-    context = _Context(limit, oracle_limit)
-    results = []
-    for name in selected:
-        indices, verdicts = _FAMILIES[name]
-        chosen = indices(context)
-        results.append(_report(name, chosen, verdicts(context, chosen), fault))
-    return results
+    return [_report(*family, fault) for family in _suite(limit, oracle_limit)]

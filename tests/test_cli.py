@@ -676,18 +676,21 @@ def test_bare_package_import_loads_no_numpy():
 
 # each command, and the modules it must not load; none needs the process pool,
 # and only a scan hashes, so no other command loads hashlib and its OpenSSL
-# unless numpy itself does (numpy 1.x imports numpy.random, whose secrets loads it)
-_HEAVY = {"berndenom.scanner", "berndenom.verify", "berndenom.oracle", "fractions", "hashlib"}
+# unless numpy itself does (numpy 1.x imports numpy.random, whose secrets loads it).
+# decimal, and its libmpdec, come only with an int past arith._DECIMAL_LEAF_BITS
+# or with verify's fractions
+_UNUSED = {"berndenom.verify", "berndenom.oracle", "decimal"}
+_HEAVY = _UNUSED | {"berndenom.scanner", "fractions", "hashlib"}
 IMPORT_SURFACE = {
     "profile": (["profile", "8"], _HEAVY),
     "seq": (["seq", "db_k", "1", "30", "--k", "2"], _HEAVY),
-    "scan": (["scan", "--limit", "1000"], {"berndenom.verify", "berndenom.oracle"}),
+    "scan": (["scan", "--limit", "1000"], _UNUSED),
     "scan-threads": (
         ["scan", "--limit", "1000", "--chunk", "100", "--threads", "2"],
-        {"berndenom.verify", "berndenom.oracle", "concurrent.futures", "multiprocessing"},
+        _UNUSED | {"concurrent.futures", "multiprocessing"},
     ),
-    "sets": (["sets", "--k", "2", "--limit", "200"], {"berndenom.verify", "berndenom.oracle", "hashlib"}),
-    "radset": (["radset", "--limit", "200"], {"berndenom.verify", "berndenom.oracle", "hashlib"}),
+    "sets": (["sets", "--k", "2", "--limit", "200"], _UNUSED | {"hashlib"}),
+    "radset": (["radset", "--limit", "200"], _UNUSED | {"hashlib"}),
     "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], {"hashlib"}),
 }
 

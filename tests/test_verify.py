@@ -6,6 +6,7 @@ with that index as its witness, and checked must be its position in the
 family's index order.
 """
 
+import functools
 from math import isqrt
 
 import numpy as np
@@ -16,27 +17,38 @@ from berndenom import arith, denom, verify
 LIMIT, ORACLE_LIMIT = 300, 30
 
 
-def family_indices(family: str) -> list[int]:
-    indices, _ = verify._FAMILIES[family]
-    return list(indices(verify._Context(LIMIT, ORACLE_LIMIT)))
+@functools.cache
+def family_indices() -> dict[str, list[int]]:
+    return {name: list(indices) for name, indices, _ in verify._suite(LIMIT, ORACLE_LIMIT)}
+
+
+def result_of(family: str, **kwargs) -> verify.FamilyResult:
+    """The result of family in one run of the whole suite."""
+    [result] = [r for r in verify.run_verification(**kwargs) if r.family == family]
+    return result
+
+
+def test_results_come_in_families_order():
+    assert [r.family for r in verify.run_verification(50, 5)] == list(verify.FAMILIES)
 
 
 @pytest.mark.parametrize("family", verify.FAMILIES)
 def test_fault_fails_the_family_at_its_index(family):
-    indices = family_indices(family)
+    indices = family_indices()[family]
     for position in sorted({1, (len(indices) + 1) // 2, len(indices)}):
         x = indices[position - 1]
-        [result] = verify.run_verification(
-            limit=LIMIT, oracle_limit=ORACLE_LIMIT, families=[family], fault=(family, x)
-        )
+        results = verify.run_verification(limit=LIMIT, oracle_limit=ORACLE_LIMIT, fault=(family, x))
+        [result] = [r for r in results if r.family == family]
         assert (result.passed, result.witness, result.checked) == (False, x, position)
+        # the hook flips one family only
+        assert all(r.passed for r in results if r.family != family)
 
 
 def test_derivative_small_primes_catches_a_mask_that_drops_primes(monkeypatch):
     # every prime this mask keeps still exceeds k, so only a route to the
     # primes of db_k apart from the mask can tell it is wrong
     monkeypatch.setattr(denom.PrimePairs, "kept", lambda self, k: (self.n + k - 1) % self.p >= k + 1)
-    [result] = verify.run_verification(families=["derivative-small-primes"])
+    result = result_of("derivative-small-primes")
     assert (result.passed, result.witness, result.checked) == (False, 3, 3)
 
 
@@ -50,7 +62,7 @@ def test_lambda_prime_bound_catches_runs_that_start_early(monkeypatch):
             yield index, np.maximum(begin - 1, 0), stop
 
     monkeypatch.setattr(denom, "heavy_runs", early)
-    [result] = verify.run_verification(limit=1000, families=["lambda-prime-bound"])
+    result = result_of("lambda-prime-bound", limit=1000)
     assert (result.passed, result.witness, result.checked) == (False, 37, 12)
 
 
@@ -66,13 +78,13 @@ def test_complements_catch_a_factoriser_that_drops_the_large_prime(monkeypatch, 
         return denom.PrimePairs(lo, hi, found.n[keep], found.p[keep])
 
     monkeypatch.setattr(denom, "_factors", small_only)
-    [result] = verify.run_verification(limit=3000, oracle_limit=1, families=[family])
+    result = result_of(family, limit=3000, oracle_limit=1)
     assert (result.passed, result.witness, result.checked) == (False, witness, witness)
 
 
 class TestLambdaPrimeBound:
     def test_no_heavy_prime_above_bound_to_1e5(self):
-        [result] = verify.run_verification(limit=10**5, families=["lambda-prime-bound"])
+        result = result_of("lambda-prime-bound", limit=10**5, oracle_limit=1)
         assert result.passed, f"prime {result.witness} beats the bound"
 
     def test_per_prime_verdicts_match_brute_force(self):
@@ -86,11 +98,12 @@ class TestLambdaPrimeBound:
             return not np.any((arith.digit_sum_table(p, limit, lo) >= p) & (p > bound))
 
         primes = arith.sieve(10**4).array
-        indices, verdicts = verify._FAMILIES["lambda-prime-bound"]
         for limit in (1, 2, 4, 5, 6, 97, 1000, 10**4):
-            context = verify._Context(limit, 1)
-            chosen = indices(context)
+            [(chosen, verdicts)] = [
+                (indices, verdicts) for name, indices, verdicts in verify._suite(limit, 1)
+                if name == "lambda-prime-bound"
+            ]
             # a prime the family does not index has no n in [2p - 1, limit]
-            got = dict(zip(chosen.tolist(), verdicts(context, chosen).tolist()))
+            got = dict(zip(chosen.tolist(), verdicts.tolist()))
             expected = [full_range(p, limit) for p in primes.tolist()]
             assert [got.get(p, True) for p in primes.tolist()] == expected, limit
