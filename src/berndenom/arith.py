@@ -24,7 +24,7 @@ __all__ = [
     "check_sieve_cap",
     "decimal_str",
     "digit_sum",
-    "digit_sum_table",
+    "digit_sums",
     "is_prime",
     "prime_divisors",
     "product",
@@ -59,19 +59,15 @@ def digit_sum(n: int, p: int) -> int:
     return total
 
 
-def digit_sum_table(p: int, limit: int, start: int = 0) -> np.ndarray:
-    """Base-p digit sums of every n in [start, limit], as an int64 array."""
-    if p < 2:
-        raise ValueError(f"base must be at least 2, got {p}")
-    if not 0 <= start <= limit:
-        raise ValueError(f"need 0 <= start <= limit, got [{start}, {limit}]")
-    remaining = np.arange(start, limit + 1, dtype=np.int64)
-    total = np.zeros(limit + 1 - start, dtype=np.int64)
-    scale = 1
-    while scale <= limit:  # one pass per base-p digit of limit
-        total += remaining % p
-        remaining //= p
-        scale *= p
+def digit_sums(n: np.ndarray | int, p: np.ndarray | int) -> np.ndarray:
+    """Base-p digit sums of n, elementwise over int64 arrays whose bases may differ
+    from entry to entry: one pass per digit of the longest expansion."""
+    if np.any(p < 2) or np.any(n < 0):
+        raise ValueError("need every base at least 2 and every n nonnegative")
+    total = np.zeros(np.broadcast(n, p).shape, dtype=np.int64)
+    while np.any(n):
+        n, digit = np.divmod(n, p)
+        total += digit
     return total
 
 

@@ -15,10 +15,12 @@ one of two routes:
   PrimePairs.
 * A range: support_blocks(lo, hi) yields the supports of every n in
   [lo, hi] a block of indices at a time, as PrimePairs: the pairs (n, p) in
-  sorted int64 arrays. Primes up to isqrt(hi) are tested with vectorised
-  digit sums; heavy_runs() enumerates the runs of the larger primes
-  quotient-major, and _run_counts() counts the same runs without
-  materialising any support: that count is omega_+(n), seq omega_plus.
+  sorted int64 arrays, read off runs of heavy indices alone. heavy_runs()
+  enumerates every prime's runs below p^2 quotient-major, the plus part;
+  _small_runs() gives those of the primes up to isqrt(hi) from p^2 on, the
+  minus part, by s_p(n) = s_p(n // p) + n mod p. _run_counts() counts the
+  runs of heavy_runs() without materialising any support: that count is
+  omega_+(n), seq omega_plus.
 
 Either way a support is cut by the masks of PrimePairs: minus (p below
 sqrt(n)), shared (p divides n) and kept(k) (p divides none of n, ...,
@@ -42,12 +44,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import digit_sum, digit_sum_table, is_prime, prime_divisors, product, radical, shared_sieve
+from .arith import digit_sum, digit_sums, is_prime, prime_divisors, product, radical, shared_sieve
 
 __all__ = [
     "DenomProfile",
@@ -289,23 +292,34 @@ def _sorted_pairs(lo: int, hi: int, *parts) -> PrimePairs:
     return PrimePairs(lo, hi, np.add(n, lo, out=n), keys)
 
 
+def _small_runs(lo: int, hi: int, small: np.ndarray):
+    """Yield the runs of heavy indices from p^2 on of the primes p <= isqrt(hi) in small
+    that meet [lo, hi], as arrays (p, begin, stop): p is heavy at lo + begin <= n < lo + stop.
+
+    n = tp + r with t = n // p >= p has the digit sum s_p(t) + r, so p is heavy on the
+    one run [(t+1)p - min(s_p(t), p), (t+1)p - 1] of each t; below p^2, heavy_runs() has them.
+    """
+    first = np.maximum(lo // small, small)
+    for p, t in _ragged_batches(small, first, hi // small - first + 1):
+        stop = (t + 1) * p - lo  # the run ends at (t+1)p - 1
+        begin = stop - np.minimum(digit_sums(t, p), p)
+        yield p, np.clip(begin, 0, hi - lo + 1), np.minimum(stop, hi - lo + 1)
+
+
 def support_block(lo: int, hi: int) -> PrimePairs:
-    """The supports of every n in [lo, hi]: digit sums for the primes up to
-    isqrt(hi), heavy_runs() for the larger ones, each keyed as it comes."""
+    """The supports of every n in [lo, hi], from runs alone: heavy_runs() for every prime
+    below its square, _small_runs() for those up to isqrt(hi) above, each keyed as it comes."""
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
     primes = shared_sieve((hi + 1) // 2).array
-    root = primes.searchsorted(isqrt(hi), "right")
-    small = (
-        np.flatnonzero(digit_sum_table(p, hi, lo) >= p) * (hi + 1) + p for p in primes[:root].tolist()
-    )
-    large = primes[root:]
-    runs = (
+    small = primes[: primes.searchsorted(isqrt(hi), "right")]
+    plus = ((primes[index], begin, stop) for index, begin, stop in heavy_runs(lo, hi, primes))
+    keys = (
         offset * (hi + 1) + owner
-        for index, begin, stop in heavy_runs(lo, hi, large)
-        for owner, offset in _ragged_batches(large[index], begin, stop - begin)
+        for p, begin, stop in chain(plus, _small_runs(lo, hi, small))
+        for owner, offset in _ragged_batches(p, begin, stop - begin)
     )
-    return _sorted_pairs(lo, hi, small, runs)
+    return _sorted_pairs(lo, hi, keys)
 
 
 def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:

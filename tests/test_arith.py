@@ -10,7 +10,7 @@ from berndenom.arith import (
     SieveSizeError,
     decimal_str,
     digit_sum,
-    digit_sum_table,
+    digit_sums,
     is_prime,
     prime_divisors,
     product,
@@ -76,16 +76,27 @@ class TestDigitSum:
             digit_sum(5, 0)
         with pytest.raises(ValueError):
             digit_sum(-1, 2)
+        with pytest.raises(ValueError):
+            digit_sums(np.arange(5), 1)
+        with pytest.raises(ValueError):
+            digit_sums(np.arange(5), np.array([2, 3, 1, 5, 7]))
+        with pytest.raises(ValueError):
+            digit_sums(np.array([3, -1]), 2)
 
     def test_table_agrees_with_scalar(self):
+        n = np.arange(0, 2001, dtype=np.int64)
         for p in (2, 3, 7, 97):
-            table = digit_sum_table(p, 2000)
-            for n in range(0, 2001, 17):
-                assert table[n] == digit_sum(n, p)
-            window = digit_sum_table(p, 2000, 1234)
-            assert window.tolist() == [digit_sum(n, p) for n in range(1234, 2001)]
-        with pytest.raises(ValueError):
-            digit_sum_table(3, 10, 11)
+            assert digit_sums(n, p).tolist() == [digit_sum(m, p) for m in range(2001)]
+            assert digit_sums(n[1234:], np.int64(p)).tolist() == [digit_sum(m, p) for m in range(1234, 2001)]
+
+    def test_sums_take_a_base_per_entry(self):
+        top = (1 << 27) - 1
+        n = np.array([0, 0, 1, 5, 6, 96, 97, 9408, top, top - 1, top, top, 1 << 26, 1 << 27], dtype=np.int64)
+        p = np.array([2, 97, 2, 7, 5, 97, 97, 97, 2, 2, 3, 11_587, 2, 134_217_757], dtype=np.int64)
+        # n = 0, p > n, n near 2^27 in bases 2, 3 and past its square root, and n < p once more
+        assert digit_sums(n, p).tolist() == [digit_sum(m, q) for m, q in zip(n.tolist(), p.tolist())]
+        assert digit_sums(top, p).tolist() == [digit_sum(top, q) for q in p.tolist()]
+        assert digit_sums(n[:0], 2).size == 0
 
 
 class TestFloorCondition:

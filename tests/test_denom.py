@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berndenom import arith, denom, oracle
-from berndenom.arith import is_prime, prime_divisors, radical, sieve
+from berndenom.arith import digit_sum, is_prime, prime_divisors, radical, sieve
 from berndenom.denom import (
     SEQUENCES,
     db,
@@ -467,7 +467,7 @@ class TestSupports:
 
     def test_a_block_peaks_under_twice_its_pairs(self):
         # 1,904,529 pairs, 29.1 MiB: each piece is keyed as it comes and the keys are
-        # sorted and split in place, so the peak is 29.2 MiB (three copies took 87.7)
+        # sorted and split in place, so the peak is 29.1 MiB (three copies took 87.7)
         lo, hi = 134_200_000, 134_201_023
         arith.shared_sieve((hi + 1) // 2)  # built before tracing: the block alone is measured
         tracemalloc.start()
@@ -622,6 +622,47 @@ class TestHeavyRuns:
         assert deep <= full
         for p, b, s in full:
             assert ((p, b, s) in deep) == any(n // p >= isqrt(n) - depth for n in range(b, s))
+
+
+def runs_of(lo, hi, picks):
+    """For each prime in picks, every n in [lo, hi] that its runs from heavy_runs and
+    _small_runs hold, once per run, after checking that every run lies in the window."""
+    primes = arith.shared_sieve((hi + 1) // 2).array
+    small = primes[: primes.searchsorted(isqrt(hi), "right")]
+    plus = ((primes[index], begin, stop) for index, begin, stop in heavy_runs(lo, hi, primes))
+    held = {p: [] for p in picks}
+    for owner, begin, stop in [*plus, *denom._small_runs(lo, hi, small)]:
+        assert np.all((0 <= begin) & (begin <= stop) & (stop <= hi - lo + 1))
+        keep = np.isin(owner, picks)
+        for p, b, s in zip(owner[keep].tolist(), begin[keep].tolist(), stop[keep].tolist()):
+            held[p] += range(lo + b, lo + s)
+    return held
+
+
+class TestSmallRuns:
+    """The runs of a prime p <= isqrt(hi), from p^2 on by _small_runs and below it by
+    heavy_runs, hold each n with digit_sum(n, p) >= p once, and no other n."""
+
+    def check(self, lo, hi, picks):
+        for p, held in runs_of(lo, hi, picks).items():
+            assert sorted(held) == [n for n in range(lo, hi + 1) if digit_sum(n, p) >= p], (lo, hi, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97, 1009, 11_579])
+    def test_windows_across_the_square(self, p):
+        # t from lo // p, not p, would give the two-digit runs below p^2 again
+        for lo, hi in [(p * p - 2048, p * p + 3 * p), (p * p - 1, p * p), (p * p - 2 * p, p * p + 2 * p + 1)]:
+            self.check(max(lo, 1), hi, [p])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_windows_to_2_27(self, data):
+        # isqrt(hi) = root, so windows near a square come often, up to hi < 2^27
+        root = data.draw(st.integers(2, 11_585), label="root")
+        hi = data.draw(st.integers(root * root, min((root + 1) ** 2 - 1, (1 << 27) - 1)), label="hi")
+        lo = max(hi - data.draw(st.integers(1, 2048), label="width") + 1, 1)
+        small = arith.shared_sieve((hi + 1) // 2).primes_in(2, root)
+        picks = data.draw(st.lists(st.sampled_from(small), max_size=4), label="picks")
+        self.check(lo, hi, sorted({2, small[-1], *picks}))
 
 
 class TestSequence:
