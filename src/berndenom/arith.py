@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_SIEVE_CAP",
     "PrimeSieve",
     "SieveSizeError",
-    "check_sieve_cap",
     "decimal_str",
     "digit_sum",
     "digit_sums",
@@ -263,19 +262,13 @@ def _sieved(limit: int) -> PrimeSieve:
     return PrimeSieve(limit=limit, array=primes)
 
 
-def check_sieve_cap(limit: int) -> None:
-    """Raise SieveSizeError when limit passes DEFAULT_SIEVE_CAP: sieve()'s own
-    refusal, which a range walker also runs on a bound it does not sieve to."""
-    if limit > DEFAULT_SIEVE_CAP:
-        raise SieveSizeError(f"sieve limit {limit} exceeds the cap of {DEFAULT_SIEVE_CAP}")
-
-
 def sieve(limit: int) -> PrimeSieve:
     """The primes up to limit (inclusive), at most DEFAULT_SIEVE_CAP, sieved in
     windows of _SEGMENT entries: no array of limit + 1 flags is ever built."""
     if limit < 1:
         raise ValueError(f"sieve limit must be positive, got {limit}")
-    check_sieve_cap(limit)
+    if limit > DEFAULT_SIEVE_CAP:  # the one refusal: every command asks for the primes it reads
+        raise SieveSizeError(f"sieve limit {limit} exceeds the cap of {DEFAULT_SIEVE_CAP}")
     return _sieved(limit)
 
 

@@ -115,7 +115,7 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     top = max(result.exceptional) if result.exceptional else None
     payload = {
         "limit": args.limit,
-        "chunk_size": args.chunk,
+        "chunk_size": result.chunk_size,
         "exceptional": result.exceptional,
         "exceptional_count": len(result.exceptional),
         "max_exceptional": top,
@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--limit", type=_positive_int, required=True)
     p_scan.add_argument("--threads", type=_positive_int, default=1,
                         help="worker processes (default: 1)")
-    p_scan.add_argument("--chunk", type=_positive_int, default=denom.DEFAULT_CHUNK_SIZE, help="indices per "
-                        "checkpoint record and worker task, not memory (default: %(default)s)")
+    p_scan.add_argument("--chunk", type=_positive_int, help="indices per checkpoint record and worker task, "
+                        "not memory (default: 1048576, or limit / 4096 to a power of 2 past 2^32)")
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 
     p_sets = sub.add_parser("sets", help="indices whose k-th derivative is integral")

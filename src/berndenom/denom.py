@@ -148,11 +148,14 @@ def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
         yield np.repeat(keys[g0:g1], take), values
 
 
-def _searched(lo: int, hi: int, cut: int, depth: int | None):
+def _searched(lo: int, hi: int, cut: int, depth: int | None, peaks: bool = False):
     """(quotients, lower, upper) of heavy_runs(lo, hi, primes, cut, depth): quotient
-    a1 = quotients[i] searches the primes p with lower[i] <= p <= upper[i]."""
+    a1 = quotients[i] searches the primes p with lower[i] <= p <= upper[i]. With peaks, only
+    the quotients where upper can peak, as Python ints: see heavy_reach."""
     least = cut + 1 if depth is None else max(cut + 1, isqrt(lo) - depth)
-    quotients = np.arange(least, isqrt(hi) + 1, dtype=np.int64)
+    turn = isqrt(hi + 1) - (depth or 0) - 1  # the last a1 with (a1 + depth + 1)^2 - 1 <= hi
+    picks = [a1 for a1 in (least, turn, turn + 1) if least <= a1 <= isqrt(hi)]
+    quotients = np.array(picks, object) if peaks else np.arange(least, isqrt(hi) + 1, dtype=np.int64)
     top = hi if depth is None else np.minimum(hi, (quotients + depth + 1) ** 2 - 1)
     lower = np.maximum(quotients + 1, -(-(lo + 1 + cut) // (quotients + 1)))
     return quotients, lower, (top + quotients) // (quotients + 1)
@@ -161,8 +164,13 @@ def _searched(lo: int, hi: int, cut: int, depth: int | None):
 def heavy_reach(lo: int, hi: int, cut: int = 0, depth: int | None = None) -> int:
     """The largest bound heavy_runs(lo, hi, primes, cut, depth) searches primes to, 0 when it
     reads no quotient. With no depth it is (hi + cut + 1) // (cut + 2); with one, quotient
-    cut + 1 reaches (cut + depth + 2)^2 / (cut + 2) and the top ones about isqrt(hi) + depth."""
-    return int(_searched(lo, hi, cut, depth)[2].max(initial=0))
+    cut + 1 reaches (cut + depth + 2)^2 / (cut + 2) and the top ones about isqrt(hi) + depth.
+
+    Exact for any hi, from at most three quotients. Up to the turn, quotient a1 = b - 1
+    searches to the floor of b + 2 depth + 1 + (depth^2 - 2) / b, convex in b (rising for
+    depth < 2), so there it peaks at the least quotient or at the turn; past the turn it
+    searches to (hi + a1) // b, which falls, so there it peaks at the turn's successor."""
+    return int(_searched(lo, hi, cut, depth, peaks=True)[2].max(initial=0))
 
 
 def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0, depth: int | None = None):

@@ -14,16 +14,19 @@ stays in the denominator of the k-th derivative at n = m + k - 1. The cut-1
 test, passed where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
 The cover reads only the primes its runs can reach (denom.heavy_reach):
-2,178 for a scan to 300,000 and 11,641 for one to 1.34 * 10^8, not every
-prime to hi / 2. A step whose cover leaves an index past its depth is covered
-again, deeper, so the run rule lives in denom.heavy_runs alone. The sieve cap
-still bounds a sweep: where (hi + 1) // 2 passes it, the sweep is refused as
-sieve() refuses, since past it the steps do not grow yet (ROADMAP item 16).
-There depth 64 leaves 1,261 indices in the 2^20 step at 383,778,817 and
-437,348 in the one at 985,661,441; the first re-cover, at depth 129, leaves none.
+2,178 for a scan to 300,000, 11,641 for one to 1.34 * 10^8 and about
+sqrt(limit) + 64 beyond, not every prime to hi / 2. A step whose cover leaves
+an index past its depth is covered again, deeper, so the run rule lives in
+denom.heavy_runs alone. Those primes are a sweep's only limit: sieve() refuses
+them past its cap of 2^26, so scan and sets --k 1 run to 4,503,591,037,435,904
+and radset to 4,503,590,903,218,176. The steps stay 2^20 indices, so 10^10
+takes about 1.2 s and 10^11 about 9 s (ROADMAP item 16 lets them grow). Depth
+64 leaves 1,261 indices in the step at 383,778,817 and 437,348 in the one at
+985,661,441; the first re-cover, at depth 129, leaves none.
 
 A scan's chunk_size sets only what one checkpoint record covers and what one
-worker process takes. A chunk's result, a ScanChunk, is what a checkpoint
+worker process takes; past a limit of 2^32 the default grows with it, so a scan
+holds at most 4,096 records. A chunk's result, a ScanChunk, is what a checkpoint
 persists: one JSON line appended per chunk after a header naming the scan, so
 an interrupted scan resumes from the chunks it finished and ends
 byte-identical, file and all, to one that never stopped. A sweep sizes
@@ -43,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import denom
-from .arith import check_sieve_cap, radical, shared_sieve
+from .arith import SieveSizeError, radical, shared_sieve
 from .denom import DEFAULT_CHUNK_SIZE, db_k, dd
 
 __all__ = [
@@ -111,10 +114,9 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np
 def _sieve_bound(lo: int, hi: int, cut: int) -> int:
     """The primes _zeros(lo, hi, cut) reads first: those its depth-_DEPTH cover's runs reach, and
     those to isqrt(hi) that qualifying_primes reads in the confirmations of find_sets and
-    find_rad_set (the reach passes isqrt(hi) unless the cover reads no quotient). Where
-    (hi + 1) // 2 passes the sieve cap, refused as sieve() refuses: past it the steps do not
-    grow yet. A deeper cover reads at most (hi + cut + 1) // (cut + 2), within the cap."""
-    check_sieve_cap((hi + 1) // 2)
+    find_rad_set (the reach passes isqrt(hi) unless the cover reads no quotient). sieve()
+    refuses it past its cap, as it refuses any bound: a scan to 4,503,591,037,435,905 needs
+    the primes to 67,108,865, one past it."""
     return max(denom.heavy_reach(lo, hi, cut, _DEPTH + cut), isqrt(hi))
 
 
@@ -123,16 +125,21 @@ def _zeros(lo: int, hi: int, cut: int):
     run holds only a1 - cut indices of its period, so the cover reads cut more quotients.
     Below (cut + depth + 2)^2 the cover reads every quotient, so what it leaves there is exact;
     a step that leaves an index past it is covered again at depth 2 * depth + 1, from the
-    primes to that deeper cover's reach, until none is left past it."""
+    primes to that deeper cover's reach, until none is left past it. Where that reach passes
+    the sieve cap, SieveSizeError names the index: only a dropped run or an exceptional index
+    past 192 drives the depth toward sqrt(n) and the reach toward n / 2."""
     if lo > hi:
         return
     primes = shared_sieve(_sieve_bound(lo, hi, cut)).array  # once, for every step at _DEPTH
     for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
         end, depth = min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), _DEPTH + cut
         left = _uncovered(start, end, cut, depth, primes)
-        while left.size and left[-1] >= (cut + depth + 2) ** 2:
+        while left.size and (n := left[-1]) >= (cut + depth + 2) ** 2:
             depth = 2 * depth + 1
-            deeper = shared_sieve(denom.heavy_reach(start, end, cut, depth)).array
+            try:
+                deeper = shared_sieve(denom.heavy_reach(start, end, cut, depth)).array
+            except SieveSizeError as exc:
+                raise SieveSizeError(f"covering n = {n} at depth {depth}: {exc}; see `profile {n}`") from exc
             left = _uncovered(start, end, cut, depth, deeper)
         yield from left.tolist()
 
@@ -280,10 +287,12 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
 @dataclass(frozen=True)
 class ScanResult:
     """Final report of a full scan from 1 to limit: the exceptional indices
-    in ascending order, and the digest of its chunks' checksums."""
+    in ascending order, the digest of its chunks' checksums, and the chunk
+    size that digest depends on."""
 
     exceptional: tuple[int, ...]
     digest: str
+    chunk_size: int
 
 
 def _scan_chunks(pending, threads: int):
@@ -357,23 +366,26 @@ def run_scan(
     limit: int,
     *,
     threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = None,
     checkpoint_path=None,
 ) -> ScanResult:
     """Scan [1, limit] in chunks, optionally in parallel and checkpointed.
 
     The report depends only on (limit, chunk_size); thread count, interruption,
-    and resumption leave it bit-for-bit unchanged.
+    and resumption leave it bit-for-bit unchanged. The default chunk is
+    DEFAULT_CHUNK_SIZE up to 2^32 and doubles with each bit of limit - 1 past 32:
+    limit / 4096 rounded up to a power of two, so a scan holds at most 4,096
+    records of about 0.5 KB each, where chunks of 2^20 made a million at 10^12.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    if chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
     shared_sieve(_sieve_bound(1, limit, 0))  # past the cap, refused before the checkpoint is touched
-    config = ScanConfig(lo=1, hi=limit, chunk_size=chunk_size)
+    config = ScanConfig(1, limit, chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0))
     chunks = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     pending = [r for r in config.chunk_ranges() if r[0] not in chunks]
     for chunk in _scan_chunks(pending, threads):
@@ -385,4 +397,4 @@ def run_scan(
     exceptional = tuple(n for c in ordered for n in c.exceptional)
     import hashlib
     digest = hashlib.sha256("|".join(c.checksum for c in ordered).encode("ascii")).hexdigest()
-    return ScanResult(exceptional=exceptional, digest=digest)
+    return ScanResult(exceptional=exceptional, digest=digest, chunk_size=config.chunk_size)

@@ -303,32 +303,44 @@ class TestScan:
         assert code == 0
         assert run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "1") == (0, out, err)
 
+    def test_json_and_checkpoint_show_the_default_chunk(self, capsys, tmp_path):
+        # 2^20 up to a limit of 2^32, and past it limit / 4096 rounded up to a power of two
+        path = tmp_path / "wide.ckpt"
+        argv = ("--format", "json", "scan", "--limit", str(2**32 + 1), "--checkpoint", str(path))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["chunk_size"] == 2**21
+        header, *records = path.read_text().splitlines()
+        assert json.loads(header)["chunk_size"] == 2**21 and len(records) == 2049
+        code, out, _ = run_cli(capsys, "--format", "json", "scan", "--limit", "5000")
+        assert json.loads(out)["chunk_size"] == 2**20
+
     def test_refusal_states_the_sieve_cap(self, capsys):
-        # primes up to limit/2 = 10**8 would need a sieve past the 2**26 cap
-        code, out, err = run_cli(capsys, "scan", "--limit", "200000000")
+        # the cover to one past the last limit accepted reads primes to 2**26 + 1
+        code, out, err = run_cli(capsys, "scan", "--limit", "4503591037435905")
         assert code == 2 and out == ""
-        assert "67108864" in err and "max_limit" not in err
+        assert err == "error: sieve limit 67108865 exceeds the cap of 67108864\n"
 
     def test_refused_scan_leaves_no_checkpoint(self, capsys, tmp_path):
         path = tmp_path / "refused.ckpt"
-        code, out, err = run_cli(capsys, "scan", "--limit", "300000000", "--checkpoint", str(path))
+        code, out, err = run_cli(capsys, "scan", "--limit", "4503591037435905", "--checkpoint", str(path))
         assert code == 2 and out == "" and "67108864" in err
         assert not path.exists()
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, bound",
     [
-        ("seq", "dd", "1", "300000000"),
-        ("seq", "db_k", "1", "300000000", "--k", "2"),
-        ("radset", "--limit", "300000000"),
-        ("sets", "--k", "1", "--limit", "300000000"),
+        (("seq", "dd", "1", "300000000"), 150000000),
+        (("seq", "db_k", "1", "300000000", "--k", "2"), 150000000),
+        (("radset", "--limit", "4503590903218177"), 67108865),
+        (("sets", "--k", "1", "--limit", "4503591037435905"), 67108865),
     ],
     ids=["seq-dd", "seq-db_k", "radset", "sets"],
 )
-def test_range_commands_refuse_past_the_sieve_cap_at_once(argv):
-    # primes up to 1.5e8 would need a sieve past the 2**26 cap; the refusal
-    # comes before any row, where building rows up to the cap took minutes
+def test_range_commands_refuse_past_the_sieve_cap_at_once(argv, bound):
+    # seq sieves to half its top index, 1.5e8 here; radset and sets sieve to their
+    # cover's reach, one past the 2**26 cap at these limits. The refusal comes
+    # before any row, where building rows up to the cap took minutes
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
     done = subprocess.run(
         [sys.executable, "-m", "berndenom", *argv],
@@ -338,7 +350,7 @@ def test_range_commands_refuse_past_the_sieve_cap_at_once(argv):
         timeout=2,
     )
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == "error: sieve limit 150000000 exceeds the cap of 67108864\n"
+    assert done.stderr == f"error: sieve limit {bound} exceeds the cap of 67108864\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -9,11 +9,11 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berndenom import arith, denom, scanner
-from berndenom.arith import SieveSizeError, is_prime, radical, sieve
+from berndenom.arith import SieveSizeError, digit_sum, is_prime, radical, sieve
 from berndenom.scanner import (
     CheckpointError,
     ScanChunk,
@@ -81,8 +81,8 @@ class TestSixteenBitCounts:
     """The counts are int16: one run per quotient a1 <= isqrt(hi) holds n at most."""
 
     def test_the_sieve_cap_keeps_every_count_below_2_15(self):
-        # a scan's hi is at most 2 * cap + 1, as it sieves to (hi + 1) // 2; a
-        # higher cap fails here instead of wrapping the counts silently
+        # seq omega_plus, the only caller, sieves to (hi + 1) // 2, so its hi is at
+        # most 2 * cap + 1; a higher cap fails here instead of wrapping the counts silently
         assert isqrt(2 * arith.DEFAULT_SIEVE_CAP + 1) < 2**15
 
     def test_counts_are_int16(self):
@@ -180,7 +180,7 @@ def full_zeros(lo, hi, cut):
     return (np.flatnonzero(full_counts(lo, hi, cut) == 0) + lo).tolist()
 
 
-COVER_TOP = 134_000_000  # the largest scan the sieve cap admits
+COVER_TOP = 134_000_000  # full_counts sieves to hi / 2, which the sieve cap admits to here
 
 
 class TestCover:
@@ -286,6 +286,55 @@ class TestCover:
             with pytest.raises(ValueError, match=f"primes stop at {short[-1]},"):
                 next(denom.heavy_runs(lo, hi, short, cut, depth))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_the_reach_is_the_largest_bound_over_every_quotient(self, data):
+        # heavy_reach reads at most three quotients; _searched lists every one
+        hi = data.draw(st.integers(1, 10**11), label="hi")
+        lo = data.draw(st.integers(max(hi - (1 << 20), 1), hi) | st.integers(1, hi), label="lo")
+        cut = data.draw(st.integers(0, 63), label="cut")
+        depth = data.draw(st.sampled_from([None, 0, 1, 2, 5, 64 + cut, 129 + 2 * cut, 259 + 4 * cut])
+                          | st.integers(0, 5000), label="depth")
+        full = denom._searched(lo, hi, cut, depth)[2].max(initial=0)
+        assert denom.heavy_reach(lo, hi, cut, depth) == full
+
+    def test_a_re_cover_past_the_cap_names_its_index(self, monkeypatch):
+        # 1080 has one heavy prime above its square root, 47 at quotient 22; with that
+        # run dropped, 1080 is left at every depth, and from depth 0 up the re-cover
+        # at depth 31 reads the primes to 540, past a cap of 256
+        monkeypatch.setattr(scanner, "_DEPTH", 0)
+        monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", 256)
+        monkeypatch.setattr(arith, "_SHARED", None)
+        assert scan_omega_plus(1080, 1080).exceptional == ()  # covered at depth 15
+        runs = denom.heavy_runs
+
+        def dropping_47(lo, hi, primes, cut=0, depth=None):
+            for index, begin, stop in runs(lo, hi, primes, cut, depth):
+                keep = primes[index] != 47
+                yield index[keep], begin[keep], stop[keep]
+
+        monkeypatch.setattr(denom, "heavy_runs", dropping_47)
+        message = "covering n = 1080 at depth 31: sieve limit 540 exceeds the cap of 256; see `profile 1080`"
+        with pytest.raises(SieveSizeError, match=message):
+            scan_omega_plus(1080, 1080)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hi=st.integers(134_000_001, 10**12), width=st.integers(1, 1 << 8))
+    @example(hi=384_529_838 + 255, width=256)  # the first indices depth 64 leaves here,
+    @example(hi=985_677_418 + 255, width=256)  # so each window is covered again
+    def test_every_index_past_the_old_cap_has_a_witness(self, hi, width):
+        # past the old cap no count checks the cover; a heavy prime above sqrt(n) found with
+        # plain ints does, from n's smallest quotients: p = n // (a + 1) + 1 at the first a
+        # with (a + 1) not dividing n, p > a and p prime, with no sieve and no heavy_runs
+        lo = max(hi - width + 1, 134_000_001)
+        assert list(scanner._zeros(lo, hi, 0)) == []
+        for n in range(lo, hi + 1):
+            a = 1
+            while n % (a + 1) == 0 or n // (a + 1) + 1 <= a or not is_prime(n // (a + 1) + 1):
+                a += 1
+            p = n // (a + 1) + 1
+            assert p * p > n and digit_sum(n, p) >= p, (n, p)
+
     def test_the_cover_alone_leaves_only_the_exceptional_indices_to_5_million(self):
         assert scanner._DEPTH == 64  # K = 32 left 2,843 indices past the depth here
         top, step = 5 * 10**6, denom.DEFAULT_CHUNK_SIZE
@@ -326,25 +375,50 @@ class TestFindSets:
         for k, expected in integral_to_3000.items():
             assert find_sets(k, 3000) == expected, k
 
-    def test_bound_is_half_the_top_index_read(self, monkeypatch):
-        # a scan to limit and find_sets(k, limit + k - 1) both cover the indices
-        # to limit, so both are refused once limit / 2 passes the cap, though
-        # they sieve only to their reach
-        cap = 1 << 16
+    def test_bound_is_the_primes_the_cover_reads(self, monkeypatch):
+        # scan, sets and radset are refused by sieve() alone, exactly where the primes
+        # their cover reads, scanner._sieve_bound, pass the cap: at a cap of 2^12 the
+        # first top index refused is about 1.6 * 10^7, where half the top index refused 8,193
+        cap = 1 << 12
         monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", cap)
         monkeypatch.setattr(arith, "_SHARED", None)
-        run_scan(2 * cap)
-        assert find_sets(1, 2 * cap) == S1
-        assert find_sets(3, 2 * cap + 2) == S3
-        assert find_rad_set(2 * cap) == RAD_SET
+
+        def first_refused(cut):  # the bound grows by at most 1 per index, so it meets cap + 1
+            lo, hi = 1, cap * cap
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if scanner._sieve_bound(1, mid, cut) > cap else (mid + 1, hi)
+            return lo
+
+        scan_top, rad_top, sets3_top = first_refused(0), first_refused(1), first_refused(2)
+        assert 16 * 10**6 < sets3_top < rad_top < scan_top < cap * cap
+        run_scan(scan_top - 1)
+        assert find_sets(1, scan_top - 1) == S1
+        assert find_sets(3, sets3_top + 1) == S3  # its top index is limit - 2
+        assert find_rad_set(rad_top - 1) == RAD_SET
         for refused in (
-            lambda: run_scan(2 * cap + 1),
-            lambda: find_sets(1, 2 * cap + 1),
-            lambda: find_sets(3, 2 * cap + 3),
-            lambda: find_rad_set(2 * cap + 1),
+            lambda: run_scan(scan_top),
+            lambda: find_sets(1, scan_top),
+            lambda: find_sets(3, sets3_top + 2),
+            lambda: find_rad_set(rad_top),
         ):
             with pytest.raises(SieveSizeError, match=f"sieve limit {cap + 1} exceeds"):
                 refused()
+
+    @pytest.mark.parametrize("lo, cut, top", [(1, 0, 4_503_591_037_435_904), (2, 1, 4_503_590_903_218_176)])
+    def test_the_last_limits_under_the_cap(self, lo, cut, top):
+        # scan and sets --k 1 read the primes to the cap at 4,503,591,037,435,904, radset at
+        # 4,503,590,903,218,176; one index more reads one prime bound more
+        assert scanner._sieve_bound(lo, top, cut) == arith.DEFAULT_SIEVE_CAP
+        assert scanner._sieve_bound(lo, top + 1, cut) == arith.DEFAULT_SIEVE_CAP + 1
+
+    def test_a_limit_past_int64_is_refused_without_overflow(self, monkeypatch):
+        # the reach is taken in Python ints, so 10^30 asks sieve() for about 10^15 + 64
+        monkeypatch.setattr(arith, "_SHARED", None)
+        bound = scanner._sieve_bound(1, 10**30, 0)
+        assert 10**15 < bound <= 10**15 + 2 * scanner._DEPTH
+        with pytest.raises(SieveSizeError, match=f"sieve limit {bound} exceeds"):
+            run_scan(10**30)
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +460,12 @@ class TestMemory:
         arith.shared_sieve((4 * chunk + 1) // 2)  # built before tracing
         drain = lambda: collections.deque(denom.sequence("omega_plus", 1, 4 * chunk), maxlen=0)
         assert traced_peak(drain) < 12 << 20
+
+    def test_the_reach_holds_three_quotients(self):
+        # over every quotient, isqrt(hi) of them, the reach took 121 MiB at 10^13; near
+        # the bound of 4.5 * 10^15 it would take some 2.5 GiB before the sieve could refuse
+        for hi in (10**13, 4_503_591_037_435_905):
+            assert traced_peak(denom.heavy_reach, 1, hi, 0, scanner._DEPTH) < 16 << 10
 
     def test_find_sets_peak_is_flat_in_the_limit(self):
         arith.shared_sieve(((1 << 23) + 2) // 2)  # both runs read this cache, built untraced
@@ -647,6 +727,20 @@ class TestRunScan:
         chunks.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "limit, chunk",
+        [(1, 1 << 20), (2**32, 1 << 20), (2**32 + 1, 1 << 21), (2**33, 1 << 21), (10**12, 1 << 28)],
+    )
+    def test_the_default_chunk_grows_past_2_32(self, monkeypatch, limit, chunk):
+        # 2^20 to 2^32, so every digest and checkpoint there stays; past it at most
+        # 4,096 records. Only the grid is read here: the chunks scan nothing
+        grids = []
+        monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
+        monkeypatch.setattr(scanner, "_scan_chunks", lambda pending, threads: grids.append(pending) or ())
+        assert run_scan(limit).chunk_size == chunk
+        assert len(grids[0]) == -(-limit // chunk) <= 4096
+        assert run_scan(min(limit, 50), chunk_size=7).chunk_size == 7  # a given chunk is kept
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
