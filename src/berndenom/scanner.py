@@ -25,23 +25,27 @@ takes about 1.2 s and 10^11 about 9 s (ROADMAP item 16 lets them grow). Depth
 985,661,441; the first re-cover, at depth 129, leaves none.
 
 A scan's chunk_size sets only what one checkpoint record covers and what one
-worker process takes; past a limit of 2^32 the default grows with it, so a scan
-holds at most 4,096 records. A chunk's result, a ScanChunk, is what a checkpoint
-persists: one JSON line appended per chunk after a header naming the scan, so
-an interrupted scan resumes from the chunks it finished and ends
-byte-identical, file and all, to one that never stopped. A sweep sizes
-arith.shared_sieve for its whole range before its first chunk, and forked
-workers inherit that sieve, so no chunk makes the cache grow again.
+worker process takes; past a limit of 2^32 the default grows with it, so a checkpoint
+holds at most 4,096 records. The chunk grid is counted, never listed, and the
+report is folded as the chunks come, so an explicit small chunk costs memory
+only per finished record that a resume reads back. A chunk's result, a
+ScanChunk, is what a checkpoint persists: one JSON line appended per chunk
+after a header naming the scan, so an interrupted scan resumes from the chunks
+it finished and ends byte-identical, file and all, to one that never stopped.
+A sweep sizes arith.shared_sieve for its whole range before its first chunk,
+and forked workers inherit that sieve, so no chunk makes the cache grow again.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import islice
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -198,11 +202,10 @@ class ScanConfig:
             "chunk_size": self.chunk_size,
         }
 
-    def chunk_ranges(self) -> list[tuple[int, int]]:
-        return [
-            (lo, min(lo + self.chunk_size - 1, self.hi))
-            for lo in range(self.lo, self.hi + 1, self.chunk_size)
-        ]
+    def chunk_ranges(self) -> Iterator[tuple[int, int]]:
+        """Each chunk's (lo, hi), ascending and lazily: the grid is counted, never listed."""
+        for lo in range(self.lo, self.hi + 1, self.chunk_size):
+            yield lo, min(lo + self.chunk_size - 1, self.hi)
 
 
 def _dump(payload: dict) -> str:
@@ -262,7 +265,7 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
     if header != config.header():
         raise CheckpointError("checkpoint was written for a different scan configuration")
 
-    grid = dict(config.chunk_ranges())
+    grid = range(config.lo, config.hi + 1, config.chunk_size)  # O(1) membership, not a list
     chunks: dict[int, ScanChunk] = {}
     for line in lines[1:]:
         if not line.strip():
@@ -274,7 +277,7 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint record: {line!r}") from exc
         lo, hi = chunk.lo, chunk.hi
-        if grid.get(lo) != hi:
+        if lo not in grid or hi != min(lo + config.chunk_size - 1, config.hi):
             raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid")
         if lo in chunks:
             raise CheckpointError(f"duplicate record for the chunk starting at {lo}")
@@ -295,17 +298,23 @@ class ScanResult:
     chunk_size: int
 
 
-def _scan_chunks(pending, threads: int):
+def _scan_chunks(pending, workers: int):
     """Scan each pending range and yield its ScanChunk, in order.
 
-    With W threads and os.fork, worker w scans pending[w::W] and chunk i
-    comes from worker i mod W: worker 0 is the parent, inline, and the W - 1
-    it forks inherit the sieve run_scan sized and write records to their own
-    pipes. Each keeps only its own write end, so a dead parent ends it at its
-    next write; the parent kills and reaps every worker however it leaves.
-    With one worker, or without os.fork, the parent forks none and scans all.
+    With W workers and os.fork, chunk i comes from worker i mod W: worker 0
+    is the parent, inline, and each worker w it forks takes
+    islice(pending, w, None, W) of its own copy of the unstarted generator,
+    inherits the sieve run_scan sized and writes records to its own pipe. The
+    parent scans any chunk whose whole record line a worker never sent, so a
+    worker's error is raised again by the parent, and errors and output read
+    the same for every --threads; a worker lost to a signal costs speed, not
+    output. Each worker keeps only its own write end, so a dead parent ends it
+    at its next write; the parent kills and reaps every worker however it
+    leaves. Without os.fork the parent forks none and scans all. Nothing here
+    lists pending, so --chunk costs memory only per finished record that
+    run_scan resumes from its checkpoint.
     """
-    workers = min(threads, len(pending)) if hasattr(os, "fork") else 1
+    workers = workers if hasattr(os, "fork") else 1
     import signal  # here, as in _work: only a scan loads it
 
     readers, writers, pids = [], [], []
@@ -317,18 +326,13 @@ def _scan_chunks(pending, threads: int):
         for w, out in enumerate(writers, 1):
             pid = os.fork()
             if pid == 0:
-                _work(pending[w::workers], readers + writers, out)
+                _work(islice(pending, w, None, workers), readers + writers, out)
             pids.append(pid)
         for out in writers:
             out.close()
         for i, (lo, hi) in enumerate(pending):
-            if i % workers == 0:
-                yield scan_omega_plus(lo, hi)
-                continue
-            line = readers[i % workers - 1].readline()
-            if not line.endswith(b"\n"):
-                raise RuntimeError(f"scan worker {i % workers} exited before chunk [{lo}, {hi}]")
-            yield _load(line)
+            line = readers[i % workers - 1].readline() if i % workers else b""
+            yield _load(line) if line.endswith(b"\n") else scan_omega_plus(lo, hi)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # unreaped, so never gone: at worst a zombie
@@ -339,10 +343,14 @@ def _scan_chunks(pending, threads: int):
 
 def _work(share, ends, out) -> None:
     """A forked worker's whole life: scan share, one record line per chunk
-    to out, then exit, 1 if a chunk raised. Never returns."""
+    to out, then exit. Never returns. share is a slice of the parent's
+    unstarted generator, so no worker lists the grid either, and --chunk costs
+    memory only per finished record that a resume reads back. An error, or a
+    parent gone at a write, ends it at once and silently: the parent scans
+    every chunk it never sent, so errors and output read the same for every
+    --threads."""
     import signal
 
-    code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
         for end in ends:
@@ -351,15 +359,8 @@ def _work(share, ends, out) -> None:
         for lo, hi in share:
             out.write(_record(scan_omega_plus(lo, hi)))
             out.flush()
-        code = 0
-    except BrokenPipeError:
-        pass  # the parent is gone and no one reads on
-    except BaseException:
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
     finally:
-        os._exit(code)
+        os._exit(0)  # discards any exception
 
 
 def run_scan(
@@ -374,8 +375,10 @@ def run_scan(
     The report depends only on (limit, chunk_size); thread count, interruption,
     and resumption leave it bit-for-bit unchanged. The default chunk is
     DEFAULT_CHUNK_SIZE up to 2^32 and doubles with each bit of limit - 1 past 32:
-    limit / 4096 rounded up to a power of two, so a scan holds at most 4,096
+    limit / 4096 rounded up to a power of two, so a checkpoint holds at most 4,096
     records of about 0.5 KB each, where chunks of 2^20 made a million at 10^12.
+    The digest and the exceptional indices are folded as the chunks come, so a
+    scan holds no record past its fold but those it resumed from its checkpoint.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -386,15 +389,15 @@ def run_scan(
 
     shared_sieve(_sieve_bound(1, limit, 0))  # past the cap, refused before the checkpoint is touched
     config = ScanConfig(1, limit, chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0))
-    chunks = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
-    pending = [r for r in config.chunk_ranges() if r[0] not in chunks]
-    for chunk in _scan_chunks(pending, threads):
-        chunks[chunk.lo] = chunk
-        if checkpoint_path is not None:
-            checkpoint_save(checkpoint_path, chunk)
-
-    ordered = sorted(chunks.values(), key=lambda c: c.lo)
-    exceptional = tuple(n for c in ordered for n in c.exceptional)
+    held = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
+    workers = max(1, min(threads, -(-limit // config.chunk_size) - len(held)))
+    new = _scan_chunks((r for r in config.chunk_ranges() if r[0] not in held), workers)
     import hashlib
-    digest = hashlib.sha256("|".join(c.checksum for c in ordered).encode("ascii")).hexdigest()
-    return ScanResult(exceptional=exceptional, digest=digest, chunk_size=config.chunk_size)
+    digest, exceptional = hashlib.sha256(), []
+    # every chunk in grid order; merge asks new for the next chunk only after this one is saved
+    for i, chunk in enumerate(heapq.merge([held[lo] for lo in sorted(held)], new, key=lambda c: c.lo)):
+        if checkpoint_path is not None and chunk.lo not in held:
+            checkpoint_save(checkpoint_path, chunk)
+        digest.update(b"|" * (i > 0) + chunk.checksum.encode("ascii"))
+        exceptional += chunk.exceptional
+    return ScanResult(exceptional=tuple(exceptional), digest=digest.hexdigest(), chunk_size=config.chunk_size)

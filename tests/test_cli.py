@@ -259,7 +259,7 @@ class TestScan:
         config = ScanConfig(1, 2000, 512)
         path = tmp_path / "scan.ckpt"
         checkpoint_resume(path, config)  # writes the header
-        for lo, hi in config.chunk_ranges()[:2]:
+        for lo, hi in list(config.chunk_ranges())[:2]:
             checkpoint_save(path, scan_omega_plus(lo, hi))
 
         code, resumed, _ = run_cli(
@@ -302,6 +302,26 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "2")
         assert code == 0
         assert run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "1") == (0, out, err)
+
+    def test_an_error_reads_the_same_on_any_thread_count(self, capsys, monkeypatch):
+        # a re-cover past the sieve cap raises in the middle of a scan; with two threads
+        # the worker's chunk fails, and the parent's own scan of it raises the same error
+        from berndenom import scanner
+
+        real = scanner.scan_omega_plus
+
+        def refused(lo, hi):
+            if lo > 1:
+                raise arith.SieveSizeError(f"covering n = {lo} at depth 129: refused")
+            return real(lo, hi)
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", refused)
+        argv = ("scan", "--limit", "2000", "--chunk", "1000", "--threads")
+        one = run_cli(capsys, *argv, "1")
+        assert one == (2, "", "error: covering n = 1001 at depth 129: refused\n")
+        assert run_cli(capsys, *argv, "2") == one
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # the worker was reaped
 
     def test_json_and_checkpoint_show_the_default_chunk(self, capsys, tmp_path):
         # 2^20 up to a limit of 2^32, and past it limit / 4096 rounded up to a power of two
@@ -465,7 +485,8 @@ def test_stopped_threaded_scan_takes_its_workers_and_resumes(tmp_path, interrupt
     # SIGKILL reaches the parent alone; SIGINT, as from a terminal, reaches
     # the whole group, where only the parent may answer it
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
-    argv = [sys.executable, "-m", "berndenom", "scan", "--limit", "3000000", "--chunk", "65536"]
+    # 733 records: the scan cannot write them all before the signal lands
+    argv = [sys.executable, "-m", "berndenom", "scan", "--limit", "3000000", "--chunk", "4096"]
     env = dict(os.environ, PYTHONPATH=src)
     fresh_path = tmp_path / "fresh.ckpt"
     fresh = subprocess.run(
@@ -473,7 +494,7 @@ def test_stopped_threaded_scan_takes_its_workers_and_resumes(tmp_path, interrupt
         env=env, capture_output=True, check=True, timeout=60,
     ).stdout
     total = records_in(fresh_path)
-    assert total == 46
+    assert total == 733
 
     path = tmp_path / "stopped.ckpt"
     with open(tmp_path / "stderr", "wb") as err:  # a pipe would wait for the workers too

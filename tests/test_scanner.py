@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -624,6 +625,30 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="chunk grid"):
             checkpoint_resume(path, config)
 
+    def test_a_wide_grid_is_checked_by_arithmetic(self, tmp_path):
+        # 157,073,089,829 chunks of 7: a listed grid would take terabytes
+        config = ScanConfig(1, 2**40, 7)
+        last = 1 + (2**40 - 1) // 7 * 7
+        path = tmp_path / "wide.ckpt"
+        checkpoint_resume(path, config)  # writes the header
+        header = path.read_bytes()
+
+        def resume_with(lo, hi):
+            path.write_bytes(header)
+            checkpoint_save(path, ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ())))
+            return checkpoint_resume(path, config)
+
+        tracemalloc.start()
+        try:
+            assert list(resume_with(last, 2**40)) == [last]
+            for lo, hi in [(last + 1, 2**40), (last, last + 6), (2**40 + 1, 2**40 + 7)]:
+                with pytest.raises(CheckpointError, match="chunk grid"):
+                    resume_with(lo, hi)  # off the grid, the last chunk's hi wrong, past hi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
 
 class TestRunScan:
     def test_chunked_equals_single_chunk(self):
@@ -631,7 +656,7 @@ class TestRunScan:
         single = run_scan(3000, chunk_size=3000)
         assert small.exceptional == single.exceptional
         # digests cover the chunk tiling, so they differ across chunk sizes
-        tiles = ScanConfig(1, 3000, 700).chunk_ranges()
+        tiles = list(ScanConfig(1, 3000, 700).chunk_ranges())
         joined = "|".join(scan_omega_plus(lo, hi).checksum for lo, hi in tiles)
         assert len(tiles) == 5 and small.digest == hashlib.sha256(joined.encode("ascii")).hexdigest()
         assert single.digest == hashlib.sha256(scan_omega_plus(1, 3000).checksum.encode("ascii")).hexdigest()
@@ -701,12 +726,28 @@ class TestRunScan:
 
         monkeypatch.setattr(scanner, "scan_omega_plus", failing)  # before the fork
         path = tmp_path / "failed.ckpt"
-        with pytest.raises(RuntimeError, match=r"before chunk \[2501, 3000\]"):
+        with pytest.raises(ValueError, match="injected failure"):  # the parent's own scan of it
             run_scan(6000, chunk_size=500, threads=2, checkpoint_path=path)
         assert path.read_bytes().splitlines() == serial.read_bytes().splitlines()[:6]
-        assert "ValueError: injected failure" in capfd.readouterr().err  # the worker's traceback
+        assert capfd.readouterr().err == ""  # the worker exited silently
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+    def test_a_lost_worker_costs_speed_not_output(self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial.ckpt"
+        expected = run_scan(6000, chunk_size=500, checkpoint_path=serial)
+        real = scanner.scan_omega_plus
+        parent = os.getpid()
+
+        def killed(lo, hi):
+            if os.getpid() != parent and lo == 1501:  # the second worker's second chunk
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(lo, hi)
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", killed)
+        path = tmp_path / "lost.ckpt"
+        assert run_scan(6000, chunk_size=500, threads=2, checkpoint_path=path) == expected
+        assert path.read_bytes() == serial.read_bytes()
 
     def test_workers_leave_an_interrupt_to_the_parent(self, monkeypatch):
         expected = run_scan(6000, chunk_size=500)
@@ -739,8 +780,26 @@ class TestRunScan:
         monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
         monkeypatch.setattr(scanner, "_scan_chunks", lambda pending, threads: grids.append(pending) or ())
         assert run_scan(limit).chunk_size == chunk
-        assert len(grids[0]) == -(-limit // chunk) <= 4096
+        assert len(list(grids[0])) == -(-limit // chunk) <= 4096
         assert run_scan(min(limit, 50), chunk_size=7).chunk_size == 7  # a given chunk is kept
+
+    def test_a_tiny_chunk_on_a_wide_limit_lists_no_grid(self, monkeypatch):
+        # the first 20,000 of 157,073,089,829 chunks of 7: neither the grid nor
+        # the finished records are held, where holding the records took 9 MB
+        def first(pending, workers):
+            assert workers == 1
+            return (ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ())) for lo, hi in itertools.islice(pending, 20000))
+
+        monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
+        monkeypatch.setattr(scanner, "_scan_chunks", first)
+        tracemalloc.start()
+        try:
+            result = run_scan(2**40, chunk_size=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.chunk_size == 7 and result.exceptional == ()
+        assert peak < 1 << 20, peak
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
