@@ -42,7 +42,6 @@ for the bound each route needs: a range's, once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 20
-"""Indices per step of _run_count_chunks() and of the scanner's cover; a scan's default chunk."""
+"""Indices per step of seq omega_plus's run count and of the scanner's cover; a scan's default chunk."""
 
 _RUN_BATCH = 1 << 15
 """Most runs or (prime, index) pairs in one batch: its int64 arrays take 256 KiB each."""
@@ -95,10 +94,9 @@ composite unless it divides it."""
 def qualifying_primes(n: int) -> tuple[int, ...]:
     """Ascending primes p with digit_sum(n, p) >= p, from the primes to isqrt(n).
 
-    Primes p <= isqrt(n) are tested by digit sum, in closed form for those
-    with three digits (p^3 > n). A prime p > sqrt(n) with a = n // p
-    qualifies exactly when n + 1 <= (a+1)p <= n + a, which pins p to
-    n // (a+1) + 1 and needs (a+1) not to divide n. Each a from isqrt(n)
+    Primes p <= isqrt(n) are tested by digit sum. A prime p > sqrt(n) with
+    a = n // p qualifies exactly when n + 1 <= (a+1)p <= n + a, which pins p
+    to n // (a+1) + 1 and needs (a+1) not to divide n. Each a from isqrt(n)
     down to 1 thus gives at most one candidate, in ascending order. The
     candidates crowd below a few times sqrt(n): those up to _DENSE * isqrt(n)
     are looked up one segment at a time in windows sieved from the primes up
@@ -109,10 +107,7 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
     root = isqrt(n)
     sv = shared_sieve(root)
-    small = sv.primes_in(2, root)
-    k = bisect_right(small, n, key=lambda p: p * p * p)  # small[k:] have three digits
-    out = [p for p in small[:k] if digit_sum(n, p) >= p]
-    out += [p for p in small[k:] if n // (p * p) + n // p % p + n % p >= p]
+    out = [p for p in sv.primes_in(2, root) if digit_sum(n, p) >= p]
     # in int64 with no products, so nothing overflows below 2**63
     q, r = np.divmod(n, np.arange(root + 1, 1, -1, dtype=np.int64))
     candidates = q[(r != 0) & (q >= root)] + 1
@@ -192,14 +187,13 @@ def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0, depth: int | 
     """
     quotients, lower, upper = _searched(lo, hi, cut, depth)
     reach = int(upper.max(initial=0))
-    if primes.size and reach > primes[-1]:
-        if any(is_prime(q) for q in range(int(primes[-1]) + 1, reach + 1)):  # to the first missing
-            raise ValueError(f"primes stop at {primes[-1]}, but those to {reach} are searched")
+    top = int(primes[-1]) if primes.size else 1  # an empty array stops below 2
+    if reach > top and any(is_prime(q) for q in range(top + 1, reach + 1)):  # to the first missing
+        raise ValueError(f"primes stop at {top}, but those to {reach} are searched")
     first = np.searchsorted(primes, lower)
     last = np.searchsorted(primes, upper, "right")
     for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
-        # a scan's memory peaks here: fill the batch's own three arrays in
-        # place, and let go of them before the next (callers drop theirs too)
+        # fill the batch's own three arrays in place, and let go of them before the next
         stop = primes[index]
         stop *= np.add(a1, 1, out=a1)  # (a1+1)p, with a1 + 1 left in a1
         begin = np.subtract(stop, a1, out=a1)
@@ -224,14 +218,6 @@ def _run_counts(lo: int, hi: int) -> np.ndarray:
         np.subtract.at(delta, stop, np.int16(1))
         del begin, stop  # before heavy_runs builds the next batch
     return np.cumsum(delta[:length], dtype=np.int16, out=delta[:length])
-
-
-def _run_count_chunks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, _run_counts(start, end)) over [lo, hi], a chunk of DEFAULT_CHUNK_SIZE at a
-    time: the values of seq omega_plus."""
-    shared_sieve((hi + 1) // 2)  # once, for every chunk
-    for start in range(lo, hi + 1, DEFAULT_CHUNK_SIZE):
-        yield start, _run_counts(start, min(start + DEFAULT_CHUNK_SIZE - 1, hi))
 
 
 class PrimePairs(NamedTuple):
@@ -482,8 +468,9 @@ def sequence(name: str, lo: int, hi: int, k: int | None = None) -> Iterator[int]
         return map(dn, range(lo, hi + 1))
     shift = _SEQUENCES[name][0] - (k if name == "db_k" else 0)
     shared_sieve((hi + shift + 1) // 2)  # the primes to half the top index read
-    if name == "omega_plus":
-        return (v for _, counts in _run_count_chunks(lo, hi) for v in counts.tolist())
+    if name == "omega_plus":  # one chunk's counts at a time, not the range's
+        starts = range(lo, hi + 1, DEFAULT_CHUNK_SIZE)
+        return (v for s in starts for v in _run_counts(s, min(s + DEFAULT_CHUNK_SIZE - 1, hi)).tolist())
     return _values(name, lo, hi, shift, k)
 
 

@@ -103,11 +103,10 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np
     """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, primes, cut, depth) holds: as
     many runs stop as begin at or below such n, so with the begins and the stops sorted
     apart they are the gaps [stops[i - 1], begins[i]), stops[-1] = 0, begins[runs] = hi - lo + 1."""
-    starts, ends = [np.zeros(1, np.int32)], [np.full(1, hi - lo + 1, np.int32)]
+    starts, ends = [np.zeros(1, np.int64)], [np.full(1, hi - lo + 1, np.int64)]
     for _, begin, stop in denom.heavy_runs(lo, hi, primes, cut, depth):
-        ends.append(begin.astype(np.int32))  # offsets below 2^20: half of int64
-        starts.append(stop.astype(np.int32))
-        del begin, stop  # before heavy_runs builds the next batch
+        ends.append(begin)
+        starts.append(stop)
     starts, ends = np.concatenate(starts), np.concatenate(ends)
     starts.sort()  # in place, as is ends: 0 stays first and hi - lo + 1 goes last
     ends.sort()
@@ -237,23 +236,26 @@ def checkpoint_save(path, chunk: ScanChunk) -> None:
 
 
 def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
-    """The validated chunks of a checkpoint, by lo. A missing or empty file
-    is given config's header and holds none; an empty one also warns."""
+    """The validated chunks of a checkpoint, by lo, read a line at a time. A missing
+    or blank file is given config's header and holds none; a blank one also warns."""
     path = os.fspath(path)
-    raw = ""
     if os.path.exists(path):
         with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
-        if not raw.strip():
-            warnings.warn(f"checkpoint {path} is empty; starting fresh", stacklevel=2)
-    if not raw.strip():
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(_dump(config.header()) + "\n")
-        return {}
+            first = fh.readline()
+            # a blank first line is no header, and unreadable if a record follows
+            if first.strip() or any(line.strip() for line in fh):
+                return _validated(first.rstrip("\n"), fh, config)
+        warnings.warn(f"checkpoint {path} is empty; starting fresh", stacklevel=2)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(_dump(config.header()) + "\n")
+    return {}
 
-    lines = raw.splitlines()
+
+def _validated(first: str, lines, config: ScanConfig) -> dict[int, ScanChunk]:
+    """The chunks of a checkpoint whose header line is first and whose record lines
+    come from lines, by lo, each checked against config."""
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     version = header.get("berndenom_checkpoint") if isinstance(header, dict) else None
@@ -267,7 +269,8 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
 
     grid = range(config.lo, config.hi + 1, config.chunk_size)  # O(1) membership, not a list
     chunks: dict[int, ScanChunk] = {}
-    for line in lines[1:]:
+    for line in lines:
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         try:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from math import isqrt
@@ -71,6 +72,51 @@ def db_k_formula(n, k):
         return 1
     db_prev = db(n - k)
     return db_prev // math.gcd(db_prev, math.perm(n, k))
+
+
+PRIMES_TO_1001 = [p for p in range(2, 1002) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def lucas_coprime(m, t, p):
+    """p does not divide C(m, t): by Lucas' theorem, no base-p digit of t exceeds m's."""
+    while t:
+        if t % p > m % p:
+            return False
+        m, t = m // p, t // p
+    return True
+
+
+def lucas_terms(m):
+    """{p: the least t} for the primes p of the denominator of B_m(x) = sum C(m, t) B_t x^(m - t),
+    m <= 1000. p divides the denominator of B_t exactly when (p - 1) | t and B_t != 0, t even or 1
+    (von Staudt-Clausen), and that of its term unless p | C(m, t). It reads no digit sum, run,
+    mask or sieve of berndenom's."""
+    least = {}
+    for p in itertools.takewhile(lambda p: p <= m + 1, PRIMES_TO_1001):
+        ts = itertools.chain([1], range(2, m + 1, 2)) if p == 2 else range(p - 1, m + 1, p - 1)
+        t = next((t for t in ts if t <= m and lucas_coprime(m, t, p)), None)
+        if t is not None:
+            least[p] = t
+    return least
+
+
+class TestLucasOracle:
+    """A second oracle: the k-th derivative of B_n(x) is (n)_k B_m(x), m = n - k, so p divides
+    its denominator exactly when p divides none of n, ..., n - k + 1 and some term of B_m(x)
+    keeps p; B_n(x) - B_n drops the term t = m. Both routes, to n = 1000 and k = 4."""
+
+    def test_db_dd_and_db_k_to_1000(self):
+        terms = [lucas_terms(m) for m in range(1001)]
+        db_ = [math.prod(terms[n]) for n in range(1001)]
+        dd_ = [math.prod(p for p, t in terms[n].items() if t < n) for n in range(1, 1001)]
+        assert list(map(db, range(1001))) == list(sequence("db", 0, 1000)) == db_
+        assert list(map(dd, range(1, 1001))) == list(sequence("dd", 1, 1000)) == dd_
+        for k in range(1, 5):
+            db_k_ = [
+                math.prod(p for p in terms[n - k] if all((n - i) % p for i in range(k))) if n > k else 1
+                for n in range(1, 1001)
+            ]
+            assert [db_k(n, k) for n in range(1, 1001)] == list(sequence("db_k", 1, 1000, k)) == db_k_, k
 
 
 class TestDD:
@@ -622,6 +668,14 @@ class TestHeavyRuns:
         assert deep <= full
         for p, b, s in full:
             assert ((p, b, s) in deep) == any(n // p >= isqrt(n) - depth for n in range(b, s))
+
+    def test_an_empty_prime_array_stops_below_2(self):
+        # its runs reach 10, so an empty array is short of them as a cut one is
+        empty = np.zeros(0, dtype=np.int64)
+        assert denom.heavy_reach(10, 20) == 10
+        with pytest.raises(ValueError, match="primes stop at 1, but those to 10 are searched"):
+            next(heavy_runs(10, 20, empty))
+        assert list(heavy_runs(1, 2, empty)) == []  # a reach of 1 searches no prime
 
 
 def runs_of(lo, hi, picks):

@@ -40,9 +40,8 @@ S3 = (
 )
 RAD_SET = (3, 5, 8, 9, 11, 27, 29, 35, 59)
 
-# steps of denom._run_count_chunks, behind sequence("omega_plus"), and of
-# scanner._zeros, behind scan_omega_plus, find_sets and find_rad_set: none
-# may change what they report
+# steps of sequence("omega_plus")'s run count and of scanner._zeros, behind
+# scan_omega_plus, find_sets and find_rad_set: none may change what they report
 CHUNK_GRIDS = pytest.mark.parametrize("chunk", [1, 7, 64, denom.DEFAULT_CHUNK_SIZE])
 
 
@@ -70,6 +69,10 @@ class TestScanOmegaPlus:
     def test_sequence_on_any_chunk_grid(self, monkeypatch, chunk):
         monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
         assert list(denom.sequence("omega_plus", 1, 3000)) == denom._run_counts(1, 3000).tolist()
+
+    def test_sequence_across_2_20_is_the_run_count(self):
+        lo, hi = 2**20 - 50, 2**20 + 50
+        assert list(denom.sequence("omega_plus", lo, hi)) == denom._run_counts(lo, hi).tolist()
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -275,6 +278,12 @@ class TestCover:
 
         assert runs(short) == runs(full)
 
+    def test_a_step_wider_than_2_32_is_covered(self):
+        # offsets past 2^31 stay the int64 ones of heavy_runs; depth 3000 covers every index here
+        lo, hi = 10**12, 10**12 + 2**32 - 1
+        primes = sieve(denom.heavy_reach(lo, hi, 0, 3000)).array
+        assert scanner._uncovered(lo, hi, 0, 3000, primes).size == 0
+
     @pytest.mark.parametrize(
         "lo, hi, cut, depth", [(1, 1 << 20, 0, 64), (10**8, 10**8 + 4096, 1, 65), (5, 5000, 2, None)]
     )
@@ -444,8 +453,8 @@ def traced_peak(fn, *args) -> int:
 
 class TestMemory:
     def test_one_chunk_costs_one_batch_of_runs(self):
-        # one batch of at most 2^15 runs in int64, and the 24,912 runs that
-        # cover [1, 2^20] as int32 offsets: 0.86 MiB traced
+        # one batch of at most 2^15 runs, and the 24,912 runs that cover
+        # [1, 2^20] as the int64 offsets heavy_runs yields: 1.17 MiB traced
         chunk = scanner.DEFAULT_CHUNK_SIZE
         arith.shared_sieve((chunk + 1) // 2)  # built before tracing: the chunk alone is measured
         assert traced_peak(scan_omega_plus, 1, chunk) < 3 << 19
@@ -532,6 +541,23 @@ class TestKappaRatio:
 
 
 class TestCheckpointing:
+    def test_a_resume_reads_its_checkpoint_a_line_at_a_time(self, tmp_path):
+        # 20,000 records: the resume holds its chunks and one line, not the file as one
+        # string and a list of its lines beside them, which took 5.8 MiB more than the chunks
+        config = ScanConfig(1, 20_000 * 7, 7)
+        path = tmp_path / "scan.ckpt"
+        checkpoint_resume(path, config)  # writes the header
+        with open(path, "ab") as fh:
+            for lo, hi in config.chunk_ranges():
+                fh.write(scanner._record(ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ()))))
+        tracemalloc.start()
+        try:
+            chunks = checkpoint_resume(path, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 20_000 and peak - held < 1 << 20
+
     def test_save_resume_roundtrip(self, tmp_path):
         config = ScanConfig(1, 3000, 1000)
         path = tmp_path / "scan.ckpt"
