@@ -86,11 +86,6 @@ _DENSE = 16
 """Candidates above sqrt(n) lie about n / c^2 apart near c, so up to about
 _DENSE * sqrt(n) sieving them segment by segment costs less than testing them one by one."""
 
-_PRIMORIAL = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
-"""The largest primorial below 2**63; a candidate sharing a factor with it is
-composite unless it divides it."""
-
-
 def qualifying_primes(n: int) -> tuple[int, ...]:
     """Ascending primes p with digit_sum(n, p) >= p, from the primes to isqrt(n).
 
@@ -100,8 +95,8 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
     down to 1 thus gives at most one candidate, in ascending order. The
     candidates crowd below a few times sqrt(n): those up to _DENSE * isqrt(n)
     are looked up one segment at a time in windows sieved from the primes up
-    to isqrt(n), and any larger one goes through is_prime unless it shares a
-    factor with _PRIMORIAL.
+    to isqrt(n), and any larger one goes straight to is_prime, whose trial
+    division by its witnesses 2 to 41 turns most of them away.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
@@ -116,17 +111,23 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
     for lo, flags in sv.segments(root + 1, top):
         here = dense[dense.searchsorted(lo) : dense.searchsorted(lo + flags.size)]
         out += here[flags[here - lo]].tolist()
-    beyond = candidates[candidates > top]
-    common = np.gcd(beyond, _PRIMORIAL)
-    out += [p for p in beyond[(common == 1) | (common == beyond)].tolist() if is_prime(p)]
+    out += [p for p in candidates[candidates > top].tolist() if is_prime(p)]
     return tuple(out)
+
+
+def _ragged(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[g] + i for 0 <= i < count[g], group after group, as one array; count >= 0."""
+    values = np.repeat(first - (np.cumsum(count) - count), count)
+    values += np.arange(values.size)
+    return values
 
 
 def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
     """Expand group g into the pairs (keys[g], first[g] + i) for 0 <= i < count[g].
 
     The pairs of all groups, in order, are yielded as (key, value) arrays of
-    at most _RUN_BATCH entries each; a group may straddle two batches.
+    at most _RUN_BATCH entries each; a group may straddle two batches, and each
+    batch's values are _ragged of its groups' parts.
     """
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
@@ -137,10 +138,7 @@ def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
         begins = ends[g0:g1] - count[g0:g1]
         skip = np.maximum(b0 - begins, 0)
         take = np.minimum(b1 - begins, count[g0:g1]) - skip
-        base = first[g0:g1] + skip - (np.cumsum(take) - take)
-        values = np.repeat(base, take)
-        values += np.arange(b1 - b0)
-        yield np.repeat(keys[g0:g1], take), values
+        yield np.repeat(keys[g0:g1], take), _ragged(first[g0:g1] + skip, take)
 
 
 def _searched(lo: int, hi: int, cut: int, depth: int | None, peaks: bool = False):

@@ -32,18 +32,19 @@ only per finished record that a resume reads back. A chunk's result, a
 ScanChunk, is what a checkpoint persists: one JSON line appended per chunk
 after a header naming the scan, so an interrupted scan resumes from the chunks
 it finished and ends byte-identical, file and all, to one that never stopped.
+Its records are always the grid's first chunks in grid order, and a resume
+refuses any other order, so it scans on from the first chunk with no record.
 A sweep sizes arith.shared_sieve for its whole range before its first chunk,
 and forked workers inherit that sieve, so no chunk makes the cache grow again.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import warnings
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -110,8 +111,8 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np
     starts, ends = np.concatenate(starts), np.concatenate(ends)
     starts.sort()  # in place, as is ends: 0 stays first and hi - lo + 1 goes last
     ends.sort()
-    starts, sizes = starts[ends > starts], (ends - starts)[ends > starts]
-    return np.repeat(starts - np.cumsum(sizes) + sizes + lo, sizes) + np.arange(sizes.sum())
+    gaps = ends > starts  # the few nonempty ones, before any array the size of the runs
+    return denom._ragged(starts[gaps] + lo, ends[gaps] - starts[gaps])
 
 
 def _sieve_bound(lo: int, hi: int, cut: int) -> int:
@@ -236,8 +237,9 @@ def checkpoint_save(path, chunk: ScanChunk) -> None:
 
 
 def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
-    """The validated chunks of a checkpoint, by lo, read a line at a time. A missing
-    or blank file is given config's header and holds none; a blank one also warns."""
+    """The validated chunks of a checkpoint, by lo in grid order, read a line at a time:
+    the grid's first chunks, or CheckpointError. A missing or blank file is given
+    config's header and holds none; a blank one also warns."""
     path = os.fspath(path)
     if os.path.exists(path):
         with open(path, "r", encoding="ascii") as fh:
@@ -253,7 +255,8 @@ def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
 
 def _validated(first: str, lines, config: ScanConfig) -> dict[int, ScanChunk]:
     """The chunks of a checkpoint whose header line is first and whose record lines
-    come from lines, by lo, each checked against config."""
+    come from lines, by lo: each record must be the next chunk of config's grid, so
+    one that skips, repeats or reorders a chunk is refused, and its checksum must hold."""
     try:
         header = json.loads(first)
     except json.JSONDecodeError as exc:
@@ -267,7 +270,7 @@ def _validated(first: str, lines, config: ScanConfig) -> dict[int, ScanChunk]:
     if header != config.header():
         raise CheckpointError("checkpoint was written for a different scan configuration")
 
-    grid = range(config.lo, config.hi + 1, config.chunk_size)  # O(1) membership, not a list
+    grid = config.chunk_ranges()  # counted as the records come, never listed
     chunks: dict[int, ScanChunk] = {}
     for line in lines:
         line = line.rstrip("\n")
@@ -280,10 +283,10 @@ def _validated(first: str, lines, config: ScanConfig) -> dict[int, ScanChunk]:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint record: {line!r}") from exc
         lo, hi = chunk.lo, chunk.hi
-        if lo not in grid or hi != min(lo + config.chunk_size - 1, config.hi):
-            raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid")
-        if lo in chunks:
-            raise CheckpointError(f"duplicate record for the chunk starting at {lo}")
+        expected = next(grid, None)
+        if (lo, hi) != expected:
+            wanted = "none past its end" if expected is None else "[%d, %d]" % expected
+            raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid, expected {wanted}")
         if chunk_checksum(lo, hi, chunk.exceptional) != chunk.checksum:
             raise CheckpointError(f"checksum mismatch in chunk [{lo}, {hi}]")
         chunks[lo] = chunk
@@ -382,6 +385,7 @@ def run_scan(
     records of about 0.5 KB each, where chunks of 2^20 made a million at 10^12.
     The digest and the exceptional indices are folded as the chunks come, so a
     scan holds no record past its fold but those it resumed from its checkpoint.
+    Those are the grid's first chunks, so the scan goes on from the first after them.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -394,12 +398,12 @@ def run_scan(
     config = ScanConfig(1, limit, chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0))
     held = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     workers = max(1, min(threads, -(-limit // config.chunk_size) - len(held)))
-    new = _scan_chunks((r for r in config.chunk_ranges() if r[0] not in held), workers)
+    new = _scan_chunks(islice(config.chunk_ranges(), len(held), None), workers)
     import hashlib
     digest, exceptional = hashlib.sha256(), []
-    # every chunk in grid order; merge asks new for the next chunk only after this one is saved
-    for i, chunk in enumerate(heapq.merge([held[lo] for lo in sorted(held)], new, key=lambda c: c.lo)):
-        if checkpoint_path is not None and chunk.lo not in held:
+    # held is the grid's first chunks, in order; new is asked for a chunk only after the last is saved
+    for i, chunk in enumerate(chain(held.values(), new)):
+        if checkpoint_path is not None and i >= len(held):
             checkpoint_save(checkpoint_path, chunk)
         digest.update(b"|" * (i > 0) + chunk.checksum.encode("ascii"))
         exceptional += chunk.exceptional

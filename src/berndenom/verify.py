@@ -59,9 +59,7 @@ def _multiples(lo: int, hi: int, primes: np.ndarray, steps: np.ndarray) -> np.nd
     """The ascending keys of (m, primes[i]) for each multiple m of steps[i] in [lo, hi]."""
     first = -(-lo // steps)
     count = np.maximum(hi // steps - first + 1, 0)
-    which = np.repeat(np.arange(primes.size), count)
-    rank = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count)
-    keys = (first[which] + rank) * steps[which] << _SHIFT | primes[which]
+    keys = denom._ragged(first, count) * np.repeat(steps, count) << _SHIFT | np.repeat(primes, count)
     keys.sort()
     return keys
 

@@ -268,6 +268,26 @@ class TestScan:
         assert code == 0
         assert resumed == fresh
 
+    @pytest.mark.parametrize("order", [[0, 2, 3], [1, 0, 2], [2]], ids=["gap", "swapped", "lone-later"])
+    def test_checkpoint_out_of_grid_order_is_refused(self, capsys, tmp_path, monkeypatch, order):
+        from berndenom import scanner
+
+        argv = ("scan", "--limit", "2000", "--chunk", "400", "--checkpoint")
+        full = tmp_path / "full.ckpt"
+        assert run_cli(capsys, *argv, str(full))[0] == 0
+        header, *records = full.read_bytes().splitlines(keepends=True)
+        path = tmp_path / "scan.ckpt"
+        path.write_bytes(header + b"".join(records[i] for i in order))
+        written = path.read_bytes()
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a refused checkpoint must stop the scan before any chunk")
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and out == "" and path.read_bytes() == written
+        assert err.startswith("error: record [") and err.count("\n") == 1 and "chunk grid" in err
+
     def test_empty_checkpoint_warns_in_one_stable_line(self, capsys, tmp_path):
         _, fresh, summary = run_cli(capsys, "scan", "--limit", "1000")
         path = tmp_path / "empty.ckpt"

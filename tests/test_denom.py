@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berndenom import arith, denom, oracle
@@ -74,7 +74,16 @@ def db_k_formula(n, k):
     return db_prev // math.gcd(db_prev, math.perm(n, k))
 
 
-PRIMES_TO_1001 = [p for p in range(2, 1002) if all(p % d for d in range(2, isqrt(p) + 1))]
+def eratosthenes(bound):
+    """The primes up to bound, by a sieve written here rather than read from arith."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+    for p in range(2, isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(itertools.compress(range(bound + 1), flags))
+
+
+LUCAS_PRIMES = eratosthenes(10**6 + 1)
 
 
 def lucas_coprime(m, t, p):
@@ -88,11 +97,11 @@ def lucas_coprime(m, t, p):
 
 def lucas_terms(m):
     """{p: the least t} for the primes p of the denominator of B_m(x) = sum C(m, t) B_t x^(m - t),
-    m <= 1000. p divides the denominator of B_t exactly when (p - 1) | t and B_t != 0, t even or 1
+    m <= 10^6. p divides the denominator of B_t exactly when (p - 1) | t and B_t != 0, t even or 1
     (von Staudt-Clausen), and that of its term unless p | C(m, t). It reads no digit sum, run,
     mask or sieve of berndenom's."""
     least = {}
-    for p in itertools.takewhile(lambda p: p <= m + 1, PRIMES_TO_1001):
+    for p in itertools.takewhile(lambda p: p <= m + 1, LUCAS_PRIMES):
         ts = itertools.chain([1], range(2, m + 1, 2)) if p == 2 else range(p - 1, m + 1, p - 1)
         t = next((t for t in ts if t <= m and lucas_coprime(m, t, p)), None)
         if t is not None:
@@ -103,7 +112,8 @@ def lucas_terms(m):
 class TestLucasOracle:
     """A second oracle: the k-th derivative of B_n(x) is (n)_k B_m(x), m = n - k, so p divides
     its denominator exactly when p divides none of n, ..., n - k + 1 and some term of B_m(x)
-    keeps p; B_n(x) - B_n drops the term t = m. Both routes, to n = 1000 and k = 4."""
+    keeps p; B_n(x) - B_n drops the term t = m. Both routes, to n = 1000 and k = 4, and at
+    random n to 10^6 with k to 64."""
 
     def test_db_dd_and_db_k_to_1000(self):
         terms = [lucas_terms(m) for m in range(1001)]
@@ -117,6 +127,18 @@ class TestLucasOracle:
                 for n in range(1, 1001)
             ]
             assert [db_k(n, k) for n in range(1, 1001)] == list(sequence("db_k", 1, 1000, k)) == db_k_, k
+
+
+    @settings(max_examples=15, deadline=None)  # lucas_terms takes about 0.1 s near 10^6
+    @given(n=st.integers(1001, 10**6), k=st.integers(1, 64))
+    @example(n=10**6, k=64)
+    def test_random_n_to_1e6(self, n, k):
+        terms, shifted = lucas_terms(n), lucas_terms(n - k)
+        assert db(n) == math.prod(terms)
+        assert dd(n) == math.prod(p for p, t in terms.items() if t < n)
+        db_k_ = math.prod(p for p in shifted if all((n - i) % p for i in range(k)))
+        assert db_k(n, k) == db_k_
+        assert list(sequence("db_k", n, n, k)) == [db_k_]
 
 
 class TestDD:
@@ -676,6 +698,22 @@ class TestHeavyRuns:
         with pytest.raises(ValueError, match="primes stop at 1, but those to 10 are searched"):
             next(heavy_runs(10, 20, empty))
         assert list(heavy_runs(1, 2, empty)) == []  # a reach of 1 searches no prime
+
+
+class TestRagged:
+    """The one expansion of (first, count) progressions, against a plain Python one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=st.lists(st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 40)), max_size=40))
+    @example(groups=[])
+    @example(groups=[(5, 0), (-3, 0)])
+    @example(groups=[(7, 0), (2, 3), (9, 0), (-1, 1), (4, 0)])
+    def test_matches_a_python_expansion(self, groups):
+        first = np.array([f for f, _ in groups], dtype=np.int64)
+        count = np.array([c for _, c in groups], dtype=np.int64)
+        expanded = denom._ragged(first, count)
+        assert expanded.dtype == np.int64
+        assert expanded.tolist() == [f + i for f, c in groups for i in range(c)]
 
 
 def runs_of(lo, hi, picks):

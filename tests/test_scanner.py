@@ -639,8 +639,29 @@ class TestCheckpointing:
         path = tmp_path / "scan.ckpt"
         run_scan(2000, chunk_size=512, checkpoint_path=path)
         checkpoint_save(path, scan_omega_plus(513, 1024))
-        with pytest.raises(CheckpointError, match="duplicate"):
+        with pytest.raises(CheckpointError, match="chunk grid, expected none past its end"):
             checkpoint_resume(path, ScanConfig(1, 2000, 512))
+
+    @pytest.mark.parametrize(
+        "order, wanted", [([0, 2, 3], 1), ([1, 0, 2], 0), ([2], 0)], ids=["gap", "swapped", "lone-later"]
+    )
+    def test_records_out_of_grid_order_are_refused_before_any_chunk(self, tmp_path, monkeypatch, order, wanted):
+        # a resume takes the grid's first chunks in order, so it has nothing to sort or merge
+        full = tmp_path / "full.ckpt"
+        run_scan(2000, chunk_size=400, checkpoint_path=full)
+        header, *records = full.read_bytes().splitlines(keepends=True)
+        path = tmp_path / "scan.ckpt"
+        path.write_bytes(header + b"".join(records[i] for i in order))
+        written = path.read_bytes()
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a refused checkpoint must stop the scan before any chunk")
+
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        expected = list(ScanConfig(1, 2000, 400).chunk_ranges())[wanted]
+        with pytest.raises(CheckpointError, match="chunk grid, expected \\[%d, %d\\]" % expected):
+            run_scan(2000, chunk_size=400, checkpoint_path=path)
+        assert path.read_bytes() == written
 
     def test_off_grid_record_rejected(self, tmp_path):
         config = ScanConfig(1, 2000, 512)
@@ -666,14 +687,20 @@ class TestCheckpointing:
 
         tracemalloc.start()
         try:
-            assert list(resume_with(last, 2**40)) == [last]
-            for lo, hi in [(last + 1, 2**40), (last, last + 6), (2**40 + 1, 2**40 + 7)]:
-                with pytest.raises(CheckpointError, match="chunk grid"):
-                    resume_with(lo, hi)  # off the grid, the last chunk's hi wrong, past hi
+            assert list(resume_with(1, 7)) == [1]
+            for lo, hi in [(8, 14), (last, 2**40), (1, 8), (2**40 + 1, 2**40 + 7)]:
+                with pytest.raises(CheckpointError, match="chunk grid, expected \\[1, 7\\]"):
+                    resume_with(lo, hi)  # skips the first chunk, a lone last one, hi wrong, past hi
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+        # on a small grid, every chunk in order, the last one short, is accepted
+        small, path = ScanConfig(1, 50, 7), tmp_path / "small.ckpt"
+        checkpoint_resume(path, small)  # writes the header
+        for lo, hi in small.chunk_ranges():
+            checkpoint_save(path, ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ())))
+        assert list(checkpoint_resume(path, small)) == [*range(1, 51, 7)]
 
 
 class TestRunScan:

@@ -108,3 +108,18 @@ class TestLambdaPrimeBound:
             got = dict(zip(chosen.tolist(), verdicts.tolist()))
             expected = [full_range(p, limit) for p in primes.tolist()]
             assert [got.get(p, True) for p in primes.tolist()] == expected, limit
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 300), (250, 1024), (1000, 1500)])
+def test_multiples_match_brute_force(lo, hi):
+    # primes to 2000, so some steps exceed hi and have no multiple in the window;
+    # the steps of the kernels, p, and of dn, max(p - 1, 2), where p = 2 and 3 share 2
+    primes = arith.sieve(2000).array
+    for steps in (primes, np.maximum(primes - 1, 2)):
+        expected = sorted(
+            m << verify._SHIFT | p
+            for p, step in zip(primes.tolist(), steps.tolist())
+            for m in range(lo, hi + 1)
+            if m % step == 0
+        )
+        assert verify._multiples(lo, hi, primes, steps).tolist() == expected
