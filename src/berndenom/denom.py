@@ -35,8 +35,8 @@ n + k - 1). Every family below is read off those parts:
 Each family returns a plain int, and all but ds are squarefree: the product
 of the primes one mask keeps. The primes are read from qualifying_primes(n),
 support_at(n) and the masks, and the radicals in db from arith.radical, or
-from _factors over a block. Every prime comes from arith.shared_sieve, asked
-for the bound each route needs: a range's, once.
+from _factors over a block. Every prime comes from arith.shared_sieve: each
+search reads it for its own bound, and a range walker sizes it once first.
 """
 
 from __future__ import annotations
@@ -166,43 +166,41 @@ def heavy_reach(lo: int, hi: int, cut: int = 0, depth: int | None = None) -> int
     return int(_searched(lo, hi, cut, depth, peaks=True)[2].max(initial=0))
 
 
-def heavy_runs(lo: int, hi: int, primes: np.ndarray, cut: int = 0, depth: int | None = None):
-    """Yield the runs of heavy indices of the given primes that meet [lo, hi].
+def heavy_runs(lo: int, hi: int, cut: int = 0, depth: int | None = None):
+    """Yield the runs of heavy indices of the primes that meet [lo, hi].
 
     The run of a prime p > a1 >= 1 is [(a1+1)p - a1, (a1+1)p - 1 - cut]: the
     indices below (a1+1)p where p's digit sum reaches p, less the top cut of
     them. Batches of at most _RUN_BATCH nonempty runs come as arrays
-    (index, begin, stop): primes[index] is heavy at lo + begin <= n < lo + stop,
-    its run clipped to [lo, hi]; the three are the batch's own, filled in place
-    with no temporary beside them. primes must be ascending int64.
+    (p, begin, stop): p is heavy at lo + begin <= n < lo + stop, its run
+    clipped to [lo, hi]; the three are the batch's own, filled in place, so a
+    batch holds three arrays.
 
     Quotient-major: for each a1 the primes whose run meets [lo, hi] form one
-    slice of primes, found for every a1 by one vectorised search. A run
+    slice of the primes, found for every a1 by one vectorised search. A run
     starts above a1^2, so a1 never exceeds sqrt(hi). With a depth, a1 yields only the runs
     below (a1 + depth + 1)^2, the n whose depth + 1 largest quotients include a1.
-    primes must hold every prime up to heavy_reach(lo, hi, cut, depth): when one between
-    their last and that bound is missing, ValueError, rather than its runs left out.
+    It asks arith.shared_sieve for the primes to heavy_reach(lo, hi, cut, depth), the
+    largest bound it searches, so no caller needs to know which primes a search reads;
+    past the sieve cap, SieveSizeError when the first batch is asked for.
     """
     quotients, lower, upper = _searched(lo, hi, cut, depth)
-    reach = int(upper.max(initial=0))
-    top = int(primes[-1]) if primes.size else 1  # an empty array stops below 2
-    if reach > top and any(is_prime(q) for q in range(top + 1, reach + 1)):  # to the first missing
-        raise ValueError(f"primes stop at {top}, but those to {reach} are searched")
+    primes = shared_sieve(int(upper.max(initial=0))).array
     first = np.searchsorted(primes, lower)
     last = np.searchsorted(primes, upper, "right")
-    for a1, index in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
+    for a1, p in _ragged_batches(quotients, first, np.maximum(last - first, 0)):
         # fill the batch's own three arrays in place, and let go of them before the next
-        stop = primes[index]
-        stop *= np.add(a1, 1, out=a1)  # (a1+1)p, with a1 + 1 left in a1
+        np.take(primes, p, out=p)
+        stop = p * np.add(a1, 1, out=a1)  # (a1+1)p, with a1 + 1 left in a1
         begin = np.subtract(stop, a1, out=a1)
         np.maximum(np.add(begin, 1 - lo, out=begin), 0, out=begin)
         np.minimum(np.subtract(stop, lo + cut, out=stop), hi - lo + 1, out=stop)
-        yield index, begin, stop
-        del a1, index, begin, stop
+        yield p, begin, stop
+        del a1, p, begin, stop
 
 
 def _run_counts(lo: int, hi: int) -> np.ndarray:
-    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi, ...) hold n.
+    """For each n in [lo, hi], how many runs of heavy_runs(lo, hi) hold n.
 
     That is omega_+(n), the number of heavy primes above sqrt(n): a run
     holds only n < (a1+1)p <= p^2. The counts fit int16: the
@@ -211,7 +209,7 @@ def _run_counts(lo: int, hi: int) -> np.ndarray:
     """
     length = hi - lo + 1
     delta = np.zeros(length + 1, dtype=np.int16)
-    for _, begin, stop in heavy_runs(lo, hi, shared_sieve((hi + 1) // 2).array):
+    for _, begin, stop in heavy_runs(lo, hi):
         np.add.at(delta, begin, np.int16(1))  # a Python 1 takes a path 20x slower
         np.subtract.at(delta, stop, np.int16(1))
         del begin, stop  # before heavy_runs builds the next batch
@@ -284,13 +282,15 @@ def _sorted_pairs(lo: int, hi: int, *parts) -> PrimePairs:
     return PrimePairs(lo, hi, np.add(n, lo, out=n), keys)
 
 
-def _small_runs(lo: int, hi: int, small: np.ndarray):
-    """Yield the runs of heavy indices from p^2 on of the primes p <= isqrt(hi) in small
-    that meet [lo, hi], as arrays (p, begin, stop): p is heavy at lo + begin <= n < lo + stop.
+def _small_runs(lo: int, hi: int):
+    """Yield the runs of heavy indices from p^2 on of the primes p <= isqrt(hi) that meet
+    [lo, hi], as arrays (p, begin, stop): p is heavy at lo + begin <= n < lo + stop. The
+    primes come from arith.shared_sieve, to isqrt(hi).
 
     n = tp + r with t = n // p >= p has the digit sum s_p(t) + r, so p is heavy on the
     one run [(t+1)p - min(s_p(t), p), (t+1)p - 1] of each t; below p^2, heavy_runs() has them.
     """
+    small = np.array(shared_sieve(isqrt(hi)).primes_in(2, isqrt(hi)), dtype=np.int64)
     first = np.maximum(lo // small, small)
     for p, t in _ragged_batches(small, first, hi // small - first + 1):
         stop = (t + 1) * p - lo  # the run ends at (t+1)p - 1
@@ -303,12 +303,9 @@ def support_block(lo: int, hi: int) -> PrimePairs:
     below its square, _small_runs() for those up to isqrt(hi) above, each keyed as it comes."""
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
-    primes = shared_sieve((hi + 1) // 2).array
-    small = primes[: primes.searchsorted(isqrt(hi), "right")]
-    plus = ((primes[index], begin, stop) for index, begin, stop in heavy_runs(lo, hi, primes))
     keys = (
         offset * (hi + 1) + owner
-        for p, begin, stop in chain(plus, _small_runs(lo, hi, small))
+        for p, begin, stop in chain(heavy_runs(lo, hi), _small_runs(lo, hi))
         for owner, offset in _ragged_batches(p, begin, stop - begin)
     )
     return _sorted_pairs(lo, hi, keys)

@@ -19,16 +19,18 @@ sqrt(limit) + 64 beyond, not every prime to hi / 2. A step whose cover leaves
 an index past its depth is covered again, deeper, so the run rule lives in
 denom.heavy_runs alone. Those primes are a sweep's only limit: sieve() refuses
 them past its cap of 2^26, so scan and sets --k 1 run to 4,503,591,037,435,904
-and radset to 4,503,590,903,218,176. The steps stay 2^20 indices, so 10^10
-takes about 1.2 s and 10^11 about 9 s (ROADMAP item 16 lets them grow). Depth
-64 leaves 1,261 indices in the step at 383,778,817 and 437,348 in the one at
-985,661,441; the first re-cover, at depth 129, leaves none.
+and radset to 4,503,590,903,218,176. The steps stay 2^20 indices, so a scan's
+time grows with its limit: the rows `scan 1.34e8` and `scan 1e10` of the
+BENCH_*.json files, written by tools/trajectory.py, give its time to 1.34 * 10^8
+and 10^10 (ROADMAP item 16 lets the steps grow). Depth 64 leaves 1,261 indices
+in the step at 383,778,817 and 437,348 in the one at 985,661,441; the first
+re-cover, at depth 129, leaves none.
 
 A scan's chunk_size sets only what one checkpoint record covers and what one
 worker process takes; past a limit of 2^32 the default grows with it, so a checkpoint
 holds at most 4,096 records. The chunk grid is counted, never listed, and the
-report is folded as the chunks come, so an explicit small chunk costs memory
-only per finished record that a resume reads back. A chunk's result, a
+report is folded as the chunks come, resumed ones too, so an explicit small
+chunk costs no memory per chunk. A chunk's result, a
 ScanChunk, is what a checkpoint persists: one JSON line appended per chunk
 after a header naming the scan, so an interrupted scan resumes from the chunks
 it finished and ends byte-identical, file and all, to one that never stopped.
@@ -44,7 +46,7 @@ import json
 import os
 import warnings
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import islice
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -100,12 +102,13 @@ _DEPTH = 64
 on [1, 5*10^6], 32 left 2,843 indices uncovered, 64 left 26, and 128 doubled the runs."""
 
 
-def _uncovered(lo: int, hi: int, cut: int, depth: int, primes: np.ndarray) -> np.ndarray:
-    """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, primes, cut, depth) holds: as
-    many runs stop as begin at or below such n, so with the begins and the stops sorted
-    apart they are the gaps [stops[i - 1], begins[i]), stops[-1] = 0, begins[runs] = hi - lo + 1."""
+def _uncovered(lo: int, hi: int, cut: int, depth: int) -> np.ndarray:
+    """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, cut, depth) holds, from the
+    primes to that cover's reach: as many runs stop as begin at or below such n, so with the
+    begins and the stops sorted apart they are the gaps [stops[i - 1], begins[i]),
+    stops[-1] = 0, begins[runs] = hi - lo + 1."""
     starts, ends = [np.zeros(1, np.int64)], [np.full(1, hi - lo + 1, np.int64)]
-    for _, begin, stop in denom.heavy_runs(lo, hi, primes, cut, depth):
+    for _, begin, stop in denom.heavy_runs(lo, hi, cut, depth):
         ends.append(begin)
         starts.append(stop)
     starts, ends = np.concatenate(starts), np.concatenate(ends)
@@ -134,17 +137,16 @@ def _zeros(lo: int, hi: int, cut: int):
     past 192 drives the depth toward sqrt(n) and the reach toward n / 2."""
     if lo > hi:
         return
-    primes = shared_sieve(_sieve_bound(lo, hi, cut)).array  # once, for every step at _DEPTH
+    shared_sieve(_sieve_bound(lo, hi, cut))  # once, for every step at _DEPTH
     for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
         end, depth = min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), _DEPTH + cut
-        left = _uncovered(start, end, cut, depth, primes)
+        left = _uncovered(start, end, cut, depth)
         while left.size and (n := left[-1]) >= (cut + depth + 2) ** 2:
             depth = 2 * depth + 1
             try:
-                deeper = shared_sieve(denom.heavy_reach(start, end, cut, depth)).array
+                left = _uncovered(start, end, cut, depth)
             except SieveSizeError as exc:
                 raise SieveSizeError(f"covering n = {n} at depth {depth}: {exc}; see `profile {n}`") from exc
-            left = _uncovered(start, end, cut, depth, deeper)
         yield from left.tolist()
 
 
@@ -236,61 +238,60 @@ def checkpoint_save(path, chunk: ScanChunk) -> None:
         fh.write(_record(chunk))
 
 
-def checkpoint_resume(path, config: ScanConfig) -> dict[int, ScanChunk]:
-    """The validated chunks of a checkpoint, by lo in grid order, read a line at a time:
-    the grid's first chunks, or CheckpointError. A missing or blank file is given
-    config's header and holds none; a blank one also warns."""
+def checkpoint_resume(path, config: ScanConfig) -> Iterator[ScanChunk]:
+    """The validated chunks of a checkpoint, the grid's first chunks in grid order, as an
+    iterator that reads a line at a time and raises CheckpointError at a bad record. The
+    header is checked at the call; a missing or blank file is given config's header at the
+    call and holds none, and a blank one also warns."""
     path = os.fspath(path)
     if os.path.exists(path):
         with open(path, "r", encoding="ascii") as fh:
             first = fh.readline()
             # a blank first line is no header, and unreadable if a record follows
             if first.strip() or any(line.strip() for line in fh):
-                return _validated(first.rstrip("\n"), fh, config)
+                try:
+                    header = json.loads(first.rstrip("\n"))
+                except json.JSONDecodeError as exc:
+                    raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+                version = header.get("berndenom_checkpoint") if isinstance(header, dict) else None
+                if version != CHECKPOINT_VERSION:
+                    raise CheckpointError(
+                        f"checkpoint version {version} is not supported; "
+                        f"berndenom reads version {CHECKPOINT_VERSION} only"
+                    )
+                if header != config.header():
+                    raise CheckpointError("checkpoint was written for a different scan configuration")
+                return _records(path, config)
         warnings.warn(f"checkpoint {path} is empty; starting fresh", stacklevel=2)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_dump(config.header()) + "\n")
-    return {}
+    return iter(())
 
 
-def _validated(first: str, lines, config: ScanConfig) -> dict[int, ScanChunk]:
-    """The chunks of a checkpoint whose header line is first and whose record lines
-    come from lines, by lo: each record must be the next chunk of config's grid, so
-    one that skips, repeats or reorders a chunk is refused, and its checksum must hold."""
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-    version = header.get("berndenom_checkpoint") if isinstance(header, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version} is not supported; "
-            f"berndenom reads version {CHECKPOINT_VERSION} only"
-        )
-    if header != config.header():
-        raise CheckpointError("checkpoint was written for a different scan configuration")
-
+def _records(path: str, config: ScanConfig) -> Iterator[ScanChunk]:
+    """The chunks of a checkpoint's record lines, past its checked header, read a line at a
+    time: each record must be the next chunk of config's grid, so one that skips, repeats or
+    reorders a chunk is refused, and its checksum must hold."""
     grid = config.chunk_ranges()  # counted as the records come, never listed
-    chunks: dict[int, ScanChunk] = {}
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        try:
-            chunk = _load(line)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint record: {line!r}") from exc
-        lo, hi = chunk.lo, chunk.hi
-        expected = next(grid, None)
-        if (lo, hi) != expected:
-            wanted = "none past its end" if expected is None else "[%d, %d]" % expected
-            raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid, expected {wanted}")
-        if chunk_checksum(lo, hi, chunk.exceptional) != chunk.checksum:
-            raise CheckpointError(f"checksum mismatch in chunk [{lo}, {hi}]")
-        chunks[lo] = chunk
-    return chunks
+    with open(path, "r", encoding="ascii") as fh:
+        for line in islice(fh, 1, None):  # past the header
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            try:
+                chunk = _load(line)
+            except json.JSONDecodeError as exc:
+                raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"malformed checkpoint record: {line!r}") from exc
+            lo, hi = chunk.lo, chunk.hi
+            expected = next(grid, None)
+            if (lo, hi) != expected:
+                wanted = "none past its end" if expected is None else "[%d, %d]" % expected
+                raise CheckpointError(f"record [{lo}, {hi}] does not match the chunk grid, expected {wanted}")
+            if chunk_checksum(lo, hi, chunk.exceptional) != chunk.checksum:
+                raise CheckpointError(f"checksum mismatch in chunk [{lo}, {hi}]")
+            yield chunk
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,7 @@ def _scan_chunks(pending, workers: int):
     output. Each worker keeps only its own write end, so a dead parent ends it
     at its next write; the parent kills and reaps every worker however it
     leaves. Without os.fork the parent forks none and scans all. Nothing here
-    lists pending, so --chunk costs memory only per finished record that
-    run_scan resumes from its checkpoint.
+    lists pending, so --chunk costs no memory per chunk.
     """
     workers = workers if hasattr(os, "fork") else 1
     import signal  # here, as in _work: only a scan loads it
@@ -350,8 +350,7 @@ def _scan_chunks(pending, workers: int):
 def _work(share, ends, out) -> None:
     """A forked worker's whole life: scan share, one record line per chunk
     to out, then exit. Never returns. share is a slice of the parent's
-    unstarted generator, so no worker lists the grid either, and --chunk costs
-    memory only per finished record that a resume reads back. An error, or a
+    unstarted generator, so no worker lists the grid either. An error, or a
     parent gone at a write, ends it at once and silently: the parent scans
     every chunk it never sent, so errors and output read the same for every
     --threads."""
@@ -384,8 +383,9 @@ def run_scan(
     limit / 4096 rounded up to a power of two, so a checkpoint holds at most 4,096
     records of about 0.5 KB each, where chunks of 2^20 made a million at 10^12.
     The digest and the exceptional indices are folded as the chunks come, so a
-    scan holds no record past its fold but those it resumed from its checkpoint.
-    Those are the grid's first chunks, so the scan goes on from the first after them.
+    scan holds no record past its fold. The records resumed from a checkpoint are
+    the grid's first chunks, folded as they are read and before any chunk is scanned,
+    so a bad one stops the scan first; the scan goes on from the first chunk after them.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -396,15 +396,21 @@ def run_scan(
 
     shared_sieve(_sieve_bound(1, limit, 0))  # past the cap, refused before the checkpoint is touched
     config = ScanConfig(1, limit, chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0))
-    held = {} if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
-    workers = max(1, min(threads, -(-limit // config.chunk_size) - len(held)))
-    new = _scan_chunks(islice(config.chunk_ranges(), len(held), None), workers)
+    resumed = iter(()) if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     import hashlib
     digest, exceptional = hashlib.sha256(), []
-    # held is the grid's first chunks, in order; new is asked for a chunk only after the last is saved
-    for i, chunk in enumerate(chain(held.values(), new)):
-        if checkpoint_path is not None and i >= len(held):
-            checkpoint_save(checkpoint_path, chunk)
+
+    def fold(i: int, chunk: ScanChunk) -> None:
         digest.update(b"|" * (i > 0) + chunk.checksum.encode("ascii"))
-        exceptional += chunk.exceptional
+        exceptional.extend(chunk.exceptional)
+
+    held = 0  # the resumed records, each let go once folded, all before any chunk is scanned
+    for held, chunk in enumerate(resumed, 1):
+        fold(held - 1, chunk)
+    workers = max(1, min(threads, -(-limit // config.chunk_size) - held))
+    new = _scan_chunks(islice(config.chunk_ranges(), held, None), workers)
+    for i, chunk in enumerate(new, held):  # the next chunk is asked for only after this one is saved
+        if checkpoint_path is not None:
+            checkpoint_save(checkpoint_path, chunk)
+        fold(i, chunk)
     return ScanResult(exceptional=tuple(exceptional), digest=digest.hexdigest(), chunk_size=config.chunk_size)

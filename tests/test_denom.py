@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berndenom import arith, denom, oracle
@@ -664,9 +664,8 @@ class TestHeavyRuns:
     @pytest.mark.parametrize("cut", [0, 1, 2, 6])
     def test_cut_runs_count_primes_missing_the_next_cut_indices(self, cut):
         lo, hi = 150, 1200
-        primes = sieve(hi).array
         counts = np.zeros(hi - lo + 1, dtype=np.int64)
-        for _, begin, stop in heavy_runs(lo, hi, primes, cut):
+        for _, begin, stop in heavy_runs(lo, hi, cut):
             assert np.all(begin < stop)
             for a, b in zip(begin.tolist(), stop.tolist()):
                 counts[a:b] += 1
@@ -680,24 +679,39 @@ class TestHeavyRuns:
     def test_depth_keeps_the_runs_among_the_top_quotients(self, lo, hi, cut, depth):
         # a run of p holds n with quotient a = n // p; with a depth it is kept
         # exactly when a >= isqrt(n) - depth at some n it holds in [lo, hi]
-        primes = sieve(hi).array
         runs = lambda d: {
             (p, lo + b, lo + s)
-            for index, begin, stop in heavy_runs(lo, hi, primes, cut, d)
-            for p, b, s in zip(primes[index].tolist(), begin.tolist(), stop.tolist())
+            for owner, begin, stop in heavy_runs(lo, hi, cut, d)
+            for p, b, s in zip(owner.tolist(), begin.tolist(), stop.tolist())
         }
         full, deep = runs(None), runs(depth)
         assert deep <= full
         for p, b, s in full:
             assert ((p, b, s) in deep) == any(n // p >= isqrt(n) - depth for n in range(b, s))
 
-    def test_an_empty_prime_array_stops_below_2(self):
-        # its runs reach 10, so an empty array is short of them as a cut one is
-        empty = np.zeros(0, dtype=np.int64)
-        assert denom.heavy_reach(10, 20) == 10
-        with pytest.raises(ValueError, match="primes stop at 1, but those to 10 are searched"):
-            next(heavy_runs(10, 20, empty))
-        assert list(heavy_runs(1, 2, empty)) == []  # a reach of 1 searches no prime
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1 << 27, 10**15 - 10**10), below=st.integers(0, 64))
+    @example(n=1 << 27, below=0)
+    @example(n=10**15 - 10**10, below=64)
+    def test_a_run_past_the_old_cap_has_its_exact_ends(self, n, below):
+        # past 2^27 no count checks the runs, and the cover's zeros cannot see a run one
+        # index short or long; the window holds one index more on either side of p's run
+        a = isqrt(n) - below  # among the 65 largest quotients, as the cover at depth 64 reads
+        p = max(n // (a + 1), a) + 1
+        while not is_prime(p):
+            p += 1
+        top = (a + 1) * p
+        assume(a >= isqrt(top) - 64)
+        lo = top - a - 1
+        ends = [
+            (lo + b, lo + s)
+            for owner, begin, stop in heavy_runs(lo, top, 0, 64)
+            for q, b, s in zip(owner.tolist(), begin.tolist(), stop.tolist())
+            if q == p
+        ]
+        assert ends == [(top - a, top)], (a, p)
+        assert digit_sum(top - a - 1, p) < p <= digit_sum(top - a, p)
+        assert digit_sum(top - 1, p) >= p > digit_sum(top, p)
 
 
 class TestRagged:
@@ -719,11 +733,8 @@ class TestRagged:
 def runs_of(lo, hi, picks):
     """For each prime in picks, every n in [lo, hi] that its runs from heavy_runs and
     _small_runs hold, once per run, after checking that every run lies in the window."""
-    primes = arith.shared_sieve((hi + 1) // 2).array
-    small = primes[: primes.searchsorted(isqrt(hi), "right")]
-    plus = ((primes[index], begin, stop) for index, begin, stop in heavy_runs(lo, hi, primes))
     held = {p: [] for p in picks}
-    for owner, begin, stop in [*plus, *denom._small_runs(lo, hi, small)]:
+    for owner, begin, stop in [*heavy_runs(lo, hi), *denom._small_runs(lo, hi)]:
         assert np.all((0 <= begin) & (begin <= stop) & (stop <= hi - lo + 1))
         keep = np.isin(owner, picks)
         for p, b, s in zip(owner[keep].tolist(), begin[keep].tolist(), stop[keep].tolist()):
