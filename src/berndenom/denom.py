@@ -142,7 +142,7 @@ def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
 
 
 def _searched(lo: int, hi: int, cut: int, depth: int | None, peaks: bool = False):
-    """(quotients, lower, upper) of heavy_runs(lo, hi, primes, cut, depth): quotient
+    """(quotients, lower, upper) of heavy_runs(lo, hi, cut, depth): quotient
     a1 = quotients[i] searches the primes p with lower[i] <= p <= upper[i]. With peaks, only
     the quotients where upper can peak, as Python ints: see heavy_reach."""
     least = cut + 1 if depth is None else max(cut + 1, isqrt(lo) - depth)
@@ -155,7 +155,7 @@ def _searched(lo: int, hi: int, cut: int, depth: int | None, peaks: bool = False
 
 
 def heavy_reach(lo: int, hi: int, cut: int = 0, depth: int | None = None) -> int:
-    """The largest bound heavy_runs(lo, hi, primes, cut, depth) searches primes to, 0 when it
+    """The largest bound heavy_runs(lo, hi, cut, depth) searches primes to, 0 when it
     reads no quotient. With no depth it is (hi + cut + 1) // (cut + 2); with one, quotient
     cut + 1 reaches (cut + depth + 2)^2 / (cut + 2) and the top ones about isqrt(hi) + depth.
 

@@ -1,12 +1,12 @@
 """Mutation gate: each check must catch the mutations it exists for.
 
-Usage: python tools/mutants.py [NAME ...]
+Usage: python tools/mutants.py
 
 Each row of MUTANTS names a file, a text that occurs there exactly once, the
 text that replaces it, and the test that must fail once it is replaced. For each
-row, or for the rows named, src/, tests/ and pyproject.toml are copied to a
-temporary directory, the one replacement is made there, and only the row's test
-runs, with -x. A mutant is killed when that test fails (pytest exit status 1).
+row, src/, tests/ and pyproject.toml are copied to a temporary directory, the one
+replacement is made there, and only the row's test runs, with -x. A mutant is
+killed when that test fails (pytest exit status 1).
 An equivalent mutant changes no behaviour, so its test must pass: it is run and
 reported, and never fails the gate.
 
@@ -93,14 +93,9 @@ def run(mutant: Mutant) -> tuple[str, bool]:
     return f"stale: pytest exited {status}", False
 
 
-def main(names: list[str]) -> int:
-    rows = [m for m in MUTANTS if not names or m.name in names]
-    if len(rows) < len(set(names)):
-        known = "\n  ".join(m.name for m in MUTANTS)
-        print(f"unknown mutant name; the rows are:\n  {known}", file=sys.stderr)
-        return 2
+def main() -> int:
     survived = stale = 0
-    for mutant in rows:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         verdict, holds = run(mutant)
         survived += not holds and verdict == "SURVIVED"
@@ -111,4 +106,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -1,12 +1,12 @@
 """Time CLI rows of this checkout against another revision, in interleaved fresh-process pairs.
 
-Usage: python tools/trajectory.py --against REV [--pairs N] [--label LABEL] [ROW ...]
+Usage: python tools/trajectory.py --against REV [--label LABEL]
 
 REV is checked out with `git archive` into a temporary directory, so a run leaves
 nothing in the repository's .git. The head side is this checkout's src/, as it
-stands on disk. Each pair runs one row on both sides, in alternating order, and
-every row is run once per pair, so drift over a session reaches every row and
-side alike. ROW is the name of a row of ROWS; with none given, every row runs.
+stands on disk. Each of the PAIRS pairs runs every row of ROWS once on both
+sides, in alternating order, so drift over a session reaches every row and side
+alike.
 
 Each request is a fresh `python -m berndenom` process, started from a small
 launcher process and not from this script, because a forked child carries its
@@ -37,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 12  # interleaved pairs per row
 
 ROWS = {
     "profile 1": "profile 1",
@@ -117,13 +118,8 @@ def summary(runs: list[dict]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the revision to compare with, e.g. HEAD~1")
-    parser.add_argument("--pairs", type=int, default=10, help="interleaved pairs per row (default 10)")
     parser.add_argument("--label", help="writes BENCH_<label>.json (default: the head commit's short hash)")
-    parser.add_argument("rows", nargs="*", metavar="ROW", help=f"rows to run, of: {', '.join(ROWS)}")
     args = parser.parse_args()
-    rows = args.rows or list(ROWS)
-    if unknown := [name for name in rows if name not in ROWS]:
-        parser.error(f"unknown rows {unknown}")
     label = args.label or git("rev-parse", "--short", "HEAD")
 
     with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
@@ -144,17 +140,17 @@ def main() -> int:
                 "numpy": numpy,
                 "head": side(None, sides["head"]),
                 "against": side(args.against, sides["against"]),
-                "pairs": args.pairs,
+                "pairs": PAIRS,
                 "method": "fresh `python -m berndenom` processes from a launcher; wait4 rusage; "
                           "stdout and stderr discarded after hashing",
             },
-            "rows": {name: {"argv": ROWS[name], "head": [], "against": []} for name in rows},
+            "rows": {name: {"argv": ROWS[name], "head": [], "against": []} for name in ROWS},
         }
-        outputs: dict[str, set] = {name: set() for name in rows}
+        outputs: dict[str, set] = {name: set() for name in ROWS}
         work = Path(tmp, "work")
         work.mkdir()
-        for pair in range(args.pairs):
-            for name in rows:
+        for pair in range(PAIRS):
+            for name in ROWS:
                 order = ("head", "against") if pair % 2 == 0 else ("against", "head")
                 for which in order:
                     run, output = measure(sides[which], ROWS[name].split(), work)
@@ -166,7 +162,7 @@ def main() -> int:
                 if len(outputs[name]) != 1:
                     print(f"{name}: the output differs between runs or sides", file=sys.stderr)
                     return 1
-            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+            print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr, flush=True)
 
     for name, row in report["rows"].items():
         row["summary"] = {which: summary(row[which]) for which in ("head", "against")}
