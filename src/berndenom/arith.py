@@ -4,13 +4,14 @@ for million-digit values. A squarefree value is a plain int: the product of
 its primes, multiplied out once.
 
 Everything here is exact integer arithmetic. A PrimeSieve is immutable once
-built and safe to share across worker processes; the remaining functions are
-pure functions of their inputs.
+built and safe to share across threads; the remaining functions are pure
+functions of their inputs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -273,12 +274,16 @@ def sieve(limit: int) -> PrimeSieve:
 
 
 _SHARED: PrimeSieve | None = None
+_SHARED_LOCK = threading.Lock()
 
 
 def shared_sieve(min_limit: int) -> PrimeSieve:
     """The one source of primes: a process-wide sieve, rebuilt to exactly max(min_limit, 1)
-    when it holds less. It never shrinks, and past DEFAULT_SIEVE_CAP sieve() refuses."""
+    when it holds less. It never shrinks, and past DEFAULT_SIEVE_CAP sieve() refuses. The
+    check and the build hold one lock, so threads that ask for different bounds at once
+    never leave the smaller sieve cached."""
     global _SHARED
-    if _SHARED is None or _SHARED.limit < min_limit:
-        _SHARED = sieve(max(min_limit, 1))
-    return _SHARED
+    with _SHARED_LOCK:
+        if _SHARED is None or _SHARED.limit < min_limit:
+            _SHARED = sieve(max(min_limit, 1))
+        return _SHARED

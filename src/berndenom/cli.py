@@ -212,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("--limit", type=_positive_int, required=True)
     p_scan.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker processes (default: 1)")
-    p_scan.add_argument("--chunk", type=_positive_int, help="indices per checkpoint record and worker task, "
-                        "not memory (default: 1048576, or limit / 4096 to a power of 2 past 2^32)")
+                        help="worker threads (default: 1)")
+    p_scan.add_argument("--chunk", type=_positive_int, help="indices per checkpoint record, not memory "
+                        "(default: 1048576, or limit / 4096 to a power of 2 past 2^32)")
     p_scan.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
 
     p_sets = sub.add_parser("sets", help="indices whose k-th derivative is integral")

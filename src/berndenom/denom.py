@@ -74,7 +74,8 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 20
-"""Indices per step of seq omega_plus's run count and of the scanner's cover; a scan's default chunk."""
+"""Indices per step of seq omega_plus's run count, a scan's default chunk to 2^32, and the least
+step of the scanner's cover, whose steps grow with sqrt(n) past 2^16."""
 
 _RUN_BATCH = 1 << 15
 """Most runs or (prime, index) pairs in one batch: its int64 arrays take 256 KiB each."""

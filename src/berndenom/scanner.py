@@ -4,8 +4,8 @@ omega_+(n) counts the primes p > sqrt(n) whose base-p digit sum of n
 reaches p. Such a prime is heavy at n exactly on the runs
 [(a1+1)p - a1, (a1+1)p - 1] with 1 <= a1 < p, and a1 = n // p <= isqrt(n).
 A scan wants only the n where that count is zero: near a1 = sqrt(n) one
-quotient's few runs hold about 2 / ln n of all indices, so each step of 2^20
-indices covers n with the runs of its largest quotients alone (_zeros).
+quotient's few runs hold about 2 / ln n of all indices, so each step of the
+cover holds n with the runs of its largest quotients alone (_zeros).
 
 The same test with every run cut short at the top by k - 1 is find_sets'
 prefilter: a heavy prime p above sqrt(m) divides (m+1)...(m+k-1) exactly
@@ -19,25 +19,27 @@ sqrt(limit) + 64 beyond, not every prime to hi / 2. A step whose cover leaves
 an index past its depth is covered again, deeper, so the run rule lives in
 denom.heavy_runs alone. Those primes are a sweep's only limit: sieve() refuses
 them past its cap of 2^26, so scan and sets --k 1 run to 4,503,591,037,435,904
-and radset to 4,503,590,903,218,176. The steps stay 2^20 indices, so a scan's
-time grows with its limit: the rows `scan 1.34e8` and `scan 1e10` of the
-BENCH_*.json files, written by tools/trajectory.py, give its time to 1.34 * 10^8
-and 10^10 (ROADMAP item 16 lets the steps grow). Depth 64 leaves 1,261 indices
-in the step at 383,778,817 and 437,348 in the one at 985,661,441; the first
-re-cover, at depth 129, leaves none.
+and radset to 4,503,590,903,218,176. A step grows with sqrt(n) (_step), so it
+holds a few thousand periods of its top quotient and about as many runs at any
+n: the rows `scan 1e10` and `scan 1e11` of the BENCH_*.json files, written by
+tools/trajectory.py, give a scan's time there. Depth 64 leaves 1,261 indices in
+[383,778,817, 384,827,392] and 437,348 in [985,661,441, 986,710,016]; the
+first re-cover, at depth 129, leaves none.
 
-A scan's chunk_size sets only what one checkpoint record covers and what one
-worker process takes; past a limit of 2^32 the default grows with it, so a checkpoint
-holds at most 4,096 records. The chunk grid is counted, never listed, and the
-report is folded as the chunks come, resumed ones too, so an explicit small
-chunk costs no memory per chunk. A chunk's result, a
-ScanChunk, is what a checkpoint persists: one JSON line appended per chunk
-after a header naming the scan, so an interrupted scan resumes from the chunks
-it finished and ends byte-identical, file and all, to one that never stopped.
-Its records are always the grid's first chunks in grid order, and a resume
-refuses any other order, so it scans on from the first chunk with no record.
-A sweep sizes arith.shared_sieve for its whole range before its first chunk,
-and forked workers inherit that sieve, so no chunk makes the cache grow again.
+A scan's chunk_size sets only what one checkpoint record covers; past a limit
+of 2^32 the default grows with it, so a checkpoint holds at most 4,096 records.
+run_scan walks the cover's steps, each rounded up to whole chunks, and files a
+step's zeros into its chunks' records; --threads runs that many steps at once
+on threads. The chunk grid is counted, never listed, and the report is folded
+as the chunks come, resumed ones too, so an explicit small chunk costs no
+memory per chunk. A chunk's result, a ScanChunk, is what a checkpoint persists:
+one JSON line appended per chunk after a header naming the scan, so an
+interrupted scan resumes from the chunks it finished and ends byte-identical,
+file and all, to one that never stopped. Its records are always the grid's
+first chunks in grid order, and a resume refuses any other order, so it scans
+on from the first chunk with no record. A sweep sizes arith.shared_sieve for
+its whole range before its first step, so no step makes the cache grow again
+unless it is covered again deeper.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from bisect import bisect_right
+from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -102,11 +106,11 @@ _DEPTH = 64
 on [1, 5*10^6], 32 left 2,843 indices uncovered, 64 left 26, and 128 doubled the runs."""
 
 
-def _uncovered(lo: int, hi: int, cut: int, depth: int) -> np.ndarray:
-    """Ascending n in [lo, hi] that no run of heavy_runs(lo, hi, cut, depth) holds, from the
-    primes to that cover's reach: as many runs stop as begin at or below such n, so with the
-    begins and the stops sorted apart they are the gaps [stops[i - 1], begins[i]),
-    stops[-1] = 0, begins[runs] = hi - lo + 1."""
+def _uncovered(lo: int, hi: int, cut: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps in [lo, hi] that no run of heavy_runs(lo, hi, cut, depth) holds, ascending, as
+    (first, count) arrays, from the primes to that cover's reach: as many runs stop as begin at
+    or below an index in no run, so with the begins and the stops sorted apart the gaps are
+    [stops[i - 1], begins[i]), stops[-1] = 0, begins[runs] = hi - lo + 1."""
     starts, ends = [np.zeros(1, np.int64)], [np.full(1, hi - lo + 1, np.int64)]
     for _, begin, stop in denom.heavy_runs(lo, hi, cut, depth):
         ends.append(begin)
@@ -115,7 +119,7 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int) -> np.ndarray:
     starts.sort()  # in place, as is ends: 0 stays first and hi - lo + 1 goes last
     ends.sort()
     gaps = ends > starts  # the few nonempty ones, before any array the size of the runs
-    return denom._ragged(starts[gaps] + lo, ends[gaps] - starts[gaps])
+    return starts[gaps] + lo, ends[gaps] - starts[gaps]
 
 
 def _sieve_bound(lo: int, hi: int, cut: int) -> int:
@@ -127,27 +131,46 @@ def _sieve_bound(lo: int, hi: int, cut: int) -> int:
     return max(denom.heavy_reach(lo, hi, cut, _DEPTH + cut), isqrt(hi))
 
 
+def _step(start: int) -> int:
+    """Indices in the cover's step from start: 2^12 times the power of two past isqrt(start),
+    at least DEFAULT_CHUNK_SIZE. A step then holds 2^12 to 2^13 periods of its top quotient,
+    so its runs, and the time and memory a step takes, barely grow with start, and the steps
+    to a limit L number about sqrt(L) / 2^11.5: 113 to 10^11, 11,374 to 10^15."""
+    return max(denom.DEFAULT_CHUNK_SIZE, 1 << (isqrt(start).bit_length() + 12))
+
+
+def _steps(lo: int, hi: int, grain: int = 1) -> Iterator[tuple[int, int]]:
+    """The cover's steps over [lo, hi] as ascending (start, end) pairs, lazily: _step(start)
+    indices from each start, rounded up to whole grains of grain indices from lo, the last one
+    cut at hi. With a scan's chunk as its grain, each step is whole chunks of its grid."""
+    while lo <= hi:
+        end = min(lo - 1 + -(-_step(lo) // grain) * grain, hi)
+        yield lo, end
+        lo = end + 1
+
+
 def _zeros(lo: int, hi: int, cut: int):
     """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time; a cut
     run holds only a1 - cut indices of its period, so the cover reads cut more quotients.
     Below (cut + depth + 2)^2 the cover reads every quotient, so what it leaves there is exact;
     a step that leaves an index past it is covered again at depth 2 * depth + 1, from the
-    primes to that deeper cover's reach, until none is left past it. Where that reach passes
-    the sieve cap, SieveSizeError names the index: only a dropped run or an exceptional index
-    past 192 drives the depth toward sqrt(n) and the reach toward n / 2."""
+    primes to that deeper cover's reach, until none is left past it: the top of its last gap
+    decides. Where that reach passes the sieve cap, SieveSizeError names the index: only a
+    dropped run or an exceptional index past 192 drives the depth toward sqrt(n) and the reach
+    toward n / 2."""
     if lo > hi:
         return
     shared_sieve(_sieve_bound(lo, hi, cut))  # once, for every step at _DEPTH
-    for start in range(lo, hi + 1, denom.DEFAULT_CHUNK_SIZE):
-        end, depth = min(start + denom.DEFAULT_CHUNK_SIZE - 1, hi), _DEPTH + cut
-        left = _uncovered(start, end, cut, depth)
-        while left.size and (n := left[-1]) >= (cut + depth + 2) ** 2:
+    for start, end in _steps(lo, hi):
+        depth = _DEPTH + cut
+        first, count = _uncovered(start, end, cut, depth)
+        while count.size and (n := int(first[-1] + count[-1] - 1)) >= (cut + depth + 2) ** 2:
             depth = 2 * depth + 1
             try:
-                left = _uncovered(start, end, cut, depth)
+                first, count = _uncovered(start, end, cut, depth)
             except SieveSizeError as exc:
                 raise SieveSizeError(f"covering n = {n} at depth {depth}: {exc}; see `profile {n}`") from exc
-        yield from left.tolist()
+        yield from denom._ragged(first, count).tolist()
 
 
 def scan_omega_plus(lo: int, hi: int) -> ScanChunk:
@@ -215,21 +238,8 @@ def _dump(payload: dict) -> str:
 
 
 def _record(chunk: ScanChunk) -> bytes:
-    """chunk's record: the line a checkpoint holds for it, and what a worker sends."""
+    """chunk's record: the line a checkpoint holds for it."""
     return (_dump(asdict(chunk)) + "\n").encode("ascii")
-
-
-def _load(line) -> ScanChunk:
-    """The chunk a record line holds, its fields typed but not checked; a
-    malformed line raises KeyError, TypeError or ValueError (json's
-    JSONDecodeError among them)."""
-    payload = json.loads(line)
-    return ScanChunk(
-        int(payload["lo"]),
-        int(payload["hi"]),
-        tuple(int(x) for x in payload["exceptional"]),
-        str(payload["checksum"]),
-    )
 
 
 def checkpoint_save(path, chunk: ScanChunk) -> None:
@@ -278,8 +288,10 @@ def _records(path: str, config: ScanConfig) -> Iterator[ScanChunk]:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            try:
-                chunk = _load(line)
+            try:  # a malformed line raises KeyError, TypeError or ValueError
+                payload = json.loads(line)
+                exceptional = tuple(int(x) for x in payload["exceptional"])
+                chunk = ScanChunk(int(payload["lo"]), int(payload["hi"]), exceptional, str(payload["checksum"]))
             except json.JSONDecodeError as exc:
                 raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
             except (KeyError, TypeError, ValueError) as exc:
@@ -305,67 +317,33 @@ class ScanResult:
     chunk_size: int
 
 
-def _scan_chunks(pending, workers: int):
-    """Scan each pending range and yield its ScanChunk, in order.
+def _scan_step(step: tuple[int, int]) -> tuple[tuple[int, int], list[int]]:
+    """step, a (lo, hi) pair, and its zeros: the n in [lo, hi] with no heavy prime above sqrt(n)."""
+    return step, list(_zeros(*step, 0))
 
-    With W workers and os.fork, chunk i comes from worker i mod W: worker 0
-    is the parent, inline, and each worker w it forks takes
-    islice(pending, w, None, W) of its own copy of the unstarted generator,
-    inherits the sieve run_scan sized and writes records to its own pipe. The
-    parent scans any chunk whose whole record line a worker never sent, so a
-    worker's error is raised again by the parent, and errors and output read
-    the same for every --threads; a worker lost to a signal costs speed, not
-    output. Each worker keeps only its own write end, so a dead parent ends it
-    at its next write; the parent kills and reaps every worker however it
-    leaves. Without os.fork the parent forks none and scans all. Nothing here
-    lists pending, so --chunk costs no memory per chunk.
-    """
-    workers = workers if hasattr(os, "fork") else 1
-    import signal  # here, as in _work: only a scan loads it
 
-    readers, writers, pids = [], [], []
+def _walk(steps, threads: int):
+    """_scan_step of each step, in step order. On more than one thread, a pool of threads
+    threads runs the steps, with at most threads more queued behind them so that a thread
+    done before an earlier, slower step starts the next at once; each is taken back in
+    order, so an error raised in a step is raised once every earlier step has been taken,
+    as on one thread, which starts no pool. Leaving early drops the queued steps and waits
+    for the running ones."""
+    if threads == 1:
+        yield from map(_scan_step, steps)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here alone: one thread never loads it
+
+    pool = ThreadPoolExecutor(threads)
     try:
-        for _ in range(1, workers):
-            read_end, write_end = os.pipe()
-            readers.append(open(read_end, "rb"))
-            writers.append(open(write_end, "wb"))
-        for w, out in enumerate(writers, 1):
-            pid = os.fork()
-            if pid == 0:
-                _work(islice(pending, w, None, workers), readers + writers, out)
-            pids.append(pid)
-        for out in writers:
-            out.close()
-        for i, (lo, hi) in enumerate(pending):
-            line = readers[i % workers - 1].readline() if i % workers else b""
-            yield _load(line) if line.endswith(b"\n") else scan_omega_plus(lo, hi)
+        futures = (pool.submit(_scan_step, step) for step in steps)
+        ahead = deque(islice(futures, 2 * threads))
+        while ahead:
+            done = ahead.popleft().result()
+            ahead.extend(islice(futures, 1))
+            yield done
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # unreaped, so never gone: at worst a zombie
-            os.waitpid(pid, 0)
-        for end in readers + writers:
-            end.close()
-
-
-def _work(share, ends, out) -> None:
-    """A forked worker's whole life: scan share, one record line per chunk
-    to out, then exit. Never returns. share is a slice of the parent's
-    unstarted generator, so no worker lists the grid either. An error, or a
-    parent gone at a write, ends it at once and silently: the parent scans
-    every chunk it never sent, so errors and output read the same for every
-    --threads."""
-    import signal
-
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-        for end in ends:
-            if end is not out:
-                end.close()
-        for lo, hi in share:
-            out.write(_record(scan_omega_plus(lo, hi)))
-            out.flush()
-    finally:
-        os._exit(0)  # discards any exception
+        pool.shutdown(cancel_futures=True)  # the queued steps are dropped, the running ones joined
 
 
 def run_scan(
@@ -375,17 +353,19 @@ def run_scan(
     chunk_size: int | None = None,
     checkpoint_path=None,
 ) -> ScanResult:
-    """Scan [1, limit] in chunks, optionally in parallel and checkpointed.
+    """Scan [1, limit] in chunks, optionally on threads and checkpointed.
 
     The report depends only on (limit, chunk_size); thread count, interruption,
     and resumption leave it bit-for-bit unchanged. The default chunk is
     DEFAULT_CHUNK_SIZE up to 2^32 and doubles with each bit of limit - 1 past 32:
     limit / 4096 rounded up to a power of two, so a checkpoint holds at most 4,096
     records of about 0.5 KB each, where chunks of 2^20 made a million at 10^12.
+    The cover's steps (_steps) are rounded up to whole chunks, at most threads of them
+    run at once, and each step's zeros are filed into its chunks' records in grid order.
     The digest and the exceptional indices are folded as the chunks come, so a
     scan holds no record past its fold. The records resumed from a checkpoint are
-    the grid's first chunks, folded as they are read and before any chunk is scanned,
-    so a bad one stops the scan first; the scan goes on from the first chunk after them.
+    the grid's first chunks, folded as they are read and before any step is scanned,
+    so a bad one stops the scan first; the steps go on from the first chunk after them.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -395,22 +375,29 @@ def run_scan(
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
     shared_sieve(_sieve_bound(1, limit, 0))  # past the cap, refused before the checkpoint is touched
-    config = ScanConfig(1, limit, chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0))
+    size = chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0)
+    config = ScanConfig(1, limit, size)
     resumed = iter(()) if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
     import hashlib
     digest, exceptional = hashlib.sha256(), []
 
-    def fold(i: int, chunk: ScanChunk) -> None:
-        digest.update(b"|" * (i > 0) + chunk.checksum.encode("ascii"))
+    def fold(chunk: ScanChunk) -> None:
+        digest.update(b"|" * (chunk.lo > 1) + chunk.checksum.encode("ascii"))
         exceptional.extend(chunk.exceptional)
 
-    held = 0  # the resumed records, each let go once folded, all before any chunk is scanned
+    held = 0  # the resumed records, each let go once folded, all before any step is scanned
     for held, chunk in enumerate(resumed, 1):
-        fold(held - 1, chunk)
-    workers = max(1, min(threads, -(-limit // config.chunk_size) - held))
-    new = _scan_chunks(islice(config.chunk_ranges(), held, None), workers)
-    for i, chunk in enumerate(new, held):  # the next chunk is asked for only after this one is saved
-        if checkpoint_path is not None:
-            checkpoint_save(checkpoint_path, chunk)
-        fold(i, chunk)
-    return ScanResult(exceptional=tuple(exceptional), digest=digest.hexdigest(), chunk_size=config.chunk_size)
+        fold(chunk)
+    steps = _steps(1 + held * size, limit, size)
+    head = list(islice(steps, threads))  # no more threads than steps
+    for (start, end), zeros in _walk(chain(head, steps), max(len(head), 1)):
+        filed = 0
+        for lo in range(start, end + 1, size):  # the step's chunks, which are the grid's
+            hi, first = min(lo + size - 1, end), filed
+            filed = bisect_right(zeros, hi, first)
+            found = tuple(zeros[first:filed])
+            chunk = ScanChunk(lo, hi, found, chunk_checksum(lo, hi, found))
+            if checkpoint_path is not None:
+                checkpoint_save(checkpoint_path, chunk)
+            fold(chunk)
+    return ScanResult(exceptional=tuple(exceptional), digest=digest.hexdigest(), chunk_size=size)

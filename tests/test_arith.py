@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -357,3 +359,33 @@ def test_shared_sieve_rebuilds_only_to_grow(monkeypatch):
     assert arith.shared_sieve(999) is first and arith.shared_sieve(1000) is first
     assert arith.shared_sieve(1001).limit == 1001
     assert arith.shared_sieve(10).limit == 1001
+
+
+def test_shared_sieve_grows_under_one_lock(monkeypatch):
+    # two threads ask for 1,000 and 2,000 while the first build is still running: with
+    # the check and the build under one lock, the second waits and grows the cache to
+    # 2,000; unlocked, it would cache 2,000 first and the slow 1,000 would replace it
+    monkeypatch.setattr(arith, "_SHARED", None)
+    real_sieve, building, asked, got = arith.sieve, threading.Event(), threading.Event(), {}
+
+    def slow_sieve(limit):
+        if limit == 1000:
+            building.set()
+            asked.wait(5)
+            time.sleep(0.2)  # time for an unlocked second caller to build and cache 2,000
+        return real_sieve(limit)
+
+    def ask(bound):
+        if bound == 2000:
+            building.wait(5)
+            asked.set()
+        got[bound] = arith.shared_sieve(bound)
+
+    monkeypatch.setattr(arith, "sieve", slow_sieve)
+    threads = [threading.Thread(target=ask, args=(bound,)) for bound in (1000, 2000)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert arith._SHARED.limit == 2000
+    assert got[1000].limit >= 1000 and got[2000].limit >= 2000

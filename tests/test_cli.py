@@ -283,7 +283,7 @@ class TestScan:
         def explode(*args, **kwargs):
             raise AssertionError("a refused checkpoint must stop the scan before any chunk")
 
-        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        monkeypatch.setattr(scanner, "_scan_step", explode)
         code, out, err = run_cli(capsys, *argv, str(path))
         assert code == 2 and out == "" and path.read_bytes() == written
         assert err.startswith("error: record [") and err.count("\n") == 1 and "chunk grid" in err
@@ -311,37 +311,43 @@ class TestScan:
         def explode(*args, **kwargs):
             raise AssertionError("an unwritable checkpoint must fail before any chunk")
 
-        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        monkeypatch.setattr(scanner, "_scan_step", explode)
         path = tmp_path / "missing" / "scan.ckpt" if where == "missing-directory" else tmp_path
         code, out, err = run_cli(capsys, "scan", "--limit", "5000", "--checkpoint", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(path) in err
 
-    def test_two_threads_match_one(self, capsys):
-        # four chunks, so two worker processes share them
+    def test_two_threads_match_one(self, capsys, monkeypatch):
+        # four steps of one chunk, so two worker threads share them
+        from berndenom import scanner
+
+        monkeypatch.setattr(scanner, "_step", lambda start: 100)
         code, out, err = run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "2")
         assert code == 0
         assert run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "1") == (0, out, err)
 
     def test_an_error_reads_the_same_on_any_thread_count(self, capsys, monkeypatch):
         # a re-cover past the sieve cap raises in the middle of a scan; with two threads
-        # the worker's chunk fails, and the parent's own scan of it raises the same error
+        # the second step fails on a pool thread, and is raised when the scan takes it
+        import threading
+
         from berndenom import scanner
 
-        real = scanner.scan_omega_plus
+        real = scanner._scan_step
 
-        def refused(lo, hi):
-            if lo > 1:
-                raise arith.SieveSizeError(f"covering n = {lo} at depth 129: refused")
-            return real(lo, hi)
+        def refused(step):
+            if step[0] > 1:
+                raise arith.SieveSizeError(f"covering n = {step[0]} at depth 129: refused")
+            return real(step)
 
-        monkeypatch.setattr(scanner, "scan_omega_plus", refused)
+        monkeypatch.setattr(scanner, "_step", lambda start: 1000)
+        monkeypatch.setattr(scanner, "_scan_step", refused)
         argv = ("scan", "--limit", "2000", "--chunk", "1000", "--threads")
         one = run_cli(capsys, *argv, "1")
         assert one == (2, "", "error: covering n = 1001 at depth 129: refused\n")
+        threads = threading.active_count()
         assert run_cli(capsys, *argv, "2") == one
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # the worker was reaped
+        assert threading.active_count() == threads  # the pool's threads were joined
 
     def test_json_and_checkpoint_show_the_default_chunk(self, capsys, tmp_path):
         # 2^20 up to a limit of 2^32, and past it limit / 4096 rounded up to a power of two
@@ -502,8 +508,8 @@ def alive_in_group(pgid) -> bool:
 
 @pytest.mark.parametrize("interrupt", [False, True], ids=["sigkill-parent", "sigint-group"])
 def test_stopped_threaded_scan_takes_its_workers_and_resumes(tmp_path, interrupt):
-    # SIGKILL reaches the parent alone; SIGINT, as from a terminal, reaches
-    # the whole group, where only the parent may answer it
+    # SIGKILL ends the process and its threads; SIGINT, as from a terminal,
+    # reaches the whole group, where only the main thread may answer it
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
     # 733 records: the scan cannot write them all before the signal lands
     argv = [sys.executable, "-m", "berndenom", "scan", "--limit", "3000000", "--chunk", "4096"]
@@ -557,23 +563,23 @@ SLOW_SCAN = """
 import sys, time
 from berndenom import scanner
 
-real = scanner.scan_omega_plus
+real = scanner._scan_step
 
 
-def slow(lo, hi):  # 200 chunks, 0.05 s each, on two workers: 5 s of work
+def slow(step):  # 200 steps of one chunk, 0.05 s each, on two threads: 5 s of work
     time.sleep(0.05)
-    return real(lo, hi)
+    return real(step)
 
 
-scanner.scan_omega_plus = slow
+scanner._step = lambda start: 500
+scanner._scan_step = slow
 scanner.run_scan(100000, chunk_size=500, threads=2, checkpoint_path=sys.argv[1])
 """
 
 
 def test_sigkilled_parent_ends_busy_workers_at_their_next_write(tmp_path):
-    # a worker learns of its parent's death only when a write finds no
-    # reader, so it must hold no read end of any pipe: holding one, it would
-    # write on into the pipe's buffer for the seconds its share still takes
+    # the workers are threads of the scan's one process, so a SIGKILL ends
+    # them with it, in the middle of a step, with nothing left in its group
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
     path = tmp_path / "slow.ckpt"
     child = subprocess.Popen(
@@ -717,7 +723,7 @@ def loaded_modules(code):
 
 
 def test_cli_start_does_not_import_the_process_pool():
-    # no command needs concurrent.futures: a scan forks its workers itself
+    # only a scan of more than one step on more than one thread loads concurrent.futures
     assert "concurrent.futures" not in loaded_modules("import berndenom.cli")
 
 
@@ -727,7 +733,8 @@ def test_bare_package_import_loads_no_numpy():
     assert not {m for m in loaded if m.startswith("berndenom.")}
 
 
-# each command, and the modules it must not load; none needs the process pool,
+# each command, and the modules it must not load; none here needs the thread pool
+# (the threaded scan is one step),
 # and only a scan hashes, so no other command loads hashlib and its OpenSSL
 # unless numpy itself does (numpy 1.x imports numpy.random, whose secrets loads it).
 # decimal, and its libmpdec, come only with an int past arith._DECIMAL_LEAF_BITS

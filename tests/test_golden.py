@@ -11,12 +11,12 @@ release before find_sets moved onto the scan's chunk grid and the run count
 onto an int32 difference array, and those of profile at 100000000003 from
 the release before the single-index route cut its support with the masks of
 PrimePairs: there some support primes pass 3.04e9, whose squares wrap in
-int64. The scan to 3000000 on two worker processes carries the digests of
+int64. The scan to 3000000 on two worker threads carries the digests of
 the same scan on one; any change to the bytes a command prints fails here.
 The help digests, of the program and of each subcommand, were taken with
 Python 3.11 at 80 columns from the release before the subparsers named their
 handlers with set_defaults, and that of scan again when its default --chunk
-began to grow with a limit past 2^32.
+began to grow with a limit past 2^32, and when its workers became threads.
 """
 
 import contextlib
@@ -184,7 +184,7 @@ HELP_GOLDEN = {
     "": "f7050abd7ffb77b9458fda78be82eae00283974d65838f3f368a5d38d9909296",
     "profile": "d7e5d6079129da5960738b38afd0f6a5109b11e33f8328e97194de291e8679d1",
     "seq": "6b02d0d349d3f5bcadcb76a1f831fcccf5a1df851e2ab891ce97172666a89e74",
-    "scan": "5a9b30651f6f1a743ba70144fbd01fad41e698b6c6eec7c160d14985a6cbe2a5",
+    "scan": "0a5ad73be041d51af97b4470b957c0210e62ff3d6c6029832adbbac6dc2a3a35",
     "sets": "432b7fb14eeaa7fd7bbfb76430a16f25305c28784d460cd34ea348d935a8be39",
     "radset": "8357e21884495e9662dce9b073517734cb8d693cdd43cd5831b0870ff9614afa",
     "verify": "4ffca722befc470058d7939c62994459803ff66a02d8b03f5f22da5c38348fa8",

@@ -3,8 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
-import os
-import signal
+import threading
 import tracemalloc
 from math import isqrt
 
@@ -40,9 +39,14 @@ S3 = (
 )
 RAD_SET = (3, 5, 8, 9, 11, 27, 29, 35, 59)
 
-# steps of sequence("omega_plus")'s run count and of scanner._zeros, behind
-# scan_omega_plus, find_sets and find_rad_set: none may change what they report
+# steps of sequence("omega_plus")'s run count (DEFAULT_CHUNK_SIZE) and of scanner._zeros
+# (_step), behind scan_omega_plus, find_sets and find_rad_set: none may change what they report
 CHUNK_GRIDS = pytest.mark.parametrize("chunk", [1, 7, 64, denom.DEFAULT_CHUNK_SIZE])
+
+
+def uncovered(lo, hi, cut, depth):
+    """The indices of _uncovered's gaps, as a list."""
+    return denom._ragged(*scanner._uncovered(lo, hi, cut, depth)).tolist()
 
 
 class TestScanOmegaPlus:
@@ -208,7 +212,7 @@ class TestCover:
             hi = min(mark + data.draw(st.integers(0, width - 1), label="above"), COVER_TOP)
         lo = max(hi - width + 1, 1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+            mp.setattr(scanner, "_step", lambda start: chunk)
             assert list(scanner._zeros(lo, hi, cut)) == full_zeros(lo, hi, cut)
 
     @pytest.mark.parametrize(
@@ -221,8 +225,8 @@ class TestCover:
         monkeypatch.setattr(scanner, "_DEPTH", 2)
         zeros = list(scanner._zeros(lo, hi, cut))
         assert zeros == full_zeros(lo, hi, cut)
-        left = scanner._uncovered(lo, hi, cut, 2 + cut)
-        assert left.size > 400 and len(zeros) < left.size // 10
+        left = uncovered(lo, hi, cut, 2 + cut)
+        assert len(left) > 400 and len(zeros) < len(left) // 10
 
     @pytest.mark.parametrize("depth", [0, 1])
     def test_the_re_cover_starts_where_a_shallower_cover_stops(self, monkeypatch, depth):
@@ -259,7 +263,7 @@ class TestCover:
     def test_a_step_wider_than_2_32_is_covered(self):
         # offsets past 2^31 stay the int64 ones of heavy_runs; depth 3000 covers every index here
         lo, hi = 10**12, 10**12 + 2**32 - 1
-        assert scanner._uncovered(lo, hi, 0, 3000).size == 0
+        assert uncovered(lo, hi, 0, 3000) == []
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -314,8 +318,46 @@ class TestCover:
         assert scanner._DEPTH == 64  # K = 32 left 2,843 indices past the depth here
         top, step = 5 * 10**6, denom.DEFAULT_CHUNK_SIZE
         ends = [(lo, min(lo + step - 1, top)) for lo in range(1, top + 1, step)]
-        left = [scanner._uncovered(lo, hi, 0, 64) for lo, hi in ends]
-        assert tuple(np.concatenate(left).tolist()) == scan_omega_plus(1, top).exceptional
+        left = [n for lo, hi in ends for n in uncovered(lo, hi, 0, 64)]
+        assert tuple(left) == scan_omega_plus(1, top).exceptional
+
+    @pytest.mark.parametrize("grain", [1, 7, 1 << 14, 1 << 20, 3 << 20, 10**9])
+    @pytest.mark.parametrize("lo, hi", [(1, 5 * 10**6), (1, 1), (10**12 + 1, 10**12 + 2**36)])
+    def test_steps_tile_the_range_in_whole_grains(self, lo, hi, grain):
+        # each step starts one past the last, holds _step(start) indices or more, and ends
+        # on the grain grid from lo unless it ends at hi
+        steps = list(scanner._steps(lo, hi, grain))
+        assert steps[0][0] == lo and steps[-1][1] == hi
+        assert all(end + 1 == start for (_, end), (start, _) in zip(steps, steps[1:]))
+        for start, end in steps[:-1]:
+            assert (end - lo + 1) % grain == 0 and end - start + 1 >= scanner._step(start)
+            assert end - start + 1 < scanner._step(start) + grain
+
+    def test_steps_grow_with_the_square_root(self):
+        # 2^20 to 2^16, then 2^12 times the power of two past isqrt(start)
+        assert [scanner._step(n) for n in (1, 2**16 - 1, 2**16, 2**18, 10**12, 10**15)] == [
+            2**20, 2**20, 2**21, 2**22, 2**32, 2**37
+        ]
+        assert [sum(1 for _ in scanner._steps(1, 10**e)) for e in (11, 15)] == [113, 11_374]
+
+    @settings(max_examples=30, deadline=None)
+    @given(hi=st.integers(10**9, 10**15), width=st.integers(1, 1 << 16))
+    @example(hi=384_529_838 + 2**16, width=2**16)  # where depth 64 leaves indices
+    def test_grown_steps_match_a_deep_cover_of_fixed_steps(self, hi, width):
+        # the grown steps that meet a window, as a scan past hi walks them, against a cover
+        # of the window at depth 1024 in steps of 2^20; past 10^6 neither leaves an index
+        lo = hi - width + 1
+        grown = []
+        for start, end in scanner._steps(1, 2 * hi):
+            if start > hi:
+                break
+            if end >= lo:
+                grown += [n for n in scanner._zeros(start, end, 0) if lo <= n <= hi]
+        fixed = [
+            n for start in range(1 + (lo - 1 >> 20 << 20), hi + 1, 1 << 20)
+            for n in uncovered(max(start, lo), min(start + (1 << 20) - 1, hi), 0, 1024)
+        ]
+        assert grown == fixed == []
 
 
 class TestFindSets:
@@ -345,7 +387,7 @@ class TestFindSets:
 
     @CHUNK_GRIDS
     def test_any_chunk_grid_matches_db_k(self, integral_to_3000, monkeypatch, chunk):
-        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(scanner, "_step", lambda start: chunk)
         for k, expected in integral_to_3000.items():
             assert find_sets(k, 3000) == expected, k
 
@@ -473,7 +515,7 @@ class TestFindRadSet:
 
     @CHUNK_GRIDS
     def test_any_chunk_grid(self, monkeypatch, chunk):
-        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(scanner, "_step", lambda start: chunk)
         assert find_rad_set(3000) == RAD_SET
 
     def test_even_members_are_powers_of_two(self):
@@ -484,6 +526,15 @@ class TestFindRadSet:
     def test_successors_composite(self):
         for n in find_rad_set(100):
             assert not is_prime(n + 1)
+
+
+@pytest.mark.parametrize(
+    "query", [functools.partial(find_sets, 2), functools.partial(find_sets, 12), find_rad_set],
+    ids=["sets-k2", "sets-k12", "radset"],
+)
+def test_no_member_between_10_6_and_10_11(query):
+    # grown steps take these to 10^11 in a fraction of a second, where 2^20 steps took minutes
+    assert query(10**11) == query(10**6)
 
 
 def kappa(lo, hi):
@@ -524,18 +575,17 @@ class TestCheckpointing:
 
     def test_a_resumed_scan_holds_no_record(self, tmp_path, monkeypatch):
         # each resumed record is folded and let go: holding the 20,000 took 5.8 MiB more
-        # than the same scan with no checkpoint; a chunk's scan is stubbed, so both are quick
-        empty = lambda lo, hi: ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ()))
-        monkeypatch.setattr(scanner, "scan_omega_plus", empty)
+        # than the same scan with no checkpoint; a step's scan is stubbed, so both are quick
+        monkeypatch.setattr(scanner, "_scan_step", lambda step: (step, []))
         config = ScanConfig(1, 20_000 * 7, 7)
         path = tmp_path / "scan.ckpt"
         checkpoint_resume(path, config)  # writes the header
         with open(path, "ab") as fh:
             for lo, hi in config.chunk_ranges():
-                fh.write(scanner._record(empty(lo, hi)))
+                fh.write(scanner._record(ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ()))))
         arith.shared_sieve(scanner._sieve_bound(1, config.hi, 0))  # built before tracing
         fresh = traced_peak(lambda: run_scan(config.hi, chunk_size=7))
-        monkeypatch.setattr(scanner, "scan_omega_plus", None)  # a full checkpoint scans no chunk
+        monkeypatch.setattr(scanner, "_scan_step", None)  # a full checkpoint scans no step
         resumed = traced_peak(lambda: run_scan(config.hi, chunk_size=7, checkpoint_path=path))
         assert resumed < fresh + (1 << 20), (fresh, resumed)
 
@@ -569,7 +619,7 @@ class TestCheckpointing:
         def explode(*args, **kwargs):
             raise AssertionError("resume of a complete scan must not rescan")
 
-        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        monkeypatch.setattr(scanner, "_scan_step", explode)
         again = run_scan(2000, chunk_size=512, checkpoint_path=path)
         assert again == first
         assert path.read_bytes() == written
@@ -638,7 +688,7 @@ class TestCheckpointing:
         def explode(*args, **kwargs):
             raise AssertionError("a refused checkpoint must stop the scan before any chunk")
 
-        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
+        monkeypatch.setattr(scanner, "_scan_step", explode)
         expected = list(ScanConfig(1, 2000, 400).chunk_ranges())[wanted]
         with pytest.raises(CheckpointError, match="chunk grid, expected \\[%d, %d\\]" % expected):
             run_scan(2000, chunk_size=400, checkpoint_path=path)
@@ -733,75 +783,76 @@ class TestRunScan:
 
         shapes = [(c, t) for c in (500, 3000) for t in (1, 2)]
         expected = {shape: scan("default", *shape) for shape in shapes}
-        monkeypatch.setattr(denom, "DEFAULT_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(scanner, "_step", lambda start: chunk)
         for shape in shapes:
             assert scan("patched", *shape) == expected[shape], shape
 
-    def test_parallel_equals_serial(self, tmp_path):
-        # six chunks: the parent scans chunks 0 and 4 of them on four workers
-        def scan(threads):
-            path = tmp_path / f"{threads}.ckpt"
-            result = run_scan(6000, chunk_size=1000, threads=threads, checkpoint_path=path)
-            return result, path.read_bytes()
+    def test_each_record_is_its_chunks_own_scan(self, tmp_path):
+        # zeros on a chunk's hi, 192 on the chunks of 96 and every zero on those of 1,
+        # are filed under that chunk; a step spans all of the grid here
+        for chunk in (1, 2, 3, 64, 96):
+            path = tmp_path / f"{chunk}.ckpt"
+            run_scan(400, chunk_size=chunk, checkpoint_path=path)
+            records = path.read_bytes().splitlines(keepends=True)[1:]
+            grid = ScanConfig(1, 400, chunk).chunk_ranges()
+            assert records == [scanner._record(scan_omega_plus(lo, hi)) for lo, hi in grid], chunk
 
-        serial = scan(1)
-        for threads in (2, 3, 4):
-            assert scan(threads) == serial, threads
+    def test_parallel_equals_serial(self, tmp_path, monkeypatch):
+        # growing steps of several chunks of 300, the last chunk short at 9,001; each
+        # scan fresh, then resumed from every cut of the serial file, on 1 to 4 threads
+        monkeypatch.setattr(scanner, "_step", lambda start: 500 + start // 4)
+        steps = list(scanner._steps(1, 9001, 300))
+        assert len(steps) == 7 and steps[1] == (601, 1500) and steps[-1] == (6901, 9001)
+
+        def scan(path, threads):
+            return run_scan(9001, chunk_size=300, threads=threads, checkpoint_path=path), path.read_bytes()
+
+        serial = scan(tmp_path / "serial.ckpt", 1)
+        lines = serial[1].splitlines(keepends=True)
+        assert len(lines) == 1 + 31
+        for threads in (1, 2, 3, 4):
+            assert scan(tmp_path / f"fresh-{threads}.ckpt", threads) == serial, threads
+            for kept in (1, 2, 3, 5, 17, 31, 32):
+                cut = tmp_path / f"cut-{threads}-{kept}.ckpt"
+                cut.write_bytes(b"".join(lines[:kept]))
+                assert scan(cut, threads) == serial, (threads, kept)
+
+    @pytest.mark.parametrize("threads, started", [(1, 0), (2, 2), (10**6, 3)])
+    def test_threads_start_for_steps_alone(self, monkeypatch, threads, started):
+        # three steps: one thread starts no pool, and a million start only three
+        monkeypatch.setattr(scanner, "_step", lambda start: 1000)
+        calls, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: calls.append(self) or start(self))
+        assert run_scan(3000, chunk_size=500, threads=threads) == run_scan(3000, chunk_size=500)
+        assert len(calls) == started
 
     def test_failing_worker_stops_the_scan_after_the_chunks_before_it(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(scanner, "_step", lambda start: 1000)  # six steps of two chunks
         serial = tmp_path / "serial.ckpt"
         run_scan(6000, chunk_size=500, checkpoint_path=serial)
-        real = scanner.scan_omega_plus
+        real = scanner._scan_step
 
-        def failing(lo, hi):
-            if lo == 2501:  # the sixth of twelve chunks: the second worker's third
+        def failing(step):
+            if step[0] == 2001:  # the third of six steps, while the fourth runs
                 raise ValueError("injected failure")
-            return real(lo, hi)
+            return real(step)
 
-        monkeypatch.setattr(scanner, "scan_omega_plus", failing)  # before the fork
+        monkeypatch.setattr(scanner, "_scan_step", failing)
         path = tmp_path / "failed.ckpt"
-        with pytest.raises(ValueError, match="injected failure"):  # the parent's own scan of it
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="injected failure"):
             run_scan(6000, chunk_size=500, threads=2, checkpoint_path=path)
-        assert path.read_bytes().splitlines() == serial.read_bytes().splitlines()[:6]
-        assert capfd.readouterr().err == ""  # the worker exited silently
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+        assert path.read_bytes().splitlines() == serial.read_bytes().splitlines()[:5]
+        assert capfd.readouterr().err == ""  # the failed step printed nothing
+        assert threading.active_count() == threads  # every pool thread was joined
 
-    def test_a_lost_worker_costs_speed_not_output(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.ckpt"
-        expected = run_scan(6000, chunk_size=500, checkpoint_path=serial)
-        real = scanner.scan_omega_plus
-        parent = os.getpid()
-
-        def killed(lo, hi):
-            if os.getpid() != parent and lo == 1501:  # the second worker's second chunk
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(lo, hi)
-
-        monkeypatch.setattr(scanner, "scan_omega_plus", killed)
-        path = tmp_path / "lost.ckpt"
-        assert run_scan(6000, chunk_size=500, threads=2, checkpoint_path=path) == expected
-        assert path.read_bytes() == serial.read_bytes()
-
-    def test_workers_leave_an_interrupt_to_the_parent(self, monkeypatch):
-        expected = run_scan(6000, chunk_size=500)
-        real = scanner.scan_omega_plus
-        parent = os.getpid()
-
-        def interrupted(lo, hi):
-            if os.getpid() != parent:  # the parent scans every other chunk itself
-                os.kill(os.getpid(), signal.SIGINT)  # a worker ignores it; the parent would raise
-            return real(lo, hi)
-
-        monkeypatch.setattr(scanner, "scan_omega_plus", interrupted)
-        assert run_scan(6000, chunk_size=500, threads=2) == expected
-
-    def test_closing_early_leaves_no_worker(self):
-        chunks = scanner._scan_chunks(ScanConfig(1, 6000, 500).chunk_ranges(), 2)
-        assert next(chunks) == scan_omega_plus(1, 500)
-        chunks.close()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def test_closing_early_leaves_no_worker(self, monkeypatch):
+        monkeypatch.setattr(scanner, "_step", lambda start: 500)
+        threads = threading.active_count()
+        walk = scanner._walk(scanner._steps(1, 6000), 2)
+        assert next(walk) == ((1, 500), list(scan_omega_plus(1, 500).exceptional))
+        walk.close()
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "limit, chunk",
@@ -809,23 +860,23 @@ class TestRunScan:
     )
     def test_the_default_chunk_grows_past_2_32(self, monkeypatch, limit, chunk):
         # 2^20 to 2^32, so every digest and checkpoint there stays; past it at most
-        # 4,096 records. Only the grid is read here: the chunks scan nothing
-        grids = []
+        # 4,096 records. Only the grid is read here: the steps scan nothing
+        steps = []
         monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
-        monkeypatch.setattr(scanner, "_scan_chunks", lambda pending, threads: grids.append(pending) or ())
+        monkeypatch.setattr(scanner, "_scan_step", lambda step: steps.append(step) or (step, []))
         assert run_scan(limit).chunk_size == chunk
-        assert len(list(grids[0])) == -(-limit // chunk) <= 4096
+        assert steps[0][0] == 1 and steps[-1][1] == limit
+        assert sum(-(-(end - start + 1) // chunk) for start, end in steps) == -(-limit // chunk) <= 4096
         assert run_scan(min(limit, 50), chunk_size=7).chunk_size == 7  # a given chunk is kept
 
     def test_a_tiny_chunk_on_a_wide_limit_lists_no_grid(self, monkeypatch):
-        # the first 20,000 of 157,073,089,829 chunks of 7: neither the grid nor
-        # the finished records are held, where holding the records took 9 MB
-        def first(pending, workers):
-            assert workers == 1
-            return (ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ())) for lo, hi in itertools.islice(pending, 20000))
-
+        # the first 20,000 of 157,073,089,829 chunks of 7, as one step: neither the grid
+        # nor the finished records are held, where holding the records took 9 MB
+        steps = scanner._steps
+        monkeypatch.setattr(scanner, "_steps", lambda lo, hi, grain: itertools.islice(steps(lo, hi, grain), 1))
+        monkeypatch.setattr(scanner, "_step", lambda start: 20_000 * 7)
         monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
-        monkeypatch.setattr(scanner, "_scan_chunks", first)
+        monkeypatch.setattr(scanner, "_scan_step", lambda step: (step, []))
         tracemalloc.start()
         try:
             result = run_scan(2**40, chunk_size=7)

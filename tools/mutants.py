@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-DENOM, SCANNER = "src/berndenom/denom.py", "src/berndenom/scanner.py"
+ARITH, DENOM, SCANNER = "src/berndenom/arith.py", "src/berndenom/denom.py", "src/berndenom/scanner.py"
 ACCEPTANCE = "tests/test_acceptance.py::test_criterion_"
 STOP = "np.subtract(stop, lo + cut, out=stop)"  # the top of every run, in denom.heavy_runs
 RUN_ENDS = "tests/test_denom.py::TestHeavyRuns::test_a_run_past_the_old_cap_has_its_exact_ends"
@@ -59,11 +59,18 @@ MUTANTS = (
            "return self.p <= self.n // self.p",
            "tests/test_denom.py::TestPrimePairs::test_minus_where_int64_squares_overflow",
            equivalent=True),  # p * p = n never qualifies: p's digit sum of p^2 is 1
-    Mutant("re-cover switched off", SCANNER, "while left.size and", "while False and",
+    Mutant("re-cover switched off", SCANNER, "while count.size and", "while False and",
            "tests/test_scanner.py::TestCover::"
            "test_the_re_cover_decides_what_a_shallow_cover_leaves[1-20000-0]"),
     Mutant("every gap one short", SCANNER, "gaps = ends > starts", "gaps = ends > starts + 1",
            ACCEPTANCE + "2_set_reproduction"),
+    Mutant("a step seam skips an index", SCANNER, "lo = end + 1", "lo = end + 2",
+           "tests/test_scanner.py::TestCover::test_steps_tile_the_range_in_whole_grains"),
+    Mutant("a zero on a chunk's hi filed under the next chunk", SCANNER,
+           "bisect_right(zeros, hi, first)", "bisect_right(zeros, hi - 1, first)",
+           "tests/test_scanner.py::TestRunScan::test_each_record_is_its_chunks_own_scan"),
+    Mutant("shared sieve built with no lock", ARITH, "with _SHARED_LOCK:", "if True:",
+           "tests/test_arith.py::test_shared_sieve_grows_under_one_lock"),
     Mutant("record checksum not checked", SCANNER,
            "if chunk_checksum(lo, hi, chunk.exceptional) != chunk.checksum:", "if False:",
            "tests/test_scanner.py::TestCheckpointing::test_corrupt_record_checksum_rejected"),

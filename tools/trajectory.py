@@ -43,6 +43,8 @@ ROWS = {
     "profile 1": "profile 1",
     "scan 1.34e8": "scan --limit 134000000",
     "scan 1e10": "scan --limit 10000000000",
+    "scan 1e10 t2": "scan --limit 10000000000 --threads 2",
+    "scan 1e11": "scan --limit 100000000000",
     "sets k64 1e7": "sets --k 64 --limit 10000000",
     "radset 1.34e8": "radset --limit 134000000",
     "seq omega_plus 1e6": "seq omega_plus 1 1000000",
