@@ -61,11 +61,14 @@ def digit_sum(n: int, p: int) -> int:
 
 def digit_sums(n: np.ndarray | int, p: np.ndarray | int) -> np.ndarray:
     """Base-p digit sums of n, elementwise over int64 arrays whose bases may differ
-    from entry to entry: one pass per digit of the longest expansion."""
-    if np.any(p < 2) or np.any(n < 0):
+    from entry to entry: one pass per digit of the largest n in the least base."""
+    n, p = np.asarray(n), np.asarray(p)  # array methods: np.any and np.max cost more per call
+    if (p < 2).any() or (n < 0).any():
         raise ValueError("need every base at least 2 and every n nonnegative")
     total = np.zeros(np.broadcast(n, p).shape, dtype=np.int64)
-    while np.any(n):
+    top, base = (int(n.max()), int(p.min())) if total.size else (0, 2)
+    while top:
+        top //= base
         n, digit = np.divmod(n, p)
         total += digit
     return total
@@ -203,7 +206,7 @@ def radical(n: int) -> int:
 @dataclass(frozen=True, eq=False)
 class PrimeSieve:
     """Every prime up to limit, held once as a read-only ascending int64 array;
-    the primes property copies it into a tuple on each read."""
+    primes_in hands out views of it, and the primes property copies it into a tuple."""
 
     limit: int
     array: np.ndarray
@@ -215,13 +218,13 @@ class PrimeSieve:
     def primes(self) -> tuple[int, ...]:
         return tuple(self.array.tolist())
 
-    def primes_in(self, lo: int, hi: int) -> tuple[int, ...]:
-        """All sieved primes p with lo <= p <= hi."""
+    def primes_in(self, lo: int, hi: int) -> np.ndarray:
+        """All sieved primes p with lo <= p <= hi, ascending: a read-only view of array."""
         if hi > self.limit:
             raise SieveSizeError(
                 f"sieve holds primes up to {self.limit}, but primes up to {hi} were requested"
             )
-        return tuple(self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")].tolist())
+        return self.array[self.array.searchsorted(lo) : self.array.searchsorted(hi, "right")]
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Primality of lo, ..., hi as a bool array: the one sieving loop, a segmented
@@ -230,7 +233,7 @@ class PrimeSieve:
             raise ValueError(f"need 0 <= lo <= hi + 1, got [{lo}, {hi}]")
         flags = np.ones(hi - lo + 1, dtype=bool)
         flags[: max(2 - lo, 0)] = False
-        for p in self.primes_in(2, math.isqrt(max(hi, 0))):  # the empty window has hi = -1
+        for p in self.primes_in(2, math.isqrt(max(hi, 0))).tolist():  # the empty window has hi = -1
             flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
         return flags
 

@@ -26,20 +26,20 @@ tools/trajectory.py, give a scan's time there. Depth 64 leaves 1,261 indices in
 [383,778,817, 384,827,392] and 437,348 in [985,661,441, 986,710,016]; the
 first re-cover, at depth 129, leaves none.
 
-A scan's chunk_size sets only what one checkpoint record covers; past a limit
-of 2^32 the default grows with it, so a checkpoint holds at most 4,096 records.
-run_scan walks the cover's steps, each rounded up to whole chunks, and files a
-step's zeros into its chunks' records; --threads runs that many steps at once
-on threads. The chunk grid is counted, never listed, and the report is folded
-as the chunks come, resumed ones too, so an explicit small chunk costs no
-memory per chunk. A chunk's result, a ScanChunk, is what a checkpoint persists:
-one JSON line appended per chunk after a header naming the scan, so an
-interrupted scan resumes from the chunks it finished and ends byte-identical,
-file and all, to one that never stopped. Its records are always the grid's
-first chunks in grid order, and a resume refuses any other order, so it scans
-on from the first chunk with no record. A sweep sizes arith.shared_sieve for
-its whole range before its first step, so no step makes the cache grow again
-unless it is covered again deeper.
+A scan's chunk_size sets only what one checkpoint record covers; past a limit of
+2^32 the default grows with it, so a checkpoint holds at most 4,096 records.
+run_scan scans the cover's steps, in whole chunks, as one scan_omega_plus each,
+and files a step's exceptional indices into its chunks' records; --threads runs
+that many steps at once on threads, at most one per CPU. The chunk grid is
+counted, never listed, and the report is folded as the chunks come, resumed ones
+too, so an explicit small chunk costs no memory per chunk. A chunk's result, a
+ScanChunk, is what a checkpoint persists: one JSON line appended per chunk after a
+header naming the scan, so an interrupted scan resumes from the chunks it finished
+and ends byte-identical, file and all, to one that never stopped. Its records are
+always the grid's first chunks in grid order, and a resume refuses any other
+order, so it scans on from the first chunk with no record. A sweep sizes
+arith.shared_sieve for its whole range before its first step, so no step makes the
+cache grow again unless it is covered again deeper.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import warnings
 from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -317,26 +317,22 @@ class ScanResult:
     chunk_size: int
 
 
-def _scan_step(step: tuple[int, int]) -> tuple[tuple[int, int], list[int]]:
-    """step, a (lo, hi) pair, and its zeros: the n in [lo, hi] with no heavy prime above sqrt(n)."""
-    return step, list(_zeros(*step, 0))
-
-
 def _walk(steps, threads: int):
-    """_scan_step of each step, in step order. On more than one thread, a pool of threads
+    """scan_omega_plus(lo, hi) of each step, a (lo, hi) pair, in step order: a ScanChunk
+    whose exceptional are the step's zeros. On more than one thread, a pool of threads
     threads runs the steps, with at most threads more queued behind them so that a thread
     done before an earlier, slower step starts the next at once; each is taken back in
     order, so an error raised in a step is raised once every earlier step has been taken,
     as on one thread, which starts no pool. Leaving early drops the queued steps and waits
     for the running ones."""
     if threads == 1:
-        yield from map(_scan_step, steps)
+        yield from starmap(scan_omega_plus, steps)
         return
     from concurrent.futures import ThreadPoolExecutor  # here alone: one thread never loads it
 
     pool = ThreadPoolExecutor(threads)
     try:
-        futures = (pool.submit(_scan_step, step) for step in steps)
+        futures = (pool.submit(scan_omega_plus, *step) for step in steps)
         ahead = deque(islice(futures, 2 * threads))
         while ahead:
             done = ahead.popleft().result()
@@ -360,8 +356,8 @@ def run_scan(
     DEFAULT_CHUNK_SIZE up to 2^32 and doubles with each bit of limit - 1 past 32:
     limit / 4096 rounded up to a power of two, so a checkpoint holds at most 4,096
     records of about 0.5 KB each, where chunks of 2^20 made a million at 10^12.
-    The cover's steps (_steps) are rounded up to whole chunks, at most threads of them
-    run at once, and each step's zeros are filed into its chunks' records in grid order.
+    The cover's steps (_steps), rounded up to whole chunks, are each one scan_omega_plus, at
+    most threads and os.cpu_count() of them at once; their zeros are filed into chunk records.
     The digest and the exceptional indices are folded as the chunks come, so a
     scan holds no record past its fold. The records resumed from a checkpoint are
     the grid's first chunks, folded as they are read and before any step is scanned,
@@ -389,13 +385,13 @@ def run_scan(
     for held, chunk in enumerate(resumed, 1):
         fold(chunk)
     steps = _steps(1 + held * size, limit, size)
-    head = list(islice(steps, threads))  # no more threads than steps
-    for (start, end), zeros in _walk(chain(head, steps), max(len(head), 1)):
-        filed = 0
-        for lo in range(start, end + 1, size):  # the step's chunks, which are the grid's
-            hi, first = min(lo + size - 1, end), filed
+    head = list(islice(steps, min(threads, os.cpu_count() or 1)))  # no more threads than steps, or CPUs
+    for step in _walk(chain(head, steps), max(len(head), 1)):
+        filed, zeros = 0, step.exceptional
+        for lo in range(step.lo, step.hi + 1, size):  # the step's chunks, which are the grid's
+            hi, first = min(lo + size - 1, step.hi), filed
             filed = bisect_right(zeros, hi, first)
-            found = tuple(zeros[first:filed])
+            found = zeros[first:filed]
             chunk = ScanChunk(lo, hi, found, chunk_checksum(lo, hi, found))
             if checkpoint_path is not None:
                 checkpoint_save(checkpoint_path, chunk)

@@ -39,11 +39,6 @@ class FamilyResult:
     witness: int | None
 
 
-def _primes(hi: int) -> np.ndarray:
-    primes = shared_sieve(hi).array
-    return primes[: primes.searchsorted(hi, "right")]
-
-
 def _keys(pairs: denom.PrimePairs) -> np.ndarray:
     """The ascending keys of the pairs."""
     return pairs.n << _SHIFT | pairs.p
@@ -110,7 +105,7 @@ def _block_verdicts(lo: int, hi: int, out: dict[str, np.ndarray]) -> np.ndarray:
     beaten = s.p[s.p * (3 - s.n % 2) > s.n + 1]
     keys, factors = _keys(block), _keys(denom._factors(lo, hi))
     complement = factors[~_isin(factors, keys)]
-    primes = _primes(hi)
+    primes = shared_sieve(hi).primes_in(2, hi)
     kernel = _multiples(lo, hi, primes, primes)
     # p divides dn(n) for even n exactly when p - 1 divides n; dn(1) = 2
     dn = _multiples(lo, hi - 1, primes, np.maximum(primes - 1, 2))
@@ -251,7 +246,7 @@ def _suite(limit: int, oracle_limit: int):
     # filled in place: holding each block's arrays to concatenate them fragments the heap
     verdicts = {name: np.zeros(limit, dtype=bool) for name in _BLOCK_FAMILIES}
     beaten = [_block_verdicts(lo, min(lo + step, top), verdicts) for lo in range(1, top, step)]
-    primes = _primes(limit)
+    primes = shared_sieve(limit).primes_in(2, limit)
     unbeaten = ~np.isin(primes, np.concatenate(beaten))
     tables = denom.support_block(1, max(oracle_limit, 50) + 1)
     members = {k: set(scanner.find_sets(k, min(limit, 1000))) for k in (1, 2, 3)}
@@ -263,7 +258,7 @@ def _suite(limit: int, oracle_limit: int):
     yield "set-nesting", (1, 2), [members[k] <= members[k + 1] for k in (1, 2)]
     bound = min(limit, 10**4)
     floor = shared_sieve(limit).primes_in(2, bound)
-    yield "floor-digit-equivalence", floor, [_check_floor_equivalence(p, bound) for p in floor]
+    yield "floor-digit-equivalence", floor, [_check_floor_equivalence(p, bound) for p in floor.tolist()]
     yield "lambda-prime-bound", primes, unbeaten
     checked = range(1, oracle_limit + 1)
     yield "oracle-equivalence", checked, [_check_oracle_equivalence(tables, n) for n in checked]

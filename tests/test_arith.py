@@ -187,7 +187,7 @@ class TestSieve:
         sv = sieve(100)
         with pytest.raises(SieveSizeError):
             sv.primes_in(2, 101)
-        assert sv.primes_in(90, 100) == (97,)
+        assert sv.primes_in(90, 100).tolist() == [97]
 
     def test_window_matches_sieve(self):
         seg = arith._SEGMENT
@@ -258,9 +258,19 @@ class TestSieve:
 
     def test_membership(self):
         sv = sieve(100)
-        assert sv.primes_in(97, 97) == (97,)
-        assert sv.primes_in(91, 91) == ()
+        assert sv.primes_in(97, 97).tolist() == [97]
+        assert sv.primes_in(91, 91).tolist() == []
         assert sv.array.size == 25
+
+    def test_primes_in_is_a_read_only_view_of_the_array(self):
+        sv = sieve(100)
+        view = sv.primes_in(10, 50)
+        assert np.shares_memory(view, sv.array) and view.dtype == np.int64
+        assert view.tolist() == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 4
+        assert sv.array[4] == 11  # the sieve is as it was
+        assert sv.primes_in(90, 96).size == 0 and sv.primes_in(50, 10).size == 0
 
 
 class TestIsPrime:

@@ -283,7 +283,7 @@ class TestScan:
         def explode(*args, **kwargs):
             raise AssertionError("a refused checkpoint must stop the scan before any chunk")
 
-        monkeypatch.setattr(scanner, "_scan_step", explode)
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
         code, out, err = run_cli(capsys, *argv, str(path))
         assert code == 2 and out == "" and path.read_bytes() == written
         assert err.startswith("error: record [") and err.count("\n") == 1 and "chunk grid" in err
@@ -311,7 +311,7 @@ class TestScan:
         def explode(*args, **kwargs):
             raise AssertionError("an unwritable checkpoint must fail before any chunk")
 
-        monkeypatch.setattr(scanner, "_scan_step", explode)
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
         path = tmp_path / "missing" / "scan.ckpt" if where == "missing-directory" else tmp_path
         code, out, err = run_cli(capsys, "scan", "--limit", "5000", "--checkpoint", str(path))
         assert code == 2 and out == ""
@@ -333,15 +333,15 @@ class TestScan:
 
         from berndenom import scanner
 
-        real = scanner._scan_step
+        real = scanner.scan_omega_plus
 
-        def refused(step):
-            if step[0] > 1:
-                raise arith.SieveSizeError(f"covering n = {step[0]} at depth 129: refused")
-            return real(step)
+        def refused(lo, hi):
+            if lo > 1:
+                raise arith.SieveSizeError(f"covering n = {lo} at depth 129: refused")
+            return real(lo, hi)
 
         monkeypatch.setattr(scanner, "_step", lambda start: 1000)
-        monkeypatch.setattr(scanner, "_scan_step", refused)
+        monkeypatch.setattr(scanner, "scan_omega_plus", refused)
         argv = ("scan", "--limit", "2000", "--chunk", "1000", "--threads")
         one = run_cli(capsys, *argv, "1")
         assert one == (2, "", "error: covering n = 1001 at depth 129: refused\n")
@@ -563,16 +563,16 @@ SLOW_SCAN = """
 import sys, time
 from berndenom import scanner
 
-real = scanner._scan_step
+real = scanner.scan_omega_plus
 
 
-def slow(step):  # 200 steps of one chunk, 0.05 s each, on two threads: 5 s of work
+def slow(lo, hi):  # 200 steps of one chunk, 0.05 s each, on two threads: 5 s of work
     time.sleep(0.05)
-    return real(step)
+    return real(lo, hi)
 
 
 scanner._step = lambda start: 500
-scanner._scan_step = slow
+scanner.scan_omega_plus = slow
 scanner.run_scan(100000, chunk_size=500, threads=2, checkpoint_path=sys.argv[1])
 """
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import threading
+import time
 import tracemalloc
 from math import isqrt
 
@@ -576,7 +577,7 @@ class TestCheckpointing:
     def test_a_resumed_scan_holds_no_record(self, tmp_path, monkeypatch):
         # each resumed record is folded and let go: holding the 20,000 took 5.8 MiB more
         # than the same scan with no checkpoint; a step's scan is stubbed, so both are quick
-        monkeypatch.setattr(scanner, "_scan_step", lambda step: (step, []))
+        monkeypatch.setattr(scanner, "scan_omega_plus", lambda lo, hi: ScanChunk(lo, hi, (), ""))
         config = ScanConfig(1, 20_000 * 7, 7)
         path = tmp_path / "scan.ckpt"
         checkpoint_resume(path, config)  # writes the header
@@ -585,7 +586,7 @@ class TestCheckpointing:
                 fh.write(scanner._record(ScanChunk(lo, hi, (), chunk_checksum(lo, hi, ()))))
         arith.shared_sieve(scanner._sieve_bound(1, config.hi, 0))  # built before tracing
         fresh = traced_peak(lambda: run_scan(config.hi, chunk_size=7))
-        monkeypatch.setattr(scanner, "_scan_step", None)  # a full checkpoint scans no step
+        monkeypatch.setattr(scanner, "scan_omega_plus", None)  # a full checkpoint scans no step
         resumed = traced_peak(lambda: run_scan(config.hi, chunk_size=7, checkpoint_path=path))
         assert resumed < fresh + (1 << 20), (fresh, resumed)
 
@@ -619,7 +620,7 @@ class TestCheckpointing:
         def explode(*args, **kwargs):
             raise AssertionError("resume of a complete scan must not rescan")
 
-        monkeypatch.setattr(scanner, "_scan_step", explode)
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
         again = run_scan(2000, chunk_size=512, checkpoint_path=path)
         assert again == first
         assert path.read_bytes() == written
@@ -688,7 +689,7 @@ class TestCheckpointing:
         def explode(*args, **kwargs):
             raise AssertionError("a refused checkpoint must stop the scan before any chunk")
 
-        monkeypatch.setattr(scanner, "_scan_step", explode)
+        monkeypatch.setattr(scanner, "scan_omega_plus", explode)
         expected = list(ScanConfig(1, 2000, 400).chunk_ranges())[wanted]
         with pytest.raises(CheckpointError, match="chunk grid, expected \\[%d, %d\\]" % expected):
             run_scan(2000, chunk_size=400, checkpoint_path=path)
@@ -819,25 +820,46 @@ class TestRunScan:
 
     @pytest.mark.parametrize("threads, started", [(1, 0), (2, 2), (10**6, 3)])
     def test_threads_start_for_steps_alone(self, monkeypatch, threads, started):
-        # three steps: one thread starts no pool, and a million start only three
+        # three steps, each kept busy 0.05 s, so no started thread is idle while they are
+        # submitted: one thread starts no pool, and a million start only three, on 64 CPUs
         monkeypatch.setattr(scanner, "_step", lambda start: 1000)
+        monkeypatch.setattr(scanner.os, "cpu_count", lambda: 64)
+        real = scanner.scan_omega_plus
+        monkeypatch.setattr(scanner, "scan_omega_plus", lambda lo, hi: time.sleep(0.05) or real(lo, hi))
         calls, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda self: calls.append(self) or start(self))
         assert run_scan(3000, chunk_size=500, threads=threads) == run_scan(3000, chunk_size=500)
+        assert len(calls) == started
+
+    @pytest.mark.parametrize("cpus, started", [(None, 0), (1, 0), (2, 2)])
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, cpus, started):
+        # four stubbed steps, each busy for 0.05 s, so no started thread is idle while
+        # the steps are submitted: a million threads start only one per CPU, and one
+        # CPU, or a count os.cpu_count() cannot tell (None), starts no pool
+        def step(lo, hi):
+            time.sleep(0.05)
+            return ScanChunk(lo, hi, (), "")
+
+        monkeypatch.setattr(scanner, "_step", lambda start: 1000)
+        monkeypatch.setattr(scanner.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(scanner, "scan_omega_plus", step)
+        calls, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: calls.append(self) or start(self))
+        assert run_scan(4000, chunk_size=500, threads=10**6).exceptional == ()
         assert len(calls) == started
 
     def test_failing_worker_stops_the_scan_after_the_chunks_before_it(self, tmp_path, monkeypatch, capfd):
         monkeypatch.setattr(scanner, "_step", lambda start: 1000)  # six steps of two chunks
         serial = tmp_path / "serial.ckpt"
         run_scan(6000, chunk_size=500, checkpoint_path=serial)
-        real = scanner._scan_step
+        real = scanner.scan_omega_plus
 
-        def failing(step):
-            if step[0] == 2001:  # the third of six steps, while the fourth runs
+        def failing(lo, hi):
+            if lo == 2001:  # the third of six steps, while the fourth runs
                 raise ValueError("injected failure")
-            return real(step)
+            return real(lo, hi)
 
-        monkeypatch.setattr(scanner, "_scan_step", failing)
+        monkeypatch.setattr(scanner, "scan_omega_plus", failing)
         path = tmp_path / "failed.ckpt"
         threads = threading.active_count()
         with pytest.raises(ValueError, match="injected failure"):
@@ -850,7 +872,7 @@ class TestRunScan:
         monkeypatch.setattr(scanner, "_step", lambda start: 500)
         threads = threading.active_count()
         walk = scanner._walk(scanner._steps(1, 6000), 2)
-        assert next(walk) == ((1, 500), list(scan_omega_plus(1, 500).exceptional))
+        assert next(walk) == scan_omega_plus(1, 500)
         walk.close()
         assert threading.active_count() == threads
 
@@ -863,7 +885,9 @@ class TestRunScan:
         # 4,096 records. Only the grid is read here: the steps scan nothing
         steps = []
         monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
-        monkeypatch.setattr(scanner, "_scan_step", lambda step: steps.append(step) or (step, []))
+        monkeypatch.setattr(
+            scanner, "scan_omega_plus", lambda lo, hi: steps.append((lo, hi)) or ScanChunk(lo, hi, (), "")
+        )
         assert run_scan(limit).chunk_size == chunk
         assert steps[0][0] == 1 and steps[-1][1] == limit
         assert sum(-(-(end - start + 1) // chunk) for start, end in steps) == -(-limit // chunk) <= 4096
@@ -876,7 +900,7 @@ class TestRunScan:
         monkeypatch.setattr(scanner, "_steps", lambda lo, hi, grain: itertools.islice(steps(lo, hi, grain), 1))
         monkeypatch.setattr(scanner, "_step", lambda start: 20_000 * 7)
         monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
-        monkeypatch.setattr(scanner, "_scan_step", lambda step: (step, []))
+        monkeypatch.setattr(scanner, "scan_omega_plus", lambda lo, hi: ScanChunk(lo, hi, (), ""))
         tracemalloc.start()
         try:
             result = run_scan(2**40, chunk_size=7)

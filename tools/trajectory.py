@@ -41,6 +41,7 @@ PAIRS = 12  # interleaved pairs per row
 
 ROWS = {
     "profile 1": "profile 1",
+    "profile 1e12": "profile 1000000000039",
     "scan 1.34e8": "scan --limit 134000000",
     "scan 1e10": "scan --limit 10000000000",
     "scan 1e10 t2": "scan --limit 10000000000 --threads 2",
@@ -49,6 +50,7 @@ ROWS = {
     "radset 1.34e8": "radset --limit 134000000",
     "seq omega_plus 1e6": "seq omega_plus 1 1000000",
     "seq dd_minus 1.342e8": "seq dd_minus 134200000 134203000",
+    "seq db 1e5": "seq db 1 100000",
     "verify 1e5": "verify --limit 100000 --oracle-limit 1",
 }
 
