@@ -61,14 +61,11 @@ def digit_sum(n: int, p: int) -> int:
 
 def digit_sums(n: np.ndarray | int, p: np.ndarray | int) -> np.ndarray:
     """Base-p digit sums of n, elementwise over int64 arrays whose bases may differ
-    from entry to entry: one pass per digit of the largest n in the least base."""
-    n, p = np.asarray(n), np.asarray(p)  # array methods: np.any and np.max cost more per call
-    if (p < 2).any() or (n < 0).any():
+    from entry to entry: one pass per digit of the longest expansion."""
+    if np.any(p < 2) or np.any(n < 0):
         raise ValueError("need every base at least 2 and every n nonnegative")
     total = np.zeros(np.broadcast(n, p).shape, dtype=np.int64)
-    top, base = (int(n.max()), int(p.min())) if total.size else (0, 2)
-    while top:
-        top //= base
+    while np.any(n):
         n, digit = np.divmod(n, p)
         total += digit
     return total

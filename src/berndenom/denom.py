@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import digit_sums, is_prime, prime_divisors, product, radical, shared_sieve
+from .arith import digit_sum, digit_sums, is_prime, prime_divisors, product, radical, shared_sieve
 
 __all__ = [
     "DenomProfile",
@@ -88,27 +88,26 @@ _DENSE = 16
 _DENSE * sqrt(n) sieving them segment by segment costs less than testing them one by one."""
 
 def qualifying_primes(n: int) -> tuple[int, ...]:
-    """Ascending primes p whose base-p digit sum of n reaches p, from the primes to isqrt(n).
+    """Ascending primes p with digit_sum(n, p) >= p, from the primes to isqrt(n).
 
-    Primes p <= isqrt(n) are tested by digit sum, all at once: arith.digit_sums over the
-    sieve's own array. A prime p > sqrt(n) with a = n // p qualifies exactly when
-    n + 1 <= (a+1)p <= n + a, which pins p to n // (a+1) + 1 and needs (a+1) not to
-    divide n. Each a from isqrt(n) down to 1 thus gives at most one candidate, in
-    ascending order. The candidates crowd below a few times sqrt(n): those up to
-    _DENSE * isqrt(n) are looked up one segment at a time in windows sieved from the
-    primes up to isqrt(n), and any larger one goes straight to is_prime, whose trial
-    division by its witnesses 2 to 41 turns most of them away.
+    Primes p <= isqrt(n) are tested by digit_sum, one by one over the sieve's array, which
+    costs less at small n than arith.digit_sums' fixed numpy calls. A prime p > sqrt(n)
+    with a = n // p qualifies exactly when n + 1 <= (a+1)p <= n + a, which pins p to
+    n // (a+1) + 1 and needs (a+1) not to divide n. Each a from isqrt(n) down to 1 thus
+    gives at most one candidate, in ascending order. The candidates crowd below a few
+    times sqrt(n): those up to _DENSE * isqrt(n) are looked up one segment at a time in
+    windows sieved from the primes up to isqrt(n), and any larger one goes straight to
+    is_prime, whose trial division by its witnesses 2 to 41 turns most of them away.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
     root = isqrt(n)
     sv = shared_sieve(root)
+    out = [p for p in sv.primes_in(2, root).tolist() if digit_sum(n, p) >= p]
     # in int64 with no products, so nothing overflows below 2**63
     q, r = np.divmod(n, np.arange(root + 1, 1, -1, dtype=np.int64))
     candidates = q[(r != 0) & (q >= root)] + 1
-    del q, r  # 16 bytes per quotient, let go before the small primes' list and the windows
-    small = sv.primes_in(2, root)
-    out = small[digit_sums(n, small) >= small].tolist()
+    del q, r  # 16 bytes per quotient, let go before the windows
     top = min(n // 2 + 1, _DENSE * root)
     dense = candidates[candidates <= top]
     for lo, flags in sv.segments(root + 1, top):
@@ -123,6 +122,13 @@ def _ragged(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     values = np.repeat(first - (np.cumsum(count) - count), count)
     values += np.arange(values.size)
     return values
+
+
+def _multiples(lo: int, hi: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's multiples in [lo, hi], ascending, step after step, and how many each has."""
+    first = -(-lo // steps)
+    count = np.maximum(hi // steps - first + 1, 0)
+    return _ragged(first, count) * np.repeat(steps, count), count
 
 
 def _ragged_batches(keys: np.ndarray, first: np.ndarray, count: np.ndarray):
@@ -322,10 +328,9 @@ def support_blocks(lo: int, hi: int) -> Iterator[PrimePairs]:
 
 
 def _factors(lo: int, hi: int) -> PrimePairs:
-    """The pairs (m, q) of each distinct prime q of each m in [lo, hi], lo >= 1,
-    by division alone: with every power of the primes up to isqrt(hi) divided
-    out of m, what is left is 1 or m's one prime above isqrt(hi). The multiples
-    m of each small prime q are q times the quotients m / q, expanded by _ragged."""
+    """The pairs (m, q) of each distinct prime q of each m in [lo, hi], lo >= 1, by
+    division alone: with every power of the primes up to isqrt(hi) divided out of m,
+    what is left is 1 or m's one prime above isqrt(hi); the small q's m are _multiples."""
     small = shared_sieve(isqrt(hi)).primes_in(2, isqrt(hi))
     rest = np.arange(lo, hi + 1, dtype=np.int64)
     for p in small.tolist():
@@ -333,11 +338,10 @@ def _factors(lo: int, hi: int) -> PrimePairs:
         while power <= hi:
             rest[-lo % power :: power] //= p
             power *= p
-    above, first = np.flatnonzero(rest > 1), -(-lo // small)
-    count = hi // small - first + 1
-    q, step = np.repeat(small, count), hi + 1
-    multiples = (_ragged(first, count) * q - lo) * step + q
-    return _sorted_pairs(lo, hi, [multiples, above * step + rest[above]])
+    above, step = np.flatnonzero(rest > 1), hi + 1
+    multiples, count = _multiples(lo, hi, small)
+    keys = (multiples - lo) * step + np.repeat(small, count)
+    return _sorted_pairs(lo, hi, [keys, above * step + rest[above]])
 
 
 def dd(n: int) -> int:

@@ -52,9 +52,8 @@ def _window(keys: np.ndarray, lo: int, hi: int, shift: int = 0) -> np.ndarray:
 
 def _multiples(lo: int, hi: int, primes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The ascending keys of (m, primes[i]) for each multiple m of steps[i] in [lo, hi]."""
-    first = -(-lo // steps)
-    count = np.maximum(hi // steps - first + 1, 0)
-    keys = denom._ragged(first, count) * np.repeat(steps, count) << _SHIFT | np.repeat(primes, count)
+    multiples, count = denom._multiples(lo, hi, steps)
+    keys = multiples << _SHIFT | np.repeat(primes, count)
     keys.sort()
     return keys
 

@@ -317,6 +317,7 @@ class TestScan:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(path) in err
 
+    @pytest.mark.usefixtures("many_cpus")
     def test_two_threads_match_one(self, capsys, monkeypatch):
         # four steps of one chunk, so two worker threads share them
         from berndenom import scanner
@@ -326,6 +327,7 @@ class TestScan:
         assert code == 0
         assert run_cli(capsys, "scan", "--limit", "400", "--chunk", "100", "--threads", "1") == (0, out, err)
 
+    @pytest.mark.usefixtures("many_cpus")
     def test_an_error_reads_the_same_on_any_thread_count(self, capsys, monkeypatch):
         # a re-cover past the sieve cap raises in the middle of a scan; with two threads
         # the second step fails on a pool thread, and is raised when the scan takes it
@@ -506,13 +508,22 @@ def alive_in_group(pgid) -> bool:
     return False
 
 
+# `python -m berndenom` on a machine that reports 64 CPUs, so that a scan on two threads
+# starts its pool on any runner, where run_scan's os.cpu_count() cap could make it serial
+MANY_CPUS = [
+    sys.executable, "-c",
+    "import os, runpy; os.cpu_count = lambda: 64; "
+    "runpy.run_module('berndenom', run_name='__main__', alter_sys=True)",
+]
+
+
 @pytest.mark.parametrize("interrupt", [False, True], ids=["sigkill-parent", "sigint-group"])
 def test_stopped_threaded_scan_takes_its_workers_and_resumes(tmp_path, interrupt):
     # SIGKILL ends the process and its threads; SIGINT, as from a terminal,
     # reaches the whole group, where only the main thread may answer it
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
     # 733 records: the scan cannot write them all before the signal lands
-    argv = [sys.executable, "-m", "berndenom", "scan", "--limit", "3000000", "--chunk", "4096"]
+    argv = [*MANY_CPUS, "scan", "--limit", "3000000", "--chunk", "4096"]
     env = dict(os.environ, PYTHONPATH=src)
     fresh_path = tmp_path / "fresh.ckpt"
     fresh = subprocess.run(
@@ -573,6 +584,7 @@ def slow(lo, hi):  # 200 steps of one chunk, 0.05 s each, on two threads: 5 s of
 
 scanner._step = lambda start: 500
 scanner.scan_omega_plus = slow
+scanner.os.cpu_count = lambda: 64  # both threads start on any runner
 scanner.run_scan(100000, chunk_size=500, threads=2, checkpoint_path=sys.argv[1])
 """
 

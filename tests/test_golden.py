@@ -172,6 +172,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+@pytest.mark.usefixtures("many_cpus")  # the scan on two threads starts both on any runner
 def test_output_matches_golden(argv):
     assert run_digests(argv) == GOLDEN[" ".join(argv)]
 

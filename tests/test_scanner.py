@@ -599,6 +599,7 @@ class TestCheckpointing:
             checkpoint_save(path, chunk)
         assert list(checkpoint_resume(path, config)) == chunks
 
+    @pytest.mark.usefixtures("many_cpus")
     def test_interrupted_resume_matches_uninterrupted(self, tmp_path):
         # an interrupted scan leaves some prefix of the lines of a finished one
         path = tmp_path / "fresh.ckpt"
@@ -775,6 +776,7 @@ class TestRunScan:
         assert len(built) == 1, built
 
     @CHUNK_GRIDS
+    @pytest.mark.usefixtures("many_cpus")
     def test_any_sweep_grid_keeps_result_and_checkpoint(self, tmp_path, monkeypatch, chunk):
         # the scan's own chunk sets the records; the sweep's steps under it change nothing
         def scan(label, chunk_size, threads):
@@ -798,6 +800,7 @@ class TestRunScan:
             grid = ScanConfig(1, 400, chunk).chunk_ranges()
             assert records == [scanner._record(scan_omega_plus(lo, hi)) for lo, hi in grid], chunk
 
+    @pytest.mark.usefixtures("many_cpus")
     def test_parallel_equals_serial(self, tmp_path, monkeypatch):
         # growing steps of several chunks of 300, the last chunk short at 9,001; each
         # scan fresh, then resumed from every cut of the serial file, on 1 to 4 threads
@@ -819,11 +822,11 @@ class TestRunScan:
                 assert scan(cut, threads) == serial, (threads, kept)
 
     @pytest.mark.parametrize("threads, started", [(1, 0), (2, 2), (10**6, 3)])
+    @pytest.mark.usefixtures("many_cpus")
     def test_threads_start_for_steps_alone(self, monkeypatch, threads, started):
         # three steps, each kept busy 0.05 s, so no started thread is idle while they are
         # submitted: one thread starts no pool, and a million start only three, on 64 CPUs
         monkeypatch.setattr(scanner, "_step", lambda start: 1000)
-        monkeypatch.setattr(scanner.os, "cpu_count", lambda: 64)
         real = scanner.scan_omega_plus
         monkeypatch.setattr(scanner, "scan_omega_plus", lambda lo, hi: time.sleep(0.05) or real(lo, hi))
         calls, start = [], threading.Thread.start
@@ -848,6 +851,7 @@ class TestRunScan:
         assert run_scan(4000, chunk_size=500, threads=10**6).exceptional == ()
         assert len(calls) == started
 
+    @pytest.mark.usefixtures("many_cpus")
     def test_failing_worker_stops_the_scan_after_the_chunks_before_it(self, tmp_path, monkeypatch, capfd):
         monkeypatch.setattr(scanner, "_step", lambda start: 1000)  # six steps of two chunks
         serial = tmp_path / "serial.ckpt"

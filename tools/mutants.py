@@ -53,11 +53,11 @@ MUTANTS = (
            "return (self.n + k - 1) % self.p > k", ACCEPTANCE + "2_set_reproduction"),
     Mutant("minus runs one short", DENOM, "np.minimum(digit_sums(t, p), p)",
            "np.minimum(digit_sums(t, p), p - 1)", ACCEPTANCE + "3_oracle_equivalence"),
-    Mutant("small primes qualifying as > p", DENOM, "digit_sums(n, small) >= small",
-           "digit_sums(n, small) > small",
+    Mutant("small primes qualifying as > p", DENOM, "if digit_sum(n, p) >= p]",
+           "if digit_sum(n, p) > p]",
            "tests/test_denom.py::TestQualifyingPrimes::test_matches_supports_exhaustively"),
-    Mutant("each small prime's multiples one short", DENOM, "count = hi // small - first + 1",
-           "count = hi // small - first",
+    Mutant("each step's multiples one short", DENOM, "count = np.maximum(hi // steps - first + 1, 0)",
+           "count = np.maximum(hi // steps - first, 0)",
            "tests/test_denom.py::TestFactors::test_matches_prime_divisors_exhaustively"),
     Mutant("smallest dense candidate dropped", DENOM, "dense = candidates[candidates <= top]",
            "dense = candidates[candidates <= top][1:]", ACCEPTANCE + "1_golden_sequences"),
