@@ -93,27 +93,26 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
     Primes p <= isqrt(n) are tested by digit_sum, one by one over the sieve's array, which
     costs less at small n than arith.digit_sums' fixed numpy calls. A prime p > sqrt(n)
     with a = n // p qualifies exactly when n + 1 <= (a+1)p <= n + a, which pins p to
-    n // (a+1) + 1 and needs (a+1) not to divide n. Each a from isqrt(n) down to 1 thus
-    gives at most one candidate, in ascending order. The candidates crowd below a few
-    times sqrt(n): those up to _DENSE * isqrt(n) are looked up one segment at a time in
-    windows sieved from the primes up to isqrt(n), and any larger one goes straight to
-    is_prime, whose trial division by its witnesses 2 to 41 turns most of them away.
+    n // (a+1) + 1 and needs (a+1) not to divide n. A window [lo, hi] above isqrt(n) thus
+    holds the candidates of the a <= isqrt(n) with n // hi < a + 1 <= n // (lo - 1), ascending
+    as a falls; each window computes its own, so no array spans every quotient. Windows up to
+    _DENSE * isqrt(n) are sieved a segment at a time, and the tail's candidates go to is_prime.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
     root = isqrt(n)
+
+    def candidates(lo: int, hi: int) -> np.ndarray:  # in int64 with no products: no overflow
+        q, r = np.divmod(n, np.arange(min(n // (lo - 1), root + 1), n // hi, -1, dtype=np.int64))
+        return q[r != 0] + 1
+
     sv = shared_sieve(root)
     out = [p for p in sv.primes_in(2, root).tolist() if digit_sum(n, p) >= p]
-    # in int64 with no products, so nothing overflows below 2**63
-    q, r = np.divmod(n, np.arange(root + 1, 1, -1, dtype=np.int64))
-    candidates = q[(r != 0) & (q >= root)] + 1
-    del q, r  # 16 bytes per quotient, let go before the windows
     top = min(n // 2 + 1, _DENSE * root)
-    dense = candidates[candidates <= top]
     for lo, flags in sv.segments(root + 1, top):
-        here = dense[dense.searchsorted(lo) : dense.searchsorted(lo + flags.size)]
+        here = candidates(lo, lo + flags.size - 1)
         out += here[flags[here - lo]].tolist()
-    out += [p for p in candidates[candidates > top].tolist() if is_prime(p)]
+    out += [p for p in candidates(top + 1, n // 2 + 1).tolist() if is_prime(p)]
     return tuple(out)
 
 

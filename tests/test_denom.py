@@ -458,6 +458,32 @@ class TestQualifyingPrimes:
         digest = hashlib.sha256(",".join(map(str, found)).encode("ascii")).hexdigest()
         assert digest == "ab6a25f2cae0397e41fdc5b7001003a29e30835f220517dc3ff092d20e14f598"
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2**30, 10**10))
+    def test_window_seams_lose_no_candidate(self, n):
+        # 16 * isqrt(n) spans one to three segments of 2^19, each with its own candidates;
+        # the reference takes every quotient a <= isqrt(n) in plain ints, with no windows
+        root = isqrt(n)
+        small = [p for p in sieve(root).array.tolist() if digit_sum(n, p) >= p]
+        # p > a makes a = n // p the first of p's two digits, and a falling gives p rising
+        large = [p for a in range(root, 0, -1)
+                 if n % (a + 1) and (p := n // (a + 1) + 1) > a and is_prime(p)]
+        assert qualifying_primes(n) == tuple(small + large)
+
+    def test_candidates_peak_at_one_window(self):
+        # a divmod over all 3.2 million quotients holds three int64 arrays of 24 MiB;
+        # one segment's candidates at a time, with the 306,290 primes found, stay under 32 MiB
+        n = 10**13 + 37
+        arith.shared_sieve(isqrt(n))  # built before tracing: the call alone is measured
+        tracemalloc.start()
+        try:
+            found = qualifying_primes(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 306_290
+        assert peak < 32 * 2**20, peak
+
     def test_single_index_calls_sieve_to_sqrt_only(self, monkeypatch):
         limits = []
         real_sieve = arith.sieve

@@ -59,8 +59,10 @@ MUTANTS = (
     Mutant("each step's multiples one short", DENOM, "count = np.maximum(hi // steps - first + 1, 0)",
            "count = np.maximum(hi // steps - first, 0)",
            "tests/test_denom.py::TestFactors::test_matches_prime_divisors_exhaustively"),
-    Mutant("smallest dense candidate dropped", DENOM, "dense = candidates[candidates <= top]",
-           "dense = candidates[candidates <= top][1:]", ACCEPTANCE + "1_golden_sequences"),
+    Mutant("each window's smallest candidate dropped", DENOM, "here = candidates(lo, lo + flags.size - 1)",
+           "here = candidates(lo, lo + flags.size - 1)[1:]", ACCEPTANCE + "1_golden_sequences"),
+    Mutant("each window's largest candidate dropped", DENOM, "n // hi, -1", "n // hi + 1, -1",
+           ACCEPTANCE + "1_golden_sequences"),
     Mutant("minus as p <= n // p", DENOM, "return self.p <= (self.n - 1) // self.p",
            "return self.p <= self.n // self.p",
            "tests/test_denom.py::TestPrimePairs::test_minus_where_int64_squares_overflow",
