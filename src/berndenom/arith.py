@@ -125,14 +125,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def product(factors: Iterable[int]) -> int:
+def product(factors: Iterable[int] | np.ndarray) -> int:
     """Product of the factors, multiplied pairwise in a balanced tree.
 
     Multiplying in sequence costs time quadratic in the size of the result;
     pairing operands of equal size lets Karatsuba pay off once a product
-    runs to millions of bits, as dd(n) does near n = 10^12.
+    runs to millions of bits, as dd(n) does near n = 10^12. An array's
+    entries are taken as Python ints, so its product never wraps.
     """
-    xs = list(factors)
+    xs = factors.tolist() if isinstance(factors, np.ndarray) else list(factors)
     xs = [math.prod(xs[i : i + 16]) for i in range(0, len(xs), 16)]  # few-bit leaves
     while len(xs) > 1:
         xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1 :]

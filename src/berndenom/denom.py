@@ -11,8 +11,8 @@ one of two routes:
   sum, then solves the run condition for p at each a <= isqrt(n). That
   leaves one candidate per quotient, looked up in a sieved window or
   checked by Miller-Rabin, so a single index costs O(sqrt n) candidates
-  and primes to isqrt(n) only. support_at(n) holds them as a one-index
-  PrimePairs.
+  and primes to isqrt(n) only. They come as one int64 array, which
+  support_at(n) holds, uncopied, as a one-index PrimePairs.
 * A range: support_blocks(lo, hi) yields the supports of every n in
   [lo, hi] a block of indices at a time, as PrimePairs: the pairs (n, p) in
   sorted int64 arrays, read off runs of heavy indices alone. heavy_runs()
@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import digit_sum, digit_sums, is_prime, prime_divisors, product, radical, shared_sieve
+from .arith import _SEGMENT, digit_sum, digit_sums, is_prime, prime_divisors, product, radical, shared_sieve
 
 __all__ = [
     "DenomProfile",
@@ -87,8 +87,8 @@ _DENSE = 16
 """Candidates above sqrt(n) lie about n / c^2 apart near c, so up to about
 _DENSE * sqrt(n) sieving them segment by segment costs less than testing them one by one."""
 
-def qualifying_primes(n: int) -> tuple[int, ...]:
-    """Ascending primes p with digit_sum(n, p) >= p, from the primes to isqrt(n).
+def qualifying_primes(n: int) -> np.ndarray:
+    """Ascending primes p with digit_sum(n, p) >= p as one int64 array, from the primes to isqrt(n).
 
     Primes p <= isqrt(n) are tested by digit_sum, one by one over the sieve's array, which
     costs less at small n than arith.digit_sums' fixed numpy calls. A prime p > sqrt(n)
@@ -96,7 +96,8 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
     n // (a+1) + 1 and needs (a+1) not to divide n. A window [lo, hi] above isqrt(n) thus
     holds the candidates of the a <= isqrt(n) with n // hi < a + 1 <= n // (lo - 1), ascending
     as a falls; each window computes its own, so no array spans every quotient. Windows up to
-    _DENSE * isqrt(n) are sieved a segment at a time, and the tail's candidates go to is_prime.
+    _DENSE * isqrt(n) are sieved a segment at a time; the tail's candidates go to is_prime as
+    ints, _SEGMENT at a time, so no list holds them all. The parts are joined once.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"n must lie in [1, 2**63), got {n}")
@@ -107,13 +108,15 @@ def qualifying_primes(n: int) -> tuple[int, ...]:
         return q[r != 0] + 1
 
     sv = shared_sieve(root)
-    out = [p for p in sv.primes_in(2, root).tolist() if digit_sum(n, p) >= p]
+    parts = [np.array([p for p in sv.primes_in(2, root).tolist() if digit_sum(n, p) >= p], np.int64)]
     top = min(n // 2 + 1, _DENSE * root)
     for lo, flags in sv.segments(root + 1, top):
         here = candidates(lo, lo + flags.size - 1)
-        out += here[flags[here - lo]].tolist()
-    out += [p for p in candidates(top + 1, n // 2 + 1).tolist() if is_prime(p)]
-    return tuple(out)
+        parts.append(here[flags[here - lo]])
+    tail = candidates(top + 1, n // 2 + 1)
+    for s in range(0, tail.size, _SEGMENT):
+        parts.append(np.array([p for p in tail[s : s + _SEGMENT].tolist() if is_prime(p)], np.int64))
+    return np.concatenate(parts)
 
 
 def _ragged(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -269,14 +272,9 @@ class PrimePairs(NamedTuple):
 
 
 def support_at(n: int) -> PrimePairs:
-    """qualifying_primes(n) as the pairs of the one index n."""
-    p = np.array(qualifying_primes(n), dtype=np.int64)
+    """qualifying_primes(n) as the pairs of the one index n: p is the very array it returns."""
+    p = qualifying_primes(n)
     return PrimePairs(n, n, np.full(p.size, n, dtype=np.int64), p)
-
-
-def _part(support: PrimePairs, mask: np.ndarray) -> int:
-    """The product of the primes of a one-index support that mask keeps."""
-    return product(support.p[mask].tolist())
 
 
 def _sorted_pairs(lo: int, hi: int, *parts) -> PrimePairs:
@@ -351,7 +349,7 @@ def dd(n: int) -> int:
 def dd_split_sqrt(n: int) -> tuple[int, int]:
     """Split dd(n) into the sub-products below and above sqrt(n)."""
     support = support_at(n)
-    return _part(support, support.minus), _part(support, ~support.minus)
+    return product(support.p[support.minus]), product(support.p[~support.minus])
 
 
 def dd_split_divisibility(n: int) -> tuple[int, int, int]:
@@ -362,8 +360,8 @@ def dd_split_divisibility(n: int) -> tuple[int, int, int]:
     shared * complement is the squarefree kernel of n.
     """
     support = support_at(n)
-    shared = _part(support, support.shared)
-    return shared, _part(support, ~support.shared), radical(n) // shared
+    shared = product(support.p[support.shared])
+    return shared, product(support.p[~support.shared]), radical(n) // shared
 
 
 def dn(n: int) -> int:
@@ -413,7 +411,7 @@ def db_k(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got ({n}, {k})")
     support = support_at(max(n - k + 1, 1))  # dd(1) = 1, so db_k(n, k) = 1 for n <= k
-    return _part(support, support.kept(k))
+    return product(support.p[support.kept(k)])
 
 
 def omega_dd_plus(n: int) -> int:
@@ -532,8 +530,8 @@ def profile(n: int) -> DenomProfile:
     shared_sieve(isqrt(n + 1))  # once, for both supports
     support, support_next = support_at(n), qualifying_primes(n + 1)
     rad_n, rad_n1 = radical(n), radical(n + 1)
-    dd_minus, dd_plus = _part(support, support.minus), _part(support, ~support.minus)
-    dd, dd_shared = dd_minus * dd_plus, _part(support, support.shared)
+    dd_minus, dd_plus = product(support.p[support.minus]), product(support.p[~support.minus])
+    dd, dd_shared = dd_minus * dd_plus, product(support.p[support.shared])
     dd_next = product(support_next)
     prof = DenomProfile(
         n=n,

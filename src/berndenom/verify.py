@@ -170,7 +170,7 @@ def _report(family: str, indices, verdicts, fault: tuple[str, int] | None) -> Fa
 
 def _support_matches(tables: denom.PrimePairs, n: int) -> bool:
     """The single-index route agrees with the tables' range route at n."""
-    return denom.qualifying_primes(n) == tuple(tables.window(n, n).p.tolist())
+    return np.array_equal(denom.qualifying_primes(n), tables.window(n, n).p)
 
 
 def _check_small_primes(tables: denom.PrimePairs, n: int) -> bool:

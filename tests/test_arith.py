@@ -317,6 +317,12 @@ class TestProduct:
             assert product(primes[:count]) == math.prod(primes[:count])
         assert product(iter([3, 5, 7])) == 105
 
+    def test_int64_arrays_multiply_exactly(self, sieve_20k):
+        # numpy scalars would wrap at 2^63: these three to -5985261957399142337
+        assert product(np.array([1000000007, 998244353, 1000000009])) == 998244368971909710889394239
+        assert product(sieve_20k.array) == math.prod(sieve_20k.primes)
+        assert product(sieve_20k.array[:0]) == 1
+
 
 @pytest.fixture
 def unlimited_str_digits():

@@ -299,7 +299,7 @@ class TestDBK:
                 assert value == db_prev // math.gcd(db_prev, math.perm(n, k))
                 ff = math.perm(n, k)
                 explicit = math.prod(
-                    p for p in qualifying_primes(n - k + 1) if ff % p
+                    p for p in qualifying_primes(n - k + 1).tolist() if ff % p
                 )
                 assert value == explicit
 
@@ -419,6 +419,15 @@ def test_derivative_one_members_have_prime_successor():
         assert is_prime(n + 1)
 
 
+def by_every_quotient(n):
+    """qualifying_primes(n) in plain ints, with no windows: every quotient a <= isqrt(n)."""
+    root = isqrt(n)
+    small = [p for p in sieve(root).array.tolist() if digit_sum(n, p) >= p]
+    # p > a makes a = n // p the first of p's two digits, and a falling gives p rising
+    large = [p for a in range(root, 0, -1) if n % (a + 1) and (p := n // (a + 1) + 1) > a and is_prime(p)]
+    return small + large
+
+
 class TestQualifyingPrimes:
     """The single-index route against the range route, which shares no code with it."""
 
@@ -426,20 +435,20 @@ class TestQualifyingPrimes:
     @given(n=st.integers(1, 10**7))
     def test_matches_supports_at_random_n(self, n):
         [expected] = supports(n, n)
-        assert qualifying_primes(n) == expected
+        assert tuple(qualifying_primes(n).tolist()) == expected
         # a cache of the primes to isqrt(n) alone: the candidate window is sieved in segments
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "_SHARED", sieve(max(isqrt(n), 1)))
-            assert qualifying_primes(n) == expected
+            assert tuple(qualifying_primes(n).tolist()) == expected
 
     def test_matches_supports_exhaustively(self):
         for n, expected in enumerate(supports(1, 2 * 10**5), start=1):
-            assert qualifying_primes(n) == expected, n
+            assert tuple(qualifying_primes(n).tolist()) == expected, n
 
     def test_sound_where_int64_squares_overflow(self):
         # candidates up to 5e11: squaring them in int64 would overflow
         n = 10**12 + 39
-        found = qualifying_primes(n)
+        found = qualifying_primes(n).tolist()
         assert all(a < b for a, b in zip(found, found[1:]))
         above = [p for p in found if p > 10**6]
         assert above[-1] ** 2 > 2**63 and all(n // p + n % p >= p for p in above)
@@ -452,7 +461,7 @@ class TestQualifyingPrimes:
         tested = []
         real_is_prime = denom.is_prime
         monkeypatch.setattr(denom, "is_prime", lambda p: tested.append(p) or real_is_prime(p))
-        found = qualifying_primes(n)
+        found = qualifying_primes(n).tolist()
         assert tested and min(tested) > 16 * isqrt(n)
         assert len(found) == 145_364
         digest = hashlib.sha256(",".join(map(str, found)).encode("ascii")).hexdigest()
@@ -461,18 +470,20 @@ class TestQualifyingPrimes:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2**30, 10**10))
     def test_window_seams_lose_no_candidate(self, n):
-        # 16 * isqrt(n) spans one to three segments of 2^19, each with its own candidates;
-        # the reference takes every quotient a <= isqrt(n) in plain ints, with no windows
-        root = isqrt(n)
-        small = [p for p in sieve(root).array.tolist() if digit_sum(n, p) >= p]
-        # p > a makes a = n // p the first of p's two digits, and a falling gives p rising
-        large = [p for a in range(root, 0, -1)
-                 if n % (a + 1) and (p := n // (a + 1) + 1) > a and is_prime(p)]
-        assert qualifying_primes(n) == tuple(small + large)
+        # 16 * isqrt(n) spans one to three segments of 2^19, each with its own candidates
+        assert qualifying_primes(n).tolist() == by_every_quotient(n)
+
+    @pytest.mark.parametrize("n", [10**10 + 19, 2**32 + 15])
+    def test_tail_slices_lose_no_candidate(self, monkeypatch, n):
+        # the tail past 16 * isqrt(n) goes to is_prime in slices, here of 1,000 candidates; it
+        # holds about one per quotient up to isqrt(n) / 16, so more than four slices
+        assert isqrt(n) // 16 > 4000
+        monkeypatch.setattr(denom, "_SEGMENT", 1000)
+        assert qualifying_primes(n).tolist() == by_every_quotient(n)
 
     def test_candidates_peak_at_one_window(self):
-        # a divmod over all 3.2 million quotients holds three int64 arrays of 24 MiB;
-        # one segment's candidates at a time, with the 306,290 primes found, stay under 32 MiB
+        # one segment's candidates at a time, and the 306,290 primes found kept in int64
+        # (2.3 MiB), stay under 16 MiB; the same primes as Python ints in a list take 11 MiB more
         n = 10**13 + 37
         arith.shared_sieve(isqrt(n))  # built before tracing: the call alone is measured
         tracemalloc.start()
@@ -482,7 +493,7 @@ class TestQualifyingPrimes:
         finally:
             tracemalloc.stop()
         assert len(found) == 306_290
-        assert peak < 32 * 2**20, peak
+        assert peak < 16 * 2**20, peak
 
     def test_single_index_calls_sieve_to_sqrt_only(self, monkeypatch):
         limits = []
@@ -498,6 +509,17 @@ class TestQualifyingPrimes:
         profile(n)  # validate() runs inside
         dd(n), db(n), ds(n), db_k(n, 3), omega_dd_plus(n)
         assert limits and max(limits) <= isqrt(n + 1), limits
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 10**4 + 7, 10**8 + 7])
+    def test_one_ascending_int64_array(self, n):
+        found = qualifying_primes(n)
+        assert isinstance(found, np.ndarray) and found.dtype == np.int64 and found.ndim == 1
+        assert np.all(found[1:] > found[:-1]) and found.size == len(supports(n, n)[0])
+
+    def test_support_at_holds_the_very_array(self, monkeypatch):
+        found = qualifying_primes(10**6 + 3)
+        monkeypatch.setattr(denom, "qualifying_primes", lambda n: found)
+        assert support_at(10**6 + 3).p is found
 
     def test_int64_bound_fails_loudly(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
@@ -519,7 +541,7 @@ def supports_with_batch(lo, hi, batch):
 class TestSupports:
     @BATCHES
     def test_small_windows(self, batch):
-        expected = [()] + [qualifying_primes(n) for n in range(1, 401)]
+        expected = [()] + [tuple(qualifying_primes(n).tolist()) for n in range(1, 401)]
         # each call costs a few hundred microseconds, so not every pair (lo, hi):
         # every hi with every lo close to it, every prefix, every suffix of [1, 400]
         top, reach = {None: (400, 40), 7: (150, 15), 1: (60, 8)}[batch]
@@ -530,7 +552,7 @@ class TestSupports:
             assert supports_with_batch(lo, hi, batch) == expected[lo : hi + 1], (lo, hi)
 
     def test_blocks_tile_the_range(self, monkeypatch):
-        expected = [qualifying_primes(n) for n in range(1, 2001)]
+        expected = [tuple(qualifying_primes(n).tolist()) for n in range(1, 2001)]
         monkeypatch.setattr(denom, "_SUPPORT_BLOCK", 7)
         assert supports(1, 2000) == expected
         assert supports(995, 1300) == expected[994:1300]
@@ -548,7 +570,7 @@ class TestSupports:
         found = supports_with_batch(lo, hi, batch)
         assert len(found) == width
         for n in sorted({lo, hi, *picks}):
-            assert found[n - lo] == qualifying_primes(n), n
+            assert found[n - lo] == tuple(qualifying_primes(n).tolist()), n
 
     def test_blocks_size_the_sieve_once(self, monkeypatch):
         # grown block by block to exactly what each asks for, it would be built per block
@@ -590,7 +612,7 @@ class TestPrimePairs:
 
     def test_pairs_are_qualifying_primes_to_5000(self):
         n, p = pairs(1, 5000)
-        expected = [(m, q) for m in range(1, 5001) for q in qualifying_primes(m)]
+        expected = [(m, q) for m in range(1, 5001) for q in qualifying_primes(m).tolist()]
         assert list(zip(n.tolist(), p.tolist())) == expected
 
     @settings(max_examples=30, deadline=None)
@@ -609,7 +631,7 @@ class TestPrimePairs:
         assert np.all(keys[1:] > keys[:-1]) and n.min(initial=lo) >= lo and n.max(initial=hi) <= hi
         picks = data.draw(st.lists(st.integers(lo, hi), max_size=3), label="picks")
         for m in sorted({lo, hi, min(lo + block - 1, hi), min(lo + block, hi), *picks}):
-            assert tuple(p[n == m].tolist()) == qualifying_primes(m), m
+            assert np.array_equal(p[n == m], qualifying_primes(m)), m
         mid = (lo + hi) // 2
         window = support_block(lo, hi).window(mid, hi)
         assert (window.lo, window.hi) == (mid, hi)
@@ -644,7 +666,7 @@ class TestPrimePairs:
     def test_minus_where_int64_squares_overflow(self, n):
         support = support_at(n)
         assert (support.lo, support.hi) == (n, n) and np.all(support.n == n)
-        assert tuple(support.p.tolist()) == qualifying_primes(n)
+        assert np.array_equal(support.p, qualifying_primes(n))
         expected = [p * p < n for p in support.p.tolist()]
         assert support.minus.tolist() == expected
         # the square itself wraps in int64 and misplaces some primes
@@ -696,7 +718,7 @@ class TestHeavyRuns:
             for a, b in zip(begin.tolist(), stop.tolist()):
                 counts[a:b] += 1
         for m in range(lo, hi + 1):
-            above = [p for p in qualifying_primes(m) if PARTS["plus"](m, p)]
+            above = [p for p in qualifying_primes(m).tolist() if PARTS["plus"](m, p)]
             missing = [p for p in above if all((m + i) % p for i in range(1, cut + 1))]
             assert counts[m - lo] == len(missing), m
 

@@ -63,6 +63,9 @@ MUTANTS = (
            "here = candidates(lo, lo + flags.size - 1)[1:]", ACCEPTANCE + "1_golden_sequences"),
     Mutant("each window's largest candidate dropped", DENOM, "n // hi, -1", "n // hi + 1, -1",
            ACCEPTANCE + "1_golden_sequences"),
+    Mutant("the tail past its first slice dropped", DENOM, "range(0, tail.size, _SEGMENT)",
+           "range(0, min(tail.size, _SEGMENT), _SEGMENT)",
+           "tests/test_denom.py::TestQualifyingPrimes::test_tail_slices_lose_no_candidate"),
     Mutant("minus as p <= n // p", DENOM, "return self.p <= (self.n - 1) // self.p",
            "return self.p <= self.n // self.p",
            "tests/test_denom.py::TestPrimePairs::test_minus_where_int64_squares_overflow",

@@ -46,11 +46,14 @@ ROWS = {
     "scan 1e10": "scan --limit 10000000000",
     "scan 1e10 t2": "scan --limit 10000000000 --threads 2",
     "scan 1e11": "scan --limit 100000000000",
+    "sets k1 1e8": "sets --k 1 --limit 100000000",
     "sets k64 1e7": "sets --k 64 --limit 10000000",
     "sets k200 2e6": "sets --k 200 --limit 2000000",
     "radset 1.34e8": "radset --limit 134000000",
     "seq omega_plus 1e6": "seq omega_plus 1 1000000",
     "seq dd_minus 1.342e8": "seq dd_minus 134200000 134203000",
+    "seq dd 1e5": "seq dd 1 100000",
+    "seq dd 1e5 json": "--format json seq dd 1 100000",
     "seq db 1e5": "seq db 1 100000",
     "verify 1e5": "verify --limit 100000 --oracle-limit 1",
     "verify 1e4 o300": "verify --limit 10000 --oracle-limit 300",
