@@ -13,18 +13,20 @@ when m >= (a1+1)p - (k-1), so a cut run holds exactly the m at which p
 stays in the denominator of the k-th derivative at n = m + k - 1. The cut-1
 test, passed where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
-The cover reads only the primes its runs can reach (denom.heavy_reach):
-2,178 for a scan to 300,000, 11,641 for one to 1.34 * 10^8 and about
-sqrt(limit) + 64 beyond, not every prime to hi / 2. A step whose cover leaves
-an index past its depth is covered again, deeper, so the run rule lives in
-denom.heavy_runs alone. Those primes are a sweep's only limit: sieve() refuses
-them past its cap of 2^26, so scan and sets --k 1 run to 4,503,591,037,435,904
-and radset to 4,503,590,903,218,176. A step grows with sqrt(n) (_step), so it
-holds a few thousand periods of its top quotient and about as many runs at any
-n: the rows `scan 1e10` and `scan 1e11` of the BENCH_*.json files, written by
-tools/trajectory.py, give a scan's time there. Depth 64 leaves 1,261 indices in
-[383,778,817, 384,827,392] and 437,348 in [985,661,441, 986,710,016]; the
-first re-cover, at depth 129, leaves none.
+The cover reads only the primes its runs can reach (denom.heavy_reach): 2,178
+for a scan to 300,000, 11,641 for one to 1.34 * 10^8 and about sqrt(limit) + 64
+beyond, not every prime to hi / 2. A step whose cover leaves an index past its
+depth is covered again, deeper, so the run rule lives in denom.heavy_runs
+alone. Those primes are a sweep's only limit: sieve() refuses them past its cap
+of 2^26, and a sweep whose top step's second re-cover would read past it is
+refused before its first step (_refuse_past_cap), so scan and sets --k 1 run to
+4,503,564,864,978,944 and radset to 4,503,564,328,108,032. A step grows with
+sqrt(n) (_step), so it holds a few thousand periods of its top quotient and
+about as many runs at any n: the rows `scan 1e10` and `scan 1e11` of the
+BENCH_*.json files, written by tools/trajectory.py, give a scan's time there.
+Depth 64 leaves 1,261 indices in [383,778,817, 384,827,392] and 437,348 in
+[985,661,441, 986,710,016]; the first re-cover, at depth 129, leaves none
+there.
 
 A scan's chunk_size sets only what one checkpoint record covers; past a limit of
 2^32 the default grows with it, so a checkpoint holds at most 4,096 records.
@@ -56,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import denom
+from . import arith, denom
 from .arith import SieveSizeError, radical, shared_sieve
 from .denom import DEFAULT_CHUNK_SIZE, db_k, dd
 
@@ -77,6 +79,14 @@ __all__ = [
 
 CHECKPOINT_VERSION = 2
 
+try:  # CPython's built-in SHA-256, which hashlib falls back to: no scan loads OpenSSL
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 class CheckpointError(RuntimeError):
     """Checkpoint file disagrees with the requested scan or is corrupt."""
@@ -84,9 +94,8 @@ class CheckpointError(RuntimeError):
 
 def chunk_checksum(lo: int, hi: int, exceptional: Sequence[int]) -> str:
     """Digest of a chunk's persisted results (bounds plus exceptional list)."""
-    import hashlib  # here and in run_scan alone: sets, radset and verify never load it
     payload = "omega-scan:%d:%d:%s" % (lo, hi, ",".join(map(str, exceptional)))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    return sha256(payload.encode("ascii")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,28 @@ def _sieve_bound(lo: int, hi: int, cut: int) -> int:
     refuses it past its cap, as it refuses any bound: a scan to 4,503,591,037,435,905 needs
     the primes to 67,108,865, one past it."""
     return max(denom.heavy_reach(lo, hi, cut, _DEPTH + cut), isqrt(hi))
+
+
+def _top_recover(lo: int, hi: int, cut: int) -> tuple[int, int]:
+    """(depth, reach) of the second re-cover of the cover's top step over [lo, hi]: depth
+    4 * (_DEPTH + cut) + 3, and the primes it reads, to about isqrt(hi) + depth. Of the 24,578
+    steps to 4.5 * 10^15, 20,907 needed the first re-cover, 3,627 the second (the first of
+    them from 1.57 * 10^11 on) and none a third; the top step reads the largest primes."""
+    (start, _), depth = deque(_steps(lo, hi), maxlen=1)[0], 4 * (_DEPTH + cut) + 3
+    return depth, denom.heavy_reach(start, hi, cut, depth)
+
+
+def _refuse_past_cap(lo: int, hi: int, cut: int) -> None:
+    """Refuse, naming the bound, a sweep of [lo, hi] whose top step's second re-cover would
+    read primes past the sieve cap (_top_recover), before its first step: that step would raise
+    only after every other step. A scan to 4,503,591,037,435,904 would read the primes to
+    67,109,060 there. A _sieve_bound past the cap is left to sieve(), which refuses it."""
+    if lo <= hi and _sieve_bound(lo, hi, cut) <= arith.DEFAULT_SIEVE_CAP:
+        depth, reach = _top_recover(lo, hi, cut)
+        if reach > arith.DEFAULT_SIEVE_CAP:
+            raise SieveSizeError(
+                f"sieve limit {reach} exceeds the cap of {arith.DEFAULT_SIEVE_CAP} at a re-cover of depth {depth}"
+            )
 
 
 def _step(start: int) -> int:
@@ -195,6 +226,7 @@ def find_sets(k: int, limit: int) -> tuple[int, ...]:
         raise ValueError(f"k must be positive, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    _refuse_past_cap(2, limit - k + 1, k - 1)
     survivors = (m + k - 1 for m in _zeros(2, limit - k + 1, k - 1))
     return (*range(1, min(k, limit) + 1), *(n for n in survivors if db_k(n, k) == 1))
 
@@ -207,6 +239,7 @@ def find_rad_set(limit: int) -> tuple[int, ...]:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    _refuse_past_cap(2, limit, 1)
     return tuple(n for n in _zeros(2, limit, 1) if dd(n) == radical(n + 1))
 
 
@@ -370,12 +403,12 @@ def run_scan(
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
 
-    shared_sieve(_sieve_bound(1, limit, 0))  # past the cap, refused before the checkpoint is touched
+    _refuse_past_cap(1, limit, 0)  # past the cap, refused before the checkpoint is touched
+    shared_sieve(_sieve_bound(1, limit, 0))
     size = chunk_size or DEFAULT_CHUNK_SIZE << max((limit - 1).bit_length() - 32, 0)
     config = ScanConfig(1, limit, size)
     resumed = iter(()) if checkpoint_path is None else checkpoint_resume(checkpoint_path, config)
-    import hashlib
-    digest, exceptional = hashlib.sha256(), []
+    digest, exceptional = sha256(), []
 
     def fold(chunk: ScanChunk) -> None:
         digest.update(b"|" * (chunk.lo > 1) + chunk.checksum.encode("ascii"))

@@ -78,13 +78,3 @@ def test_every_exported_name_resolves(module):
     exported = getattr(module, "__all__", ())
     assert [name for name in exported if not hasattr(module, name)] == []
 
-
-def test_package_names_are_their_home_objects():
-    # the package resolves each name on access; it must hand back the object
-    # of the one submodule that exports it, and list it for dir()
-    listing, modules = dir(berndenom), submodules()
-    for name in berndenom.__all__:
-        homes = [m for m in modules if name in getattr(m, "__all__", ())]
-        assert len(homes) == 1, f"{name} is exported by {[m.__name__ for m in homes]}"
-        assert getattr(berndenom, name) is getattr(homes[0], name), name
-        assert name in listing, name

@@ -374,6 +374,27 @@ class TestScan:
         assert code == 2 and out == "" and "67108864" in err
         assert not path.exists()
 
+    def test_a_re_cover_past_the_cap_is_refused_before_any_step(self, capsys, monkeypatch, tmp_path):
+        # at these limits the cover itself reads the primes to 2**26, but a step near the top
+        # needs a second re-cover, which would read past it after every earlier step
+        from berndenom import scanner
+
+        def uncovered(*args):
+            raise AssertionError("a step was covered")
+
+        monkeypatch.setattr(scanner, "_uncovered", uncovered)
+        path = tmp_path / "refused.ckpt"
+        refusals = {
+            ("scan", "--limit", "4503591037435904", "--checkpoint", str(path)): (67109060, 259),
+            ("sets", "--k", "1", "--limit", "4503591037435904"): (67109060, 259),
+            ("radset", "--limit", "4503590903218176"): (67109063, 263),
+        }
+        for argv, (bound, depth) in refusals.items():
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: sieve limit {bound} exceeds the cap of 67108864 at a re-cover of depth {depth}\n"
+        assert not path.exists()
+
 
 @pytest.mark.parametrize(
     "argv, bound",
@@ -746,13 +767,14 @@ def test_bare_package_import_loads_no_numpy():
 
 
 # each command, and the modules it must not load; none here needs the thread pool
-# (the threaded scan is one step),
-# and only a scan hashes, so no other command loads hashlib and its OpenSSL
-# unless numpy itself does (numpy 1.x imports numpy.random, whose secrets loads it).
+# (the threaded scan is one step), and none loads hashlib and its OpenSSL, since
+# scanner hashes with CPython's built-in SHA-256, unless numpy itself does
+# (numpy 1.x imports numpy.random, whose secrets loads it).
 # decimal, and its libmpdec, come only with an int past arith._DECIMAL_LEAF_BITS
 # or with verify's fractions
-_UNUSED = {"berndenom.verify", "berndenom.oracle", "decimal"}
-_HEAVY = _UNUSED | {"berndenom.scanner", "fractions", "hashlib"}
+_OPENSSL = {"hashlib", "_hashlib"}
+_UNUSED = _OPENSSL | {"berndenom.verify", "berndenom.oracle", "decimal"}
+_HEAVY = _UNUSED | {"berndenom.scanner", "fractions"}
 IMPORT_SURFACE = {
     "profile": (["profile", "8"], _HEAVY),
     "seq": (["seq", "db_k", "1", "30", "--k", "2"], _HEAVY),
@@ -761,9 +783,9 @@ IMPORT_SURFACE = {
         ["scan", "--limit", "1000", "--chunk", "100", "--threads", "2"],
         _UNUSED | {"concurrent.futures", "multiprocessing"},
     ),
-    "sets": (["sets", "--k", "2", "--limit", "200"], _UNUSED | {"hashlib"}),
-    "radset": (["radset", "--limit", "200"], _UNUSED | {"hashlib"}),
-    "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], {"hashlib"}),
+    "sets": (["sets", "--k", "2", "--limit", "200"], _UNUSED),
+    "radset": (["radset", "--limit", "200"], _UNUSED),
+    "verify": (["verify", "--limit", "50", "--oracle-limit", "5"], _OPENSSL),
 }
 
 

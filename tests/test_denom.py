@@ -343,6 +343,17 @@ class TestOmegaPlus:
             _, above = dd_split_sqrt(n)
             assert omega_dd_plus(n) == len(prime_divisors(above))
 
+    @pytest.mark.parametrize("lo", [10**6, 10**7, 10**8])
+    def test_mean_follows_the_candidate_model(self, lo):
+        # mu(n) gives each quotient a <= sqrt(n) one candidate n // (a + 1) + 1, prime with
+        # density 1 / ln(n / (a + 1)) and heavy for about a / (a + 1) of the n near it; over
+        # 2^16 indices the mean count lies within 1% of mu at the middle, at all three
+        hi = lo + (1 << 16) - 1
+        mid = (lo + hi) / 2
+        mu = sum(a / (a + 1) / math.log(mid / (a + 1)) for a in range(1, isqrt(int(mid)) + 1))
+        mean = sum(sequence("omega_plus", lo, hi)) / (1 << 16)
+        assert abs(mean / mu - 1) < 0.02
+
 
 class TestProfile:
     def test_n5_fields(self):

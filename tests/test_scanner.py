@@ -393,22 +393,23 @@ class TestFindSets:
             assert find_sets(k, 3000) == expected, k
 
     def test_bound_is_the_primes_the_cover_reads(self, monkeypatch):
-        # scan, sets and radset are refused by sieve() alone, exactly where the primes
-        # their cover reads, scanner._sieve_bound, pass the cap: at a cap of 2^12 the
-        # first top index refused is about 1.6 * 10^7, where half the top index refused 8,193
+        # scan, sets and radset are refused up front, exactly where the primes their top step's
+        # second re-cover would read pass the cap: at a cap of 2^12 the first top index refused
+        # is about 1.46 * 10^7, where half the top index refused 8,193
         cap = 1 << 12
         monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", cap)
         monkeypatch.setattr(arith, "_SHARED", None)
 
-        def first_refused(cut):  # the bound grows by at most 1 per index, so it meets cap + 1
+        def first_refused(cut):  # the reach grows by at most 1 per index, so it meets cap + 1
             lo, hi = 1, cap * cap
             while lo < hi:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if scanner._sieve_bound(1, mid, cut) > cap else (mid + 1, hi)
+                lo, hi = (lo, mid) if scanner._top_recover(1, mid, cut)[1] > cap else (mid + 1, hi)
+            assert scanner._sieve_bound(1, lo, cut) <= cap  # the cover alone reads less
             return lo
 
         scan_top, rad_top, sets3_top = first_refused(0), first_refused(1), first_refused(2)
-        assert 16 * 10**6 < sets3_top < rad_top < scan_top < cap * cap
+        assert 14 * 10**6 < sets3_top < rad_top < scan_top < cap * cap
         run_scan(scan_top - 1)
         assert find_sets(1, scan_top - 1) == S1
         assert find_sets(3, sets3_top + 1) == S3  # its top index is limit - 2
@@ -424,10 +425,17 @@ class TestFindSets:
 
     @pytest.mark.parametrize("lo, cut, top", [(1, 0, 4_503_591_037_435_904), (2, 1, 4_503_590_903_218_176)])
     def test_the_last_limits_under_the_cap(self, lo, cut, top):
-        # scan and sets --k 1 read the primes to the cap at 4,503,591,037,435,904, radset at
-        # 4,503,590,903,218,176; one index more reads one prime bound more
+        # the covers of scan and sets --k 1 read the primes to the cap at 4,503,591,037,435,904,
+        # radset's at 4,503,590,903,218,176; one index more reads one prime bound more
         assert scanner._sieve_bound(lo, top, cut) == arith.DEFAULT_SIEVE_CAP
         assert scanner._sieve_bound(lo, top + 1, cut) == arith.DEFAULT_SIEVE_CAP + 1
+
+    @pytest.mark.parametrize("lo, cut, top", [(1, 0, 4_503_564_864_978_944), (2, 1, 4_503_564_328_108_032)])
+    def test_the_last_limits_a_second_re_cover_fits(self, lo, cut, top):
+        # scan and sets --k 1 run to 4,503,564,864,978,944, radset to 4,503,564,328,108,032:
+        # there the primes a second re-cover reads reach the cap, one index more passes it
+        assert scanner._top_recover(lo, top, cut) == (4 * (scanner._DEPTH + cut) + 3, arith.DEFAULT_SIEVE_CAP)
+        assert scanner._top_recover(lo, top + 1, cut)[1] == arith.DEFAULT_SIEVE_CAP + 1
 
     def test_a_limit_past_int64_is_refused_without_overflow(self, monkeypatch):
         # the reach is taken in Python ints, so 10^30 asks sieve() for about 10^15 + 64
@@ -901,7 +909,7 @@ class TestRunScan:
         # the first 20,000 of 157,073,089,829 chunks of 7, as one step: neither the grid
         # nor the finished records are held, where holding the records took 9 MB
         steps = scanner._steps
-        monkeypatch.setattr(scanner, "_steps", lambda lo, hi, grain: itertools.islice(steps(lo, hi, grain), 1))
+        monkeypatch.setattr(scanner, "_steps", lambda lo, hi, grain=1: itertools.islice(steps(lo, hi, grain), 1))
         monkeypatch.setattr(scanner, "_step", lambda start: 20_000 * 7)
         monkeypatch.setattr(scanner, "shared_sieve", lambda bound: None)
         monkeypatch.setattr(scanner, "scan_omega_plus", lambda lo, hi: ScanChunk(lo, hi, (), ""))

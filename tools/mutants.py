@@ -80,6 +80,9 @@ MUTANTS = (
     Mutant("a zero on a chunk's hi filed under the next chunk", SCANNER,
            "bisect_right(zeros, hi, first)", "bisect_right(zeros, hi - 1, first)",
            "tests/test_scanner.py::TestRunScan::test_each_record_is_its_chunks_own_scan"),
+    Mutant("no up-front refusal of a re-cover past the cap", SCANNER,
+           "if reach > arith.DEFAULT_SIEVE_CAP:", "if False:",
+           "tests/test_cli.py::TestScan::test_a_re_cover_past_the_cap_is_refused_before_any_step"),
     Mutant("shared sieve built with no lock", ARITH, "with _SHARED_LOCK:", "if True:",
            "tests/test_arith.py::test_shared_sieve_grows_under_one_lock"),
     Mutant("record checksum not checked", SCANNER,

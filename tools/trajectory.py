@@ -46,12 +46,15 @@ ROWS = {
     "scan 1e10": "scan --limit 10000000000",
     "scan 1e10 t2": "scan --limit 10000000000 --threads 2",
     "scan 1e11": "scan --limit 100000000000",
+    "scan 1e13": "scan --limit 10000000000000",
+    "scan 1e13 t2": "scan --limit 10000000000000 --threads 2",
     "sets k1 1e8": "sets --k 1 --limit 100000000",
     "sets k64 1e7": "sets --k 64 --limit 10000000",
     "sets k200 2e6": "sets --k 200 --limit 2000000",
     "radset 1.34e8": "radset --limit 134000000",
     "seq omega_plus 1e6": "seq omega_plus 1 1000000",
     "seq dd_minus 1.342e8": "seq dd_minus 134200000 134203000",
+    "seq dd 1.342e8 11": "seq dd 134200000 134200010",
     "seq dd 1e5": "seq dd 1 100000",
     "seq dd 1e5 json": "--format json seq dd 1 100000",
     "seq db 1e5": "seq db 1 100000",
