@@ -7,23 +7,29 @@ denominator is D / gcd(D, a_k), and the lcm of those over k is
 D / gcd(D, a_0, ..., a_m) = D: the least common denominator of the
 coefficients is the shared denominator itself. Nothing is shared with the
 product-formula modules this module cross-checks.
+
+Each call starts its own upward walk in m (_walk) and keeps nothing after it,
+so threads may call any function at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice, starmap
 from math import gcd, lcm, perm
 from numbers import Rational
+from typing import Iterator
 
 __all__ = [
     "RationalPolynomial",
     "bernoulli_numbers",
     "bernoulli_polynomial",
+    "bernoulli_polynomials",
     "denominator_of",
     "derivative",
     "drop_constant_term",
+    "sum_of_powers",
     "sum_of_powers_polynomial",
 ]
 
@@ -125,56 +131,39 @@ class RationalPolynomial:
         return RationalPolynomial._over(acc, self.denominator * (power // w))
 
 
-_LAST_ROW = (0, [1])
+def _walk():
+    """For m = 0, 1, 2, ...: (row, numerators, denominators), the binomials C(m, 0..m) and
+    B_0..B_m as reduced fractions numerators[k] / denominators[k]. The two lists are the
+    walk's own and grow in place as it moves on; nothing outlives the walk.
 
-
-def _binomial_row(n: int) -> list[int]:
-    """C(n, 0), ..., C(n, n) by Pascal's rule, from the row built last when
-    that lies at or below n: a walk upward in n builds each row once."""
-    global _LAST_ROW
-    m, row = _LAST_ROW if _LAST_ROW[0] <= n else (0, [1])
-    for _ in range(m, n):
-        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
-    _LAST_ROW = (n, row)
-    return row
-
-
-# B_m = _NUMERATORS[m] / _DENOMINATORS[m], reduced, and also _SCALED[m] / _COMMON,
-# where _COMMON is the lcm of every denominator computed so far
-_NUMERATORS: list[int] = [1]
-_DENOMINATORS: list[int] = [1]
-_SCALED: list[int] = [1]
-_COMMON = 1
-
-
-def _extend_bernoulli(n: int) -> None:
-    """Solve bernoulli_numbers' recurrence on integer pairs up to m = n.
-
-    Over L = lcm(D_0..D_(m-1)), B_m = -sum(C(m+1, k) S_k) / ((m+1) L) with
-    S_k = N_k (L / D_k), reduced by one gcd. The S_k are kept over the
-    running L and multiplied up only when L grows, which happens about
-    once per prime up to n + 1 (von Staudt-Clausen), not at every m.
+    Each row comes from the one before by Pascal's rule, with additions only. Over
+    L = lcm(D_0..D_(m-1)), B_m = -sum(C(m+1, k) S_k) / ((m+1) L) with S_k = N_k (L / D_k),
+    reduced by one gcd. The S_k are kept over the running L and multiplied up only when L
+    grows, which happens about once per prime up to m + 1 (von Staudt-Clausen), not at every m.
     """
-    global _COMMON
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    while len(_NUMERATORS) <= n:
-        m = len(_NUMERATORS)
-        acc = 0
-        for binomial, scaled in zip(_binomial_row(m + 1), _SCALED):
-            if scaled:
-                acc += binomial * scaled
-        den = (m + 1) * _COMMON
+    row, ahead = [1], [1, 1]  # C(m, .) and C(m + 1, .), which the recurrence for B_m reads
+    numerators, denominators, scaled, common = [1], [1], [1], 1
+    while True:
+        yield row, numerators, denominators
+        row, ahead = ahead, [1, *(a + b for a, b in zip(ahead, ahead[1:])), 1]
+        acc = sum(binomial * s for binomial, s in zip(ahead, scaled) if s)
+        den = len(row) * common
         g = gcd(acc, den)
         num, den = -acc // g, den // g
-        grown = lcm(_COMMON, den)
-        if grown != _COMMON:
-            factor = grown // _COMMON
-            _SCALED[:] = [scaled * factor for scaled in _SCALED]
-            _COMMON = grown
-        _NUMERATORS.append(num)
-        _DENOMINATORS.append(den)
-        _SCALED.append(num * (grown // den))
+        grown = lcm(common, den)
+        if grown != common:
+            scaled = [s * (grown // common) for s in scaled]
+            common = grown
+        numerators.append(num)
+        denominators.append(den)
+        scaled.append(num * (grown // den))
+
+
+def _at(n: int):
+    """The walk's state at m = n."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return next(islice(_walk(), n, None))
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -184,35 +173,34 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     parity shortcuts, so vanishing odd values come out of the arithmetic
     rather than being asserted.
     """
-    _extend_bernoulli(n)
-    return [Fraction(a, d) for a, d in zip(_NUMERATORS[: n + 1], _DENOMINATORS)]
+    _, numerators, denominators = _at(n)
+    return [Fraction(a, d) for a, d in zip(numerators, denominators)]
 
 
-def bernoulli_polynomial(n: int) -> RationalPolynomial:
-    """B_n(x) = sum of C(n, k) * B_{n-k} * x^k; monic of degree n.
+def _polynomial(row: list[int], numerators: list[int], denominators: list[int]) -> RationalPolynomial:
+    """B_n(x) from the walk's state at m = n.
 
     Coefficient k is C(n, k) N_{n-k} / D_{n-k} with gcd(C(n, k), D_{n-k})
     cancelled first, and the shared denominator is the lcm of what is left:
     a multiple of the reduced one found from small numbers, where
     lcm(D_0..D_n) would leave a gcd of over a thousand bits to divide out.
-    The last two polynomials built are kept: sum_of_powers_polynomial(n)
-    builds B_(n+1)(x), which a caller walking n upward asks for next.
     """
-    return _bernoulli_polynomial(n)
-
-
-# cached apart from bernoulli_polynomial, which stays a plain function
-@lru_cache(maxsize=2)
-def _bernoulli_polynomial(n: int) -> RationalPolynomial:
-    row = _binomial_row(n)  # before the recurrence moves on to row n + 1
-    _extend_bernoulli(n)
     terms = []
-    for k, binomial in enumerate(row):
-        den = _DENOMINATORS[n - k]
+    for binomial, num, den in zip(row, reversed(numerators), reversed(denominators)):
         g = gcd(binomial, den)
-        terms.append((binomial // g * _NUMERATORS[n - k], den // g))
+        terms.append((binomial // g * num, den // g))
     common = lcm(*(den for _, den in terms))
     return RationalPolynomial._over([num * (common // den) for num, den in terms], common)
+
+
+def bernoulli_polynomial(n: int) -> RationalPolynomial:
+    """B_n(x) = sum of C(n, k) * B_{n-k} * x^k; monic of degree n."""
+    return _polynomial(*_at(n))
+
+
+def bernoulli_polynomials() -> Iterator[RationalPolynomial]:
+    """B_0(x), B_1(x), B_2(x), ..., each built once, off one walk."""
+    return starmap(_polynomial, _walk())
 
 
 def derivative(poly: RationalPolynomial, k: int = 1) -> RationalPolynomial:
@@ -234,16 +222,17 @@ def drop_constant_term(poly: RationalPolynomial) -> RationalPolynomial:
     return RationalPolynomial._over([0, *poly.numerators[1:]], poly.denominator)
 
 
-def sum_of_powers_polynomial(n: int) -> RationalPolynomial:
-    """Polynomial S_n with S_n(m) = 0^n + 1^n + ... + (m-1)^n for integer m >= 0.
+def sum_of_powers(bernoulli_next: RationalPolynomial) -> RationalPolynomial:
+    """S_n from B_(n+1)(x): (B_(n+1)(x) - B_(n+1)) / (n + 1). The constant term of
+    B_(n+1)(x) is exactly B_(n+1), so the subtraction just clears it."""
+    return drop_constant_term(bernoulli_next) / (len(bernoulli_next.numerators) - 1)
 
-    Computed as (B_{n+1}(x) - B_{n+1}) / (n + 1); the constant term of
-    B_{n+1}(x) is exactly B_{n+1}, so the subtraction just clears it.
-    """
+
+def sum_of_powers_polynomial(n: int) -> RationalPolynomial:
+    """Polynomial S_n with S_n(m) = 0^n + 1^n + ... + (m-1)^n for integer m >= 0."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    shifted = drop_constant_term(bernoulli_polynomial(n + 1))
-    return shifted / (n + 1)
+    return sum_of_powers(bernoulli_polynomial(n + 1))
 
 
 def denominator_of(poly: RationalPolynomial) -> int:

@@ -15,9 +15,11 @@ test, passed where every heavy prime above sqrt(n) divides n + 1, is radset's.
 
 The cover reads only the primes its runs can reach (denom.heavy_reach): 2,178
 for a scan to 300,000, 11,641 for one to 1.34 * 10^8 and about sqrt(limit) + 64
-beyond, not every prime to hi / 2. A step whose cover leaves an index past its
-depth is covered again, deeper, so the run rule lives in denom.heavy_runs
-alone. Those primes are a sweep's only limit: sieve() refuses them past its cap
+beyond, + 129 from 10^12 on, not every prime to hi / 2. A step is covered first
+at depth 64 below 10^12 and at 129, the first re-cover's depth, from there on,
+where nearly every step needs it (_first_depth). A step whose cover leaves an
+index past its depth is covered again, deeper, so the run rule lives in
+denom.heavy_runs alone. Those primes are a sweep's only limit: sieve() refuses them past its cap
 of 2^26, and a sweep whose top step's second re-cover would read past it is
 refused before its first step (_refuse_past_cap), so scan and sets --k 1 run to
 4,503,564,864,978,944 and radset to 4,503,564,328,108,032. A step grows with
@@ -111,8 +113,15 @@ class ScanChunk:
 
 
 _DEPTH = 64
-"""Largest quotients per index, past cut, that the cover reads; only speed depends on it:
-on [1, 5*10^6], 32 left 2,843 indices uncovered, 64 left 26, and 128 doubled the runs."""
+"""Largest quotients per index, past cut, that the cover reads first below 10^12 (_first_depth);
+only speed depends on it: on [1, 5*10^6], 32 left 2,843 indices, 64 left 26, 128 doubled the runs."""
+
+
+def _first_depth(n: int, cut: int) -> int:
+    """The depth a step from n is covered at first: _DEPTH + cut below 10^12, and from there on
+    the first re-cover's, which 40 of 40 steps from 10^12 needed: 1.95 ms a step, not 2.98."""
+    depth = _DEPTH + cut
+    return depth if n < 10**12 else 2 * depth + 1
 
 
 def _uncovered(lo: int, hi: int, cut: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,12 +141,12 @@ def _uncovered(lo: int, hi: int, cut: int, depth: int) -> tuple[np.ndarray, np.n
 
 
 def _sieve_bound(lo: int, hi: int, cut: int) -> int:
-    """The primes _zeros(lo, hi, cut) reads first: those its depth-_DEPTH cover's runs reach, and
-    those to isqrt(hi) that qualifying_primes reads in the confirmations of find_sets and
-    find_rad_set (the reach passes isqrt(hi) unless the cover reads no quotient). sieve()
-    refuses it past its cap, as it refuses any bound: a scan to 4,503,591,037,435,905 needs
-    the primes to 67,108,865, one past it."""
-    return max(denom.heavy_reach(lo, hi, cut, _DEPTH + cut), isqrt(hi))
+    """The primes _zeros(lo, hi, cut) reads first: those its cover's runs reach at the first
+    depth of hi, the deepest of its steps' first depths, and those to isqrt(hi) that
+    qualifying_primes reads in the confirmations of find_sets and find_rad_set (the reach
+    passes isqrt(hi) unless the cover reads no quotient). sieve() refuses it past its cap,
+    as it refuses any bound."""
+    return max(denom.heavy_reach(lo, hi, cut, _first_depth(hi, cut)), isqrt(hi))
 
 
 def _top_recover(lo: int, hi: int, cut: int) -> tuple[int, int]:
@@ -153,8 +162,8 @@ def _refuse_past_cap(lo: int, hi: int, cut: int) -> None:
     """Refuse, naming the bound, a sweep of [lo, hi] whose top step's second re-cover would
     read primes past the sieve cap (_top_recover), before its first step: that step would raise
     only after every other step. A scan to 4,503,591,037,435,904 would read the primes to
-    67,109,060 there. A _sieve_bound past the cap is left to sieve(), which refuses it."""
-    if lo <= hi and _sieve_bound(lo, hi, cut) <= arith.DEFAULT_SIEVE_CAP:
+    67,109,060 there. Past isqrt(hi) = cap no sweep fits: sieve() refuses its _sieve_bound."""
+    if lo <= hi and isqrt(hi) <= arith.DEFAULT_SIEVE_CAP:
         depth, reach = _top_recover(lo, hi, cut)
         if reach > arith.DEFAULT_SIEVE_CAP:
             raise SieveSizeError(
@@ -181,8 +190,9 @@ def _steps(lo: int, hi: int, grain: int = 1) -> Iterator[tuple[int, int]]:
 
 
 def _zeros(lo: int, hi: int, cut: int):
-    """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time; a cut
-    run holds only a1 - cut indices of its period, so the cover reads cut more quotients.
+    """Ascending n in [lo, hi] that no heavy run cut short by cut holds, a step at a time, each
+    covered first at its start's depth (_first_depth); a cut run holds only a1 - cut indices of
+    its period, so the cover reads cut more quotients.
     Below (cut + depth + 2)^2 the cover reads every quotient, so what it leaves there is exact;
     a step that leaves an index past it is covered again at depth 2 * depth + 1, from the
     primes to that deeper cover's reach, until none is left past it: the top of its last gap
@@ -191,9 +201,9 @@ def _zeros(lo: int, hi: int, cut: int):
     toward n / 2."""
     if lo > hi:
         return
-    shared_sieve(_sieve_bound(lo, hi, cut))  # once, for every step at _DEPTH
+    shared_sieve(_sieve_bound(lo, hi, cut))  # once, for every step at its first depth
     for start, end in _steps(lo, hi):
-        depth = _DEPTH + cut
+        depth = _first_depth(start, cut)
         first, count = _uncovered(start, end, cut, depth)
         while count.size and (n := int(first[-1] + count[-1] - 1)) >= (cut + depth + 2) ** 2:
             depth = 2 * depth + 1

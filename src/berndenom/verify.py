@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -199,35 +200,24 @@ def _check_floor_equivalence(p: int, limit: int) -> bool:
     return bool(np.array_equal(digit_heavy, floor_gap))
 
 
-def _check_oracle_equivalence(tables: denom.PrimePairs, n: int) -> bool:
+def _check_oracle_equivalence(tables: denom.PrimePairs, n: int, poly, powers) -> bool:
+    """The product formulas agree with the oracle's B_n(x), poly, and S_n(x), powers."""
     if not _support_matches(tables, n):
         return False
     dd, dd_next = tables.window(n, n + 1).products()
-    poly = oracle.bernoulli_polynomial(n)
     if oracle.denominator_of(poly) != math.lcm(dd_next, radical(n + 1)):  # db(n)
         return False
     if oracle.denominator_of(oracle.drop_constant_term(poly)) != dd:
         return False
     if poly(0).denominator != denom.dn(n):  # B_n(0) = B_n
         return False
-    if oracle.denominator_of(oracle.sum_of_powers_polynomial(n)) != (n + 1) * dd_next:  # ds(n)
+    if oracle.denominator_of(powers) != (n + 1) * dd_next:  # ds(n)
         return False
     window = tables.window(max(n - 2, 1), n)  # db_k(n, k) for k <= 3, as above; 1 for n <= k
     for k, db_k in zip((1, 2, 3), window.products(window.kept(n + 1 - window.n))[::-1] + [1, 1]):
         if oracle.denominator_of(oracle.derivative(poly, k)) != db_k:
             return False
     return True
-
-
-def _check_reflection(n: int) -> bool:
-    poly = oracle.bernoulli_polynomial(n)
-    sign = 1 if n % 2 == 0 else -1
-    return poly.substitute_affine(1, -1) == sign * poly
-
-
-def _check_power_sums(n: int) -> bool:
-    poly = oracle.sum_of_powers_polynomial(n)
-    return all(poly(m) == sum(j**n for j in range(m)) for m in range(21))
 
 
 def _suite(limit: int, oracle_limit: int):
@@ -238,7 +228,9 @@ def _suite(limit: int, oracle_limit: int):
     of n = 1, ..., max(oracle_limit, 50) + 1 from the range route, of which
     the families that read single indices read one window per index, and for
     k = 1, 2, 3 the indices up to min(limit, 1000) with an integral k-th
-    derivative.
+    derivative. The oracle families come last, off one walk of the oracle's B_n(x)
+    that holds two polynomials at a time: oracle-equivalence at n = 1..oracle_limit,
+    oracle-reflection at n = 0..min(oracle_limit, 50) and oracle-power-sums at n = 0..10.
     """
     shared_sieve(max(limit + 1, (max(oracle_limit, 50) + 2) // 2))  # blocks and the oracle tables
     step, top = denom._SUPPORT_BLOCK, limit + 1
@@ -259,11 +251,19 @@ def _suite(limit: int, oracle_limit: int):
     floor = shared_sieve(limit).primes_in(2, bound)
     yield "floor-digit-equivalence", floor, [_check_floor_equivalence(p, bound) for p in floor.tolist()]
     yield "lambda-prime-bound", primes, unbeaten
-    checked = range(1, oracle_limit + 1)
-    yield "oracle-equivalence", checked, [_check_oracle_equivalence(tables, n) for n in checked]
-    reflected = range(0, min(oracle_limit, 50) + 1)
-    yield "oracle-reflection", reflected, [_check_reflection(n) for n in reflected]
-    yield "oracle-power-sums", range(11), [_check_power_sums(n) for n in range(11)]
+    equivalent, reflected, summed = [], [], []
+    pairs = pairwise(oracle.bernoulli_polynomials())  # B_n(x) and B_(n+1)(x), two at a time
+    for n, (poly, poly_next) in enumerate(islice(pairs, max(oracle_limit, 10) + 1)):
+        powers = oracle.sum_of_powers(poly_next)  # S_n(x)
+        if 1 <= n <= oracle_limit:
+            equivalent.append(_check_oracle_equivalence(tables, n, poly, powers))
+        if n <= min(oracle_limit, 50):
+            reflected.append(poly.substitute_affine(1, -1) == (-1) ** n * poly)
+        if n <= 10:
+            summed.append(all(powers(m) == sum(j**n for j in range(m)) for m in range(21)))
+    yield "oracle-equivalence", range(1, oracle_limit + 1), equivalent
+    yield "oracle-reflection", range(min(oracle_limit, 50) + 1), reflected
+    yield "oracle-power-sums", range(11), summed
 
 
 def run_verification(

@@ -363,10 +363,10 @@ class TestScan:
         assert json.loads(out)["chunk_size"] == 2**20
 
     def test_refusal_states_the_sieve_cap(self, capsys):
-        # the cover to one past the last limit accepted reads primes to 2**26 + 1
+        # the top step's second re-cover reads the primes past 2**26, refused before any step
         code, out, err = run_cli(capsys, "scan", "--limit", "4503591037435905")
         assert code == 2 and out == ""
-        assert err == "error: sieve limit 67108865 exceeds the cap of 67108864\n"
+        assert err == "error: sieve limit 67109060 exceeds the cap of 67108864 at a re-cover of depth 259\n"
 
     def test_refused_scan_leaves_no_checkpoint(self, capsys, tmp_path):
         path = tmp_path / "refused.ckpt"
@@ -397,19 +397,19 @@ class TestScan:
 
 
 @pytest.mark.parametrize(
-    "argv, bound",
+    "argv, refusal",
     [
-        (("seq", "dd", "1", "300000000"), 150000000),
-        (("seq", "db_k", "1", "300000000", "--k", "2"), 150000000),
-        (("radset", "--limit", "4503590903218177"), 67108865),
-        (("sets", "--k", "1", "--limit", "4503591037435905"), 67108865),
+        (("seq", "dd", "1", "300000000"), "150000000 exceeds the cap of 67108864"),
+        (("seq", "db_k", "1", "300000000", "--k", "2"), "150000000 exceeds the cap of 67108864"),
+        (("radset", "--limit", "4503590903218177"), "67109063 exceeds the cap of 67108864 at a re-cover of depth 263"),
+        (("sets", "--k", "1", "--limit", "4503591037435905"), "67109060 exceeds the cap of 67108864 at a re-cover of depth 259"),
     ],
     ids=["seq-dd", "seq-db_k", "radset", "sets"],
 )
-def test_range_commands_refuse_past_the_sieve_cap_at_once(argv, bound):
-    # seq sieves to half its top index, 1.5e8 here; radset and sets sieve to their
-    # cover's reach, one past the 2**26 cap at these limits. The refusal comes
-    # before any row, where building rows up to the cap took minutes
+def test_range_commands_refuse_past_the_sieve_cap_at_once(argv, refusal):
+    # seq sieves to half its top index, 1.5e8 here; radset and sets are refused where
+    # their top step's second re-cover would read the primes past the 2**26 cap. The
+    # refusal comes before any row, where building rows up to the cap took minutes
     src = os.path.dirname(os.path.dirname(berndenom.__file__))
     done = subprocess.run(
         [sys.executable, "-m", "berndenom", *argv],
@@ -419,7 +419,7 @@ def test_range_commands_refuse_past_the_sieve_cap_at_once(argv, bound):
         timeout=2,
     )
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == f"error: sieve limit {bound} exceeds the cap of 67108864\n"
+    assert done.stderr == f"error: sieve limit {refusal}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

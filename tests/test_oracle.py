@@ -1,5 +1,9 @@
 import ast
 import inspect
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, lcm, perm
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import berndenom
 from berndenom import oracle
 from berndenom.oracle import (
     RationalPolynomial,
@@ -166,14 +171,9 @@ class TestSumOfPowers:
 
     @pytest.mark.parametrize("n", [0, 1, 7, 64])
     def test_independent_of_call_order(self, n):
-        # bernoulli_polynomial keeps the last polynomials it built
-        oracle._bernoulli_polynomial.cache_clear()
         alone = sum_of_powers_polynomial(n)
-        oracle._bernoulli_polynomial.cache_clear()
         first = bernoulli_polynomial(n + 1)
         assert sum_of_powers_polynomial(n) == alone
-        assert bernoulli_polynomial(n + 1) == first
-        oracle._bernoulli_polynomial.cache_clear()
         assert bernoulli_polynomial(n + 1) == first
 
 
@@ -291,3 +291,39 @@ def test_oracle_imports_nothing_from_berndenom():
             imported.update(alias.name for alias in node.names)
     assert imported, "no imports found; the walk is broken"
     assert not any(name.split(".")[0] == "berndenom" for name in imported), imported
+
+
+# four threads start their walks at once in a fresh interpreter, where no earlier call
+# has computed anything, and switch every microsecond: state kept between calls, such
+# as the rows and numbers of the last walk, would mix their results
+THREADS = """
+import pickle, sys, threading
+from berndenom import oracle
+
+sys.setswitchinterval(1e-6)
+results, start = {}, threading.Barrier(4)
+
+def compute(n):
+    start.wait()
+    results[n] = oracle.bernoulli_numbers(n), oracle.bernoulli_polynomial(n)
+
+threads = [threading.Thread(target=compute, args=(n,)) for n in (200, 300, 400, 500)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+pickle.dump(results, sys.stdout.buffer)
+"""
+
+
+def test_threads_agree_with_one_thread():
+    src = os.path.dirname(os.path.dirname(berndenom.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", THREADS], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, check=True, timeout=60,
+    )
+    threaded = pickle.loads(done.stdout)
+    assert sorted(threaded) == [200, 300, 400, 500]
+    for n, (numbers, poly) in threaded.items():
+        assert numbers == bernoulli_numbers(n), n
+        assert poly == bernoulli_polynomial(n), n

@@ -261,6 +261,20 @@ class TestCover:
             assert list(scanner._zeros(lo, hi, cut)) == full_zeros(lo, hi, cut)
         assert depths == [(floor + cut + 1) * 2**i - 1 for i in range(len(depths))]
 
+    @pytest.mark.parametrize("start, cut, first", [(10**12 - 1, 0, 64), (10**12, 0, 129), (10**12, 1, 131)])
+    def test_a_step_from_10_12_on_starts_at_the_first_re_cover(self, start, cut, first):
+        # nearly every step from 10^12 on needs the first re-cover, so it starts at its depth
+        depths, uncovered = [], scanner._uncovered
+
+        def spy(lo, hi, cut, depth):
+            depths.append(depth)
+            return uncovered(lo, hi, cut, depth)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanner, "_uncovered", spy)
+            assert list(scanner._zeros(start, start + 1000, cut)) == []
+        assert depths[0] == first
+
     def test_a_step_wider_than_2_32_is_covered(self):
         # offsets past 2^31 stay the int64 ones of heavy_runs; depth 3000 covers every index here
         lo, hi = 10**12, 10**12 + 2**32 - 1
@@ -425,10 +439,11 @@ class TestFindSets:
 
     @pytest.mark.parametrize("lo, cut, top", [(1, 0, 4_503_591_037_435_904), (2, 1, 4_503_590_903_218_176)])
     def test_the_last_limits_under_the_cap(self, lo, cut, top):
-        # the covers of scan and sets --k 1 read the primes to the cap at 4,503,591,037,435,904,
-        # radset's at 4,503,590,903,218,176; one index more reads one prime bound more
-        assert scanner._sieve_bound(lo, top, cut) == arith.DEFAULT_SIEVE_CAP
-        assert scanner._sieve_bound(lo, top + 1, cut) == arith.DEFAULT_SIEVE_CAP + 1
+        # depth-64 covers of scan and sets --k 1 read the primes to the cap at
+        # 4,503,591,037,435,904, radset's at 4,503,590,903,218,176; one index more reads one
+        # prime bound more
+        assert denom.heavy_reach(lo, top, cut, scanner._DEPTH + cut) == arith.DEFAULT_SIEVE_CAP
+        assert denom.heavy_reach(lo, top + 1, cut, scanner._DEPTH + cut) == arith.DEFAULT_SIEVE_CAP + 1
 
     @pytest.mark.parametrize("lo, cut, top", [(1, 0, 4_503_564_864_978_944), (2, 1, 4_503_564_328_108_032)])
     def test_the_last_limits_a_second_re_cover_fits(self, lo, cut, top):
@@ -438,10 +453,11 @@ class TestFindSets:
         assert scanner._top_recover(lo, top + 1, cut)[1] == arith.DEFAULT_SIEVE_CAP + 1
 
     def test_a_limit_past_int64_is_refused_without_overflow(self, monkeypatch):
-        # the reach is taken in Python ints, so 10^30 asks sieve() for about 10^15 + 64
+        # the reach is taken in Python ints, so 10^30 asks sieve() for about 10^15 + 129,
+        # the first depth of a step there
         monkeypatch.setattr(arith, "_SHARED", None)
         bound = scanner._sieve_bound(1, 10**30, 0)
-        assert 10**15 < bound <= 10**15 + 2 * scanner._DEPTH
+        assert 10**15 < bound <= 10**15 + 2 * scanner._first_depth(10**30, 0)
         with pytest.raises(SieveSizeError, match=f"sieve limit {bound} exceeds"):
             run_scan(10**30)
 

@@ -12,7 +12,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from berndenom import arith, denom, verify
+from berndenom import arith, denom, oracle, verify
 
 LIMIT, ORACLE_LIMIT = 300, 30
 
@@ -30,6 +30,21 @@ def result_of(family: str, **kwargs) -> verify.FamilyResult:
 
 def test_results_come_in_families_order():
     assert [r.family for r in verify.run_verification(50, 5)] == list(verify.FAMILIES)
+
+
+@pytest.mark.parametrize("oracle_limit, top", [(5, 11), (60, 61)])
+def test_the_oracle_families_build_each_polynomial_once(monkeypatch, oracle_limit, top):
+    # B_0(x)..B_top(x), top = max(oracle_limit, 10) + 1, in order off one walk: S_n(x)
+    # comes from B_(n + 1)(x), and oracle-power-sums reads S_0..S_10 at any oracle_limit
+    built, polynomial = [], oracle._polynomial
+
+    def build(row, *numbers):
+        built.append(len(row) - 1)
+        return polynomial(row, *numbers)
+
+    monkeypatch.setattr(oracle, "_polynomial", build)
+    assert all(r.passed for r in verify.run_verification(limit=100, oracle_limit=oracle_limit))
+    assert built == list(range(top + 1))
 
 
 @pytest.mark.parametrize("family", verify.FAMILIES)

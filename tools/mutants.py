@@ -73,6 +73,8 @@ MUTANTS = (
     Mutant("re-cover switched off", SCANNER, "while count.size and", "while False and",
            "tests/test_scanner.py::TestCover::"
            "test_the_re_cover_decides_what_a_shallow_cover_leaves[1-20000-0]"),
+    Mutant("first depth 64 past 10^12", SCANNER, "else 2 * depth + 1", "else depth",
+           "tests/test_scanner.py::TestCover::test_a_step_from_10_12_on_starts_at_the_first_re_cover"),
     Mutant("every gap one short", SCANNER, "gaps = ends > starts", "gaps = ends > starts + 1",
            ACCEPTANCE + "2_set_reproduction"),
     Mutant("a step seam skips an index", SCANNER, "lo = end + 1", "lo = end + 2",

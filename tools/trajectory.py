@@ -4,9 +4,10 @@ Usage: python tools/trajectory.py --against REV [--label LABEL]
 
 REV is checked out with `git archive` into a temporary directory, so a run leaves
 nothing in the repository's .git. The head side is this checkout's src/, as it
-stands on disk. Each of the PAIRS pairs runs every row of ROWS once on both
-sides, in alternating order, so drift over a session reaches every row and side
-alike.
+stands on disk. Each pair runs every row of ROWS once on both sides, in
+alternating order, so drift over a session reaches every row and side alike. A
+row runs in the first PAIRS pairs (12), or in as many as it sets itself: at least
+two, since the quartiles need two runs a side.
 
 Each request is a fresh `python -m berndenom` process, started from a small
 launcher process and not from this script, because a forked child carries its
@@ -35,31 +36,40 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 12  # interleaved pairs per row
+PAIRS = 12  # interleaved pairs per row, unless the row sets its own
+
+
+class Row(NamedTuple):
+    argv: str
+    pairs: int = PAIRS  # the row runs in the first `pairs` pairs
+
 
 ROWS = {
-    "profile 1": "profile 1",
-    "profile 1e12": "profile 1000000000039",
-    "scan 1.34e8": "scan --limit 134000000",
-    "scan 1e10": "scan --limit 10000000000",
-    "scan 1e10 t2": "scan --limit 10000000000 --threads 2",
-    "scan 1e11": "scan --limit 100000000000",
-    "scan 1e13": "scan --limit 10000000000000",
-    "scan 1e13 t2": "scan --limit 10000000000000 --threads 2",
-    "sets k1 1e8": "sets --k 1 --limit 100000000",
-    "sets k64 1e7": "sets --k 64 --limit 10000000",
-    "sets k200 2e6": "sets --k 200 --limit 2000000",
-    "radset 1.34e8": "radset --limit 134000000",
-    "seq omega_plus 1e6": "seq omega_plus 1 1000000",
-    "seq dd_minus 1.342e8": "seq dd_minus 134200000 134203000",
-    "seq dd 1.342e8 11": "seq dd 134200000 134200010",
-    "seq dd 1e5": "seq dd 1 100000",
-    "seq dd 1e5 json": "--format json seq dd 1 100000",
-    "seq db 1e5": "seq db 1 100000",
-    "verify 1e5": "verify --limit 100000 --oracle-limit 1",
-    "verify 1e4 o300": "verify --limit 10000 --oracle-limit 300",
+    "profile 1": Row("profile 1"),
+    "profile 1e12": Row("profile 1000000000039"),
+    "scan 1.34e8": Row("scan --limit 134000000"),
+    "scan 1e10": Row("scan --limit 10000000000"),
+    "scan 1e10 t2": Row("scan --limit 10000000000 --threads 2"),
+    "scan 1e11": Row("scan --limit 100000000000"),
+    "scan 1e13": Row("scan --limit 10000000000000"),
+    "scan 1e13 t2": Row("scan --limit 10000000000000 --threads 2"),
+    "sets k1 1e8": Row("sets --k 1 --limit 100000000"),
+    "sets k64 1e7": Row("sets --k 64 --limit 10000000"),
+    "sets k200 2e6": Row("sets --k 200 --limit 2000000"),
+    "radset 1.34e8": Row("radset --limit 134000000"),
+    "seq omega_plus 1e6": Row("seq omega_plus 1 1000000"),
+    "seq dd_minus 1.342e8": Row("seq dd_minus 134200000 134203000"),
+    "seq dd 1.342e8 11": Row("seq dd 134200000 134200010"),
+    "seq dd 1e5": Row("seq dd 1 100000"),
+    "seq dd 1e5 json": Row("--format json seq dd 1 100000"),
+    "seq db 1e5": Row("seq db 1 100000"),
+    "verify 1e5": Row("verify --limit 100000 --oracle-limit 1"),
+    "verify 1e4 o300": Row("verify --limit 10000 --oracle-limit 300"),
+    "verify 1e3 o1000": Row("verify --limit 1000 --oracle-limit 1000"),  # the oracle at the CLI's cap
+    "scan 1e15": Row("scan --limit 1000000000000000", pairs=2),
 }
 
 # argv: result path, then the command; the command's stdout and stderr are the launcher's
@@ -156,16 +166,20 @@ def main() -> int:
                 "method": "fresh `python -m berndenom` processes from a launcher; wait4 rusage; "
                           "stdout and stderr discarded after hashing",
             },
-            "rows": {name: {"argv": ROWS[name], "head": [], "against": []} for name in ROWS},
+            "rows": {name: {"argv": row.argv, "pairs": row.pairs, "head": [], "against": []}
+                     for name, row in ROWS.items()},
         }
         outputs: dict[str, set] = {name: set() for name in ROWS}
         work = Path(tmp, "work")
         work.mkdir()
-        for pair in range(PAIRS):
-            for name in ROWS:
+        pairs = max(row.pairs for row in ROWS.values())
+        for pair in range(pairs):
+            for name, row in ROWS.items():
+                if pair >= row.pairs:
+                    continue
                 order = ("head", "against") if pair % 2 == 0 else ("against", "head")
                 for which in order:
-                    run, output = measure(sides[which], ROWS[name].split(), work)
+                    run, output = measure(sides[which], row.argv.split(), work)
                     report["rows"][name][which].append(run)
                     outputs[name].add(output)
                     if run["status"] != 0:
@@ -174,7 +188,7 @@ def main() -> int:
                 if len(outputs[name]) != 1:
                     print(f"{name}: the output differs between runs or sides", file=sys.stderr)
                     return 1
-            print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr, flush=True)
+            print(f"pair {pair + 1}/{pairs} done", file=sys.stderr, flush=True)
 
     for name, row in report["rows"].items():
         row["summary"] = {which: summary(row[which]) for which in ("head", "against")}
